@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError, SolverError
+from .errors import DomainError, GeometryError, ParameterError, SolverError
 from .grid import Cube, Cutoff, Field, Grid, read_slab, write_slab
 from .oracles import build_fixture, fit_order, residual_check
 from .solvers import (
@@ -78,10 +78,6 @@ def _parse_floats(raw: str) -> tuple:
     if not parts:
         raise ValueError("empty list")
     return tuple(float(p) for p in parts)
-
-
-def _parse_ints(raw: str) -> tuple:
-    return tuple(int(p) for p in raw.replace(",", " ").split())
 
 
 class Cfg:
@@ -476,7 +472,7 @@ def main(argv=None) -> int:
     except ConfigProblem as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ParameterError as exc:
+    except (ParameterError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -320,11 +320,6 @@ class Cutoff:
         return Field(grid, self.eval(grid.sup_distance(self.center)))
 
 
-def cutoff_eval(cutoff: Cutoff, grid: Grid) -> Field:
-    """Cutoff profile sampled on the grid nodes."""
-    return cutoff.sample(grid)
-
-
 def _trapezoid_weights(n: int) -> np.ndarray:
     w = np.ones(n)
     w[0] = 0.5

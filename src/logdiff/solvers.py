@@ -7,42 +7,48 @@ All solvers march backward Euler: each step solves the nonlinear system
 with a damped Newton iteration (exact Jacobian of the discrete operator,
 step halving up to ``max_damping`` times).  ``Op`` is:
 
-* ``solve_log_diffusion``: ``Lap_h(ln u)`` on the standard stencil,
+* ``solve_log_diffusion``: ``Lap_h(ln u)``,
 * ``solve_porous_medium``:  ``Lap_h((u^m - 1)/m)``, ``0 < m < 1``,
-* ``solve_quasilinear`` with a ``diagonal-perturbed`` flux: the flux-form
-  divergence ``div_h(a_d(x,t) * D_face * du)`` with face diffusivities from
-  the harmonic mean of ``u^(1-m)`` (equivalently, the arithmetic mean of
-  ``u^(m-1)``; ``m = 0`` gives the logarithmic coefficient ``1/u``).
+* ``solve_quasilinear`` with a ``diagonal-perturbed`` flux: ``div_h`` of the
+  face flux ``a_d(x,t) * d_face * du``, where ``d_face`` is the harmonic mean
+  of ``u^(1-m)`` (the arithmetic mean of ``u^(m-1)``; ``m = 0`` gives the
+  logarithmic coefficient ``1/u``).
 
-``solve_quasilinear`` with kind ``log-diffusion`` or ``pme`` delegates to the
-model solvers, so the reduction at ``a == 1`` is exact by construction
-(bitwise-identical trajectories, same discrete operator and Newton path).
+``solve_quasilinear`` with kind ``log-diffusion`` or ``pme`` runs the model
+solvers' operator, so the reduction at ``a == 1`` is exact by construction.
+
+Every ``Op`` is the divergence of a flux ``phi`` on the faces of the grid,
+one per pair of neighbouring nodes: ``div(phi) = -(D^T (w * phi)) / (W h^2)``
+with ``(D u)_f = u[right] - u[left]``.  This is the vertex-centred
+finite-volume zero-flux scheme: ``W`` are the trapezoid weights (dual cell
+volumes over ``h^dim``) and ``w`` the dual face areas over ``h^(dim-1)``,
+halved once for each other axis on whose boundary the face lies.  Interior
+rows are the standard ``2*dim + 1`` point stencil, and ``sum_i W_i div_i = 0``.
+
+Boundary conditions: ``dirichlet-from-oracle`` fixes boundary nodes to values
+supplied by an exact solution (or any callable ``(points, t) -> values``) and
+solves for the interior nodes; ``neumann-zero-flux`` solves for every node and
+conserves the trapezoid mass per step up to the Newton residual.
 
 Positivity is maintained by a floor (default ``1e-10 * max(initial)``); every
 clipped entry is counted, and a step whose clipped fraction exceeds
 ``floor_warn_fraction`` appends a warning to the slab metadata rather than
 failing, since approach to zero is the phenomenon under study.
-
-Boundary conditions: ``dirichlet-from-oracle`` fixes boundary nodes to values
-supplied by an exact solution (or any callable ``(points, t) -> values``);
-``neumann-zero-flux`` reflects the stencil, which conserves the trapezoid
-mass exactly per step (the discrete flux form telescopes against trapezoid
-weights).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .errors import ParameterError, SolverError
-from .grid import Field, Grid, SpaceTimeSlab, interior_slices, laplacian
+from .grid import Field, Grid, SpaceTimeSlab, _trapezoid_weights, interior_slices
 
 _BOUNDARY_KINDS = ("dirichlet-from-oracle", "neumann-zero-flux")
-_FLUX_KINDS = ("log-diffusion", "pme", "diagonal-perturbed")
 
 
 @dataclass(frozen=True)
@@ -85,10 +91,10 @@ class QuasilinearFlux:
     c_1: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _FLUX_KINDS:
-            raise ParameterError(f"flux kind must be one of {_FLUX_KINDS}")
+        if self.kind not in _KINDS:
+            raise ParameterError(f"flux kind must be one of {tuple(_KINDS)}")
         if self.kind == "pme" and not 0.0 < self.m < 1.0:
-            raise ParameterError("pme flux needs m in (0, 1)")
+            raise ParameterError(f"pme flux needs m in (0, 1), got {self.m}")
         if self.kind == "diagonal-perturbed":
             if not 0.0 <= self.m < 1.0:
                 raise ParameterError("diagonal-perturbed flux needs m in [0, 1)")
@@ -104,49 +110,6 @@ def _check_horizon(horizon: float, dt: float) -> int:
     if n < 1 or abs(nsteps - n) > 1e-8 * max(1.0, nsteps):
         raise ParameterError(f"horizon {horizon} is not an integer multiple of dt {dt}")
     return n
-
-
-def _boundary_mask(grid: Grid) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[d] = 0
-        hi[d] = -1
-        mask[tuple(lo)] = True
-        mask[tuple(hi)] = True
-    return mask.ravel()
-
-
-def _laplacian_matrix(grid: Grid, neumann: bool) -> sp.csr_matrix:
-    n = grid.npts
-    h2 = grid.spacing**2
-    main = -2.0 * np.ones(n)
-    off = np.ones(n - 1)
-    d1 = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    if neumann:
-        d1[0, 1] = 2.0
-        d1[n - 1, n - 2] = 2.0
-    else:
-        d1[0, :] = 0.0
-        d1[n - 1, :] = 0.0
-    d1 = sp.csr_matrix(d1) / h2
-    eye = sp.identity(n, format="csr")
-    total = None
-    for d in range(grid.dim):
-        term = None
-        for k in range(grid.dim):
-            blk = d1 if k == d else eye
-            term = blk if term is None else sp.kron(term, blk, format="csr")
-        total = term if total is None else total + term
-    return sp.csr_matrix(total)
-
-
-def _eval_boundary(config: SolverConfig, pts_bnd: np.ndarray, t: float) -> np.ndarray:
-    src = config.boundary_values
-    if hasattr(src, "eval"):
-        return np.asarray(src.eval(pts_bnd, t), dtype=float)
-    return np.asarray(src(pts_bnd, t), dtype=float)
 
 
 class _NewtonStats:
@@ -204,15 +167,147 @@ def _damped_newton(x0, residual_fn, jacobian_fn, floor, config, t, stats):
     )
 
 
-def _solve_beta_form(
-    initial: Field,
-    config: SolverConfig,
-    horizon: float,
-    beta,
-    beta_prime,
-    label: str,
-    m: float | None,
+def _tensor(factors) -> np.ndarray:
+    """Flat outer product of per-axis factors, in the grid's node order."""
+    return reduce(np.multiply.outer, factors).ravel()
+
+
+class _Faces:
+    """Faces of a grid and the zero-flux divergence on them (module docstring).
+
+    ``left``/``right`` are the flat node indices of every face, axis by axis;
+    ``D`` is the difference matrix, ``W`` the node and ``w`` the face weights.
+    """
+
+    def __init__(self, grid: Grid):
+        n, dim = grid.npts, grid.dim
+        idx = np.arange(n**dim).reshape(grid.shape)
+        tw = _trapezoid_weights(n)
+        left, right, w = [], [], []
+        for axis in range(dim):
+            lo = tuple(slice(0, -1) if k == axis else slice(None) for k in range(dim))
+            hi = tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
+            left.append(idx[lo].ravel())
+            right.append(idx[hi].ravel())
+            w.append(_tensor([np.ones(n - 1) if k == axis else tw for k in range(dim)]))
+        self.grid = grid
+        self.left = np.concatenate(left)
+        self.right = np.concatenate(right)
+        self.w = np.concatenate(w)
+        self.W = _tensor([tw] * dim)
+        eye = sp.identity(idx.size, format="csr")
+        self.D = eye[self.right] - eye[self.left]
+
+    def divergence(self, rows: np.ndarray) -> sp.csr_matrix:
+        """Rows ``rows`` of ``phi -> -(D^T (w * phi)) / (W h^2)``."""
+        scale = -1.0 / (self.W[rows] * self.grid.spacing**2)
+        return sp.csr_matrix(sp.diags(scale) @ self.D[:, rows].T @ sp.diags(self.w))
+
+
+# Operators give ``apply(u)``, the operator on the unknown ``rows``, and
+# ``jacobian(u)``, its derivative in the unknowns; both take every node of
+# ``u``.  ``step(t)`` runs once per time level, before either.
+
+
+class _BetaOperator:
+    """``Lap_h beta(u)``, with ``L = div D`` assembled once."""
+
+    def __init__(self, faces: _Faces, rows: np.ndarray, beta, beta_prime):
+        self.L = faces.divergence(rows) @ faces.D
+        self.L_uu = self.L[:, rows]  # unknown rows and columns
+        self.rows, self.beta, self.beta_prime = rows, beta, beta_prime
+
+    def step(self, t: float) -> None:
+        pass
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return self.L @ self.beta(u)
+
+    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
+        return self.L_uu @ sp.diags(self.beta_prime(u[self.rows]))
+
+
+class _FluxOperator:
+    """Divergence of the face flux ``a_d * d_face * du`` (diagonal-perturbed).
+
+    ``a_d`` is evaluated at the face midpoints and checked against
+    ``[c_o, c_1]`` once per step.
+    """
+
+    def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux):
+        grid = faces.grid
+        if len(flux.a) != grid.dim:
+            raise ParameterError("flux needs one coefficient per axis")
+        self.faces, self.flux = faces, flux
+        self.div = faces.divergence(rows)
+        # d(phi)/du has the pattern of D on the unknown columns
+        self.D_u = faces.D[:, rows]
+        self.jac_face = np.repeat(np.arange(faces.left.size), np.diff(self.D_u.indptr))
+        self.jac_node = rows[self.D_u.indices]
+        pts = grid.points().reshape(-1, grid.dim)
+        mid = 0.5 * (pts[faces.left] + pts[faces.right])
+        self.mid = mid.reshape(grid.dim, -1, grid.dim)
+
+    def step(self, t: float) -> None:
+        flux = self.flux
+        tol = 1e-9 * max(1.0, flux.c_1)
+        per_axis = []
+        for axis, (a_d, mid) in enumerate(zip(flux.a, self.mid)):
+            vals = a_d(mid, t) if callable(a_d) else a_d
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), len(mid))
+            if vals.min() < flux.c_o - tol or vals.max() > flux.c_1 + tol:
+                raise ParameterError(
+                    f"a_{axis} leaves the structure interval [{flux.c_o}, {flux.c_1}]"
+                )
+            per_axis.append(vals)
+        self.a = np.concatenate(per_axis)
+
+    def _face_terms(self, u: np.ndarray):
+        """``a_d * d_face`` and ``du`` on every face."""
+        m = self.flux.m
+        d = u ** (m - 1.0) if m != 0.0 else 1.0 / u  # m = 0: the log coefficient
+        left, right = self.faces.left, self.faces.right
+        return self.a * 0.5 * (d[left] + d[right]), u[right] - u[left]
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        coef, du = self._face_terms(u)
+        return self.div @ (coef * du)
+
+    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
+        m, f, pattern = self.flux.m, self.jac_face, self.D_u
+        coef, du = self._face_terms(u)
+        dprime = ((m - 1.0) * u ** (m - 2.0))[self.jac_node]
+        data = pattern.data * coef[f] + 0.5 * self.a[f] * du[f] * dprime
+        dphi = sp.csr_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
+        return self.div @ dphi
+
+
+def _log_operator(faces, rows, flux):
+    return _BetaOperator(faces, rows, np.log, np.reciprocal)
+
+
+def _pme_operator(faces, rows, flux):
+    m = flux.m
+    return _BetaOperator(faces, rows, lambda u: (u**m - 1.0) / m, lambda u: u ** (m - 1.0))
+
+
+# flux kind -> (operator factory (faces, rows, flux), slab meta "equation")
+_KINDS = {
+    "log-diffusion": (_log_operator, "log-diffusion"),
+    "pme": (_pme_operator, "pme"),
+    "diagonal-perturbed": (_FluxOperator, "quasilinear:diagonal-perturbed"),
+}
+
+
+def _operator_on_all_nodes(grid: Grid, flux: QuasilinearFlux):
+    faces = _Faces(grid)
+    return _KINDS[flux.kind][0](faces, np.arange(faces.W.size), flux)
+
+
+def _march(
+    initial: Field, config: SolverConfig, horizon: float, flux: QuasilinearFlux
 ) -> SpaceTimeSlab:
+    """Backward Euler for the operator of ``flux.kind``; the module's one step loop."""
     grid = initial.grid
     if initial.min() <= 0:
         raise ParameterError("initial data must be strictly positive")
@@ -221,60 +316,40 @@ def _solve_beta_form(
     if floor is None:
         floor = 1e-10 * initial.max()
 
+    # unknowns: every node under Neumann, the interior nodes (trapezoid weight
+    # one) under Dirichlet
+    faces = _Faces(grid)
     neumann = config.boundary == "neumann-zero-flux"
-    L = _laplacian_matrix(grid, neumann)
-    bnd = _boundary_mask(grid)
-    interior = ~bnd
-    pts = grid.points().reshape(-1, grid.dim)
-    nodes = grid.shape
+    known = np.zeros(faces.W.size, dtype=bool) if neumann else faces.W < 1.0
+    rows = np.flatnonzero(~known)
+    pts_known = grid.points().reshape(-1, grid.dim)[known]
+    boundary = getattr(config.boundary_values, "eval", config.boundary_values)
+    op = _KINDS[flux.kind][0](faces, rows, flux)
 
     times = np.linspace(initial.time, initial.time + horizon, nsteps + 1)
-    levels = np.empty((nsteps + 1,) + nodes)
+    levels = np.empty((nsteps + 1,) + grid.shape)
     levels[0] = initial.values
     stats = _NewtonStats()
+    eye = sp.identity(rows.size, format="csr")
 
-    eye_int = sp.identity(int(interior.sum()), format="csr")
-    eye_all = sp.identity(grid.npts**grid.dim, format="csr")
-    if not neumann:
-        L_int = L[interior]
-        L_ii = sp.csr_matrix(L_int[:, interior])
-        L_ib = sp.csr_matrix(L_int[:, bnd])
-        pts_bnd = pts[bnd]
-
-    u_flat = levels[0].ravel().copy()
+    u = initial.values.ravel().copy()
     for k in range(nsteps):
-        t_next = float(times[k + 1])
-        dt = config.dt
-        if neumann:
-            prev = u_flat
+        t = float(times[k + 1])
+        op.step(t)
+        if not neumann:
+            u[known] = np.maximum(boundary(pts_known, t), floor)
+        prev = u[rows]
 
-            def residual_fn(x):
-                return x - dt * (L @ beta(x)) - prev
+        def residual_fn(x):
+            u[rows] = x
+            return x - config.dt * op.apply(u) - prev
 
-            def jacobian_fn(x):
-                return eye_all - dt * (L @ sp.diags(beta_prime(x)))
+        def jacobian_fn(x):
+            u[rows] = x
+            return eye - config.dt * op.jacobian(u)
 
-            u_flat = _damped_newton(
-                u_flat, residual_fn, jacobian_fn, floor, config, t_next, stats
-            )
-        else:
-            g = np.maximum(_eval_boundary(config, pts_bnd, t_next), floor)
-            beta_g = beta(g)
-            prev_int = u_flat[interior]
-
-            def residual_fn(x):
-                return x - dt * (L_ii @ beta(x) + L_ib @ beta_g) - prev_int
-
-            def jacobian_fn(x):
-                return eye_int - dt * (L_ii @ sp.diags(beta_prime(x)))
-
-            x = _damped_newton(
-                u_flat[interior], residual_fn, jacobian_fn, floor, config, t_next, stats
-            )
-            u_flat = u_flat.copy()
-            u_flat[interior] = x
-            u_flat[bnd] = g
-        levels[k + 1] = u_flat.reshape(nodes)
+        u[rows] = _damped_newton(prev, residual_fn, jacobian_fn, floor, config, t, stats)
+        levels[k + 1] = u.reshape(grid.shape)
 
     if stats.max_floor_fraction > config.floor_warn_fraction:
         stats.warnings.append(
@@ -282,8 +357,8 @@ def _solve_beta_form(
             f"of nodes in a Newton step"
         )
     meta = {
-        "equation": label,
-        "m": m,
+        "equation": _KINDS[flux.kind][1],
+        "m": None if flux.kind == "log-diffusion" else flux.m,
         "dt": config.dt,
         "horizon": horizon,
         "newton_tol": config.newton_tol,
@@ -301,109 +376,14 @@ def solve_log_diffusion(
     initial: Field, config: SolverConfig, horizon: float
 ) -> SpaceTimeSlab:
     """March ``u_t = Lap_h(ln u)`` from ``initial`` over ``horizon``."""
-    return _solve_beta_form(
-        initial, config, horizon, np.log, lambda u: 1.0 / u, "log-diffusion", None
-    )
+    return _march(initial, config, horizon, QuasilinearFlux("log-diffusion"))
 
 
 def solve_porous_medium(
     initial: Field, m: float, config: SolverConfig, horizon: float
 ) -> SpaceTimeSlab:
     """March ``u_t = Lap_h((u^m - 1)/m)`` for ``0 < m < 1``."""
-    if not 0.0 < m < 1.0:
-        raise ParameterError(f"porous-medium exponent must be in (0, 1), got {m}")
-    return _solve_beta_form(
-        initial,
-        config,
-        horizon,
-        lambda u: (u**m - 1.0) / m,
-        lambda u: u ** (m - 1.0),
-        "pme",
-        m,
-    )
-
-
-# ---------------------------------------------------------------------------
-# flux-form engine for diagonal-perturbed structures
-# ---------------------------------------------------------------------------
-
-
-def _face_arrays(grid: Grid, axis: int):
-    """Flat (left, right) node indices for all faces along ``axis``."""
-    idx = np.arange(grid.npts**grid.dim).reshape(grid.shape)
-    lo = [slice(None)] * grid.dim
-    hi = [slice(None)] * grid.dim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return idx[tuple(lo)].ravel(), idx[tuple(hi)].ravel()
-
-
-def _face_coefficient(flux: QuasilinearFlux, grid: Grid, axis: int, t: float):
-    """a_d at face midpoints; validates the structure sandwich."""
-    pts = grid.points().reshape(-1, grid.dim)
-    left, right = _face_arrays(grid, axis)
-    mid = 0.5 * (pts[left] + pts[right])
-    a_d = flux.a[axis]
-    vals = a_d(mid, t) if callable(a_d) else np.full(left.shape, float(a_d))
-    vals = np.asarray(vals, dtype=float)
-    tol = 1e-9 * max(1.0, flux.c_1)
-    if vals.min() < flux.c_o - tol or vals.max() > flux.c_1 + tol:
-        raise ParameterError(
-            f"a_{axis} leaves the structure interval [{flux.c_o}, {flux.c_1}]"
-        )
-    return vals
-
-
-def _diffusivity(u: np.ndarray, m: float) -> np.ndarray:
-    # u^(m-1); m = 0 -> 1/u
-    return u ** (m - 1.0) if m != 0.0 else 1.0 / u
-
-
-def flux_divergence(
-    grid: Grid, values: np.ndarray, flux: QuasilinearFlux, t: float
-) -> np.ndarray:
-    """Discrete ``div A`` in flux form (interior rows; boundary rows half-cell).
-
-    Face diffusivity is the harmonic mean of ``u^(1-m)`` of the two adjacent
-    nodes, i.e. the arithmetic mean of ``u^(m-1)``.
-    """
-    u = values.ravel()
-    h2 = grid.spacing**2
-    div = np.zeros_like(u)
-    d_node = _diffusivity(u, flux.m)
-    for axis in range(grid.dim):
-        left, right = _face_arrays(grid, axis)
-        a_face = _face_coefficient(flux, grid, axis, t)
-        d_face = 0.5 * (d_node[left] + d_node[right])
-        phi = a_face * d_face * (u[right] - u[left]) / h2
-        np.add.at(div, left, phi)
-        np.add.at(div, right, -phi)
-    return div.reshape(grid.shape)
-
-
-def _flux_jacobian(
-    grid: Grid, u: np.ndarray, flux: QuasilinearFlux, a_faces: list
-) -> sp.csr_matrix:
-    h2 = grid.spacing**2
-    m = flux.m
-    d_node = _diffusivity(u, m)
-    dprime = (m - 1.0) * u ** (m - 2.0)
-    rows, cols, vals = [], [], []
-    for axis in range(grid.dim):
-        left, right = _face_arrays(grid, axis)
-        a_face = a_faces[axis]
-        d_face = 0.5 * (d_node[left] + d_node[right])
-        du = u[right] - u[left]
-        dphi_dl = a_face * (-d_face + 0.5 * dprime[left] * du) / h2
-        dphi_dr = a_face * (d_face + 0.5 * dprime[right] * du) / h2
-        rows.extend([left, left, right, right])
-        cols.extend([left, right, left, right])
-        vals.extend([dphi_dl, dphi_dr, -dphi_dl, -dphi_dr])
-    n = u.size
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    return _march(initial, config, horizon, QuasilinearFlux("pme", m=m))
 
 
 def solve_quasilinear(
@@ -411,107 +391,23 @@ def solve_quasilinear(
 ) -> SpaceTimeSlab:
     """Backward Euler for the quasilinear flux ``u_t = div A(x, t, u, Du)``.
 
-    Model kinds delegate to :func:`solve_log_diffusion` /
-    :func:`solve_porous_medium` (identical operator and Newton path); the
-    ``diagonal-perturbed`` kind runs the flux-form discretization.
+    Model kinds run the operator of :func:`solve_log_diffusion` /
+    :func:`solve_porous_medium`; ``diagonal-perturbed`` runs the face flux.
     """
-    if flux.kind == "log-diffusion":
-        return solve_log_diffusion(initial, config, horizon)
-    if flux.kind == "pme":
-        return solve_porous_medium(initial, flux.m, config, horizon)
+    return _march(initial, config, horizon, flux)
 
-    grid = initial.grid
-    if len(flux.a) != grid.dim:
-        raise ParameterError("flux needs one coefficient per axis")
-    if initial.min() <= 0:
-        raise ParameterError("initial data must be strictly positive")
-    nsteps = _check_horizon(horizon, config.dt)
-    floor = config.positivity_floor
-    if floor is None:
-        floor = 1e-10 * initial.max()
 
-    neumann = config.boundary == "neumann-zero-flux"
-    bnd = _boundary_mask(grid)
-    interior = ~bnd
-    pts = grid.points().reshape(-1, grid.dim)
-    # half-cell divergence scaling on boundary nodes (zero-flux case)
-    cell_scale = np.ones(pts.shape[0])
-    if neumann:
-        cell_scale[bnd] = 2.0
+def flux_divergence(
+    grid: Grid, values: np.ndarray, flux: QuasilinearFlux, t: float
+) -> np.ndarray:
+    """The operator of ``flux.kind`` at time ``t`` on every node.
 
-    times = np.linspace(initial.time, initial.time + horizon, nsteps + 1)
-    levels = np.empty((nsteps + 1,) + grid.shape)
-    levels[0] = initial.values
-    stats = _NewtonStats()
-    eye = sp.identity(pts.shape[0], format="csr")
-    dt = config.dt
-
-    u_flat = levels[0].ravel().copy()
-    for k in range(nsteps):
-        t_next = float(times[k + 1])
-        a_faces = [
-            _face_coefficient(flux, grid, axis, t_next) for axis in range(grid.dim)
-        ]
-        if neumann:
-            prev = u_flat
-
-            def residual_fn(x):
-                div = flux_divergence(grid, x.reshape(grid.shape), flux, t_next)
-                return x - dt * cell_scale * div.ravel() - prev
-
-            def jacobian_fn(x):
-                J = _flux_jacobian(grid, x, flux, a_faces)
-                return eye - dt * sp.diags(cell_scale) @ J
-
-            u_flat = _damped_newton(
-                u_flat, residual_fn, jacobian_fn, floor, config, t_next, stats
-            )
-        else:
-            g = np.maximum(_eval_boundary(config, pts[bnd], t_next), floor)
-            prev_int = u_flat[interior]
-
-            def residual_fn(x):
-                full = np.empty(pts.shape[0])
-                full[interior] = x
-                full[bnd] = g
-                div = flux_divergence(grid, full.reshape(grid.shape), flux, t_next)
-                return x - dt * div.ravel()[interior] - prev_int
-
-            def jacobian_fn(x):
-                full = np.empty(pts.shape[0])
-                full[interior] = x
-                full[bnd] = g
-                J = _flux_jacobian(grid, full, flux, a_faces)
-                Ji = J[interior][:, interior]
-                return sp.identity(x.size, format="csr") - dt * sp.csr_matrix(Ji)
-
-            x = _damped_newton(
-                u_flat[interior], residual_fn, jacobian_fn, floor, config, t_next, stats
-            )
-            u_flat = u_flat.copy()
-            u_flat[interior] = x
-            u_flat[bnd] = g
-        levels[k + 1] = u_flat.reshape(grid.shape)
-
-    if stats.max_floor_fraction > config.floor_warn_fraction:
-        stats.warnings.append(
-            f"positivity floor clipped up to {stats.max_floor_fraction:.2%} "
-            f"of nodes in a Newton step"
-        )
-    meta = {
-        "equation": f"quasilinear:{flux.kind}",
-        "m": flux.m,
-        "dt": config.dt,
-        "horizon": horizon,
-        "newton_tol": config.newton_tol,
-        "boundary": config.boundary,
-        "positivity_floor": floor,
-        "floor_triggers": stats.floor_hits,
-        "max_floor_fraction": stats.max_floor_fraction,
-        "newton_iters": stats.iters,
-        "warnings": stats.warnings,
-    }
-    return SpaceTimeSlab(grid, times, levels, meta=meta)
+    Interior rows are the standard stencil, boundary rows the zero-flux form
+    (dual-area faces, rows divided by the trapezoid weight; module docstring).
+    """
+    op = _operator_on_all_nodes(grid, flux)
+    op.step(t)
+    return op.apply(values.ravel()).reshape(grid.shape)
 
 
 def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
@@ -522,17 +418,12 @@ def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
     tolerance divided by ``dt`` plus stencil-consistency terms.
     """
     grid = slab.grid
+    op = _operator_on_all_nodes(grid, flux)
     inner = interior_slices(grid)
-    dt = slab.dt
     worst = 0.0
     for k in range(1, slab.nlevels):
         u = slab.values[k]
-        if flux.kind == "log-diffusion":
-            op = laplacian(np.log(u), grid)
-        elif flux.kind == "pme":
-            op = laplacian((u**flux.m - 1.0) / flux.m, grid)
-        else:
-            op = flux_divergence(grid, u, flux, float(slab.times[k]))
-        defect = (u - slab.values[k - 1]) / dt - op
+        op.step(float(slab.times[k]))
+        defect = (u - slab.values[k - 1]) / slab.dt - op.apply(u.ravel()).reshape(u.shape)
         worst = max(worst, float(np.abs(defect[inner]).max()))
     return worst

@@ -203,3 +203,12 @@ def test_bad_equation_is_config_error(tmp_path):
     cfg = tmp_path / "eq.ini"
     cfg.write_text(BASE_CONFIG.replace("equation = log-diffusion", "equation = heat"))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+
+
+def test_oracle_past_lifespan_is_config_error(tmp_path, capsys):
+    # the lump is defined for t < T = 1; the last step evaluates its boundary
+    # values at t = 1
+    cfg = tmp_path / "late.ini"
+    cfg.write_text(BASE_CONFIG.replace("horizon = 0.25", "horizon = 1.0"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
+    assert "config error:" in capsys.readouterr().err

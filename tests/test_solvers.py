@@ -1,10 +1,15 @@
-"""Implicit solver behavior: fixed points, positivity, convergence, delegation."""
+"""Implicit solver behavior: fixed points, positivity, convergence, delegation,
+zero-flux conservation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from logdiff import (
     BarenblattFD,
+    Cube,
     ExpSteady,
     Field,
     Grid,
@@ -14,11 +19,15 @@ from logdiff import (
     SolverConfig,
     SolverError,
     fit_order,
+    integrate,
+    interior_slices,
+    laplacian,
     residual_norm,
     solve_log_diffusion,
     solve_porous_medium,
     solve_quasilinear,
 )
+from logdiff.solvers import _BetaOperator, _Faces
 
 from conftest import lump_grid
 
@@ -174,3 +183,70 @@ def test_slab_meta_records_run(lump_slab_32):
     assert meta["equation"] == "log-diffusion"
     assert meta["boundary"] == "dirichlet-from-oracle"
     assert lump_slab_32.dt == pytest.approx(16.0 / 32**2)
+
+
+def _trapezoid_mass(values, grid):
+    return integrate(values, grid, Cube(grid.center, grid.edge))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["log-diffusion", "pme", "diagonal-perturbed"])
+def test_neumann_conserves_trapezoid_mass(kind, dim):
+    grid = Grid.regular(dim, 1.0, 1.0 / (32, 16, 8)[dim - 1])
+    initial = BarenblattFD(m=0.5).sample(grid, 0.0)
+    config = SolverConfig(dt=4 * grid.spacing**2, boundary="neumann-zero-flux")
+    flux = QuasilinearFlux(kind, m=0.5, a=(1.0, 0.7, 1.3)[:dim], c_o=0.7, c_1=1.3)
+    slab = solve_quasilinear(initial, flux, config, 8 * config.dt)
+    m0 = _trapezoid_mass(slab.values[0], grid)
+    drift = max(abs(_trapezoid_mass(v, grid) - m0) for v in slab.values) / m0
+    assert drift <= 1e-13
+
+
+def test_neumann_flux_form_matches_log_solver_at_second_order():
+    # with m = 0 and a = 1 the flux form differs from Lap(ln u) only by the
+    # face averaging, an O(h^2) term on interior and boundary nodes alike
+    sol = Lump2D(c=1.0, T=1.0)
+    flux = QuasilinearFlux(kind="diagonal-perturbed", m=0.0, a=(1.0, 1.0))
+    config = SolverConfig(dt=1.0 / 64, boundary="neumann-zero-flux")
+    gaps = []
+    for cells in (16, 32):
+        initial = sol.sample(lump_grid(cells), 0.0)
+        model = solve_log_diffusion(initial, config, 0.25).values[-1]
+        pert = solve_quasilinear(initial, flux, config, 0.25).values[-1]
+        gaps.append(np.abs(model - pert).max() / model.max())
+    assert max(gaps) <= 1e-4
+    assert gaps[0] >= 3.0 * gaps[1]
+
+
+def test_coefficient_leaving_structure_interval_midway_raises():
+    g = lump_grid(8)
+    initial = Field(g, np.full(g.shape, 1.0))
+    config = SolverConfig(dt=0.05, boundary="neumann-zero-flux")
+    # a_0 = 1 + 4t stays within [1, 1.5] up to t = 0.125
+    flux = QuasilinearFlux(
+        kind="diagonal-perturbed", a=(lambda x, t: 1.0 + 4.0 * t, 1.0), c_o=1.0, c_1=1.5
+    )
+    solve_quasilinear(initial, flux, config, 0.1)
+    with pytest.raises(ParameterError, match="a_0 leaves"):
+        solve_quasilinear(initial, flux, config, 0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), cells=st.integers(2, 6), data=st.data())
+def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cells, data):
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    faces = _Faces(grid)
+    every = np.arange(faces.W.size)
+    finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+    phi = data.draw(arrays(np.float64, faces.left.size, elements=finite))
+    div = faces.divergence(every) @ phi
+    scale = np.abs(faces.w * phi).sum() / grid.spacing**2
+    assert abs((faces.W * div).sum()) <= 1e-13 * scale
+
+    u = data.draw(arrays(np.float64, grid.shape, elements=finite))
+    op = _BetaOperator(faces, every, lambda v: v, np.ones_like)
+    inner = interior_slices(grid)
+    got = op.apply(u.ravel()).reshape(grid.shape)[inner]
+    want = laplacian(u, grid)[inner]
+    tol = 1e-13 * np.abs(u).max() / grid.spacing**2
+    assert np.abs(got - want).max() <= tol
