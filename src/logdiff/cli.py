@@ -2,10 +2,12 @@
 
 Configuration is a single INI file; every recognized key, including applied
 defaults, is echoed into the run manifest so a run is self-describing.  CSV
-outputs are byte-identical across reruns with the same config and thread
-count: probe placement is seeded, workers return results in submission
-order, and floats are serialized with ``repr``.  Column sets are documented
-in ``schema/columns.md`` shipped inside the package.
+outputs are byte-identical across reruns with the same config and seed:
+probe placement is seeded, probes run one after another in one thread, and
+floats are serialized with ``repr``.  ``--threads`` is accepted and recorded
+in the manifest but starts no workers: the checkers hold the interpreter
+lock, so worker threads only add contention.  Column sets are documented in
+``schema/columns.md`` shipped inside the package.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification I/O
 error.
@@ -17,11 +19,10 @@ import argparse
 import configparser
 import datetime
 import hashlib
-import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dc_fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,17 +58,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-
-VERIFY_KINDS = (
-    "l1",
-    "l1-pme",
-    "pointwise",
-    "energy",
-    "energy-pme",
-    "flux",
-    "distributional",
-)
-
 
 class ConfigProblem(Exception):
     """Anything wrong with the config file or its values."""
@@ -246,28 +236,44 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _report_columns(cls) -> list:
-    return [f.name for f in dc_fields(cls) if f.name not in ("functional_set", "table")]
-
-
-_KIND_COLUMNS = {
-    "l1": _report_columns(HarnackReport),
-    "l1-pme": _report_columns(HarnackReport),
-    "pointwise": _report_columns(PointwiseHarnackReport),
-    "energy": _report_columns(EnergyReport),
-    "energy-pme": _report_columns(EnergyReport),
-    "flux": _report_columns(FluxReport),
-    "distributional": _report_columns(DistributionalCheck),
+# verify kind -> (report class, radius scale for sampled probes, check).  A
+# check takes (slab, center, rho, window, opts), opts holding the [verify]
+# values.  Sampled radii shrink where the check needs room around the probe
+# (8x cube for pointwise, 4x for energy), keeping every cube mesh-aligned.
+_VERIFY = {
+    "l1": (HarnackReport, 1.0, lambda s, c, rho, w, o: check_l1_harnack(s, c, rho, w)),
+    "l1-pme": (
+        HarnackReport, 1.0, lambda s, c, rho, w, o: check_l1_harnack_pme(s, o.m, c, rho, w)
+    ),
+    "pointwise": (
+        PointwiseHarnackReport, 0.25,
+        lambda s, c, rho, w, o: check_pointwise_harnack(
+            s, c, w[1], rho, q=o.q, eps=o.eps, p=o.p, r=o.r
+        ),
+    ),
+    "energy": (
+        EnergyReport, 0.5, lambda s, c, rho, w, o: check_energy_lemma(s, c, rho, o.sigma, w)
+    ),
+    "energy-pme": (
+        EnergyReport, 0.5,
+        lambda s, c, rho, w, o: check_energy_lemma_pme(s, o.m, c, rho, o.sigma, w),
+    ),
+    "flux": (
+        FluxReport, 1.0,
+        lambda s, c, rho, w, o: check_flux_corollary(s, o.flux, rho, o.sigma, w, center=c),
+    ),
+    "distributional": (
+        DistributionalCheck, 1.0,
+        lambda s, c, rho, w, o: distributional_identity_check(
+            Cutoff(c, rho, o.sigma), s.grid, v_field=s.level(s.nlevels - 1)
+        ),
+    ),
 }
+VERIFY_KINDS = tuple(_VERIFY)
 
 
 def _verify_probes(cfg: Cfg, slab, kind: str, seed: int):
-    """Probe cylinders for a verify run: explicit single or seeded batch.
-
-    Sampled radii are shrunk for kinds that need room around the probe (the
-    pointwise check needs the 8x cube, the energy check the 4x cube), keeping
-    every cube mesh-aligned.
-    """
+    """Probe cylinders for a verify run: explicit single or seeded batch."""
     grid = slab.grid
     count = cfg.get("verify", "count", 1, int)
     if count <= 1:
@@ -278,12 +284,10 @@ def _verify_probes(cfg: Cfg, slab, kind: str, seed: int):
         )
         return [(tuple(center), rho, float(window[0]), float(window[1]))]
     rng = np.random.default_rng(seed)
-    probes = sample_cylinders(grid, slab.times, rng, count)
-    if kind == "pointwise":
-        probes = [(c, r / 4.0, a, b) for c, r, a, b in probes]
-    elif kind in ("energy", "energy-pme"):
-        probes = [(c, r / 2.0, a, b) for c, r, a, b in probes]
-    return probes
+    scale = _VERIFY[kind][1]
+    return [
+        (c, r * scale, a, b) for c, r, a, b in sample_cylinders(grid, slab.times, rng, count)
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -292,60 +296,38 @@ def cmd_verify(args) -> int:
     slab_path = cfg.path("verify", "slab", required=True)
     try:
         slab = read_slab(slab_path)
-    except (OSError, ValueError, ParameterError, struct.error) as exc:
+    except (OSError, ParameterError) as exc:
         print(f"verify: cannot read slab {slab_path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    sigma = cfg.get("verify", "sigma", 0.5, float)
-    m = cfg.get("verify", "m", cfg.get("solver", "m", 0.2, float), float)
-    q = cfg.get("verify", "q", 2.0, float)
-    p = cfg.get("verify", "p", 5.0, float)
-    r = cfg.get("verify", "r", 2.0, float)
-    eps = cfg.get("verify", "eps", 0.1, float)
-    flux = _build_flux(cfg, slab.grid) if kind == "flux" else None
+    opts = SimpleNamespace(
+        sigma=cfg.get("verify", "sigma", 0.5, float),
+        m=cfg.get("verify", "m", cfg.get("solver", "m", 0.2, float), float),
+        q=cfg.get("verify", "q", 2.0, float),
+        p=cfg.get("verify", "p", 5.0, float),
+        r=cfg.get("verify", "r", 2.0, float),
+        eps=cfg.get("verify", "eps", 0.1, float),
+        flux=_build_flux(cfg, slab.grid) if kind == "flux" else None,
+    )
+    report_cls, _, check = _VERIFY[kind]
     probes = _verify_probes(cfg, slab, kind, args.seed)
-
-    def run_probe(item):
-        index, (center, rho, t0, t1) = item
-        try:
-            if kind == "l1":
-                rep = check_l1_harnack(slab, center, rho, (t0, t1))
-            elif kind == "l1-pme":
-                rep = check_l1_harnack_pme(slab, m, center, rho, (t0, t1))
-            elif kind == "pointwise":
-                rep = check_pointwise_harnack(slab, center, t1, rho, q=q, eps=eps, p=p, r=r)
-            elif kind == "energy":
-                rep = check_energy_lemma(slab, center, rho, sigma, (t0, t1))
-            elif kind == "energy-pme":
-                rep = check_energy_lemma_pme(slab, m, center, rho, sigma, (t0, t1))
-            elif kind == "flux":
-                rep = check_flux_corollary(slab, flux, rho, sigma, (t0, t1), center=center)
-            else:
-                cutoff = Cutoff(center, rho, sigma)
-                rep = distributional_identity_check(
-                    cutoff, slab.grid, v_field=slab.level(slab.nlevels - 1)
-                )
-            return index, rep.to_row(), ""
-        except (GeometryError, ParameterError) as exc:
-            return index, {}, str(exc)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        results = list(pool.map(run_probe, enumerate(probes)))
-    columns = list(_KIND_COLUMNS[kind]) + ["probe", "error"]
+    columns = [f.name for f in dc_fields(report_cls) if f.name != "functional_set"]
+    columns += ["probe", "error"]
     rows = []
-    for index, row, err in results:
-        base = {c: None for c in columns}
-        for k, v in row.items():
-            if k in base:
-                base[k] = v
-        base["probe"] = index
-        base["error"] = err
-        rows.append(base)
+    for index, (center, rho, t0, t1) in enumerate(probes):
+        row = dict.fromkeys(columns)
+        row.update(probe=index, error="")
+        try:
+            got = check(slab, center, rho, (t0, t1), opts).to_row()
+            row.update((k, v) for k, v in got.items() if k in row)
+        except (GeometryError, ParameterError) as exc:
+            row["error"] = str(exc)
+        rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "report.csv", rows, columns=columns)
     cfg.echo["verify_effective"] = {"kind": kind, "probes": len(probes)}
     _manifest(out, f"verify-{kind}", _config_hash(args.config), cfg.echo, args.threads, args.seed)
-    n_err = sum(1 for _, _, e in results if e)
+    n_err = sum(1 for row in rows if row["error"])
     print(f"verify {kind}: {len(rows)} rows ({n_err} probe errors) -> {out / 'report.csv'}")
     return EXIT_OK
 
@@ -437,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="path to the INI config file")
     common.add_argument("--out", default="runs", help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--threads", type=int, default=1, help="recorded in the manifest; probes run in one thread")
     common.add_argument("--seed", type=int, default=0, help="seed for probe placement")
     parser = argparse.ArgumentParser(
         prog="logdiff",

@@ -7,6 +7,14 @@ Conventions shared by every function here:
 * time windows select stored levels (closed window, roundoff tolerant);
 * the discrete essential sup/inf over a region is the max/min of its samples.
 
+Every quantity over a cube and a time window is read by one kernel,
+:func:`_cube_chunks`, as views of whole levels holding at most
+``_CHUNK_DOUBLES`` values (or one level, if that is larger), so temporaries
+stay cache-sized however long the window is.  Each
+chunk is reduced per level by the trapezoid rule of :mod:`logdiff.grid`;
+sups, infs and time integrals are numpy reductions too, so a NaN sample in
+the cube and window makes the result NaN instead of being skipped.
+
 Two families of oscillation functionals appear.  The logarithmic one is the
 sup over time levels of the p-mean of ``|ln(u/M)|`` over a cube.  The power
 variant replaces the logarithm with ``(1 - (u/M)^m)/m``, which increases to
@@ -17,6 +25,7 @@ it) and as a normalized mean (used by the small-m comparison studies).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -28,11 +37,14 @@ from .grid import (
     Cylinder,
     Field,
     SpaceTimeSlab,
+    _trapezoid,
     average,
     cube_volume,
-    gradient,
-    integrate,
 )
+
+# Values per level chunk (512 KiB of doubles): large enough that the Python
+# overhead per chunk is small, small enough that temporaries stay in cache.
+_CHUNK_DOUBLES = 1 << 16
 
 
 def _window_levels(slab: SpaceTimeSlab, cyl_or_window) -> np.ndarray:
@@ -42,17 +54,65 @@ def _window_levels(slab: SpaceTimeSlab, cyl_or_window) -> np.ndarray:
     return slab.window_indices(float(t0), float(t1))
 
 
+def _cube_chunks(slab: SpaceTimeSlab, cube: Cube, window, halo: bool = False):
+    """Yield ``(ks, u, grads)`` over level chunks of the snapped ``cube x window``.
+
+    ``ks`` slices the slab levels of the chunk and ``u`` is a view shaped
+    ``(levels, *cube)``.  With ``halo`` the chunk is read with one more node on
+    every side the grid allows, so ``grads`` (one array per axis, trimmed to the
+    cube) equals :func:`logdiff.grid.gradient` of the whole level; else it is empty.
+    """
+    grid = slab.grid
+    inner = grid.cube_slices(cube)
+    pad = int(halo)
+    outer = tuple(
+        slice(max(s.start - pad, 0), min(s.stop + pad, grid.npts)) for s in inner
+    )
+    core = (slice(None),) + tuple(
+        slice(s.start - o.start, s.stop - o.start) for s, o in zip(inner, outer)
+    )
+    idx = _window_levels(slab, window)
+    first, stop = int(idx[0]), int(idx[-1]) + 1
+    step = max(1, _CHUNK_DOUBLES // math.prod(s.stop - s.start for s in outer))
+    axes = tuple(range(1, grid.dim + 1))
+    for k in range(first, stop, step):
+        ks = slice(k, min(k + step, stop))
+        u = slab.values[(ks,) + outer]
+        grads = ()
+        if halo:
+            grads = np.gradient(u, grid.spacing, axis=axes, edge_order=2)
+            grads = tuple(g[core] for g in (grads if grid.dim > 1 else [grads]))
+        yield ks, u[core], grads
+
+
+def _level_integrals(
+    slab: SpaceTimeSlab, cube: Cube, window, integrand, halo: bool = False
+) -> np.ndarray:
+    """Trapezoid integral over the cube of ``integrand(*chunk)`` per window level,
+    for the chunks :func:`_cube_chunks` yields; the integrand is shaped like ``u``."""
+    return np.concatenate(
+        [
+            _trapezoid(integrand(ks, u, grads), slab.grid.spacing, lead=1)
+            for ks, u, grads in _cube_chunks(slab, cube, window, halo)
+        ]
+    )
+
+
 def ess_sup(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
     """Max of the samples over the cylinder (discrete essential sup)."""
-    sl = slab.grid.cube_slices(cyl.cube)
-    idx = _window_levels(slab, cyl)
-    return float(slab.values[idx][(slice(None),) + sl].max())
+    return float(np.max([u.max() for _, u, _ in _cube_chunks(slab, cyl.cube, cyl)]))
 
 
 def ess_inf(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
-    sl = slab.grid.cube_slices(cyl.cube)
-    idx = _window_levels(slab, cyl)
-    return float(slab.values[idx][(slice(None),) + sl].min())
+    return float(np.min([u.min() for _, u, _ in _cube_chunks(slab, cyl.cube, cyl)]))
+
+
+def _oscillation(slab, cyl: Cylinder, p: float, integrand, normalized: bool) -> float:
+    """Sup over levels of the p-root of the cube integral (or mean) of ``integrand(u)^p``."""
+    vals = _level_integrals(slab, cyl.cube, cyl, lambda ks, u, g: integrand(u) ** p)
+    if normalized:
+        vals = vals / cube_volume(slab.grid, cyl.cube)
+    return float(np.max(vals ** (1.0 / p)))
 
 
 def log_oscillation(slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float) -> float:
@@ -61,13 +121,7 @@ def log_oscillation(slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float) -> f
         raise ParameterError("M must be positive")
     if p < 1:
         raise ParameterError("p must be >= 1")
-    grid = slab.grid
-    idx = _window_levels(slab, cyl)
-    best = 0.0
-    for k in idx:
-        integrand = np.abs(np.log(slab.values[k] / M)) ** p
-        best = max(best, average(integrand, grid, cyl.cube) ** (1.0 / p))
-    return best
+    return _oscillation(slab, cyl, p, lambda u: np.abs(np.log(u / M)), True)
 
 
 def power_oscillation(
@@ -89,18 +143,7 @@ def power_oscillation(
         raise ParameterError("m must be in (0, 1)")
     if p < 1:
         raise ParameterError("p must be >= 1")
-    grid = slab.grid
-    idx = _window_levels(slab, cyl)
-    best = 0.0
-    for k in idx:
-        integrand = ((1.0 - (slab.values[k] / M) ** m) / m) ** p
-        val = (
-            average(integrand, grid, cyl.cube)
-            if normalized
-            else integrate(integrand, grid, cyl.cube)
-        )
-        best = max(best, val ** (1.0 / p))
-    return best
+    return _oscillation(slab, cyl, p, lambda u: (1.0 - (u / M) ** m) / m, normalized)
 
 
 def intrinsic_scale(field: Field, center, edge: float, q: float, eps: float) -> float:
@@ -172,30 +215,43 @@ def moment_scaling_exponent(N: int, m: float, r: float) -> float:
     return val
 
 
+def _cube_masses(slab: SpaceTimeSlab, center, edge: float, window) -> np.ndarray:
+    """``int_{K_edge} u dx`` at every window level."""
+    return _level_integrals(slab, Cube(tuple(center), edge), window, lambda ks, u, g: u)
+
+
 def sup_mass(
     slab: SpaceTimeSlab, center, rho: float, sigma: float, window
 ) -> float:
     """Sup over window levels of ``int_{K_(1+sigma)rho} u dx``."""
     if not 0.0 <= sigma < 1.0:
         raise ParameterError("sigma must lie in [0, 1)")
-    cube = Cube(tuple(center), (1.0 + sigma) * rho)
-    idx = _window_levels(slab, window)
-    return max(integrate(slab.values[k], slab.grid, cube) for k in idx)
+    return float(np.max(_cube_masses(slab, center, (1.0 + sigma) * rho, window)))
 
 
 def inf_mass(slab: SpaceTimeSlab, center, edge: float, window) -> float:
     """Inf over window levels of ``int_{K_edge} u dx``."""
-    cube = Cube(tuple(center), edge)
-    idx = _window_levels(slab, window)
-    return min(integrate(slab.values[k], slab.grid, cube) for k in idx)
+    return float(np.min(_cube_masses(slab, center, edge, window)))
 
 
-def _time_weights(ts: np.ndarray) -> np.ndarray:
-    w = np.full(ts.size, ts[1] - ts[0] if ts.size > 1 else 0.0)
-    if ts.size > 1:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    return w
+def _space_time_integral(
+    slab: SpaceTimeSlab, cube: Cube, window, integrand, what: str
+) -> float:
+    """Trapezoid in time of the cube integrals of a gradient-dependent integrand."""
+    if _window_levels(slab, window).size < 2:
+        raise ParameterError(f"{what} window needs at least two levels")
+    vals = _level_integrals(slab, cube, window, integrand, halo=True)
+    return float(_trapezoid(vals, slab.dt))
+
+
+def _gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, power: float) -> float:
+    """Space-time integral of ``zeta^2 |Du|^2 / u^power`` over the cutoff support."""
+    grid = slab.grid
+    cube = cutoff.support_cube()
+    zeta_sq = cutoff.sample(grid).values[grid.cube_slices(cube)] ** 2
+    return _space_time_integral(
+        slab, cube, window, lambda ks, u, g: zeta_sq * sum(x**2 for x in g) / u**power, "energy"
+    )
 
 
 def log_gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window) -> float:
@@ -205,20 +261,7 @@ def log_gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window) -> float:
     space.  The weight vanishes outside the support cube, so integrating over
     that cube captures the whole quantity.
     """
-    grid = slab.grid
-    idx = _window_levels(slab, window)
-    if idx.size < 2:
-        raise ParameterError("energy window needs at least two levels")
-    zeta_sq = cutoff.sample(grid).values ** 2
-    cube = cutoff.support_cube()
-    ts = slab.times[idx]
-    wt = _time_weights(ts)
-    total = 0.0
-    for w, k in zip(wt, idx):
-        u = slab.values[k]
-        gsq = sum(g**2 for g in gradient(u, grid))
-        total += w * integrate(zeta_sq * gsq / u**2, grid, cube)
-    return float(total)
+    return _gradient_energy(slab, cutoff, window, 2.0)
 
 
 def power_gradient_energy(
@@ -227,55 +270,59 @@ def power_gradient_energy(
     """Space-time integral of ``zeta^2 |Du|^2 / u^(2 - m/2)``."""
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
-    grid = slab.grid
-    idx = _window_levels(slab, window)
-    if idx.size < 2:
-        raise ParameterError("energy window needs at least two levels")
-    zeta_sq = cutoff.sample(grid).values ** 2
-    cube = cutoff.support_cube()
-    ts = slab.times[idx]
-    wt = _time_weights(ts)
-    total = 0.0
-    for w, k in zip(wt, idx):
-        u = slab.values[k]
-        gsq = sum(g**2 for g in gradient(u, grid))
-        total += w * integrate(zeta_sq * gsq / u ** (2.0 - m / 2.0), grid, cube)
-    return float(total)
+    return _gradient_energy(slab, cutoff, window, 2.0 - m / 2.0)
 
 
 def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     """``(1/rho) * int int_{K_rho} |A| dx dtau`` for the given flux structure."""
     grid = slab.grid
     cube = Cube(tuple(center), rho)
-    idx = _window_levels(slab, window)
-    if idx.size < 2:
-        raise ParameterError("flux window needs at least two levels")
-    ts = slab.times[idx]
-    wt = _time_weights(ts)
-    total = 0.0
-    for w, k in zip(wt, idx):
-        u = slab.values[k]
-        grads = gradient(u, grid)
+    pts = grid.points()[grid.cube_slices(cube)]
+    flat = pts.reshape(-1, grid.dim)
+
+    def coefficient(a_d, ks):
+        if not callable(a_d):
+            return float(a_d)
+        return np.stack(
+            [a_d(flat, float(t)).reshape(pts.shape[:-1]) for t in slab.times[ks]]
+        )
+
+    def magnitude(ks, u, grads):
         if flux.kind == "log-diffusion":
-            mag = np.sqrt(sum(g**2 for g in grads)) / u
-        elif flux.kind == "pme":
-            mag = u ** (flux.m - 1.0) * np.sqrt(sum(g**2 for g in grads))
-        else:
-            coef = u ** (flux.m - 1.0) if flux.m != 0.0 else 1.0 / u
-            pts = grid.points()
-            comps = []
-            for d, (a_d, g) in enumerate(zip(flux.a, grads)):
-                a_val = (
-                    a_d(pts.reshape(-1, grid.dim), float(slab.times[k])).reshape(
-                        grid.shape
-                    )
-                    if callable(a_d)
-                    else float(a_d)
-                )
-                comps.append((a_val * coef * g) ** 2)
-            mag = np.sqrt(sum(comps))
-        total += w * integrate(mag, grid, cube)
-    return float(total / rho)
+            return np.sqrt(sum(g**2 for g in grads)) / u
+        if flux.kind == "pme":
+            return u ** (flux.m - 1.0) * np.sqrt(sum(g**2 for g in grads))
+        coef = u ** (flux.m - 1.0) if flux.m != 0.0 else 1.0 / u
+        return np.sqrt(
+            sum((coefficient(a_d, ks) * coef * g) ** 2 for a_d, g in zip(flux.a, grads))
+        )
+
+    return _space_time_integral(slab, cube, window, magnitude, "flux") / rho
+
+
+def _probe_stats(
+    slab: SpaceTimeSlab, center, rho: float, sigma: float, window, m: float | None = None
+) -> tuple[float, float, float, float]:
+    """``M, Lambda_1, Lambda_2, S_sigma`` of one probe cylinder.
+
+    ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_p`` the log
+    oscillation means there, or given ``m`` the plain-integral power ones with
+    exponent ``m/2``; ``S_sigma`` is the sup over the window of the mass on
+    ``K_(1+sigma)rho``.  Raises ParameterError unless u is finite and positive
+    on ``K_2rho x window``.
+    """
+    cyl2 = Cylinder(tuple(center), 2.0 * rho, float(window[0]), float(window[1]))
+    M = ess_sup(slab, cyl2)
+    if not (math.isfinite(M) and ess_inf(slab, cyl2) > 0.0):
+        raise ParameterError(
+            "u must be finite and positive on the doubled cube of the probe at "
+            f"{tuple(center)}, rho {rho}"
+        )
+    if m is None:
+        l1, l2 = (log_oscillation(slab, cyl2, M, p) for p in (1.0, 2.0))
+    else:
+        l1, l2 = (power_oscillation(slab, cyl2, M, m / 2.0, p) for p in (1.0, 2.0))
+    return M, l1, l2, sup_mass(slab, center, rho, sigma, window)
 
 
 @dataclass
@@ -334,7 +381,7 @@ def functional_set(
     """Evaluate the full probe family on one cylinder."""
     t0, t1 = float(window[0]), float(window[1])
     cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-    M = ess_sup(slab, cyl2)
+    M, osc_p1, osc_p2, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1))
     last = slab.level(int(_window_levels(slab, (t0, t1))[-1]))
     nan = float("nan")
     have_m = m is not None
@@ -350,8 +397,8 @@ def functional_set(
         sigma=sigma,
         m=m if have_m else nan,
         sup_u=M,
-        osc_p1=log_oscillation(slab, cyl2, M, 1.0),
-        osc_p2=log_oscillation(slab, cyl2, M, 2.0),
+        osc_p1=osc_p1,
+        osc_p2=osc_p2,
         osc_p=log_oscillation(slab, cyl2, M, p),
         osc_pow_p1=power_oscillation(slab, cyl2, M, m, 1.0) if have_m else nan,
         osc_pow_p2=power_oscillation(slab, cyl2, M, m, 2.0) if have_m else nan,
@@ -364,6 +411,6 @@ def functional_set(
         mass_ratio_pow=degeneracy_ratio_pme(last, center, rho, q, M, m, r)
         if have_m
         else nan,
-        sup_mass_sigma=sup_mass(slab, center, rho, sigma, (t0, t1)),
+        sup_mass_sigma=s_sig,
         inf_mass_2rho=inf_mass(slab, center, 2.0 * rho, (t0, t1)),
     )

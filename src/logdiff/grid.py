@@ -321,10 +321,25 @@ class Cutoff:
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
+    """Node weights of the composite trapezoid rule; a single node weighs 0."""
     w = np.ones(n)
-    w[0] = 0.5
-    w[-1] = 0.5
+    w[0] -= 0.5
+    w[-1] -= 0.5
     return w
+
+
+def _trapezoid(values: np.ndarray, spacing: float, lead: int = 0) -> np.ndarray:
+    """Composite-trapezoid integral of ``values`` over every axis after the first ``lead``.
+
+    Nodes are ``spacing`` apart along each integrated axis.  The result has
+    shape ``values.shape[:lead]``; it is a reduction of numpy arrays, so a
+    NaN sample makes its integral NaN.
+    """
+    w = np.ones(())
+    for n in values.shape[lead:]:
+        w = np.multiply.outer(w, _trapezoid_weights(n))
+    axes = tuple(range(lead, values.ndim))
+    return (values * w).sum(axis=axes) * spacing ** len(axes)
 
 
 def integrate(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> float:
@@ -339,14 +354,7 @@ def integrate(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> 
     else:
         grid = grid_or_cube
         values = np.asarray(f, dtype=float)
-    sl = grid.cube_slices(cube)
-    block = values[sl]
-    for d in range(grid.dim):
-        w = _trapezoid_weights(block.shape[d])
-        shape = [1] * grid.dim
-        shape[d] = block.shape[d]
-        block = block * w.reshape(shape)
-    return float(block.sum() * grid.spacing**grid.dim)
+    return float(_trapezoid(values[grid.cube_slices(cube)], grid.spacing))
 
 
 def cube_volume(grid: Grid, cube: Cube) -> float:
@@ -361,10 +369,8 @@ def cube_volume(grid: Grid, cube: Cube) -> float:
 def average(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> float:
     """Mean value of ``f`` over the snapped cube."""
     if isinstance(f, Field):
-        grid, cube_ = f.grid, grid_or_cube
-        return integrate(f, cube_) / cube_volume(grid, cube_)
-    grid = grid_or_cube
-    return integrate(f, grid, cube) / cube_volume(grid, cube)
+        return integrate(f, grid_or_cube) / cube_volume(f.grid, grid_or_cube)
+    return integrate(f, grid_or_cube, cube) / cube_volume(grid_or_cube, cube)
 
 
 def gradient(f: Field | np.ndarray, grid: Grid | None = None) -> tuple[np.ndarray, ...]:
@@ -480,20 +486,38 @@ def write_slab(slab: SpaceTimeSlab, path) -> None:
 
 
 def read_slab(path) -> SpaceTimeSlab:
+    """Read a slab written by :func:`write_slab`.
+
+    The header is checked against the file length: a truncated or padded
+    file raises ParameterError naming the expected and actual byte counts.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _SLAB_MAGIC:
         raise ParameterError(f"{path} is not a slab file")
-    grid, off = _unpack_grid(buf, 4)
-    (nlevels,) = struct.unpack_from("<i", buf, off)
+    try:
+        grid, off = _unpack_grid(buf, 4)
+        (nlevels,) = struct.unpack_from("<i", buf, off)
+        times_at = off + 4
+        off = times_at + 8 * max(nlevels, 0)
+        (mlen,) = struct.unpack_from("<i", buf, off)
+    except struct.error as exc:
+        raise ParameterError(
+            f"slab file {path} has {len(buf)} bytes, too few for its header: {exc}"
+        )
     off += 4
-    times = np.frombuffer(buf, dtype="<f8", offset=off, count=nlevels)
-    off += 8 * nlevels
-    (mlen,) = struct.unpack_from("<i", buf, off)
-    off += 4
-    meta = json.loads(buf[off : off + mlen].decode())
-    off += mlen
-    values = np.frombuffer(buf, dtype="<f8", offset=off).reshape(
+    expected = off + mlen + 8 * nlevels * grid.npts**grid.dim
+    if nlevels < 2 or mlen < 0 or len(buf) != expected:
+        raise ParameterError(
+            f"slab file {path} has {len(buf)} bytes, but its header ({nlevels} "
+            f"levels on a {grid.shape} grid, {mlen} metadata bytes) needs {expected}"
+        )
+    try:
+        meta = json.loads(buf[off : off + mlen].decode())
+    except ValueError as exc:
+        raise ParameterError(f"slab file {path} has unreadable metadata: {exc}")
+    times = np.frombuffer(buf, dtype="<f8", offset=times_at, count=nlevels)
+    values = np.frombuffer(buf, dtype="<f8", offset=off + mlen).reshape(
         (nlevels,) + grid.shape
     )
     return SpaceTimeSlab(grid, times, values, meta=meta)

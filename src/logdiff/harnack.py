@@ -30,6 +30,7 @@ from .grid import (
 )
 from .functionals import (
     FunctionalSet,
+    _probe_stats,
     ess_sup,
     flux_l1,
     functional_set,
@@ -39,8 +40,6 @@ from .functionals import (
     log_oscillation,
     degeneracy_ratio,
     power_gradient_energy,
-    power_oscillation,
-    sup_mass,
     time_scaling_exponent,
     time_scaling_exponent_pme,
 )
@@ -109,35 +108,17 @@ class HarnackReport:
 
 
 def _mass_harnack(
-    slab: SpaceTimeSlab,
-    center,
-    rho: float,
-    window,
-    rhs_time: float,
-    kind: str,
-    m: float,
-    M,
-    lambda1,
-    lambda2,
+    slab: SpaceTimeSlab, center, rho: float, window, rhs_time: float, kind: str, m: float,
     with_functionals: bool,
 ) -> HarnackReport:
-    t0, t1 = _check_window(slab, window)
-    lhs = sup_mass(slab, center, rho, 0.0, (t0, t1))
-    rhs_mass = inf_mass(slab, center, 2.0 * rho, (t0, t1))
+    t0, t1 = window
+    M, l1, l2, lhs = _probe_stats(slab, center, rho, 0.0, window)
+    rhs_mass = inf_mass(slab, center, 2.0 * rho, window)
     denom = rhs_mass + rhs_time
     gamma_star = lhs / denom if denom > 0 else math.inf
     fs = None
     if with_functionals:
-        fs = functional_set(
-            slab, center, rho, (t0, t1), m=m if kind == "l1-pme" else None
-        )
-    if M is None or lambda1 is None or lambda2 is None:
-        cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-        M_val = ess_sup(slab, cyl2) if M is None else float(M)
-        l1 = log_oscillation(slab, cyl2, M_val, 1.0) if lambda1 is None else float(lambda1)
-        l2 = log_oscillation(slab, cyl2, M_val, 2.0) if lambda2 is None else float(lambda2)
-    else:
-        M_val, l1, l2 = float(M), float(lambda1), float(lambda2)
+        fs = functional_set(slab, center, rho, window, m=m if kind == "l1-pme" else None)
     return HarnackReport(
         kind=kind,
         center=tuple(center),
@@ -149,7 +130,7 @@ def _mass_harnack(
         rhs_mass=rhs_mass,
         rhs_time=rhs_time,
         gamma_star=gamma_star,
-        sup_u=M_val,
+        sup_u=M,
         lambda_1=l1,
         lambda_2=l2,
         functional_set=fs,
@@ -157,42 +138,26 @@ def _mass_harnack(
 
 
 def check_l1_harnack(
-    slab: SpaceTimeSlab,
-    center,
-    rho: float,
-    window,
-    M: float | None = None,
-    lambda1: float | None = None,
-    lambda2: float | None = None,
-    with_functionals: bool = False,
+    slab: SpaceTimeSlab, center, rho: float, window, with_functionals: bool = False
 ) -> HarnackReport:
     """Local-mass inequality: sup of the K_rho mass vs inf of the K_2rho mass.
 
     ``lhs = sup_tau int_{K_rho} u``, ``rhs_mass = inf_tau int_{K_2rho} u``,
     ``rhs_time = (t - s) / rho^(2-N)``; ``gamma_star = lhs / (rhs_mass +
-    rhs_time)`` is the minimal admissible constant.  ``M``, ``lambda1``,
-    ``lambda2`` are recorded if given, computed over ``K_2rho x window``
-    otherwise; they parameterize the constant, not the inequality itself.
+    rhs_time)`` is the minimal admissible constant.  ``sup_u``, ``lambda_1``
+    and ``lambda_2`` are measured over ``K_2rho x window``; they parameterize
+    the constant, not the inequality itself.
     """
     t0, t1 = _check_window(slab, window)
     lam = time_scaling_exponent(slab.grid.dim)
     rhs_time = (t1 - t0) / rho**lam
     return _mass_harnack(
-        slab, center, rho, window, rhs_time, "l1-log", float("nan"),
-        M, lambda1, lambda2, with_functionals,
+        slab, center, rho, (t0, t1), rhs_time, "l1-log", float("nan"), with_functionals
     )
 
 
 def check_l1_harnack_pme(
-    slab: SpaceTimeSlab,
-    m: float,
-    center,
-    rho: float,
-    window,
-    M: float | None = None,
-    lambda1: float | None = None,
-    lambda2: float | None = None,
-    with_functionals: bool = False,
+    slab: SpaceTimeSlab, m: float, center, rho: float, window, with_functionals: bool = False
 ) -> HarnackReport:
     """Power-diffusion variant: time term ``((t-s)/rho^lam)^(1/(1-m))``.
 
@@ -207,8 +172,7 @@ def check_l1_harnack_pme(
         raise ParameterError(f"need N(m-1)+2 > 0, got {lam}")
     rhs_time = ((t1 - t0) / rho**lam) ** (1.0 / (1.0 - m))
     return _mass_harnack(
-        slab, center, rho, window, rhs_time, "l1-pme", m,
-        M, lambda1, lambda2, with_functionals,
+        slab, center, rho, (t0, t1), rhs_time, "l1-pme", m, with_functionals
     )
 
 
@@ -256,15 +220,9 @@ def check_energy_lemma(
     right side with unit constants.
     """
     t0, t1 = _energy_geometry(slab, center, rho, sigma, window)
-    grid = slab.grid
-    cutoff = Cutoff(tuple(center), rho, sigma)
-    lhs = log_gradient_energy(slab, cutoff, (t0, t1))
-    cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-    M = ess_sup(slab, cyl2)
-    l1 = log_oscillation(slab, cyl2, M, 1.0)
-    l2 = log_oscillation(slab, cyl2, M, 2.0)
-    s_sig = sup_mass(slab, center, rho, sigma, (t0, t1))
-    lam = time_scaling_exponent(grid.dim)
+    M, l1, l2, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1))
+    lhs = log_gradient_energy(slab, Cutoff(tuple(center), rho, sigma), (t0, t1))
+    lam = time_scaling_exponent(slab.grid.dim)
     mass_term = (1.0 + l1) * s_sig
     time_term = (l1**2 + l2**2) * (t1 - t0) / (sigma**2 * rho**lam)
     rhs = mass_term + time_term
@@ -301,15 +259,9 @@ def check_energy_lemma_pme(
     if not 0 < m < 2.0 / 3.0:
         raise ParameterError("power energy bound needs 0 < m < 2/3")
     t0, t1 = _energy_geometry(slab, center, rho, sigma, window)
-    grid = slab.grid
-    N = grid.dim
-    cutoff = Cutoff(tuple(center), rho, sigma)
-    lhs = power_gradient_energy(slab, cutoff, (t0, t1), m)
-    cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-    M = ess_sup(slab, cyl2)
-    l1 = power_oscillation(slab, cyl2, M, m / 2.0, 1.0)
-    l2 = power_oscillation(slab, cyl2, M, m / 2.0, 2.0)
-    s_sig = sup_mass(slab, center, rho, sigma, (t0, t1))
+    N = slab.grid.dim
+    M, l1, l2, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1), m=m)
+    lhs = power_gradient_energy(slab, Cutoff(tuple(center), rho, sigma), (t0, t1), m)
     mass_term = (1.0 + l1) * rho ** (N * m / 2.0) * s_sig ** (1.0 - m / 2.0)
     time_term = (
         (l1**2 + l2**2)
@@ -384,17 +336,14 @@ def check_flux_corollary(
     if center is None:
         center = grid.center
     t0, t1 = _check_window(slab, window)
-    grid.cube_slices(Cube(tuple(center), 2.0 * rho))
     m = float(flux.m)
+    M, l1, l2, s_sig = _probe_stats(
+        slab, center, rho, sigma, (t0, t1), m=m if m != 0.0 else None
+    )
     lhs = flux_l1(slab, flux, center, rho, (t0, t1))
-    cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-    M = ess_sup(slab, cyl2)
-    s_sig = sup_mass(slab, center, rho, sigma, (t0, t1))
     if m == 0.0:
         lam = time_scaling_exponent(grid.dim)
         T = (t1 - t0) / rho**lam
-        l1 = log_oscillation(slab, cyl2, M, 1.0)
-        l2 = log_oscillation(slab, cyl2, M, 2.0)
         osc = max(math.sqrt(1.0 + l1), math.sqrt(l1**2 + l2**2))
         rhs = osc * math.sqrt(s_sig + T / sigma**2) * math.sqrt(T)
         kind = "flux-log" if flux.kind == "log-diffusion" else "flux-quasilinear"
@@ -403,8 +352,6 @@ def check_flux_corollary(
         if lam <= 0:
             raise ParameterError(f"need N(m-1)+2 > 0, got {lam}")
         T = (t1 - t0) / rho**lam
-        l1 = power_oscillation(slab, cyl2, M, m / 2.0, 1.0)
-        l2 = power_oscillation(slab, cyl2, M, m / 2.0, 2.0)
         rhs = (
             math.sqrt(l1**2 + l2**2) * T * s_sig**m / sigma
             + math.sqrt(1.0 + l1) * math.sqrt(T) * s_sig ** ((m + 1.0) / 2.0)
@@ -460,10 +407,7 @@ def jensen_check(
 ) -> JensenCheck:
     t0, t1 = _check_window(slab, window)
     N = slab.grid.dim
-    cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-    M = ess_sup(slab, cyl2)
-    l1 = log_oscillation(slab, cyl2, M, 1.0)
-    s_sig = sup_mass(slab, center, rho, sigma, (t0, t1))
+    M, l1, _, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1))
     norm_mass = s_sig / rho**N
     lhs = math.log(M / norm_mass)
     rhs = 2.0**N * l1

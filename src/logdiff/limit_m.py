@@ -22,11 +22,12 @@ from .grid import (
     Cube,
     Field,
     SpaceTimeSlab,
+    _trapezoid,
     integrate,
     read_slab,
     write_slab,
 )
-from .functionals import FunctionalSet, functional_set
+from .functionals import FunctionalSet, _level_integrals, functional_set
 from .harnack import (
     check_energy_lemma,
     check_energy_lemma_pme,
@@ -233,24 +234,23 @@ def _l1_distance(a: SpaceTimeSlab, b: SpaceTimeSlab, cube: Cube, window) -> floa
         a.times[idx_a], b.times[idx_b], atol=1e-12
     ):
         raise ParameterError("slabs do not share time levels on the window")
-    ts = a.times[idx_a]
-    w = np.full(ts.size, ts[1] - ts[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    total = 0.0
-    for wt, ka, kb in zip(w, idx_a, idx_b):
-        total += wt * integrate(np.abs(a.values[ka] - b.values[kb]), a.grid, cube)
-    return float(total)
+    shift = int(idx_b[0] - idx_a[0])
+    sl = b.grid.cube_slices(cube)
+
+    def distance(ks, u, grads):
+        return np.abs(u - b.values[(slice(ks.start + shift, ks.stop + shift),) + sl])
+
+    return float(_trapezoid(_level_integrals(a, cube, window, distance), a.dt))
 
 
-def _sup_norm_in_time(slab: SpaceTimeSlab, cube: Cube, power: float, transform=None):
-    best = 0.0
-    for k in range(slab.nlevels):
-        vals = slab.values[k]
-        if transform is not None:
-            vals = transform(vals)
-        best = max(best, integrate(np.abs(vals) ** power, slab.grid, cube) ** (1.0 / power))
-    return best
+def _uniform_norms(slab: SpaceTimeSlab, cube: Cube, m: float, r: float, p: float):
+    """Sup over all levels of the cube ``L^r`` norm of u and ``L^p`` norm of ``(u^m-1)/m``."""
+    window = (slab.times[0], slab.times[-1])
+    norms = []
+    for power, f in ((r, lambda u: u), (p, lambda u: (u**m - 1.0) / m)):
+        vals = _level_integrals(slab, cube, window, lambda ks, u, g: np.abs(f(u)) ** power)
+        norms.append(float(np.max(vals ** (1.0 / power))))
+    return tuple(norms)
 
 
 def run_m_sweep(
@@ -338,10 +338,7 @@ def run_m_sweep(
         fs = functional_set(
             slab, center, rho, window, q=q, p=p, r=r, eps=eps, sigma=sigma, m=m
         )
-        u_norm = _sup_norm_in_time(slab, comparison, r)
-        w_norm = _sup_norm_in_time(
-            slab, comparison, p, transform=lambda u, mm=m: (u**mm - 1.0) / mm
-        )
+        u_norm, w_norm = _uniform_norms(slab, comparison, m, r, p)
         mass = integrate(slab.values[-1], grid, e_o)
         result.entries.append(
             MSweepEntry(
@@ -394,21 +391,16 @@ def check_uniform_conditions(
     r = result.r if r is None else float(r)
     p = result.p if p is None else float(p)
     comparison = Cube(result.center, 2.0 * result.rho)
-    u_norms, w_norms = [], []
-    for m in result.m_values:
-        if m not in result.pme_slabs:
-            continue
-        slab = result.pme_slabs[m]
-        u_norms.append(_sup_norm_in_time(slab, comparison, r))
-        w_norms.append(
-            _sup_norm_in_time(
-                slab, comparison, p, transform=lambda u, mm=m: (u**mm - 1.0) / mm
-            )
-        )
-    if not u_norms:
+    norms = [
+        _uniform_norms(result.pme_slabs[m], comparison, m, r, p)
+        for m in result.m_values
+        if m in result.pme_slabs
+    ]
+    if not norms:
         raise ParameterError("no successful sweep entries to check")
-    u_max, u_med = max(u_norms), float(np.median(u_norms))
-    w_max, w_med = max(w_norms), float(np.median(w_norms))
+    u_norms, w_norms = zip(*norms)
+    u_max, u_med = float(np.max(u_norms)), float(np.median(u_norms))
+    w_max, w_med = float(np.max(w_norms)), float(np.median(w_norms))
     bounded = u_max <= 1.5 * u_med and w_max <= 1.5 * w_med
     warning = ""
     if r <= max(1.0, N / 2.0):

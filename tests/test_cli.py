@@ -170,7 +170,7 @@ def test_oracle_check_exp_exact(tmp_path):
     assert all(float(r["residual"]) <= 1e-10 for r in rows)
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, run_dir, capsys):
     # unknown fixture -> config error
     assert main(["oracle-check", "nope", "--out", str(tmp_path / "a")]) == 2
     # missing config file
@@ -186,6 +186,16 @@ def test_exit_codes(tmp_path):
     cfg2 = tmp_path / "bad2.ini"
     cfg2.write_text(f"[verify]\nslab = {junk}\n")
     assert main(["verify", "l1", "--config", str(cfg2), "--out", str(tmp_path / "e")]) == 4
+    # truncated slab -> verification io error naming the byte counts
+    full = (run_dir / "solve" / "slab.slab").read_bytes()
+    cut = tmp_path / "cut.slab"
+    cut.write_bytes(full[:-100])
+    cfg3 = tmp_path / "bad3.ini"
+    cfg3.write_text(f"[verify]\nslab = {cut}\n")
+    capsys.readouterr()
+    assert main(["verify", "l1", "--config", str(cfg3), "--out", str(tmp_path / "f")]) == 4
+    err = capsys.readouterr().err
+    assert f"has {len(full) - 100} bytes" in err and f"needs {len(full)}" in err
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -1,0 +1,248 @@
+"""The chunked cube kernel against the per-level loops it replaced.
+
+Every slab functional reads its cube and window through
+``functionals._cube_chunks``.  The reference implementations below are the
+straightforward loops over whole-grid levels (one ``integrate`` call per
+level, full-grid gradients, Python sums over the time trapezoid).  Both must
+agree to roundoff on random snapped cubes, windows and dims 1-3, for the
+real chunk budget and for budgets small enough that every window spans
+several chunks.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logdiff import (
+    Cube,
+    Cutoff,
+    Cylinder,
+    Grid,
+    QuasilinearFlux,
+    ess_inf,
+    ess_sup,
+    flux_l1,
+    inf_mass,
+    log_gradient_energy,
+    log_oscillation,
+    power_gradient_energy,
+    power_oscillation,
+    sup_mass,
+)
+from logdiff import functionals
+from logdiff.grid import SpaceTimeSlab, average, gradient, integrate
+from logdiff.limit_m import _l1_distance, _uniform_norms
+
+REL = 1e-12
+
+
+# --- reference implementations: one whole-grid level at a time -------------
+
+
+def _levels(slab, window):
+    return slab.window_indices(float(window[0]), float(window[1]))
+
+
+def _time_weights(ts):
+    w = np.full(ts.size, ts[1] - ts[0] if ts.size > 1 else 0.0)
+    if ts.size > 1:
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    return w
+
+
+def ref_ess(slab, cyl, reduce):
+    sl = slab.grid.cube_slices(cyl.cube)
+    idx = _levels(slab, (cyl.t_start, cyl.t_end))
+    return float(reduce(slab.values[idx][(slice(None),) + sl]))
+
+
+def ref_log_oscillation(slab, cyl, M, p):
+    best = 0.0
+    for k in _levels(slab, (cyl.t_start, cyl.t_end)):
+        integrand = np.abs(np.log(slab.values[k] / M)) ** p
+        best = max(best, average(integrand, slab.grid, cyl.cube) ** (1.0 / p))
+    return best
+
+
+def ref_power_oscillation(slab, cyl, M, m, p, normalized):
+    best = 0.0
+    for k in _levels(slab, (cyl.t_start, cyl.t_end)):
+        with np.errstate(invalid="ignore"):  # u > M outside the cube
+            integrand = ((1.0 - (slab.values[k] / M) ** m) / m) ** p
+        quad = average if normalized else integrate
+        best = max(best, quad(integrand, slab.grid, cyl.cube) ** (1.0 / p))
+    return best
+
+
+def ref_masses(slab, center, edge, window):
+    cube = Cube(center, edge)
+    return [integrate(slab.values[k], slab.grid, cube) for k in _levels(slab, window)]
+
+
+def ref_gradient_energy(slab, cutoff, window, power):
+    grid = slab.grid
+    idx = _levels(slab, window)
+    zeta_sq = cutoff.sample(grid).values ** 2
+    total = 0.0
+    for w, k in zip(_time_weights(slab.times[idx]), idx):
+        u = slab.values[k]
+        gsq = sum(g**2 for g in gradient(u, grid))
+        total += w * integrate(zeta_sq * gsq / u**power, grid, cutoff.support_cube())
+    return total
+
+
+def ref_flux_l1(slab, flux, center, rho, window):
+    grid = slab.grid
+    idx = _levels(slab, window)
+    pts = grid.points().reshape(-1, grid.dim)
+    total = 0.0
+    for w, k in zip(_time_weights(slab.times[idx]), idx):
+        u = slab.values[k]
+        grads = gradient(u, grid)
+        if flux.kind == "log-diffusion":
+            mag = np.sqrt(sum(g**2 for g in grads)) / u
+        elif flux.kind == "pme":
+            mag = u ** (flux.m - 1.0) * np.sqrt(sum(g**2 for g in grads))
+        else:
+            coef = u ** (flux.m - 1.0) if flux.m != 0.0 else 1.0 / u
+            comps = []
+            for a_d, g in zip(flux.a, grads):
+                a_val = (
+                    a_d(pts, float(slab.times[k])).reshape(grid.shape)
+                    if callable(a_d)
+                    else float(a_d)
+                )
+                comps.append((a_val * coef * g) ** 2)
+            mag = np.sqrt(sum(comps))
+        total += w * integrate(mag, grid, Cube(center, rho))
+    return total / rho
+
+
+def ref_l1_distance(a, b, cube, window):
+    idx_a, idx_b = _levels(a, window), _levels(b, window)
+    total = 0.0
+    for w, ka, kb in zip(_time_weights(a.times[idx_a]), idx_a, idx_b):
+        total += w * integrate(np.abs(a.values[ka] - b.values[kb]), a.grid, cube)
+    return total
+
+
+def ref_sup_norm(slab, cube, power, transform):
+    best = 0.0
+    for k in range(slab.nlevels):
+        vals = transform(slab.values[k])
+        best = max(best, integrate(np.abs(vals) ** power, slab.grid, cube) ** (1.0 / power))
+    return best
+
+
+# --- comparison -------------------------------------------------------------
+
+FLUXES = (
+    QuasilinearFlux(kind="log-diffusion"),
+    QuasilinearFlux(kind="pme", m=0.4),
+    QuasilinearFlux(
+        kind="diagonal-perturbed",
+        m=0.3,
+        a=(lambda p, t: 1.0 + 0.2 * p[:, 0] + t, 1.5, 0.75),
+        c_o=0.5,
+        c_1=3.0,
+    ),
+)
+
+
+def _slab(dim, cells, nlevels, seed, t_start=0.0):
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.5, 2.0, (nlevels,) + grid.shape)
+    return SpaceTimeSlab(grid, t_start + np.linspace(0.0, 1.0, nlevels), values)
+
+
+def _compare_all(slab, other, center_idx, half, k0, k1):
+    """Every kernel-based functional against its reference on one geometry.
+
+    The cube of edge ``2 * half`` cells is centered on node ``center_idx``;
+    the window runs from level ``k0`` to level ``k1``.
+    """
+    grid = slab.grid
+    center = tuple(float(grid.axis(d)[i]) for d, i in enumerate(center_idx))
+    edge = 2 * half * grid.spacing
+    window = (float(slab.times[k0]), float(slab.times[k1]))
+    cyl = Cylinder(center, edge, window[0] - 1e-3, window[1])
+    M = 1.1 * ref_ess(slab, cyl, np.max)
+
+    assert ess_sup(slab, cyl) == ref_ess(slab, cyl, np.max)
+    assert ess_inf(slab, cyl) == ref_ess(slab, cyl, np.min)
+    for p in (1.0, 2.5):
+        assert log_oscillation(slab, cyl, M, p) == pytest.approx(
+            ref_log_oscillation(slab, cyl, M, p), rel=REL
+        )
+        for normalized in (False, True):
+            assert power_oscillation(slab, cyl, M, 0.3, p, normalized) == pytest.approx(
+                ref_power_oscillation(slab, cyl, M, 0.3, p, normalized), rel=REL
+            )
+    rho = edge / 1.5  # (1 + sigma) rho is the cube for sigma = 0.5
+    assert sup_mass(slab, center, rho, 0.5, window) == pytest.approx(
+        max(ref_masses(slab, center, edge, window)), rel=REL
+    )
+    assert inf_mass(slab, center, edge, window) == pytest.approx(
+        min(ref_masses(slab, center, edge, window)), rel=REL
+    )
+    comparison = Cube(center, edge)
+    assert _l1_distance(slab, other, comparison, window) == pytest.approx(
+        ref_l1_distance(slab, other, comparison, window), rel=REL
+    )
+    u_norm, w_norm = _uniform_norms(slab, comparison, 0.2, 2.0, 5.0)
+    assert u_norm == pytest.approx(ref_sup_norm(slab, comparison, 2.0, lambda u: u), rel=REL)
+    assert w_norm == pytest.approx(
+        ref_sup_norm(slab, comparison, 5.0, lambda u: (u**0.2 - 1.0) / 0.2), rel=REL
+    )
+    if k1 == k0:
+        return
+    cutoff = Cutoff(center, rho, 0.5)
+    assert log_gradient_energy(slab, cutoff, window) == pytest.approx(
+        ref_gradient_energy(slab, cutoff, window, 2), rel=REL
+    )
+    assert power_gradient_energy(slab, cutoff, window, 0.3) == pytest.approx(
+        ref_gradient_energy(slab, cutoff, window, 2.0 - 0.15), rel=REL
+    )
+    for flux in FLUXES:
+        flux = QuasilinearFlux(
+            kind=flux.kind, m=flux.m, a=flux.a[: grid.dim], c_o=flux.c_o, c_1=flux.c_1
+        )
+        assert flux_l1(slab, flux, center, edge, window) == pytest.approx(
+            ref_flux_l1(slab, flux, center, edge, window), rel=REL
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_kernel_matches_per_level_loops(dim, data):
+    cells = data.draw(st.integers(2, {1: 40, 2: 14, 3: 6}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 9), label="levels")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    half = data.draw(st.integers(1, cells // 2), label="half")
+    center_idx = [
+        data.draw(st.integers(half, cells - half), label=f"center{d}") for d in range(dim)
+    ]
+    k0 = data.draw(st.integers(0, nlevels - 1), label="k0")
+    k1 = data.draw(st.integers(k0, nlevels - 1), label="k1")
+    slab = _slab(dim, cells, nlevels, seed)
+    other = _slab(dim, cells, nlevels, seed + 1)
+    # the real budget, then budgets of one level and of a few levels per chunk
+    for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
+            _compare_all(slab, other, center_idx, half, k0, k1)
+
+
+def test_kernel_window_spanning_several_chunks():
+    # 65^2 nodes per level: the real budget holds 15 levels, so 40 levels
+    # make three chunks, the halo blocks included
+    slab = _slab(2, 64, 40, seed=3)
+    other = _slab(2, 64, 40, seed=4)
+    per_level = 65**2
+    assert 40 > functionals._CHUNK_DOUBLES // per_level > 1
+    _compare_all(slab, other, (32, 32), 32, 0, 39)
+    _compare_all(slab, other, (20, 40), 12, 3, 37)

@@ -35,6 +35,7 @@ from logdiff import (
     time_scaling_exponent,
     time_scaling_exponent_pme,
 )
+from logdiff.grid import SpaceTimeSlab
 
 LUMP = Lump2D(c=1.0, T=1.0)
 
@@ -145,8 +146,6 @@ def test_ess_sup_inf_on_samples():
 def test_mass_functionals_exact_on_constants():
     g = Grid.regular(2, 1.0, 1.0 / 16)
     values = np.full((2,) + g.shape, 3.0)
-    from logdiff.grid import SpaceTimeSlab
-
     slab = SpaceTimeSlab(g, np.array([0.0, 0.1]), values, meta={})
     got = sup_mass(slab, (0.0, 0.0), 0.5, 0.5, (0.0, 0.1))
     assert got == pytest.approx(3.0 * 0.75**2, rel=1e-13)
@@ -154,6 +153,20 @@ def test_mass_functionals_exact_on_constants():
     assert got_inf == pytest.approx(3.0, rel=1e-13)
     with pytest.raises(ParameterError):
         sup_mass(slab, (0.0, 0.0), 0.5, 1.0, (0.0, 0.1))
+
+
+def test_nan_sample_propagates():
+    # one NaN node inside the cube and window surfaces instead of being skipped
+    g = Grid.regular(2, 1.0, 1.0 / 16)
+    values = np.full((3,) + g.shape, 2.0)
+    values[1, 8, 8] = np.nan
+    slab = SpaceTimeSlab(g, [0.0, 0.1, 0.2], values)
+    cyl = Cylinder((0.0, 0.0), 0.5, 0.0, 0.2)
+    assert np.isnan(ess_sup(slab, cyl))
+    assert np.isnan(ess_inf(slab, cyl))
+    assert np.isnan(log_oscillation(slab, cyl, M=2.0, p=1.0))
+    assert np.isnan(sup_mass(slab, (0.0, 0.0), 0.5, 0.0, (0.0, 0.2)))
+    assert np.isnan(inf_mass(slab, (0.0, 0.0), 0.5, (0.0, 0.2)))
 
 
 def test_degeneracy_ratio_properties():

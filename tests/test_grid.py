@@ -165,6 +165,29 @@ def test_slab_io_roundtrip(tmp_path):
     assert back.meta["k"] == 3
 
 
+def test_read_slab_rejects_truncated_files(tmp_path):
+    g = Grid.regular(2, 0.5, 1.0 / 16)
+    slab = SpaceTimeSlab(g, np.linspace(0.0, 0.3, 4), np.ones((4,) + g.shape), meta={"k": 1})
+    path = tmp_path / "s.slab"
+    write_slab(slab, path)
+    full = path.read_bytes()
+    header = full[: len(full) - 8 * 4 * 9**2]
+    cases = {
+        "body": (full[:-8], len(full)),
+        "header-only": (header, len(full)),
+        "grid-only": (header[:20], None),
+        "padded": (full + bytes(8), len(full)),
+    }
+    for name, (data, expected) in cases.items():
+        p = tmp_path / f"{name}.slab"
+        p.write_bytes(data)
+        with pytest.raises(ParameterError) as err:
+            read_slab(p)
+        msg = str(err.value)
+        assert f"has {len(data)} bytes" in msg
+        assert f"needs {expected}" in msg if expected else "at least" in msg
+
+
 def test_read_rejects_wrong_magic(tmp_path):
     p = tmp_path / "junk.slab"
     p.write_bytes(b"XXXX garbage")

@@ -22,6 +22,7 @@ from logdiff import (
     jensen_check,
     sample_cylinders,
 )
+from logdiff.grid import SpaceTimeSlab
 
 # independently computed divergence defects of the smoothstep cutoff
 # (rho = 1, sigma = 0.5, edge-2 grid), decaying at first order
@@ -125,6 +126,26 @@ def test_jensen_on_solved_slab(lump_slab_32):
         chk = jensen_check(lump_slab_32, center, rho, 0.5, (t0, t1))
         assert chk.satisfied, f"violation at {center}, rho={rho}"
         assert chk.lhs <= chk.rhs + 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_checkers_reject_nonpositive_or_nan_samples(lump_slab_32, bad):
+    values = np.array(lump_slab_32.values)
+    values[-1, 16, 16] = bad  # the center node at t = 0.5, inside every probe
+    slab = SpaceTimeSlab(lump_slab_32.grid, lump_slab_32.times, values)
+    center, window = (0.0, 0.0), (0.25, 0.5)
+    log_flux = QuasilinearFlux(kind="log-diffusion")
+    checks = (
+        lambda: check_l1_harnack(slab, center, 0.25, window),
+        lambda: check_l1_harnack_pme(slab, 0.2, center, 0.25, window),
+        lambda: check_energy_lemma(slab, center, 0.125, 0.5, window),
+        lambda: check_energy_lemma_pme(slab, 0.2, center, 0.125, 0.5, window),
+        lambda: check_flux_corollary(slab, log_flux, 0.25, 0.5, window),
+        lambda: jensen_check(slab, center, 0.25, 0.5, window),
+    )
+    for check in checks:
+        with pytest.raises(ParameterError, match="finite and positive"):
+            check()
 
 
 def test_sample_cylinders_alignment(lump_slab_32):
