@@ -462,13 +462,29 @@ def write_field(f: Field, path) -> None:
 
 
 def read_field(path) -> Field:
+    """Read a field written by :func:`write_field`.
+
+    The header is checked against the file length: a truncated or padded
+    file raises ParameterError naming the expected and actual byte counts.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _FIELD_MAGIC:
         raise ParameterError(f"{path} is not a field file")
-    grid, off = _unpack_grid(buf, 4)
-    (time,) = struct.unpack_from("<d", buf, off)
+    try:
+        grid, off = _unpack_grid(buf, 4)
+        (time,) = struct.unpack_from("<d", buf, off)
+    except struct.error as exc:
+        raise ParameterError(
+            f"field file {path} has {len(buf)} bytes, too few for its header: {exc}"
+        )
     off += 8
+    expected = off + 8 * grid.npts**grid.dim
+    if len(buf) != expected:
+        raise ParameterError(
+            f"field file {path} has {len(buf)} bytes, but its header ({grid.shape} "
+            f"grid) needs {expected}"
+        )
     values = np.frombuffer(buf, dtype="<f8", offset=off).reshape(grid.shape)
     return Field(grid, values, time=time)
 

@@ -31,6 +31,7 @@ from .grid import (
 from .functionals import (
     FunctionalSet,
     _probe_stats,
+    ess_inf,
     ess_sup,
     flux_l1,
     functional_set,
@@ -507,7 +508,9 @@ def check_pointwise_harnack(
 
     The intrinsic height ``theta`` comes from the q-mean of u over ``K_rho``
     at the vertex time; the backward cylinder ``K_8rho x (t_o - 64 theta
-    rho^2, t_o]`` must fit inside the slab.  Requires ``p > N + 2``.
+    rho^2, t_o]`` must fit inside the slab.  Requires ``p > N + 2``; raises
+    ParameterError unless u is finite and positive on that cylinder, which
+    holds every sampled node.
     """
     grid = slab.grid
     if p <= grid.dim + 2:
@@ -517,6 +520,9 @@ def check_pointwise_harnack(
     t_o = float(slab.times[k_o])
     vertex_field = slab.level(k_o)
     theta = intrinsic_scale(vertex_field, x_o, rho, q, eps)
+    bad_u = f"u must be finite and positive near the vertex {x_o}, t_o {t_o}, rho {rho}"
+    if not math.isfinite(theta):
+        raise ParameterError(bad_u)
     if theta <= 0.0:
         return PointwiseHarnackReport(
             x_o=x_o, t_o=t_o, rho=rho, q=q, eps=eps, p=p, r=r,
@@ -534,6 +540,8 @@ def check_pointwise_harnack(
         )
     big = Cylinder(x_o, 8.0 * rho, t_lo, t_o)
     M = ess_sup(slab, big)
+    if not (math.isfinite(M) and ess_inf(slab, big) > 0.0):
+        raise ParameterError(bad_u)
     lam_p = log_oscillation(slab, big, M, p)
     eta = degeneracy_ratio(vertex_field, x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cylinder(x_o, 2.0 * rho, t_o - theta * rho**2, t_o))
@@ -548,8 +556,7 @@ def check_pointwise_harnack(
             np.round(np.linspace(0, strict.size - 1, probes)).astype(int)
         )
         strict = strict[pick]
-    inf_slices = grid.cube_slices(Cube(x_o, 4.0 * rho))
-    inf_val = min(float(slab.values[k][inf_slices].min()) for k in strict)
+    inf_val = float(slab.values[(strict,) + grid.cube_slices(Cube(x_o, 4.0 * rho))].min())
     return PointwiseHarnackReport(
         x_o=x_o,
         t_o=t_o,

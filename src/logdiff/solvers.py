@@ -30,6 +30,15 @@ supplied by an exact solution (or any callable ``(points, t) -> values``) and
 solves for the interior nodes; ``neumann-zero-flux`` solves for every node and
 conserves the trapezoid mass per step up to the Newton residual.
 
+Newton corrections solve ``J delta = -r`` (``J = I - dt dOp/du``) by Krylov
+iterations from zero.  For log and pme, ``W J = (diag(W/b') + C) diag(b')`` with
+``C = dt D^T diag(w) D / h^2`` exactly symmetric: Jacobi-PCG finds ``b' delta``.
+The flux form uses Jacobi-preconditioned BiCGSTAB.  Both stop once
+``max|W (J delta + r)| <= 0.01 newton_tol min W`` (BiCGSTAB: ``|J delta + r|_2``,
+a bound as ``W <= 1``) or after as many iterations as unknowns (a cap hit); the
+damped line search guards the result.  Under Neumann ``W^T J = W^T``, so the
+constant restoring ``W^T delta = -W^T r`` is added to each correction.
+
 Positivity is maintained by a floor (default ``1e-10 * max(initial)``); every
 clipped entry is counted, and a step whose clipped fraction exceeds
 ``floor_warn_fraction`` appends a warning to the slab metadata rather than
@@ -43,7 +52,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import bicgstab
 
 from .errors import ParameterError, SolverError
 from .grid import Field, Grid, SpaceTimeSlab, _trapezoid_weights, interior_slices
@@ -112,30 +121,18 @@ def _check_horizon(horizon: float, dt: float) -> int:
     return n
 
 
-class _NewtonStats:
-    __slots__ = ("iters", "floor_hits", "max_floor_fraction", "warnings")
-
-    def __init__(self):
-        self.iters = 0
-        self.floor_hits = 0
-        self.max_floor_fraction = 0.0
-        self.warnings = []
-
-
-def _damped_newton(x0, residual_fn, jacobian_fn, floor, config, t, stats):
-    """Solve residual(x) = 0; returns x with all entries >= floor."""
+def _damped_newton(x0, residual_fn, correction_fn, floor, config, t, stats):
+    """Solve residual(x) = 0 by steps ``correction_fn(x, r)``; keeps x >= floor."""
     x = np.maximum(x0, floor)
     r = residual_fn(x)
     rnorm = float(np.abs(r).max())
     for _ in range(config.newton_max_iter):
         if rnorm <= config.newton_tol:
             return x
-        J = jacobian_fn(x)
-        delta = spsolve(J.tocsc(), -r)
-        step = 1.0
-        accepted = False
-        for _ in range(config.max_damping + 1):
-            x_try = x + step * delta
+        delta = correction_fn(x, r)
+        stats["newton_iters"] += 1
+        for halvings in range(config.max_damping + 1):
+            x_try = x + 0.5**halvings * delta
             clipped = x_try < floor
             if clipped.any():
                 x_try = np.maximum(x_try, floor)
@@ -143,28 +140,39 @@ def _damped_newton(x0, residual_fn, jacobian_fn, floor, config, t, stats):
             rn_try = float(np.abs(r_try).max())
             if rn_try < rnorm:
                 nclip = int(clipped.sum())
-                stats.floor_hits += nclip
-                stats.max_floor_fraction = max(
-                    stats.max_floor_fraction, nclip / x.size
+                stats["floor_triggers"] += nclip
+                stats["max_floor_fraction"] = max(
+                    stats["max_floor_fraction"], nclip / x.size
                 )
                 x, r, rnorm = x_try, r_try, rn_try
-                accepted = True
                 break
-            step *= 0.5
-        stats.iters += 1
-        if not accepted:
+        else:
             raise SolverError(
-                f"Newton stalled at t={t}: residual {rnorm:.3e}",
-                residual=rnorm,
-                time=t,
+                f"Newton stalled at t={t}: residual {rnorm:.3e}", residual=rnorm, time=t
             )
     if rnorm <= config.newton_tol:
         return x
     raise SolverError(
-        f"Newton did not reach tol at t={t}: residual {rnorm:.3e}",
-        residual=rnorm,
-        time=t,
+        f"Newton did not reach tol at t={t}: residual {rnorm:.3e}", residual=rnorm, time=t
     )
+
+
+def _pcg(A, b, inv_diag, atol, cap):
+    """Jacobi-preconditioned CG for SPD ``A y = b`` from zero, until
+    ``max|b - A y| <= atol`` or ``cap`` iterations: ``(y, iterations, converged)``."""
+    y, res = np.zeros_like(b), b.copy()
+    p = z = inv_diag * res
+    rz = res @ z
+    for it in range(cap + 1):
+        if (converged := bool(np.abs(res).max() <= atol)) or it == cap:
+            return y, it, converged
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        y += alpha * p
+        res -= alpha * Ap
+        z = inv_diag * res
+        rz, rz_old = res @ z, rz
+        p = z + (rz / rz_old) * p
 
 
 def _tensor(factors) -> np.ndarray:
@@ -203,19 +211,23 @@ class _Faces:
         scale = -1.0 / (self.W[rows] * self.grid.spacing**2)
         return sp.csr_matrix(sp.diags(scale) @ self.D[:, rows].T @ sp.diags(self.w))
 
+    def stiffness(self, rows: np.ndarray) -> sp.csr_matrix:
+        """``-W L = D^T diag(w) D / h^2`` on ``rows``; exactly symmetric, as
+        each off-diagonal entry is one product of exact factors."""
+        D = self.D[:, rows]
+        return sp.csr_matrix(D.T @ sp.diags(self.w / self.grid.spacing**2) @ D)
 
-# Operators give ``apply(u)``, the operator on the unknown ``rows``, and
-# ``jacobian(u)``, its derivative in the unknowns; both take every node of
-# ``u``.  ``step(t)`` runs once per time level, before either.
+
+# Operators: ``step(t)`` once per level, then ``apply(u)`` (Op on ``rows``, u on every
+# node) and ``newton_solver(dt, atol)`` -> ``solve(u, r) -> (delta, iters, converged)``.
 
 
 class _BetaOperator:
     """``Lap_h beta(u)``, with ``L = div D`` assembled once."""
 
     def __init__(self, faces: _Faces, rows: np.ndarray, beta, beta_prime):
+        self.faces, self.rows, self.beta, self.beta_prime = faces, rows, beta, beta_prime
         self.L = faces.divergence(rows) @ faces.D
-        self.L_uu = self.L[:, rows]  # unknown rows and columns
-        self.rows, self.beta, self.beta_prime = rows, beta, beta_prime
 
     def step(self, t: float) -> None:
         pass
@@ -223,8 +235,21 @@ class _BetaOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.L @ self.beta(u)
 
-    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
-        return self.L_uu @ sp.diags(self.beta_prime(u[self.rows]))
+    def newton_solver(self, dt: float, atol: float):
+        """PCG on ``(diag(W/b') + C) y = -W r``; a call rewrites only the diagonal."""
+        n, W = self.rows.size, self.faces.W[self.rows]
+        C = dt * self.faces.stiffness(self.rows)
+        A = (C + sp.identity(n)).tocsr()  # stores every diagonal entry
+        diag_at = np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
+        c_diag = C.diagonal()
+
+        def solve(u, r):
+            bp = self.beta_prime(u[self.rows])
+            A.data[diag_at] = diag = c_diag + W / bp
+            y, iters, converged = _pcg(A, -W * r, 1.0 / diag, atol, n)
+            return y / bp, iters, converged
+
+        return solve
 
 
 class _FluxOperator:
@@ -238,7 +263,7 @@ class _FluxOperator:
         grid = faces.grid
         if len(flux.a) != grid.dim:
             raise ParameterError("flux needs one coefficient per axis")
-        self.faces, self.flux = faces, flux
+        self.faces, self.flux, self.rows = faces, flux, rows
         self.div = faces.divergence(rows)
         # d(phi)/du has the pattern of D on the unknown columns
         self.D_u = faces.D[:, rows]
@@ -273,13 +298,24 @@ class _FluxOperator:
         coef, du = self._face_terms(u)
         return self.div @ (coef * du)
 
-    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
+    def newton_solver(self, dt: float, atol: float):
+        """Jacobi-preconditioned BiCGSTAB on ``J delta = -r``."""
         m, f, pattern = self.flux.m, self.jac_face, self.D_u
-        coef, du = self._face_terms(u)
-        dprime = ((m - 1.0) * u ** (m - 2.0))[self.jac_node]
-        data = pattern.data * coef[f] + 0.5 * self.a[f] * du[f] * dprime
-        dphi = sp.csr_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
-        return self.div @ dphi
+        eye = sp.identity(self.rows.size, format="csr")
+
+        def solve(u, r):
+            coef, du = self._face_terms(u)
+            dprime = ((m - 1.0) * u ** (m - 2.0))[self.jac_node]
+            data = pattern.data * coef[f] + 0.5 * self.a[f] * du[f] * dprime
+            dphi = sp.csr_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
+            J = eye - dt * (self.div @ dphi)
+            M, done = sp.diags(1.0 / J.diagonal()), []  # done: full iterations
+            delta, info = bicgstab(
+                J, -r, rtol=0.0, atol=atol, maxiter=r.size, M=M, callback=done.append
+            )
+            return delta, len(done), info == 0
+
+        return solve
 
 
 def _log_operator(faces, rows, flux):
@@ -325,12 +361,13 @@ def _march(
     pts_known = grid.points().reshape(-1, grid.dim)[known]
     boundary = getattr(config.boundary_values, "eval", config.boundary_values)
     op = _KINDS[flux.kind][0](faces, rows, flux)
+    solve = op.newton_solver(config.dt, 0.01 * config.newton_tol * faces.W[rows].min())
 
     times = np.linspace(initial.time, initial.time + horizon, nsteps + 1)
     levels = np.empty((nsteps + 1,) + grid.shape)
     levels[0] = initial.values
-    stats = _NewtonStats()
-    eye = sp.identity(rows.size, format="csr")
+    stats = {"newton_iters": 0, "linear_iters": 0, "linear_cap_hits": 0,
+             "floor_triggers": 0, "max_floor_fraction": 0.0}
 
     u = initial.values.ravel().copy()
     for k in range(nsteps):
@@ -344,16 +381,22 @@ def _march(
             u[rows] = x
             return x - config.dt * op.apply(u) - prev
 
-        def jacobian_fn(x):
+        def correction_fn(x, r):
             u[rows] = x
-            return eye - config.dt * op.jacobian(u)
+            delta, iters, converged = solve(u, r)
+            stats["linear_iters"] += iters
+            stats["linear_cap_hits"] += not converged
+            if neumann:  # rows are every node; restore W^T delta = -W^T r
+                delta -= faces.W @ (r + delta) / faces.W.sum()
+            return delta
 
-        u[rows] = _damped_newton(prev, residual_fn, jacobian_fn, floor, config, t, stats)
+        u[rows] = _damped_newton(prev, residual_fn, correction_fn, floor, config, t, stats)
         levels[k + 1] = u.reshape(grid.shape)
 
-    if stats.max_floor_fraction > config.floor_warn_fraction:
-        stats.warnings.append(
-            f"positivity floor clipped up to {stats.max_floor_fraction:.2%} "
+    warnings = []
+    if stats["max_floor_fraction"] > config.floor_warn_fraction:
+        warnings.append(
+            f"positivity floor clipped up to {stats['max_floor_fraction']:.2%} "
             f"of nodes in a Newton step"
         )
     meta = {
@@ -364,10 +407,8 @@ def _march(
         "newton_tol": config.newton_tol,
         "boundary": config.boundary,
         "positivity_floor": floor,
-        "floor_triggers": stats.floor_hits,
-        "max_floor_fraction": stats.max_floor_fraction,
-        "newton_iters": stats.iters,
-        "warnings": stats.warnings,
+        **stats,
+        "warnings": warnings,
     }
     return SpaceTimeSlab(grid, times, levels, meta=meta)
 

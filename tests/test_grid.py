@@ -188,6 +188,27 @@ def test_read_slab_rejects_truncated_files(tmp_path):
         assert f"needs {expected}" in msg if expected else "at least" in msg
 
 
+def test_read_field_rejects_truncated_and_padded_files(tmp_path):
+    g = Grid.regular(2, 1.0, 1.0 / 64)
+    path = tmp_path / "f.field"
+    write_field(Field(g, np.ones(g.shape), time=0.5), path)
+    full = path.read_bytes()
+    cases = {
+        "body": (full[:-16], len(full)),
+        "header-only": (full[: len(full) - 8 * 65**2], len(full)),
+        "grid-only": (full[:20], None),
+        "padded": (full + bytes(8), len(full)),
+    }
+    for name, (data, expected) in cases.items():
+        p = tmp_path / f"{name}.field"
+        p.write_bytes(data)
+        with pytest.raises(ParameterError) as err:
+            read_field(p)
+        msg = str(err.value)
+        assert f"has {len(data)} bytes" in msg
+        assert f"needs {expected}" in msg if expected else "at least" in msg
+
+
 def test_read_rejects_wrong_magic(tmp_path):
     p = tmp_path / "junk.slab"
     p.write_bytes(b"XXXX garbage")

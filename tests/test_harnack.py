@@ -197,6 +197,18 @@ def test_pointwise_harnack_guards(lump_slab_32):
         check_pointwise_harnack(lump_slab_32, (0.0, 0.0), 0.5, 0.25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+@pytest.mark.parametrize("t_bad", [0.496, 0.5])
+def test_pointwise_harnack_rejects_bad_nodes(lump_slab_64, t_bad, bad):
+    # a node next to the vertex (0, 0): at t_o it is probed; at t = 0.496 it
+    # lies only in the backward cylinder K_8rho that gives sup_u and lambda_p
+    values = lump_slab_64.values.copy()
+    values[lump_slab_64.level_index(t_bad), 33, 32] = bad
+    slab = SpaceTimeSlab(lump_slab_64.grid, lump_slab_64.times, values)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        check_pointwise_harnack(slab, (0.0, 0.0), 0.5, 1.0 / 16)
+
+
 def test_fit_pointwise_constants(lump_slab_64):
     reports = [
         check_pointwise_harnack(lump_slab_64, (0.0, 0.0), 0.5, 1.0 / 16),

@@ -1,8 +1,12 @@
 """Implicit solver behavior: fixed points, positivity, convergence, delegation,
-zero-flux conservation."""
+zero-flux conservation, Krylov Newton steps against a direct-solve reference."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,7 +31,8 @@ from logdiff import (
     solve_porous_medium,
     solve_quasilinear,
 )
-from logdiff.solvers import _BetaOperator, _Faces
+from logdiff import solvers
+from logdiff.solvers import _KINDS, _BetaOperator, _Faces, _FluxOperator
 
 from conftest import lump_grid
 
@@ -183,6 +188,10 @@ def test_slab_meta_records_run(lump_slab_32):
     assert meta["equation"] == "log-diffusion"
     assert meta["boundary"] == "dirichlet-from-oracle"
     assert lump_slab_32.dt == pytest.approx(16.0 / 32**2)
+    # deterministic counters, so reruns stay byte-identical
+    assert meta["newton_iters"] == 96
+    assert meta["linear_iters"] == 4102
+    assert meta["linear_cap_hits"] == 0
 
 
 def _trapezoid_mass(values, grid):
@@ -250,3 +259,110 @@ def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cell
     want = laplacian(u, grid)[inner]
     tol = 1e-13 * np.abs(u).max() / grid.spacing**2
     assert np.abs(got - want).max() <= tol
+
+
+def _unknowns(faces, boundary):
+    """Unknown nodes of ``_march``: all under Neumann, W == 1 under Dirichlet."""
+    every = np.arange(faces.W.size)
+    return every if boundary == "neumann-zero-flux" else every[faces.W == 1.0]
+
+
+def _dense_jacobian(op, u, rows):
+    """``dOp/du`` on the unknowns by complex-step differentiation of ``op.apply``."""
+    step = 1e-30
+    cols = []
+    for j in rows:
+        uc = u.astype(complex)
+        uc[j] += 1j * step
+        cols.append(op.apply(uc).imag / step)
+    return np.column_stack(cols)
+
+
+def _flux(kind, dim):
+    return QuasilinearFlux(kind, m=0.5, a=(1.0, 0.7, 1.3)[:dim], c_o=0.7, c_1=1.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    cells=st.integers(2, 5),
+    boundary=st.sampled_from(["dirichlet-from-oracle", "neumann-zero-flux"]),
+    kind=st.sampled_from(sorted(_KINDS)),
+    dt_h2=st.floats(0.1, 50.0),
+    data=st.data(),
+)
+def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data):
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    faces = _Faces(grid)
+    rows = _unknowns(faces, boundary)
+    W = faces.W[rows]
+    K = faces.stiffness(rows)
+    assert (K != K.T).nnz == 0  # exactly symmetric
+    L_uu = (faces.divergence(rows) @ faces.D)[:, rows]
+    assert np.allclose((sp.diags(W) @ L_uu).toarray(), -K.toarray(), rtol=1e-13, atol=0)
+
+    op = _KINDS[kind][0](faces, rows, _flux(kind, dim))
+    op.step(0.0)
+    dt = dt_h2 * grid.spacing**2
+    atol = 0.01 * 1e-10 * W.min()
+    u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
+    r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
+    delta, iters, converged = op.newton_solver(dt, atol)(u.copy(), r)
+    if not converged:  # the cap; the damped line search takes the iterate
+        assert iters == rows.size
+        return
+    J = np.eye(rows.size) - dt * _dense_jacobian(op, u, rows)
+    defect = np.abs(W * (J @ delta + r)).max()
+    rounding = 1e-14 * np.abs(W * (np.abs(J) @ np.abs(delta))).max()
+    assert defect <= atol + rounding
+
+
+def _direct_newton_solver(self, dt, atol):
+    """The reference Newton step: SuperLU on the complex-step Jacobian."""
+
+    def solve(u, r):
+        J = np.eye(self.rows.size) - dt * _dense_jacobian(self, u, self.rows)
+        return spsolve(sp.csc_matrix(J), -r), 0, True
+
+    return solve
+
+
+def _reference_case(name):
+    """``(flux, initial, config, horizon)`` of one run checked against SuperLU."""
+    if name == "lump-16":
+        lump, grid = Lump2D(c=1.0, T=1.0), lump_grid(16)
+        config = SolverConfig(
+            dt=16 * grid.spacing**2, boundary="dirichlet-from-oracle", boundary_values=lump
+        )
+        return QuasilinearFlux("log-diffusion"), lump.sample(grid, 0.0), config, 0.25
+    baren, grid = BarenblattFD(m=0.5), Grid.regular(3, 1.0, 1.0 / 8)
+    dt = 4 * grid.spacing**2
+    if name == "flux-N":
+        config = SolverConfig(dt=dt, boundary="neumann-zero-flux")
+    else:
+        config = SolverConfig(dt=dt, boundary="dirichlet-from-oracle", boundary_values=baren)
+    if name == "pme-D":
+        flux = QuasilinearFlux("pme", m=0.5)
+    else:
+        flux = QuasilinearFlux("diagonal-perturbed", m=0.5, a=(1.0, 1.0, 1.0))
+    return flux, baren.sample(grid, 0.0), config, 8 * dt
+
+
+@pytest.mark.parametrize("name", ["lump-16", "pme-D", "flux-D", "flux-N"])
+def test_krylov_solves_match_direct_reference(name, monkeypatch):
+    flux, initial, config, horizon = _reference_case(name)
+    krylov = solve_quasilinear(initial, flux, config, horizon)
+    with monkeypatch.context() as patch:
+        for cls in (_BetaOperator, _FluxOperator):
+            patch.setattr(cls, "newton_solver", _direct_newton_solver)
+        direct = solve_quasilinear(initial, flux, config, horizon)
+    assert krylov.meta["newton_iters"] == direct.meta["newton_iters"]
+    assert krylov.meta["linear_iters"] > 0 == direct.meta["linear_iters"]
+    gap = np.abs(krylov.values - direct.values).max() / np.abs(direct.values).max()
+    assert gap <= 1e-11
+
+
+def test_no_module_uses_a_direct_sparse_solver():
+    for path in Path(solvers.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert not any(name in text for name in ("spsolve", "splu", "factorized")), path
