@@ -20,6 +20,7 @@ reused as stored, only relabeled.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,36 +39,27 @@ from .grid import (
 from .functionals import intrinsic_scale
 
 
-def _central_weights(order: int, spacing: float) -> np.ndarray:
-    """Weights of the symmetric stencil for one 1D derivative, order-2 accurate.
+@functools.lru_cache(maxsize=None)
+def _stencils(a_max: int) -> np.ndarray:
+    """Unit-spacing weights of the symmetric 1D stencils of orders 0..a_max.
 
-    Half-width is ceil(order/2); the weights solve the small Vandermonde
-    moment system exactly.
+    Row d is the order-2 accurate stencil of the d-th derivative (half-width
+    ceil(d/2), weights solving the small Vandermonde moment system exactly),
+    zero-padded to offsets ``-ceil(a_max/2) .. ceil(a_max/2)``, the width of
+    row a_max.  Cached, so read-only.
     """
-    if order < 1:
-        raise ParameterError("derivative order must be >= 1")
-    w = (order + 1) // 2
-    n = 2 * w + 1
-    z = np.arange(-w, w + 1, dtype=float)
-    V = np.vander(z, n, increasing=True).T
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(V, rhs) / spacing**order
-
-
-def _tensor_derivative(values: np.ndarray, idx, alpha, spacing: float) -> float:
-    """Apply composed 1D central stencils for the multi-index ``alpha``."""
-    out = values
-    for axis in reversed(range(len(alpha))):
-        d = alpha[axis]
-        i = idx[axis]
-        if d == 0:
-            out = np.take(out, i, axis=axis)
-        else:
-            w = (d + 1) // 2
-            sl = np.take(out, range(i - w, i + w + 1), axis=axis)
-            out = np.tensordot(sl, _central_weights(d, spacing), axes=([axis], [0]))
-    return float(out)
+    reach = (a_max + 1) // 2
+    out = np.zeros((a_max + 1, 2 * reach + 1))
+    for d in range(a_max + 1):
+        w = (d + 1) // 2
+        z = np.arange(-w, w + 1, dtype=float)
+        rhs = np.zeros(2 * w + 1)
+        rhs[d] = math.factorial(d)
+        out[d, reach - w : reach + w + 1] = np.linalg.solve(
+            np.vander(z, 2 * w + 1, increasing=True).T, rhs
+        )
+    out.setflags(write=False)
+    return out
 
 
 @dataclass
@@ -119,26 +111,34 @@ def derivative_table(
         a_max=a_max,
         k_max=k_max,
     )
+    # Contract the block around the vertex (clipped at the grid edge) with the
+    # stencil matrix, one axis at a time: entry alpha of the result is the
+    # composed stencil D^alpha at unit spacing.  Rows whose stencil reaches
+    # past the clipped block are wrong, but exactly those entries do not fit.
+    stencils = _stencils(a_max)
+    reach = (a_max + 1) // 2
+    spans = [(max(i - reach, 0), min(i + reach + 1, grid.npts)) for i in idx]
+    block = level[tuple(slice(lo, hi) for lo, hi in spans)]
+    for i, (lo, hi) in zip(idx, spans):
+        cols = stencils[:, lo - i + reach : hi - i + reach]
+        block = np.tensordot(block, cols, axes=([0], [1]))
+    # an order-d stencil fits iff its half-width ceil(d/2) <= the node's margin
+    max_order = [2 * min(i, grid.npts - 1 - i) for i in idx]
     for alpha in itertools.product(range(a_max + 1), repeat=grid.dim):
         total = sum(alpha)
         if total == 0 or total > a_max:
             continue
-        fits = all(
-            d == 0 or (i - (d + 1) // 2 >= 0 and i + (d + 1) // 2 <= grid.npts - 1)
-            for d, i in zip(alpha, idx)
-        )
-        if not fits:
+        if any(d > top for d, top in zip(alpha, max_order)):
             table.capped = True
             continue
-        table.spatial[alpha] = _tensor_derivative(level, idx, alpha, grid.spacing)
+        table.spatial[alpha] = float(block[alpha]) / grid.spacing**total
     series = slab.values[(slice(None),) + idx]
     for k in range(1, k_max + 1):
         w = (k + 1) // 2
         if k_o - w < 0 or k_o + w > slab.nlevels - 1:
             table.capped = True
             continue
-        weights = _central_weights(k, slab.dt)
-        table.time[k] = float(weights @ series[k_o - w : k_o + w + 1])
+        table.time[k] = float(_stencils(k)[k] @ series[k_o - w : k_o + w + 1]) / slab.dt**k
     return table
 
 
@@ -289,20 +289,14 @@ def rescale_residual(v_slab: SpaceTimeSlab) -> float:
 
     The time derivative is the backward difference, matching how implicit
     slabs were produced, so for solved data the residual isolates the
-    spatial chain-rule mismatch (O(h^2)).
+    spatial chain-rule mismatch (O(h^2)).  A NaN node makes it NaN.
     """
     g = v_slab.grid
-    interior = interior_slices(g)
-    dt = v_slab.dt
-    worst = 0.0
-    for k in range(1, v_slab.nlevels):
-        v = v_slab.values[k]
-        vt = (v - v_slab.values[k - 1]) / dt
-        lap = laplacian(v, g)
-        gsq = sum(gr**2 for gr in gradient(v, g))
-        res = vt - lap / v + gsq / v**2
-        worst = max(worst, float(np.abs(res[interior]).max()))
-    return worst
+    v = v_slab.values[1:]
+    vt = np.diff(v_slab.values, axis=0) / v_slab.dt
+    gsq = sum(gr**2 for gr in gradient(v, g))
+    res = vt - laplacian(v, g) / v + gsq / v**2
+    return float(np.abs(res[(slice(None),) + interior_slices(g)]).max())
 
 
 @dataclass
@@ -333,7 +327,8 @@ def rescaled_sup_bounds(
     """Sup norms over ``K_(2 sigma) x (-sigma * depth, 0]`` of a rescaled slab.
 
     ``depth`` defaults to the slab's full backward reach.  Time derivatives
-    use second-order differences along stored levels.
+    use second-order differences along stored levels.  The sups are numpy
+    reductions over the stacked levels, so a NaN node makes them NaN.
     """
     if not 0.0 < sigma <= 1.0:
         raise ParameterError("sigma must lie in (0, 1]")
@@ -352,17 +347,12 @@ def rescaled_sup_bounds(
     vt_all = np.gradient(
         v_slab.values, v_slab.dt, axis=0, edge_order=2 if v_slab.nlevels >= 3 else 1
     )
-    sup_dv = 0.0
-    sup_vt = 0.0
-    v_min = math.inf
-    v_max = -math.inf
-    for k in levels:
-        v = v_slab.values[k]
-        dv = np.sqrt(sum(gr**2 for gr in gradient(v, g)))
-        sup_dv = max(sup_dv, float(dv[sl].max()))
-        sup_vt = max(sup_vt, float(np.abs(vt_all[k][sl]).max()))
-        v_min = min(v_min, float(v[sl].min()))
-        v_max = max(v_max, float(v[sl].max()))
+    box = (slice(None),) + sl
+    v = v_slab.values[levels]
+    sup_dv = float(np.sqrt(sum(gr**2 for gr in gradient(v, g)))[box].max())
+    sup_vt = float(np.abs(vt_all[levels][box]).max())
+    v_min = float(v[box].min())
+    v_max = float(v[box].max())
     return SupBoundsReport(
         sigma=sigma,
         depth=full_depth,

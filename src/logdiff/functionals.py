@@ -15,6 +15,14 @@ chunk is reduced per level by the trapezoid rule of :mod:`logdiff.grid`;
 sups, infs and time integrals are numpy reductions too, so a NaN sample in
 the cube and window makes the result NaN instead of being skipped.
 
+The checkers' per-probe statistics come from :func:`_probe_stats`, which
+walks the chunks of ``K_2rho x window`` twice.  The first pass takes the max
+and min of the views (the sup ``M`` and the positivity check).  The second
+evaluates the oscillation integrand once per chunk and integrates it, its
+square, u, and u on the nested ``K_(1+sigma)rho`` (a slice of the same chunk,
+since both cubes snap around one center), so one probe reads its cylinder
+twice instead of six times.
+
 Two families of oscillation functionals appear.  The logarithmic one is the
 sup over time levels of the p-mean of ``|ln(u/M)|`` over a cube.  The power
 variant replaces the logarithm with ``(1 - (u/M)^m)/m``, which increases to
@@ -26,7 +34,7 @@ it) and as a normalized mean (used by the small-m comparison studies).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +48,7 @@ from .grid import (
     _trapezoid,
     average,
     cube_volume,
+    gradient,
 )
 
 # Values per level chunk (512 KiB of doubles): large enough that the Python
@@ -74,14 +83,10 @@ def _cube_chunks(slab: SpaceTimeSlab, cube: Cube, window, halo: bool = False):
     idx = _window_levels(slab, window)
     first, stop = int(idx[0]), int(idx[-1]) + 1
     step = max(1, _CHUNK_DOUBLES // math.prod(s.stop - s.start for s in outer))
-    axes = tuple(range(1, grid.dim + 1))
     for k in range(first, stop, step):
         ks = slice(k, min(k + step, stop))
         u = slab.values[(ks,) + outer]
-        grads = ()
-        if halo:
-            grads = np.gradient(u, grid.spacing, axis=axes, edge_order=2)
-            grads = tuple(g[core] for g in (grads if grid.dim > 1 else [grads]))
+        grads = tuple(g[core] for g in gradient(u, grid)) if halo else ()
         yield ks, u[core], grads
 
 
@@ -302,27 +307,54 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
 
 def _probe_stats(
     slab: SpaceTimeSlab, center, rho: float, sigma: float, window, m: float | None = None
-) -> tuple[float, float, float, float]:
-    """``M, Lambda_1, Lambda_2, S_sigma`` of one probe cylinder.
+) -> tuple[float, float, float, float, float]:
+    """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
 
     ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_p`` the log
     oscillation means there, or given ``m`` the plain-integral power ones with
     exponent ``m/2``; ``S_sigma`` is the sup over the window of the mass on
-    ``K_(1+sigma)rho``.  Raises ParameterError unless u is finite and positive
-    on ``K_2rho x window``.
+    ``K_(1+sigma)rho``.  Equal to the composed :func:`ess_sup`,
+    :func:`log_oscillation` / :func:`power_oscillation`, :func:`sup_mass` and
+    :func:`inf_mass`, but the cylinder is read in two passes: one for ``M``
+    (and the positivity check), one that evaluates the oscillation integrand
+    once per node.  Raises ParameterError unless u is finite and positive on
+    ``K_2rho x window``.
     """
-    cyl2 = Cylinder(tuple(center), 2.0 * rho, float(window[0]), float(window[1]))
-    M = ess_sup(slab, cyl2)
-    if not (math.isfinite(M) and ess_inf(slab, cyl2) > 0.0):
+    if not 0.0 <= sigma < 1.0:
+        raise ParameterError("sigma must lie in [0, 1)")
+    grid = slab.grid
+    cube = Cube(tuple(center), 2.0 * rho)
+    chunks = list(_cube_chunks(slab, cube, window))
+    M = float(np.max([u.max() for _, u, _ in chunks]))
+    if not (math.isfinite(M) and min(u.min() for _, u, _ in chunks) > 0.0):
         raise ParameterError(
             "u must be finite and positive on the doubled cube of the probe at "
             f"{tuple(center)}, rho {rho}"
         )
+    # K_(1+sigma)rho inside the chunks: both cubes snap around one center
+    outer = grid.cube_slices(cube)
+    inner = grid.cube_slices(Cube(tuple(center), (1.0 + sigma) * rho))
+    sub = (slice(None),) + tuple(
+        slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer)
+    )
     if m is None:
-        l1, l2 = (log_oscillation(slab, cyl2, M, p) for p in (1.0, 2.0))
+        integrand, scale = (lambda u: np.abs(np.log(u / M))), cube_volume(grid, cube)
     else:
-        l1, l2 = (power_oscillation(slab, cyl2, M, m / 2.0, p) for p in (1.0, 2.0))
-    return M, l1, l2, sup_mass(slab, center, rho, sigma, window)
+        mh = m / 2.0
+        integrand, scale = (lambda u: (1.0 - (u / M) ** mh) / mh), 1.0
+    h = grid.spacing
+    sums = []
+    for _, u, _ in chunks:
+        a = integrand(u)
+        sums.append([_trapezoid(x, h, lead=1) for x in (a, a * a, u[sub], u)])
+    osc1, osc2, inner_mass, mass = np.concatenate(sums, axis=1)
+    return (
+        M,
+        float(np.max(osc1 / scale)),
+        float(np.max((osc2 / scale) ** 0.5)),
+        float(np.max(inner_mass)),
+        float(np.min(mass)),
+    )
 
 
 @dataclass
@@ -360,7 +392,7 @@ class FunctionalSet:
     inf_mass_2rho: float
 
     def to_row(self) -> dict:
-        row = asdict(self)
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
         row["center"] = ";".join(repr(c) for c in self.center)
         return row
 
@@ -381,7 +413,7 @@ def functional_set(
     """Evaluate the full probe family on one cylinder."""
     t0, t1 = float(window[0]), float(window[1])
     cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-    M, osc_p1, osc_p2, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1))
+    M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, sigma, (t0, t1))
     last = slab.level(int(_window_levels(slab, (t0, t1))[-1]))
     nan = float("nan")
     have_m = m is not None
@@ -412,5 +444,5 @@ def functional_set(
         if have_m
         else nan,
         sup_mass_sigma=s_sig,
-        inf_mass_2rho=inf_mass(slab, center, 2.0 * rho, (t0, t1)),
+        inf_mass_2rho=inf_2rho,
     )

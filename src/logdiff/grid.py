@@ -22,6 +22,7 @@ taken over interior nodes (see :func:`interior_slices`).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -51,8 +52,8 @@ class Grid:
     def regular(dim: int, edge: float, spacing: float, center=None) -> "Grid":
         if dim not in (1, 2, 3):
             raise ParameterError(f"dim must be 1, 2, or 3, got {dim}")
-        if edge <= 0 or spacing <= 0:
-            raise ParameterError("edge and spacing must be positive")
+        if not (0 < edge < math.inf and 0 < spacing < math.inf):
+            raise ParameterError(f"edge {edge} and spacing {spacing} must be finite and > 0")
         ncells = edge / spacing
         n = int(round(ncells))
         if n < 2 or abs(ncells - n) > _SNAP_TOL * max(1.0, ncells):
@@ -64,6 +65,8 @@ class Grid:
         center = tuple(float(c) for c in center)
         if len(center) != dim:
             raise ParameterError("center length does not match dim")
+        if not all(math.isfinite(c) for c in center):
+            raise ParameterError(f"center {center} must be finite")
         return Grid(dim, float(edge), float(spacing), center, n + 1)
 
     @property
@@ -331,15 +334,14 @@ def _trapezoid_weights(n: int) -> np.ndarray:
 def _trapezoid(values: np.ndarray, spacing: float, lead: int = 0) -> np.ndarray:
     """Composite-trapezoid integral of ``values`` over every axis after the first ``lead``.
 
-    Nodes are ``spacing`` apart along each integrated axis.  The result has
-    shape ``values.shape[:lead]``; it is a reduction of numpy arrays, so a
-    NaN sample makes its integral NaN.
+    Nodes are ``spacing`` apart along each integrated axis.  The rule is
+    separable, so the last axis is contracted with its 1D weights until only
+    ``values.shape[:lead]`` is left; a NaN sample makes its integral NaN.
     """
-    w = np.ones(())
-    for n in values.shape[lead:]:
-        w = np.multiply.outer(w, _trapezoid_weights(n))
-    axes = tuple(range(lead, values.ndim))
-    return (values * w).sum(axis=axes) * spacing ** len(axes)
+    out = values
+    for n in reversed(values.shape[lead:]):
+        out = out @ _trapezoid_weights(n)
+    return out * spacing ** (values.ndim - lead)
 
 
 def integrate(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> float:
@@ -374,47 +376,54 @@ def average(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> fl
 
 
 def gradient(f: Field | np.ndarray, grid: Grid | None = None) -> tuple[np.ndarray, ...]:
-    """Central-difference gradient (second order interior, one-sided boundary)."""
+    """Central-difference gradient (second order interior, one-sided boundary).
+
+    Differentiates along the last ``grid.dim`` axes, so stacked levels of
+    shape ``(levels, *grid.shape)`` are differentiated level by level.
+    """
     if isinstance(f, Field):
         grid, values = f.grid, f.values
     else:
         values = np.asarray(f, dtype=float)
-    out = np.gradient(values, grid.spacing, edge_order=2)
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    out = np.gradient(values, grid.spacing, axis=axes, edge_order=2)
     if grid.dim == 1:
         return (out,)
     return tuple(out)
 
 
 def laplacian(f: Field | np.ndarray, grid: Grid | None = None) -> np.ndarray:
-    """Standard ``2*dim + 1`` point Laplacian.
+    """Standard ``2*dim + 1`` point Laplacian over the last ``grid.dim`` axes.
 
     Interior nodes get the centered stencil; boundary nodes get a shifted
     (one-sided) second difference purely as a placeholder.  Callers must
-    restrict norms to interior nodes.
+    restrict norms to interior nodes.  Leading axes (stacked levels) are
+    treated independently.
     """
     if isinstance(f, Field):
         grid, values = f.grid, f.values
     else:
         values = np.asarray(f, dtype=float)
+
+    def at(d, index):
+        sl = [slice(None)] * grid.dim
+        sl[d] = index
+        return (Ellipsis, *sl)
+
     h2 = grid.spacing**2
     out = np.zeros_like(values)
     for d in range(grid.dim):
-        mid = [slice(None)] * grid.dim
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        mid[d] = slice(1, -1)
-        lo[d] = slice(0, -2)
-        hi[d] = slice(2, None)
         d2 = np.empty_like(values)
-        d2[tuple(mid)] = values[tuple(hi)] - 2 * values[tuple(mid)] + values[tuple(lo)]
+        d2[at(d, slice(1, -1))] = (
+            values[at(d, slice(2, None))]
+            - 2 * values[at(d, slice(1, -1))]
+            + values[at(d, slice(0, -2))]
+        )
         # one-sided placeholders at the two boundary faces of axis d
-        f0 = [slice(None)] * grid.dim
-        f1 = [slice(None)] * grid.dim
-        f2 = [slice(None)] * grid.dim
-        f0[d], f1[d], f2[d] = 0, 1, 2
-        d2[tuple(f0)] = values[tuple(f0)] - 2 * values[tuple(f1)] + values[tuple(f2)]
-        f0[d], f1[d], f2[d] = -1, -2, -3
-        d2[tuple(f0)] = values[tuple(f0)] - 2 * values[tuple(f1)] + values[tuple(f2)]
+        for f0, f1, f2 in ((0, 1, 2), (-1, -2, -3)):
+            d2[at(d, f0)] = (
+                values[at(d, f0)] - 2 * values[at(d, f1)] + values[at(d, f2)]
+            )
         out += d2
     return out / h2
 
@@ -441,7 +450,9 @@ def _pack_grid(grid: Grid) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_grid(buf, off):
+def _unpack_grid(buf, off, path):
+    """The grid of a file header, checked like :meth:`Grid.regular`; raises
+    ``struct.error`` if the buffer ends inside the header."""
     dim, npts = struct.unpack_from("<Bi", buf, off)
     off += struct.calcsize("<Bi")
     (spacing,) = struct.unpack_from("<d", buf, off)
@@ -450,7 +461,16 @@ def _unpack_grid(buf, off):
     off += 8 * dim
     (edge,) = struct.unpack_from("<d", buf, off)
     off += 8
-    return Grid(dim, edge, spacing, tuple(center), npts), off
+    try:
+        grid = Grid.regular(dim, edge, spacing, center)
+    except ParameterError as exc:
+        raise ParameterError(f"{path} has a corrupted grid header: {exc}") from None
+    if grid.npts != npts:
+        raise ParameterError(
+            f"{path} has a corrupted grid header: {npts} nodes per axis, but edge "
+            f"{edge} and spacing {spacing} give {grid.npts}"
+        )
+    return grid, off
 
 
 def write_field(f: Field, path) -> None:
@@ -472,7 +492,7 @@ def read_field(path) -> Field:
     if buf[:4] != _FIELD_MAGIC:
         raise ParameterError(f"{path} is not a field file")
     try:
-        grid, off = _unpack_grid(buf, 4)
+        grid, off = _unpack_grid(buf, 4, path)
         (time,) = struct.unpack_from("<d", buf, off)
     except struct.error as exc:
         raise ParameterError(
@@ -512,7 +532,7 @@ def read_slab(path) -> SpaceTimeSlab:
     if buf[:4] != _SLAB_MAGIC:
         raise ParameterError(f"{path} is not a slab file")
     try:
-        grid, off = _unpack_grid(buf, 4)
+        grid, off = _unpack_grid(buf, 4, path)
         (nlevels,) = struct.unpack_from("<i", buf, off)
         times_at = off + 4
         off = times_at + 8 * max(nlevels, 0)

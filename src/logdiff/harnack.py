@@ -14,7 +14,7 @@ a logarithmic check) are NaN rather than omitted, keeping column sets fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .functionals import (
     ess_sup,
     flux_l1,
     functional_set,
-    inf_mass,
     intrinsic_scale,
     log_gradient_energy,
     log_oscillation,
@@ -46,20 +45,12 @@ from .functionals import (
 )
 
 
-def _flatten(value, prefix: str, row: dict) -> None:
-    if isinstance(value, tuple):
-        row[prefix] = ";".join(repr(v) for v in value)
-    elif isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(v, f"{prefix}_{k}", row)
-    else:
-        row[prefix] = value
-
-
 def _as_row(obj) -> dict:
-    row: dict = {}
-    for k, v in asdict(obj).items():
-        _flatten(v, k, row)
+    """The report's fields as a flat row; tuples become ``;``-joined reprs."""
+    row = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        row[f.name] = ";".join(repr(v) for v in value) if isinstance(value, tuple) else value
     return row
 
 
@@ -101,7 +92,8 @@ class HarnackReport:
     functional_set: FunctionalSet | None = field(default=None, repr=False)
 
     def to_row(self) -> dict:
-        row = {k: v for k, v in _as_row(self).items() if not k.startswith("functional_set")}
+        row = _as_row(self)
+        del row["functional_set"]
         if self.functional_set is not None:
             for k, v in self.functional_set.to_row().items():
                 row[f"fs_{k}"] = v
@@ -113,8 +105,7 @@ def _mass_harnack(
     with_functionals: bool,
 ) -> HarnackReport:
     t0, t1 = window
-    M, l1, l2, lhs = _probe_stats(slab, center, rho, 0.0, window)
-    rhs_mass = inf_mass(slab, center, 2.0 * rho, window)
+    M, l1, l2, lhs, rhs_mass = _probe_stats(slab, center, rho, 0.0, window)
     denom = rhs_mass + rhs_time
     gamma_star = lhs / denom if denom > 0 else math.inf
     fs = None
@@ -221,7 +212,7 @@ def check_energy_lemma(
     right side with unit constants.
     """
     t0, t1 = _energy_geometry(slab, center, rho, sigma, window)
-    M, l1, l2, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1))
+    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, sigma, (t0, t1))
     lhs = log_gradient_energy(slab, Cutoff(tuple(center), rho, sigma), (t0, t1))
     lam = time_scaling_exponent(slab.grid.dim)
     mass_term = (1.0 + l1) * s_sig
@@ -261,7 +252,7 @@ def check_energy_lemma_pme(
         raise ParameterError("power energy bound needs 0 < m < 2/3")
     t0, t1 = _energy_geometry(slab, center, rho, sigma, window)
     N = slab.grid.dim
-    M, l1, l2, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1), m=m)
+    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, sigma, (t0, t1), m=m)
     lhs = power_gradient_energy(slab, Cutoff(tuple(center), rho, sigma), (t0, t1), m)
     mass_term = (1.0 + l1) * rho ** (N * m / 2.0) * s_sig ** (1.0 - m / 2.0)
     time_term = (
@@ -338,7 +329,7 @@ def check_flux_corollary(
         center = grid.center
     t0, t1 = _check_window(slab, window)
     m = float(flux.m)
-    M, l1, l2, s_sig = _probe_stats(
+    M, l1, l2, s_sig, _ = _probe_stats(
         slab, center, rho, sigma, (t0, t1), m=m if m != 0.0 else None
     )
     lhs = flux_l1(slab, flux, center, rho, (t0, t1))
@@ -408,7 +399,7 @@ def jensen_check(
 ) -> JensenCheck:
     t0, t1 = _check_window(slab, window)
     N = slab.grid.dim
-    M, l1, _, s_sig = _probe_stats(slab, center, rho, sigma, (t0, t1))
+    M, l1, _, s_sig, _ = _probe_stats(slab, center, rho, sigma, (t0, t1))
     norm_mass = s_sig / rho**N
     lhs = math.log(M / norm_mass)
     rhs = 2.0**N * l1

@@ -12,7 +12,7 @@ measured constants are expected to stay put.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -182,41 +182,34 @@ class MSweepResult:
 
     @staticmethod
     def load(directory) -> "MSweepResult":
+        """Read a sweep written by :meth:`save`.
+
+        Raises ParameterError if the manifest lacks a key, holds an entry
+        whose m is not in ``m_values``, or lists a slab file that is missing.
+        """
         directory = Path(directory)
-        man = read_json(directory / "manifest.json")
+        path = directory / "manifest.json"
+        man = read_json(path)
+        head = [f.name for f in fields(MSweepResult) if f.name not in _LOADED_APART]
+        _require(man, head + ["files", "entries"], f"sweep manifest {path}")
         result = MSweepResult(
-            m_values=tuple(man["m_values"]),
-            center=tuple(man["center"]),
-            rho=man["rho"],
-            window=tuple(man["window"]),
-            e_o_center=tuple(man["e_o_center"]),
-            e_o_edge=man["e_o_edge"],
-            q=man["q"],
-            p=man["p"],
-            r=man["r"],
-            eps=man["eps"],
-            sigma=man["sigma"],
-            horizon=man["horizon"],
-            log_gamma_star=man["log_gamma_star"],
-            log_energy_ratio=man["log_energy_ratio"],
+            **{k: tuple(man[k]) if isinstance(man[k], list) else man[k] for k in head}
         )
-        nanf = float("nan")
+        keys = [f.name for f in fields(MSweepEntry) if f.name != "functional_set"]
         for rec in man["entries"]:
-            result.entries.append(
-                MSweepEntry(
-                    m=rec["m"],
-                    ok=bool(rec["ok"]),
-                    failure=rec["failure"] or "",
-                    l1_distance=nanf if rec["l1_distance"] is None else rec["l1_distance"],
-                    gamma_star=nanf if rec["gamma_star"] is None else rec["gamma_star"],
-                    gamma_ref=nanf if rec["gamma_ref"] is None else rec["gamma_ref"],
-                    energy_ratio=nanf if rec["energy_ratio"] is None else rec["energy_ratio"],
-                    u_norm=nanf if rec["u_norm"] is None else rec["u_norm"],
-                    w_norm=nanf if rec["w_norm"] is None else rec["w_norm"],
-                    mass_floor=nanf if rec["mass_floor"] is None else rec["mass_floor"],
+            _require(rec, keys, f"an entry of sweep manifest {path}")
+            if rec["m"] not in result.m_values:
+                raise ParameterError(
+                    f"sweep manifest {path} has an entry for m = {rec['m']}, "
+                    f"which is not in m_values {result.m_values}"
                 )
-            )
+            values = {k: math.nan if rec[k] is None else rec[k] for k in keys}
+            values.update(ok=bool(rec["ok"]), failure=rec["failure"] or "")
+            result.entries.append(MSweepEntry(**values))
         files = man["files"]
+        missing = [name for name in files.values() if not (directory / name).is_file()]
+        if missing:
+            raise ParameterError(f"sweep manifest {path} lists missing slab files {missing}")
         if "logdiff" in files:
             result.log_slab = read_slab(directory / files["logdiff"])
         for i, m in enumerate(result.m_values):
@@ -224,6 +217,16 @@ class MSweepResult:
             if key in files:
                 result.pme_slabs[m] = read_slab(directory / files[key])
         return result
+
+
+# MSweepResult fields that the manifest does not hold as top-level keys
+_LOADED_APART = ("entries", "log_slab", "pme_slabs")
+
+
+def _require(record: dict, keys, where: str) -> None:
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise ParameterError(f"{where} lacks the keys {missing}")
 
 
 def _l1_distance(a: SpaceTimeSlab, b: SpaceTimeSlab, cube: Cube, window) -> float:

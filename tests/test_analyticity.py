@@ -1,7 +1,12 @@
 """Derivative tables, growth fits, intrinsic rescaling, and sup bounds."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdiff import (
     ExpSteady,
@@ -18,6 +23,7 @@ from logdiff import (
     rescale_residual,
     rescaled_sup_bounds,
 )
+from logdiff.grid import SpaceTimeSlab
 
 LUMP = Lump2D(c=1.0, T=1.0)
 
@@ -152,3 +158,109 @@ def test_analyticity_report_end_to_end(lump_slab_64):
     row = rep.to_row()
     assert row["x_o"] == "0.0;0.0"
     assert any(k.startswith("d_") for k in row)
+
+
+# --- derivative tables against the composed 1D stencils they replaced -------
+
+
+def composed_weights(order, spacing):
+    w = (order + 1) // 2
+    z = np.arange(-w, w + 1, dtype=float)
+    rhs = np.zeros(2 * w + 1)
+    rhs[order] = math.factorial(order)
+    return np.linalg.solve(np.vander(z, 2 * w + 1, increasing=True).T, rhs) / spacing**order
+
+
+def composed_table(slab, x_o, t_o, a_max, k_max):
+    """Per entry: the fit test, then one 1D stencil per axis, innermost first."""
+    grid = slab.grid
+    idx = grid.index_of(x_o)
+    k_o = slab.level_index(t_o)
+    level = slab.values[k_o]
+    spatial, time, capped = {}, {}, False
+    for alpha in itertools.product(range(a_max + 1), repeat=grid.dim):
+        if not 0 < sum(alpha) <= a_max:
+            continue
+        if not all(
+            d == 0 or (i - (d + 1) // 2 >= 0 and i + (d + 1) // 2 <= grid.npts - 1)
+            for d, i in zip(alpha, idx)
+        ):
+            capped = True
+            continue
+        out = level
+        for axis in reversed(range(grid.dim)):
+            d, i = alpha[axis], idx[axis]
+            if d == 0:
+                out = np.take(out, i, axis=axis)
+            else:
+                w = (d + 1) // 2
+                window = np.take(out, range(i - w, i + w + 1), axis=axis)
+                out = np.tensordot(window, composed_weights(d, grid.spacing), axes=([axis], [0]))
+        spatial[alpha] = float(out)
+    series = slab.values[(slice(None),) + idx]
+    for k in range(1, k_max + 1):
+        w = (k + 1) // 2
+        if k_o - w < 0 or k_o + w > slab.nlevels - 1:
+            capped = True
+            continue
+        time[k] = float(composed_weights(k, slab.dt) @ series[k_o - w : k_o + w + 1])
+    return spatial, time, capped
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_derivative_table_matches_composed_stencils(dim, data):
+    cells = data.draw(st.integers(4, {1: 40, 2: 16, 3: 8}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 7), label="levels")
+    a_max = data.draw(st.integers(1, 6), label="a_max")
+    k_max = data.draw(st.integers(0, 3), label="k_max")
+    # vertices anywhere, the grid edge included, so that tables are capped
+    idx = [data.draw(st.integers(0, cells), label=f"idx{d}") for d in range(dim)]
+    k_o = data.draw(st.integers(0, nlevels - 1), label="k_o")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    times = np.linspace(0.0, 0.5, nlevels)
+    # a smooth positive field, so that low orders do not cancel to roundoff
+    mesh = grid.meshgrid()
+    rng = np.random.default_rng(seed)
+    freq = rng.uniform(0.5, 2.0, dim)
+    values = np.stack(
+        [2.0 + t + np.cos(sum(f * x for f, x in zip(freq, mesh)) + t) for t in times]
+    )
+    slab = SpaceTimeSlab(grid, times, values)
+    x_o = tuple(float(grid.axis(d)[i]) for d, i in enumerate(idx))
+    table = derivative_table(slab, x_o, float(times[k_o]), a_max=a_max, k_max=k_max)
+    spatial, time, capped = composed_table(slab, x_o, float(times[k_o]), a_max, k_max)
+    assert table.capped == capped
+    assert list(table.spatial) == list(spatial)
+    assert list(table.time) == list(time)
+    # Per order, 1e-10 relative to the largest entry of that order (single
+    # entries may vanish by symmetry), or the roundoff of the stencil sum,
+    # ~ eps * sum|w| * max|u| / h^order with sum|w| <= 4, if that is larger.
+    umax = np.abs(values[k_o]).max()
+    for order in range(1, min(a_max, 3) + 1):
+        keys = [a for a in spatial if sum(a) == order]
+        scale = max((abs(spatial[a]) for a in keys), default=0.0)
+        tol = max(1e-10 * scale, 1e-14 * umax / grid.spacing**order)
+        for a in keys:
+            assert abs(table.spatial[a] - spatial[a]) <= tol, a
+    for k, val in time.items():
+        floor = 1e-14 * np.abs(values).max() / slab.dt**k
+        assert table.time[k] == pytest.approx(val, rel=1e-10, abs=floor), k
+
+
+# --- NaN samples reach the sup bounds and the residual ----------------------
+
+
+@pytest.mark.parametrize("level", [-1, 6])
+def test_rescaled_sup_bounds_and_residual_propagate_nan(level):
+    grid = Grid.regular(2, 2.0, 2.0 / 16)
+    times = np.linspace(-1.0, 0.0, 9)
+    values = np.ones((9,) + grid.shape)
+    values[level, 8, 9] = np.nan  # next to the center, inside K_(2 sigma)
+    v_slab = SpaceTimeSlab(grid, times, values)
+    report = rescaled_sup_bounds(v_slab, 0.5)
+    assert report.n_levels == 5  # t = -0.5 .. 0, so level 6 (t = -0.25) is inside
+    for name in ("sup_dv", "sup_vt", "v_min", "v_max", "coef_low", "coef_high"):
+        assert np.isnan(getattr(report, name)), name
+    assert np.isnan(rescale_residual(v_slab))

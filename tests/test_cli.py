@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import pytest
 
@@ -196,6 +197,28 @@ def test_exit_codes(tmp_path, run_dir, capsys):
     assert main(["verify", "l1", "--config", str(cfg3), "--out", str(tmp_path / "f")]) == 4
     err = capsys.readouterr().err
     assert f"has {len(full) - 100} bytes" in err and f"needs {len(full)}" in err
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value",
+    [
+        (9, "<d", 0.0),  # spacing
+        (9, "<d", float("nan")),
+        (9, "<d", 0.3),  # 17 nodes on edge 1 need 1/16
+        (33, "<d", -1.0),  # edge
+        (17, "<d", float("inf")),  # center
+    ],
+)
+def test_verify_rejects_corrupted_grid_header(tmp_path, run_dir, capsys, offset, fmt, value):
+    full = (run_dir / "solve" / "slab.slab").read_bytes()
+    bad = tmp_path / "bad.slab"
+    bad.write_bytes(full[:offset] + struct.pack(fmt, value) + full[offset + 8 :])
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[verify]\nslab = {bad}\n")
+    capsys.readouterr()
+    assert main(["verify", "l1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"{bad} has a corrupted grid header" in err
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -246,3 +246,63 @@ def test_kernel_window_spanning_several_chunks():
     assert 40 > functionals._CHUNK_DOUBLES // per_level > 1
     _compare_all(slab, other, (32, 32), 32, 0, 39)
     _compare_all(slab, other, (20, 40), 12, 3, 37)
+
+
+# --- the fused probe kernel against the composed public functionals ---------
+
+
+def composed_probe_stats(slab, center, rho, sigma, window, m):
+    cyl2 = Cylinder(center, 2.0 * rho, *window)
+    M = ess_sup(slab, cyl2)
+    assert ess_inf(slab, cyl2) > 0.0
+    if m is None:
+        l1, l2 = (log_oscillation(slab, cyl2, M, p) for p in (1.0, 2.0))
+    else:
+        l1, l2 = (power_oscillation(slab, cyl2, M, m / 2.0, p) for p in (1.0, 2.0))
+    return (
+        M,
+        l1,
+        l2,
+        sup_mass(slab, center, rho, sigma, window),
+        inf_mass(slab, center, 2.0 * rho, window),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_probe_stats_match_composed_functionals(dim, data):
+    cells = data.draw(st.integers(4, {1: 40, 2: 14, 3: 6}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 9), label="levels")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    # rho is an even number of cells, so K_rho snaps exactly; K_1.5rho may not
+    cells_rho = 2 * data.draw(st.integers(1, cells // 4), label="rho/2")
+    center_idx = [
+        data.draw(st.integers(cells_rho, cells - cells_rho), label=f"center{d}")
+        for d in range(dim)
+    ]
+    k0 = data.draw(st.integers(0, nlevels - 1), label="k0")
+    k1 = data.draw(st.integers(k0, nlevels - 1), label="k1")
+    slab = _slab(dim, cells, nlevels, seed)
+    grid = slab.grid
+    center = tuple(float(grid.axis(d)[i]) for d, i in enumerate(center_idx))
+    rho = cells_rho * grid.spacing
+    window = (float(slab.times[k0]) - 1e-3, float(slab.times[k1]))
+    for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
+            for m in (None, 0.2):
+                for sigma in (0.0, 0.5):
+                    got = functionals._probe_stats(slab, center, rho, sigma, window, m=m)
+                    want = composed_probe_stats(slab, center, rho, sigma, window, m)
+                    assert got == pytest.approx(want, rel=REL), (budget, m, sigma)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_probe_stats_reject_bad_values(bad):
+    slab = _slab(2, 16, 5, seed=7)
+    values = slab.values.copy()
+    values[3, 9, 7] = bad  # inside K_2rho x window for the probe below
+    slab = SpaceTimeSlab(slab.grid, slab.times, values)
+    with pytest.raises(functionals.ParameterError, match="finite and positive"):
+        functionals._probe_stats(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))
+    with pytest.raises(functionals.ParameterError, match="sigma"):
+        functionals._probe_stats(_slab(2, 16, 5, seed=7), (0.0, 0.0), 0.25, 1.0, (0.0, 1.0))

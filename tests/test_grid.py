@@ -1,5 +1,7 @@
 """Grid, cube, cutoff, calculus helper, and serialization behavior."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,40 @@ def test_read_field_rejects_truncated_and_padded_files(tmp_path):
         msg = str(err.value)
         assert f"has {len(data)} bytes" in msg
         assert f"needs {expected}" in msg if expected else "at least" in msg
+
+
+# Header fields written after the 4-byte magic: dim (B), nodes per axis (i),
+# spacing (d), center (dim x d), edge (d).  Offsets below are for dim = 2.
+_HEADER = {"nodes": (5, "<i"), "spacing": (9, "<d"), "center": (17, "<d"), "edge": (33, "<d")}
+CORRUPT_HEADERS = {
+    "spacing-zero": ("spacing", 0.0),
+    "spacing-negative": ("spacing", -0.125),
+    "spacing-nan": ("spacing", float("nan")),
+    "spacing-off-grid": ("spacing", 0.3),  # 9 nodes on edge 1 need 0.125
+    "edge-nan": ("edge", float("nan")),
+    "edge-negative": ("edge", -1.0),
+    "center-inf": ("center", float("inf")),
+    "nodes": ("nodes", 10),
+}
+
+
+def corrupt_header(data: bytes, name: str) -> bytes:
+    field, value = CORRUPT_HEADERS[name]
+    offset, fmt = _HEADER[field]
+    return data[:offset] + struct.pack(fmt, value) + data[offset + struct.calcsize(fmt) :]
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPT_HEADERS))
+def test_read_rejects_corrupted_grid_headers(tmp_path, name):
+    g = Grid.regular(2, 1.0, 1.0 / 8)
+    write_slab(SpaceTimeSlab(g, [0.0, 0.5], np.ones((2,) + g.shape)), tmp_path / "s.slab")
+    write_field(Field(g, np.ones(g.shape)), tmp_path / "f.field")
+    for path, read in ((tmp_path / "s.slab", read_slab), (tmp_path / "f.field", read_field)):
+        bad = tmp_path / f"{name}{path.suffix}"
+        bad.write_bytes(corrupt_header(path.read_bytes(), name))
+        with pytest.raises(ParameterError, match="corrupted grid header") as err:
+            read(bad)
+        assert str(bad) in str(err.value)
 
 
 def test_read_rejects_wrong_magic(tmp_path):

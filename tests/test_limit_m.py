@@ -1,5 +1,7 @@
 """Power-to-log limit machinery: sweeps, norms, verdicts, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,26 @@ def test_sweep_save_load_roundtrip(tmp_path, sweep):
     assert np.array_equal(back.log_slab.values, sweep.log_slab.values)
     for m in sweep.m_values:
         assert np.array_equal(back.pme_slabs[m].values, sweep.pme_slabs[m].values)
+
+
+def test_sweep_load_rejects_inconsistent_manifests(tmp_path, sweep):
+    out = tmp_path / "sweepdir"
+    sweep.save(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+
+    def load_with(change):
+        man = json.loads(json.dumps(manifest))
+        change(man)
+        (out / "manifest.json").write_text(json.dumps(man))
+        with pytest.raises(ParameterError) as err:
+            MSweepResult.load(out)
+        return str(err.value)
+
+    assert "'rho'" in load_with(lambda man: man.pop("rho"))
+    assert "'files'" in load_with(lambda man: man.pop("files"))
+    assert "'gamma_star'" in load_with(lambda man: man["entries"][0].pop("gamma_star"))
+    assert "m = 0.3" in load_with(lambda man: man["entries"][1].update(m=0.3))
+    assert "gone.slab" in load_with(lambda man: man["files"].update(pme_0="gone.slab"))
 
 
 def test_sweep_failure_slot_is_kept():
