@@ -33,6 +33,11 @@ from .errors import GeometryError, ParameterError
 _SNAP_TOL = 1e-9
 
 
+def _point_str(point) -> str:
+    """A point for an error message, six significant digits per coordinate."""
+    return "(" + ", ".join(f"{float(c):.6g}" for c in point) + ")"
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on a cube of edge ``edge`` centered at ``center``.
@@ -96,7 +101,7 @@ class Grid:
             j = (point[d] - lo) / self.spacing
             jr = int(round(j))
             if jr < 0 or jr >= self.npts or abs(j - jr) > 1e-6:
-                raise GeometryError(f"point {point} is not a grid node")
+                raise GeometryError(f"point {_point_str(point)} is not a grid node")
             idx.append(jr)
         return tuple(idx)
 
@@ -122,7 +127,8 @@ class Grid:
             a1 = self.center[d] + self.edge / 2
             if lo < a0 - tol or hi > a1 + tol:
                 raise GeometryError(
-                    f"cube edge {cube.edge} at {cube.center} exceeds grid bounds on axis {d}"
+                    f"cube edge {cube.edge:.6g} at {_point_str(cube.center)} "
+                    f"exceeds grid bounds on axis {d}"
                 )
             i0 = int(round((lo - a0) / self.spacing))
             i1 = int(round((hi - a0) / self.spacing))
@@ -254,9 +260,9 @@ class SpaceTimeSlab:
         """Index of the stored level nearest to ``t`` (must be within dt/2)."""
         k = int(round((t - self.times[0]) / self.dt))
         if k < 0 or k >= self.nlevels:
-            raise GeometryError(f"time {t} outside slab range")
+            raise GeometryError(f"time {t:.6g} outside slab range")
         if abs(self.times[k] - t) > 0.51 * self.dt:
-            raise GeometryError(f"time {t} does not match a stored level")
+            raise GeometryError(f"time {t:.6g} does not match a stored level")
         return k
 
     def window_indices(self, t_start: float, t_end: float) -> np.ndarray:
@@ -264,7 +270,7 @@ class SpaceTimeSlab:
         idx = np.nonzero((self.times >= t_start - tol) & (self.times <= t_end + tol))[0]
         if idx.size == 0:
             raise GeometryError(
-                f"window ({t_start}, {t_end}] contains no stored levels"
+                f"window ({t_start:.6g}, {t_end:.6g}] contains no stored levels"
             )
         return idx
 

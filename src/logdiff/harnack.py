@@ -25,6 +25,7 @@ from .grid import (
     Cylinder,
     Grid,
     SpaceTimeSlab,
+    _point_str,
     integrate,
     laplacian,
 )
@@ -59,8 +60,8 @@ def _check_window(slab: SpaceTimeSlab, window) -> tuple[float, float]:
     tol = 1e-9 * max(1.0, abs(float(slab.times[-1])))
     if t0 < slab.times[0] - tol or t1 > slab.times[-1] + tol:
         raise GeometryError(
-            f"window ({t0}, {t1}] leaves the slab range "
-            f"[{slab.times[0]}, {slab.times[-1]}]"
+            f"window ({t0:.6g}, {t1:.6g}] leaves the slab range "
+            f"[{slab.times[0]:.6g}, {slab.times[-1]:.6g}]"
         )
     if not t0 < t1:
         raise ParameterError("window must satisfy t_start < t_end")
@@ -511,7 +512,10 @@ def check_pointwise_harnack(
     t_o = float(slab.times[k_o])
     vertex_field = slab.level(k_o)
     theta = intrinsic_scale(vertex_field, x_o, rho, q, eps)
-    bad_u = f"u must be finite and positive near the vertex {x_o}, t_o {t_o}, rho {rho}"
+    bad_u = (
+        f"u must be finite and positive near the vertex {_point_str(x_o)}, "
+        f"t_o {t_o:.6g}, rho {rho:.6g}"
+    )
     if not math.isfinite(theta):
         raise ParameterError(bad_u)
     if theta <= 0.0:
@@ -527,7 +531,7 @@ def check_pointwise_harnack(
     tol = 1e-9 * max(1.0, abs(float(slab.times[-1])))
     if t_lo < slab.times[0] - tol:
         raise GeometryError(
-            f"intrinsic window depth {depth} reaches below the slab start"
+            f"intrinsic window depth {depth:.6g} reaches below the slab start"
         )
     big = Cylinder(x_o, 8.0 * rho, t_lo, t_o)
     M = ess_sup(slab, big)

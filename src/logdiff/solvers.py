@@ -35,9 +35,21 @@ iterations from zero.  For log and pme, ``W J = (diag(W/b') + C) diag(b')`` with
 ``C = dt D^T diag(w) D / h^2`` exactly symmetric: Jacobi-PCG finds ``b' delta``.
 The flux form uses Jacobi-preconditioned BiCGSTAB.  Both stop once
 ``max|W (J delta + r)| <= 0.01 newton_tol min W`` (BiCGSTAB: ``|J delta + r|_2``,
-a bound as ``W <= 1``) or after as many iterations as unknowns (a cap hit); the
-damped line search guards the result.  Under Neumann ``W^T J = W^T``, so the
-constant restoring ``W^T delta = -W^T r`` is added to each correction.
+a bound as ``W <= 1``) or at a cap of ``n`` (PCG) or ``2 n + 20`` (BiCGSTAB)
+iterations for ``n`` unknowns (a cap hit); the damped line search guards the
+result.  Under Neumann ``W^T J = W^T``, so the constant restoring
+``W^T delta = -W^T r`` is added to each correction.
+
+Newton for step k starts on the unknowns from the polynomial through the
+last ``min(k + 1, 3)`` levels, extrapolated to the new time: ``u_k``, then
+``2 u_k - u_(k-1)``, then ``3 u_k - 3 u_(k-1) + u_(k-2)``.  The coefficients
+sum to one, so under Neumann the guess keeps the trapezoid mass, and the
+guess is linear in the levels, so the time and space scaling symmetries hold
+step by step.  Only the start changes: every step still solves its
+backward-Euler system to ``newton_tol``.  Where the guess falls below the
+positivity floor, that node starts from ``u_k`` instead, counted in
+``predictor_fallbacks``; the Neumann correction above restores the mass of
+such a start.
 
 Positivity is maintained by a floor (default ``1e-10 * max(initial)``); every
 clipped entry is counted, and a step whose clipped fraction exceeds
@@ -119,6 +131,11 @@ def _check_horizon(horizon: float, dt: float) -> int:
     if n < 1 or abs(nsteps - n) > 1e-8 * max(1.0, nsteps):
         raise ParameterError(f"horizon {horizon} is not an integer multiple of dt {dt}")
     return n
+
+
+# coefficients of the polynomial through the last 1, 2, 3 levels at the next
+# time, newest level first; each row sums to 1
+_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
 def _damped_newton(x0, residual_fn, correction_fn, floor, config, t, stats):
@@ -311,7 +328,8 @@ class _FluxOperator:
             J = eye - dt * (self.div @ dphi)
             M, done = sp.diags(1.0 / J.diagonal()), []  # done: full iterations
             delta, info = bicgstab(
-                J, -r, rtol=0.0, atol=atol, maxiter=r.size, M=M, callback=done.append
+                J, -r, rtol=0.0, atol=atol, maxiter=2 * r.size + 20, M=M,
+                callback=done.append,
             )
             return delta, len(done), info == 0
 
@@ -367,15 +385,21 @@ def _march(
     levels = np.empty((nsteps + 1,) + grid.shape)
     levels[0] = initial.values
     stats = {"newton_iters": 0, "linear_iters": 0, "linear_cap_hits": 0,
-             "floor_triggers": 0, "max_floor_fraction": 0.0}
+             "floor_triggers": 0, "max_floor_fraction": 0.0, "predictor_fallbacks": 0}
 
     u = initial.values.ravel().copy()
+    history = levels.reshape(nsteps + 1, -1)
     for k in range(nsteps):
         t = float(times[k + 1])
         op.step(t)
         if not neumann:
             u[known] = np.maximum(boundary(pts_known, t), floor)
         prev = u[rows]
+        coefs = _EXTRAPOLATION[min(k, 2)]
+        guess = sum(c * history[k - j, rows] for j, c in enumerate(coefs))
+        low = (guess < floor) & (prev >= floor)  # initial data may lie below it
+        stats["predictor_fallbacks"] += int(low.sum())
+        guess[low] = prev[low]
 
         def residual_fn(x):
             u[rows] = x
@@ -390,7 +414,7 @@ def _march(
                 delta -= faces.W @ (r + delta) / faces.W.sum()
             return delta
 
-        u[rows] = _damped_newton(prev, residual_fn, correction_fn, floor, config, t, stats)
+        u[rows] = _damped_newton(guess, residual_fn, correction_fn, floor, config, t, stats)
         levels[k + 1] = u.reshape(grid.shape)
 
     warnings = []

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import struct
 
 import pytest
@@ -134,6 +135,21 @@ def test_verify_pointwise_records_probe_errors(run_dir):
     rows = read_rows(out / "report.csv")
     assert len(rows) == 5
     assert all(set(r) == set(rows[0]) for r in rows)
+
+
+def test_verify_error_cells_round_floats_to_six_digits(run_dir):
+    # full-precision floats would make report.csv bytes hang on roundoff
+    out = run_dir / "pw-digits"
+    assert main([
+        "verify", "pointwise", "--config", str(run_dir / "run.ini"),
+        "--out", str(out), "--seed", "1",
+    ]) == 0
+    errors = [r["error"] for r in read_rows(out / "report.csv") if r["error"]]
+    floats = [f for e in errors for f in re.findall(r"\d+\.\d+(?:e[-+]?\d+)?", e)]
+    assert floats  # the depth messages embed the window depth
+    for f in floats:
+        mantissa = f.split("e")[0].replace(".", "").lstrip("0")
+        assert len(mantissa) <= 6, f
 
 
 def test_msweep_cli(tmp_path):
