@@ -32,13 +32,29 @@ conserves the trapezoid mass per step up to the Newton residual.
 
 Newton corrections solve ``J delta = -r`` (``J = I - dt dOp/du``) by Krylov
 iterations from zero.  For log and pme, ``W J = (diag(W/b') + C) diag(b')`` with
-``C = dt D^T diag(w) D / h^2`` exactly symmetric: Jacobi-PCG finds ``b' delta``.
-The flux form uses Jacobi-preconditioned BiCGSTAB.  Both stop once
-``max|W (J delta + r)| <= 0.01 newton_tol min W`` (BiCGSTAB: ``|J delta + r|_2``,
-a bound as ``W <= 1``) or at a cap of ``n`` (PCG) or ``2 n + 20`` (BiCGSTAB)
-iterations for ``n`` unknowns (a cap hit); the damped line search guards the
-result.  Under Neumann ``W^T J = W^T``, so the constant restoring
-``W^T delta = -W^T r`` is added to each correction.
+``C = dt D^T diag(w) D / h^2`` exactly symmetric: PCG finds ``b' delta``.  The
+flux form runs BiCGSTAB (right-preconditioned) on ``W J delta = -W r``.  Both
+loops stop by one rule, ``max|W (J delta + r)| <= 0.01 newton_tol min W``, or
+at a cap of ``n`` (PCG) or ``2 n + 20`` (BiCGSTAB) iterations for ``n``
+unknowns (a cap hit); a BiCGSTAB breakdown returns its iterate as not
+converged.  The damped line search guards the result.  Under Neumann
+``W^T J = W^T``, so the constant restoring ``W^T delta = -W^T r`` is added to
+each correction.
+
+Both loops are preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with
+``C_a`` the axis-``a`` part of ``C``.  One orthonormal DST-I (Dirichlet) or
+DCT-I (Neumann, after scaling by ``W^(1/2)``) matrix per axis diagonalises
+``W`` and every ``C_a`` together (fast diagonalisation, Lynch, Rice & Thomas
+1964), so applying ``P^-1`` is a transform along each axis, a division by
+``s + sum_a c_a lam_a`` and the transform back; the matrix depends only on
+the grid and dt and is built once per solve.  PCG takes ``c_a = 1`` and
+``s = sqrt(min d max d)`` for ``d = 1/b'``, so its condition number is at most
+``(max d + lam_min)/(min d + lam_min)`` for the least eigenvalue ``lam_min``
+of ``C`` against ``W``, whatever dt/h^2 is.  BiCGSTAB freezes the flux
+coefficient ``k = u^(m-1)`` (``1/u`` at ``m = 0``) into the unknown,
+``W J delta ~ (diag(W/k) + sum_a a_a C_a)(k delta)``, and preconditions by
+``x -> P^-1 x / k`` with ``s`` from ``d = 1/k`` and ``c_a`` the mean of ``a_a``
+over the faces of axis ``a``.
 
 Newton for step k starts on the unknowns from the polynomial through the
 last ``min(k + 1, 3)`` levels, extrapolated to the new time: ``u_k``, then
@@ -64,7 +80,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import bicgstab
 
 from .errors import ParameterError, SolverError
 from .grid import Field, Grid, SpaceTimeSlab, _trapezoid_weights, interior_slices
@@ -174,11 +189,11 @@ def _damped_newton(x0, residual_fn, correction_fn, floor, config, t, stats):
     )
 
 
-def _pcg(A, b, inv_diag, atol, cap):
-    """Jacobi-preconditioned CG for SPD ``A y = b`` from zero, until
+def _pcg(A, b, precond, atol, cap):
+    """Preconditioned CG for SPD ``A y = b`` from zero, until
     ``max|b - A y| <= atol`` or ``cap`` iterations: ``(y, iterations, converged)``."""
     y, res = np.zeros_like(b), b.copy()
-    p = z = inv_diag * res
+    p = z = precond(res)
     rz = res @ z
     for it in range(cap + 1):
         if (converged := bool(np.abs(res).max() <= atol)) or it == cap:
@@ -187,9 +202,51 @@ def _pcg(A, b, inv_diag, atol, cap):
         alpha = rz / (p @ Ap)
         y += alpha * p
         res -= alpha * Ap
-        z = inv_diag * res
+        z = precond(res)
         rz, rz_old = res @ z, rz
         p = z + (rz / rz_old) * p
+
+
+def _bicgstab(A, b, precond, atol, cap):
+    """Right-preconditioned BiCGSTAB for ``A x = b`` from zero, with the stopping
+    rule and return value of :func:`_pcg`.  A breakdown (``rho``, ``rhat.v`` or
+    ``t.t`` zero or not finite) returns the current iterate, not converged."""
+    x, res = np.zeros_like(b), b.copy()
+    rhat, p, v = res.copy(), np.zeros_like(b), np.zeros_like(b)
+    rho = alpha = omega = 1.0
+    for it in range(cap + 1):
+        if (converged := bool(np.abs(res).max() <= atol)) or it == cap:
+            return x, it, converged
+        rho, rho_old = rhat @ res, rho
+        if rho == 0.0 or not np.isfinite(rho):
+            return x, it, False
+        p = res + (rho / rho_old) * (alpha / omega) * (p - omega * v)
+        phat = precond(p)
+        v = A @ phat
+        rv = rhat @ v
+        if rv == 0.0 or not np.isfinite(rv):
+            return x, it, False
+        alpha = rho / rv
+        x += alpha * phat
+        res -= alpha * v
+        if np.abs(res).max() <= atol:
+            return x, it + 1, True
+        shat = precond(res)
+        t = A @ shat
+        tt = t @ t
+        if tt == 0.0 or not np.isfinite(tt):
+            return x, it + 1, False
+        omega = (t @ res) / tt
+        if omega == 0.0:  # res is orthogonal to t: a later beta would divide by it
+            return x, it + 1, False
+        x += omega * shat
+        res -= omega * t
+
+
+def _geometric_mid(d: np.ndarray) -> float:
+    """``sqrt(min d * max d)``: the mass shift ``s`` of the preconditioner, which
+    bounds ``d/s`` within ``[sqrt(min d/max d), sqrt(max d/min d)]``."""
+    return float(np.sqrt(d.min() * d.max()))
 
 
 def _tensor(factors) -> np.ndarray:
@@ -235,6 +292,46 @@ class _Faces:
         return sp.csr_matrix(D.T @ sp.diags(self.w / self.grid.spacing**2) @ D)
 
 
+class _Spectral:
+    """``P^-1`` for ``P = s W + sum_a c_a C_a`` on the unknowns of ``_march``
+    (module docstring).  ``Q`` is the orthonormal DST-I on the interior nodes
+    (Dirichlet) or DCT-I on every node (Neumann), symmetric and its own
+    inverse; ``lam_j = (dt/h^2)(2 - 2 cos(pi j / N))`` for ``N`` cells."""
+
+    def __init__(self, faces: _Faces, rows: np.ndarray, dt: float):
+        grid = faces.grid
+        cells, neumann = grid.npts - 1, rows.size == faces.W.size
+        j = np.arange(cells + 1) if neumann else np.arange(1, cells)
+        angle = np.pi * np.outer(j, j) / cells
+        if neumann:
+            ends = np.where((j == 0) | (j == cells), np.sqrt(0.5), 1.0)
+            self.Q = np.sqrt(2.0 / cells) * ends[:, None] * np.cos(angle) * ends
+        else:
+            self.Q = np.sqrt(2.0 / cells) * np.sin(angle)
+        self.lam = dt / grid.spacing**2 * (2.0 - 2.0 * np.cos(np.pi * j / cells))
+        self.inv_root_w = 1.0 / np.sqrt(faces.W[rows])
+        self.dim = grid.dim
+
+    def _transform(self, x: np.ndarray) -> np.ndarray:
+        """``Q`` applied along every axis of the flat node array ``x``: the last
+        axis by one matmul, each earlier one as a stack of ``Q @`` blocks."""
+        Q, m = self.Q, self.Q.shape[0]
+        x = x.reshape(-1, m) @ Q
+        for later in range(1, self.dim):
+            x = Q @ x.reshape(-1, m, m**later)
+        return x.ravel()
+
+    def inverse(self, s: float, c):
+        """``x -> P^-1 x`` for ``s > 0`` and one ``c_a > 0`` per axis."""
+        denom = s + reduce(np.add.outer, [c_a * self.lam for c_a in c]).ravel()
+        scale = self.inv_root_w
+
+        def apply(x):
+            return scale * self._transform(self._transform(scale * x) / denom)
+
+        return apply
+
+
 # Operators: ``step(t)`` once per level, then ``apply(u)`` (Op on ``rows``, u on every
 # node) and ``newton_solver(dt, atol)`` -> ``solve(u, r) -> (delta, iters, converged)``.
 
@@ -259,11 +356,14 @@ class _BetaOperator:
         A = (C + sp.identity(n)).tocsr()  # stores every diagonal entry
         diag_at = np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
         c_diag = C.diagonal()
+        spectral = _Spectral(self.faces, self.rows, dt)
+        unit = np.ones(self.faces.grid.dim)
 
         def solve(u, r):
             bp = self.beta_prime(u[self.rows])
-            A.data[diag_at] = diag = c_diag + W / bp
-            y, iters, converged = _pcg(A, -W * r, 1.0 / diag, atol, n)
+            A.data[diag_at] = c_diag + W / bp
+            precond = spectral.inverse(_geometric_mid(1.0 / bp), unit)
+            y, iters, converged = _pcg(A, -W * r, precond, atol, n)
             return y / bp, iters, converged
 
         return solve
@@ -304,10 +404,14 @@ class _FluxOperator:
             per_axis.append(vals)
         self.a = np.concatenate(per_axis)
 
+    def _coefficient(self, u: np.ndarray) -> np.ndarray:
+        """``k = u^(m-1)``; ``m = 0`` gives the log coefficient ``1/u``."""
+        m = self.flux.m
+        return u ** (m - 1.0) if m != 0.0 else 1.0 / u
+
     def _face_terms(self, u: np.ndarray):
         """``a_d * d_face`` and ``du`` on every face."""
-        m = self.flux.m
-        d = u ** (m - 1.0) if m != 0.0 else 1.0 / u  # m = 0: the log coefficient
+        d = self._coefficient(u)
         left, right = self.faces.left, self.faces.right
         return self.a * 0.5 * (d[left] + d[right]), u[right] - u[left]
 
@@ -316,22 +420,25 @@ class _FluxOperator:
         return self.div @ (coef * du)
 
     def newton_solver(self, dt: float, atol: float):
-        """Jacobi-preconditioned BiCGSTAB on ``J delta = -r``."""
-        m, f, pattern = self.flux.m, self.jac_face, self.D_u
-        eye = sp.identity(self.rows.size, format="csr")
+        """BiCGSTAB on ``W J delta = -W r``, preconditioned by ``x -> P^-1 x / k``."""
+        m, f, pattern, rows = self.flux.m, self.jac_face, self.D_u, self.rows
+        W = self.faces.W[rows]
+        w_diag = sp.diags(W)
+        w_div = w_diag @ self.div
+        spectral = _Spectral(self.faces, rows, dt)
 
         def solve(u, r):
             coef, du = self._face_terms(u)
             dprime = ((m - 1.0) * u ** (m - 2.0))[self.jac_node]
             data = pattern.data * coef[f] + 0.5 * self.a[f] * du[f] * dprime
             dphi = sp.csr_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
-            J = eye - dt * (self.div @ dphi)
-            M, done = sp.diags(1.0 / J.diagonal()), []  # done: full iterations
-            delta, info = bicgstab(
-                J, -r, rtol=0.0, atol=atol, maxiter=2 * r.size + 20, M=M,
-                callback=done.append,
+            k = self._coefficient(u[rows])
+            c = self.a.reshape(self.faces.grid.dim, -1).mean(axis=1)
+            inverse = spectral.inverse(_geometric_mid(1.0 / k), c)
+            return _bicgstab(
+                w_diag - dt * (w_div @ dphi), -W * r, lambda x: inverse(x) / k,
+                atol, 2 * r.size + 20,
             )
-            return delta, len(done), info == 0
 
         return solve
 

@@ -1,6 +1,11 @@
 """Implicit solver behavior: fixed points, positivity, convergence, delegation,
-zero-flux conservation, Krylov Newton steps against a direct-solve reference."""
+zero-flux conservation, Krylov Newton steps against a direct-solve reference,
+the spectral preconditioner against a dense solve."""
 
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +37,14 @@ from logdiff import (
     solve_quasilinear,
 )
 from logdiff import solvers
-from logdiff.solvers import _KINDS, _BetaOperator, _Faces, _FluxOperator
+from logdiff.solvers import (
+    _KINDS,
+    _BetaOperator,
+    _bicgstab,
+    _Faces,
+    _FluxOperator,
+    _Spectral,
+)
 
 from conftest import lump_grid
 
@@ -190,7 +202,7 @@ def test_slab_meta_records_run(lump_slab_32):
     assert lump_slab_32.dt == pytest.approx(16.0 / 32**2)
     # deterministic counters, so reruns stay byte-identical
     assert meta["newton_iters"] == 34
-    assert meta["linear_iters"] == 802
+    assert meta["linear_iters"] == 187
     assert meta["linear_cap_hits"] == 0
 
 
@@ -353,6 +365,98 @@ def test_bicgstab_cap_leaves_room_on_tiny_neumann_systems():
     initial = Field(grid, 1.5 + r.reshape(grid.shape))
     slab = solve_quasilinear(initial, flux, config, 4 * dt)
     assert slab.meta["linear_cap_hits"] == 0
+
+
+def _axis_stiffness(faces, rows, axis):
+    """The faces of one axis in ``_Faces.stiffness(rows)``."""
+    per_axis = faces.left.size // faces.grid.dim
+    block = slice(axis * per_axis, (axis + 1) * per_axis)
+    D = faces.D[block][:, rows]
+    return (D.T @ sp.diags(faces.w[block] / faces.grid.spacing**2) @ D).toarray()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    cells=st.integers(2, 6),
+    boundary=st.sampled_from(["dirichlet-from-oracle", "neumann-zero-flux"]),
+    dt_h2=st.floats(0.1, 16.0),
+    s=st.floats(0.5, 50.0),
+    data=st.data(),
+)
+def test_spectral_preconditioner_is_exact(dim, cells, boundary, dt_h2, s, data):
+    # these ranges keep cond(P) below about 1e4, so that the dense solve is
+    # itself good to 1e-12; both sides are backward stable to about 1e-15
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    faces = _Faces(grid)
+    rows = _unknowns(faces, boundary)
+    dt = dt_h2 * grid.spacing**2
+    spectral = _Spectral(faces, rows, dt)
+    Q = spectral.Q
+    assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-14
+
+    parts = [_axis_stiffness(faces, rows, axis) for axis in range(dim)]
+    assert np.allclose(sum(parts), faces.stiffness(rows).toarray(), rtol=1e-14, atol=0)
+    c = data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
+    P = s * np.diag(faces.W[rows]) + dt * sum(c_a * K for c_a, K in zip(c, parts))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, rows.size)
+    want = np.linalg.solve(P, x)
+    got = spectral.inverse(s, c)(x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _flat_zero_initial():
+    """ROADMAP E data: ``exp(-(|x|^2 + 0.05^2)^(-1/2))``, range 1.2e8 on the grid."""
+    grid = lump_grid(64)
+    r2 = (grid.points() ** 2).sum(axis=-1)
+    return Field(grid, np.exp(-((r2 + 0.05**2) ** -0.5)))
+
+
+@pytest.mark.parametrize(
+    "flux",
+    [
+        QuasilinearFlux("log-diffusion"),
+        QuasilinearFlux("pme", m=0.3),
+        QuasilinearFlux("diagonal-perturbed", m=0.3, a=(1.0, 0.7), c_o=0.7),
+    ],
+    ids=lambda flux: flux.kind,
+)
+def test_krylov_steps_stay_few_on_flat_zeros(flux):
+    initial = _flat_zero_initial()
+    config = SolverConfig(dt=16 * initial.grid.spacing**2, boundary="neumann-zero-flux")
+    meta = solve_quasilinear(initial, flux, config, 8 * config.dt).meta
+    assert meta["linear_cap_hits"] == 0
+    assert meta["linear_iters"] <= 12 * meta["newton_iters"]
+
+
+def test_bicgstab_breakdown_returns_the_finite_iterate():
+    # rhat.v = 0 at the first step: (1, 0) . A (1, 0) = 0
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x, iters, converged = _bicgstab(swap, np.array([1.0, 0.0]), lambda v: v, 1e-12, 10)
+    assert not converged
+    assert iters < 10
+    assert np.isfinite(x).all()
+
+
+def test_bicgstab_returns_at_once_within_atol():
+    A = sp.identity(3, format="csr")
+    b = np.array([1e-13, -2e-13, 0.0])
+    x, iters, converged = _bicgstab(A, b, lambda v: v, 1e-12, 10)
+    assert (iters, converged) == (0, True)
+    assert not x.any()
+
+
+def test_importing_the_cli_loads_no_sparse_linalg():
+    code = "import sys, logdiff.cli; print('scipy.sparse.linalg' in sys.modules)"
+    src = str(Path(solvers.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _direct_newton_solver(self, dt, atol):
