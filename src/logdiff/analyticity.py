@@ -83,9 +83,6 @@ class DerivativeTable:
     time: dict = field(default_factory=dict)
     capped: bool = False
 
-    def order_entries(self, total: int) -> dict:
-        return {a: v for a, v in self.spatial.items() if sum(a) == total}
-
 
 def derivative_table(
     slab: SpaceTimeSlab, x_o, t_o: float, a_max: int = 6, k_max: int = 3
@@ -219,7 +216,6 @@ def intrinsic_rescale(
     rho: float,
     eps: float = 0.1,
     q: float = 2.0,
-    min_levels: int = 3,
     f_star: float | None = None,
 ) -> SpaceTimeSlab:
     """Change variables to the unit solution v on the edge-2 cube.
@@ -228,7 +224,7 @@ def intrinsic_rescale(
     ``h/rho`` (exact node reuse; rho must be a whole number of cells), with
     times ``(t - t_o)/(u_c rho^2)`` for the stored levels inside the
     intrinsic window ``(t_o - theta rho^2/16, t_o]``.  When the window holds
-    fewer than ``min_levels`` levels, earlier levels pad it (count recorded
+    fewer than three levels, earlier levels pad it (count recorded
     as meta ``n_padded``); the equation holds on the padded range too, only
     the sandwich bound is specific to the window.
 
@@ -251,7 +247,7 @@ def intrinsic_rescale(
     t_lo = t_o - theta * rho**2 / 16.0
     tol = 1e-9 * max(1.0, abs(float(slab.times[-1])))
     inside = [k for k in range(k_hi + 1) if slab.times[k] > t_lo + tol]
-    n_padded = max(0, min_levels - len(inside)) if min_levels > 1 else 0
+    n_padded = max(0, 3 - len(inside))
     k_lo = (inside[0] if inside else k_hi) - n_padded
     if k_lo < 0:
         raise GeometryError("slab holds too few levels below the vertex time")

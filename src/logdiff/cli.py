@@ -310,8 +310,7 @@ def cmd_verify(args) -> int:
     )
     report_cls, _, check = _VERIFY[kind]
     probes = _verify_probes(cfg, slab, kind, args.seed)
-    columns = [f.name for f in dc_fields(report_cls) if f.name != "functional_set"]
-    columns += ["probe", "error"]
+    columns = [f.name for f in dc_fields(report_cls)] + ["probe", "error"]
     rows = []
     for index, (center, rho, t0, t1) in enumerate(probes):
         row = dict.fromkeys(columns)

@@ -19,9 +19,10 @@ The checkers' per-probe statistics come from :func:`_probe_stats`, which
 walks the chunks of ``K_2rho x window`` twice.  The first pass takes the max
 and min of the views (the sup ``M`` and the positivity check).  The second
 evaluates the oscillation integrand once per chunk and integrates it, its
-square, u, and u on the nested ``K_(1+sigma)rho`` (a slice of the same chunk,
-since both cubes snap around one center), so one probe reads its cylinder
-twice instead of six times.
+p-th power (the square unless a checker asks for another p), u, and u on
+the nested ``K_(1+sigma)rho`` (a slice of the same chunk, since both cubes
+snap around one center), so one probe reads its cylinder twice instead of
+six times.
 
 Two families of oscillation functionals appear.  The logarithmic one is the
 sup over time levels of the p-mean of ``|ln(u/M)|`` over a cube.  The power
@@ -45,6 +46,7 @@ from .grid import (
     Cylinder,
     Field,
     SpaceTimeSlab,
+    _point_str,
     _trapezoid,
     average,
     cube_volume,
@@ -151,20 +153,19 @@ def power_oscillation(
     return _oscillation(slab, cyl, p, lambda u: (1.0 - (u / M) ** m) / m, normalized)
 
 
-def intrinsic_scale(field: Field, center, edge: float, q: float, eps: float) -> float:
-    """``eps * (mean over the cube of u^q)^(1/q)``: the time-scaling factor."""
-    if q <= 0 or eps <= 0:
-        raise ParameterError("q and eps must be positive")
-    cube = Cube(tuple(center), edge)
-    return eps * average(field.values**q, field.grid, cube) ** (1.0 / q)
+def _check_m(m: float) -> None:
+    if not 0.0 <= m < 1.0:
+        raise ParameterError(f"m must lie in [0, 1), got {m:.6g}")
 
 
-def intrinsic_scale_pme(
-    field: Field, center, edge: float, q: float, eps: float, m: float
+def intrinsic_scale(
+    field: Field, center, edge: float, q: float, eps: float, m: float = 0.0
 ) -> float:
-    """Power-flux variant: the mean is raised to ``(1 - m)/q``."""
-    if not 0 < m < 1:
-        raise ParameterError("m must be in (0, 1)")
+    """``eps * (mean over the cube of u^q)^((1 - m)/q)``: the time-scaling factor.
+
+    ``m = 0`` is the logarithmic case, ``0 < m < 1`` the power-flux one.
+    """
+    _check_m(m)
     if q <= 0 or eps <= 0:
         raise ParameterError("q and eps must be positive")
     cube = Cube(tuple(center), edge)
@@ -172,27 +173,14 @@ def intrinsic_scale_pme(
 
 
 def degeneracy_ratio(
-    field: Field, center, edge: float, q: float, M: float, r: float
+    field: Field, center, edge: float, q: float, M: float, r: float, m: float = 0.0
 ) -> float:
     """Normalized mass indicator in (0, 1]; equals 1 iff ``u == M`` on the cube.
 
-    ``(mean (u/M)^q)^((1/q) * 2/(2r - N))`` with ``2r - N > 0``.
+    ``(mean (u/M)^q)^((1/q) * 2/(N(m-1) + 2r))`` with ``N(m-1) + 2r > 0``;
+    ``m = 0`` gives the logarithmic exponent ``2/(2r - N)``.
     """
-    grid = field.grid
-    if M <= 0 or q <= 0:
-        raise ParameterError("M and q must be positive")
-    expo_den = 2.0 * r - grid.dim
-    if expo_den <= 0:
-        raise ParameterError(f"need 2r - N > 0, got {expo_den}")
-    cube = Cube(tuple(center), edge)
-    mean = average((field.values / M) ** q, grid, cube)
-    return mean ** ((1.0 / q) * (2.0 / expo_den))
-
-
-def degeneracy_ratio_pme(
-    field: Field, center, edge: float, q: float, M: float, m: float, r: float
-) -> float:
-    """Power-flux variant with exponent ``2 / (N(m-1) + 2r)``."""
+    _check_m(m)
     grid = field.grid
     if M <= 0 or q <= 0:
         raise ParameterError("M and q must be positive")
@@ -202,21 +190,21 @@ def degeneracy_ratio_pme(
     return mean ** ((1.0 / q) * (2.0 / lam_r))
 
 
-def time_scaling_exponent(N: int) -> float:
-    """Exponent of ``rho`` scaling the time term in the log-flux bounds: ``2 - N``."""
-    return 2.0 - N
-
-
-def time_scaling_exponent_pme(N: int, m: float) -> float:
-    """Power-flux counterpart ``N(m - 1) + 2``; tends to ``2 - N`` as m -> 0."""
+def time_scaling_exponent(N: int, m: float = 0.0) -> float:
+    """Exponent ``N(m - 1) + 2`` of ``rho`` scaling the time term; ``2 - N`` at m = 0."""
     return N * (m - 1.0) + 2.0
+
+
+# the power-flux names of the merged functions
+time_scaling_exponent_pme = time_scaling_exponent
+intrinsic_scale_pme = intrinsic_scale
 
 
 def moment_scaling_exponent(N: int, m: float, r: float) -> float:
     """``N(m - 1) + 2r``; must be positive for the ratio exponents to make sense."""
     val = N * (m - 1.0) + 2.0 * r
     if val <= 0:
-        raise ParameterError(f"need N(m-1) + 2r > 0, got {val}")
+        raise ParameterError(f"need N(m-1) + 2r > 0, got {val:.6g}")
     return val
 
 
@@ -306,18 +294,24 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
 
 
 def _probe_stats(
-    slab: SpaceTimeSlab, center, rho: float, sigma: float, window, m: float | None = None
+    slab: SpaceTimeSlab,
+    center,
+    rho: float,
+    sigma: float,
+    window,
+    m: float | None = None,
+    p: float = 2.0,
 ) -> tuple[float, float, float, float, float]:
-    """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
+    """``M, Lambda_1, Lambda_p, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
 
-    ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_p`` the log
-    oscillation means there, or given ``m`` the plain-integral power ones with
-    exponent ``m/2``; ``S_sigma`` is the sup over the window of the mass on
-    ``K_(1+sigma)rho``.  Equal to the composed :func:`ess_sup`,
-    :func:`log_oscillation` / :func:`power_oscillation`, :func:`sup_mass` and
-    :func:`inf_mass`, but the cylinder is read in two passes: one for ``M``
-    (and the positivity check), one that evaluates the oscillation integrand
-    once per node.  Raises ParameterError unless u is finite and positive on
+    ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_1``,
+    ``Lambda_p`` (``p = 2`` unless given) the log oscillation means there, or
+    given ``m`` the plain-integral power ones with exponent ``m/2``;
+    ``S_sigma`` is the sup over the window of the mass on ``K_(1+sigma)rho``.
+    Equal to the composed :func:`ess_sup`, :func:`log_oscillation` /
+    :func:`power_oscillation`, :func:`sup_mass` and :func:`inf_mass`, but the
+    cylinder is read in two passes: one for ``M`` (and the positivity check),
+    one that evaluates the oscillation integrand once per node.  Raises ParameterError unless u is finite and positive on
     ``K_2rho x window``.
     """
     if not 0.0 <= sigma < 1.0:
@@ -328,8 +322,8 @@ def _probe_stats(
     M = float(np.max([u.max() for _, u, _ in chunks]))
     if not (math.isfinite(M) and min(u.min() for _, u, _ in chunks) > 0.0):
         raise ParameterError(
-            "u must be finite and positive on the doubled cube of the probe at "
-            f"{tuple(center)}, rho {rho}"
+            f"u must be finite and positive on the cube of edge {2.0 * rho:.6g} "
+            f"at {_point_str(center)}"
         )
     # K_(1+sigma)rho inside the chunks: both cubes snap around one center
     outer = grid.cube_slices(cube)
@@ -346,12 +340,12 @@ def _probe_stats(
     sums = []
     for _, u, _ in chunks:
         a = integrand(u)
-        sums.append([_trapezoid(x, h, lead=1) for x in (a, a * a, u[sub], u)])
-    osc1, osc2, inner_mass, mass = np.concatenate(sums, axis=1)
+        sums.append([_trapezoid(x, h, lead=1) for x in (a, a**p, u[sub], u)])
+    osc1, osc_p, inner_mass, mass = np.concatenate(sums, axis=1)
     return (
         M,
         float(np.max(osc1 / scale)),
-        float(np.max((osc2 / scale) ** 0.5)),
+        float(np.max((osc_p / scale) ** (1.0 / p))),
         float(np.max(inner_mass)),
         float(np.min(mass)),
     )
@@ -436,13 +430,9 @@ def functional_set(
         osc_pow_p2=power_oscillation(slab, cyl2, M, m, 2.0) if have_m else nan,
         osc_pow_p=power_oscillation(slab, cyl2, M, m, p) if have_m else nan,
         time_scale=intrinsic_scale(last, center, rho, q, eps),
-        time_scale_pow=intrinsic_scale_pme(last, center, rho, q, eps, m)
-        if have_m
-        else nan,
+        time_scale_pow=intrinsic_scale(last, center, rho, q, eps, m) if have_m else nan,
         mass_ratio=degeneracy_ratio(last, center, rho, q, M, r),
-        mass_ratio_pow=degeneracy_ratio_pme(last, center, rho, q, M, m, r)
-        if have_m
-        else nan,
+        mass_ratio_pow=degeneracy_ratio(last, center, rho, q, M, r, m) if have_m else nan,
         sup_mass_sigma=s_sig,
         inf_mass_2rho=inf_2rho,
     )

@@ -4,8 +4,8 @@ Geometry conventions
 --------------------
 All cubes are axis-aligned and specified by their *edge length*: ``Cube(y, e)``
 is the closed cube centered at ``y`` with side ``e`` (so it spans
-``y_i - e/2 .. y_i + e/2`` along every axis).  Internally the half-edge is
-stored, but every public constructor and function takes the edge.
+``y_i - e/2 .. y_i + e/2`` along every axis); every public constructor and
+function takes the edge.
 
 Quadrature is composite trapezoid with nodes on the grid points, which is
 exact for affine integrands up to roundoff.  Cube bounds snap to the nearest
@@ -21,10 +21,11 @@ taken over interior nodes (see :func:`interior_slices`).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,13 +152,6 @@ class Cube:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if self.edge <= 0:
             raise ParameterError("cube edge must be positive")
-
-    @property
-    def half_edge(self) -> float:
-        return self.edge / 2
-
-    def scaled(self, factor: float) -> "Cube":
-        return Cube(self.center, self.edge * factor)
 
 
 @dataclass(frozen=True)
@@ -329,11 +323,14 @@ class Cutoff:
         return Field(grid, self.eval(grid.sup_distance(self.center)))
 
 
+@functools.lru_cache(maxsize=None)
 def _trapezoid_weights(n: int) -> np.ndarray:
-    """Node weights of the composite trapezoid rule; a single node weighs 0."""
+    """Node weights of the composite trapezoid rule; a single node weighs 0.
+    Cached, so read-only."""
     w = np.ones(n)
     w[0] -= 0.5
     w[-1] -= 0.5
+    w.setflags(write=False)
     return w
 
 
@@ -434,11 +431,9 @@ def laplacian(f: Field | np.ndarray, grid: Grid | None = None) -> np.ndarray:
     return out / h2
 
 
-def interior_slices(grid: Grid, margin: int = 1) -> tuple[slice, ...]:
-    """Slices selecting nodes at least ``margin`` nodes away from the boundary."""
-    if 2 * margin >= grid.npts:
-        raise GeometryError("interior margin swallows the whole grid")
-    return (slice(margin, grid.npts - margin),) * grid.dim
+def interior_slices(grid: Grid) -> tuple[slice, ...]:
+    """Slices selecting the nodes off the boundary (never empty: ``npts >= 3``)."""
+    return (slice(1, grid.npts - 1),) * grid.dim
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ a logarithmic check) are NaN rather than omitted, keeping column sets fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,19 +30,15 @@ from .grid import (
     laplacian,
 )
 from .functionals import (
-    FunctionalSet,
+    _check_m,
     _probe_stats,
-    ess_inf,
     ess_sup,
     flux_l1,
-    functional_set,
     intrinsic_scale,
     log_gradient_energy,
-    log_oscillation,
     degeneracy_ratio,
     power_gradient_energy,
     time_scaling_exponent,
-    time_scaling_exponent_pme,
 )
 
 
@@ -68,6 +64,14 @@ def _check_window(slab: SpaceTimeSlab, window) -> tuple[float, float]:
     return t0, t1
 
 
+def _time_exponent(N: int, m: float) -> float:
+    """``N(m-1) + 2``, which the power-type bounds (``m > 0``) need positive."""
+    lam = time_scaling_exponent(N, m)
+    if m > 0.0 and lam <= 0:
+        raise ParameterError(f"need N(m-1)+2 > 0, got {lam:.6g}")
+    return lam
+
+
 @dataclass
 class HarnackReport:
     """Both sides of a local-mass inequality and the minimal constant.
@@ -90,83 +94,56 @@ class HarnackReport:
     sup_u: float
     lambda_1: float
     lambda_2: float
-    functional_set: FunctionalSet | None = field(default=None, repr=False)
 
     def to_row(self) -> dict:
-        row = _as_row(self)
-        del row["functional_set"]
-        if self.functional_set is not None:
-            for k, v in self.functional_set.to_row().items():
-                row[f"fs_{k}"] = v
-        return row
-
-
-def _mass_harnack(
-    slab: SpaceTimeSlab, center, rho: float, window, rhs_time: float, kind: str, m: float,
-    with_functionals: bool,
-) -> HarnackReport:
-    t0, t1 = window
-    M, l1, l2, lhs, rhs_mass = _probe_stats(slab, center, rho, 0.0, window)
-    denom = rhs_mass + rhs_time
-    gamma_star = lhs / denom if denom > 0 else math.inf
-    fs = None
-    if with_functionals:
-        fs = functional_set(slab, center, rho, window, m=m if kind == "l1-pme" else None)
-    return HarnackReport(
-        kind=kind,
-        center=tuple(center),
-        rho=rho,
-        t_start=t0,
-        t_end=t1,
-        m=m,
-        lhs=lhs,
-        rhs_mass=rhs_mass,
-        rhs_time=rhs_time,
-        gamma_star=gamma_star,
-        sup_u=M,
-        lambda_1=l1,
-        lambda_2=l2,
-        functional_set=fs,
-    )
+        return _as_row(self)
 
 
 def check_l1_harnack(
-    slab: SpaceTimeSlab, center, rho: float, window, with_functionals: bool = False
+    slab: SpaceTimeSlab, center, rho: float, window, m: float = 0.0
 ) -> HarnackReport:
     """Local-mass inequality: sup of the K_rho mass vs inf of the K_2rho mass.
 
     ``lhs = sup_tau int_{K_rho} u``, ``rhs_mass = inf_tau int_{K_2rho} u``,
-    ``rhs_time = (t - s) / rho^(2-N)``; ``gamma_star = lhs / (rhs_mass +
-    rhs_time)`` is the minimal admissible constant.  ``sup_u``, ``lambda_1``
+    ``rhs_time = ((t - s) / rho^lam)^(1/(1-m))`` with ``lam = N(m-1) + 2``;
+    ``gamma_star = lhs / (rhs_mass + rhs_time)`` is the minimal admissible
+    constant.  ``m = 0`` is the logarithmic case (kind ``l1-log``, time term
+    ``(t - s)/rho^(2-N)``, ``m`` reported as NaN); ``0 < m < 1`` the power
+    case (kind ``l1-pme``), which needs ``lam > 0``.  ``sup_u``, ``lambda_1``
     and ``lambda_2`` are measured over ``K_2rho x window``; they parameterize
     the constant, not the inequality itself.
     """
+    _check_m(m)
     t0, t1 = _check_window(slab, window)
-    lam = time_scaling_exponent(slab.grid.dim)
-    rhs_time = (t1 - t0) / rho**lam
-    return _mass_harnack(
-        slab, center, rho, (t0, t1), rhs_time, "l1-log", float("nan"), with_functionals
+    lam = _time_exponent(slab.grid.dim, m)
+    rhs_time = ((t1 - t0) / rho**lam) ** (1.0 / (1.0 - m))
+    M, l1, l2, lhs, rhs_mass = _probe_stats(slab, center, rho, 0.0, (t0, t1))
+    denom = rhs_mass + rhs_time
+    return HarnackReport(
+        kind="l1-pme" if m > 0.0 else "l1-log",
+        center=tuple(center),
+        rho=rho,
+        t_start=t0,
+        t_end=t1,
+        m=m if m > 0.0 else float("nan"),
+        lhs=lhs,
+        rhs_mass=rhs_mass,
+        rhs_time=rhs_time,
+        gamma_star=lhs / denom if denom > 0 else math.inf,
+        sup_u=M,
+        lambda_1=l1,
+        lambda_2=l2,
     )
 
 
 def check_l1_harnack_pme(
-    slab: SpaceTimeSlab, m: float, center, rho: float, window, with_functionals: bool = False
+    slab: SpaceTimeSlab, m: float, center, rho: float, window
 ) -> HarnackReport:
-    """Power-diffusion variant: time term ``((t-s)/rho^lam)^(1/(1-m))``.
-
-    ``lam = N(m-1)+2`` must be positive; components converge to the
-    logarithmic report's as m -> 0 on matched data.
-    """
+    """The power-diffusion case ``0 < m < 1`` of :func:`check_l1_harnack`;
+    its components converge to the logarithmic report's as m -> 0."""
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
-    t0, t1 = _check_window(slab, window)
-    lam = time_scaling_exponent_pme(slab.grid.dim, m)
-    if lam <= 0:
-        raise ParameterError(f"need N(m-1)+2 > 0, got {lam}")
-    rhs_time = ((t1 - t0) / rho**lam) ** (1.0 / (1.0 - m))
-    return _mass_harnack(
-        slab, center, rho, (t0, t1), rhs_time, "l1-pme", m, with_functionals
-    )
+    return check_l1_harnack(slab, center, rho, window, m=m)
 
 
 @dataclass
@@ -334,17 +311,12 @@ def check_flux_corollary(
         slab, center, rho, sigma, (t0, t1), m=m if m != 0.0 else None
     )
     lhs = flux_l1(slab, flux, center, rho, (t0, t1))
+    T = (t1 - t0) / rho ** _time_exponent(grid.dim, m)
     if m == 0.0:
-        lam = time_scaling_exponent(grid.dim)
-        T = (t1 - t0) / rho**lam
         osc = max(math.sqrt(1.0 + l1), math.sqrt(l1**2 + l2**2))
         rhs = osc * math.sqrt(s_sig + T / sigma**2) * math.sqrt(T)
         kind = "flux-log" if flux.kind == "log-diffusion" else "flux-quasilinear"
     else:
-        lam = time_scaling_exponent_pme(grid.dim, m)
-        if lam <= 0:
-            raise ParameterError(f"need N(m-1)+2 > 0, got {lam}")
-        T = (t1 - t0) / rho**lam
         rhs = (
             math.sqrt(l1**2 + l2**2) * T * s_sig**m / sigma
             + math.sqrt(1.0 + l1) * math.sqrt(T) * s_sig ** ((m + 1.0) / 2.0)
@@ -423,7 +395,7 @@ def jensen_check(
     )
 
 
-def sample_cylinders(grid: Grid, times, rng, count: int, sigma: float = 0.5):
+def sample_cylinders(grid: Grid, times, rng, count: int):
     """Mesh-aligned random probe cylinders ``(center, rho, t0, t1)``.
 
     Radii are multiples of four cells so that the base cube, its doubling,
@@ -449,6 +421,10 @@ def sample_cylinders(grid: Grid, times, rng, count: int, sigma: float = 0.5):
         k1 = int(rng.integers(k0 + 1, times.size))
         out.append((center, rho, float(times[k0]), float(times[k1])))
     return out
+
+
+# the most probe levels the pointwise inf reads
+_POINTWISE_PROBES = 8
 
 
 @dataclass
@@ -494,7 +470,6 @@ def check_pointwise_harnack(
     eps: float = 0.1,
     p: float = 5.0,
     r: float = 2.0,
-    probes: int = 8,
 ) -> PointwiseHarnackReport:
     """Evaluate the pointwise inf/sup comparison at one vertex.
 
@@ -502,7 +477,9 @@ def check_pointwise_harnack(
     at the vertex time; the backward cylinder ``K_8rho x (t_o - 64 theta
     rho^2, t_o]`` must fit inside the slab.  Requires ``p > N + 2``; raises
     ParameterError unless u is finite and positive on that cylinder, which
-    holds every sampled node.
+    holds every sampled node.  The inf is taken over at most
+    ``_POINTWISE_PROBES`` evenly spread levels of the top sixteenth of the
+    intrinsic window.
     """
     grid = slab.grid
     if p <= grid.dim + 2:
@@ -533,11 +510,7 @@ def check_pointwise_harnack(
         raise GeometryError(
             f"intrinsic window depth {depth:.6g} reaches below the slab start"
         )
-    big = Cylinder(x_o, 8.0 * rho, t_lo, t_o)
-    M = ess_sup(slab, big)
-    if not (math.isfinite(M) and ess_inf(slab, big) > 0.0):
-        raise ParameterError(bad_u)
-    lam_p = log_oscillation(slab, big, M, p)
+    M, _, lam_p, _, _ = _probe_stats(slab, x_o, 4.0 * rho, 0.0, (t_lo, t_o), p=p)
     eta = degeneracy_ratio(vertex_field, x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cylinder(x_o, 2.0 * rho, t_o - theta * rho**2, t_o))
     probe_lo = t_o - theta * rho**2 / 16.0
@@ -546,9 +519,9 @@ def check_pointwise_harnack(
     )[0]
     if strict.size == 0:
         strict = np.array([k_o])
-    if strict.size > probes:
+    if strict.size > _POINTWISE_PROBES:
         pick = np.unique(
-            np.round(np.linspace(0, strict.size - 1, probes)).astype(int)
+            np.round(np.linspace(0, strict.size - 1, _POINTWISE_PROBES)).astype(int)
         )
         strict = strict[pick]
     inf_val = float(slab.values[(strict,) + grid.cube_slices(Cube(x_o, 4.0 * rho))].min())
@@ -584,13 +557,12 @@ class PointwiseFit:
         return _as_row(self)
 
 
-def fit_pointwise_constants(
-    reports, grid_n: int = 41, bounds: tuple[float, float] = (0.1, 10.0)
-) -> PointwiseFit:
+def fit_pointwise_constants(reports) -> PointwiseFit:
     """Grid-search exponents so ``exp(-lambda_p^c1 / eta^c2) <= f_star``.
 
-    Hinge loss sums the overshoot across reports; among zero-violation pairs
-    the one with the largest mean bound (the least vacuous) wins.  Degenerate
+    Both exponents range over 41 geometric steps from 0.1 to 10.  Hinge loss
+    sums the overshoot across reports; among zero-violation pairs the one
+    with the largest mean bound (the least vacuous) wins.  Degenerate
     reports are skipped; at least one usable report is required.
     """
     usable = [rep for rep in reports if not rep.degenerate]
@@ -601,7 +573,7 @@ def fit_pointwise_constants(
     f_star = np.array([rep.f_star for rep in usable])
     if np.any(eta <= 0):
         raise ParameterError("fit requires strictly positive eta")
-    cs = np.geomspace(bounds[0], bounds[1], grid_n)
+    cs = np.geomspace(0.1, 10.0, 41)
     best = None
     for c1 in cs:
         with np.errstate(over="ignore"):

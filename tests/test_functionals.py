@@ -14,6 +14,7 @@ from logdiff import (
     Cylinder,
     Grid,
     ExpSteady,
+    Field,
     Lump2D,
     ParameterError,
     QuasilinearFlux,
@@ -180,6 +181,45 @@ def test_degeneracy_ratio_properties():
     assert 0.0 < val < 1.0
     with pytest.raises(ParameterError):
         degeneracy_ratio(f, (0.0, 0.0), 0.5, 2.0, 8.0, 1.0)
+
+
+def _positive_field(dim, seed):
+    g = Grid.regular(dim, 1.0, 1.0 / 8)
+    rng = np.random.default_rng(seed)
+    return Field(g, 1.0 + rng.random(g.shape))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_merged_functions_at_m_zero_are_the_log_formulas(dim):
+    f = _positive_field(dim, seed=dim)
+    center, edge, q, eps, r = (0.0,) * dim, 0.5, 3.0, 0.1, 2.0
+    M = f.max()
+    cube = Cube(center, edge)
+    theta = eps * average(f.values**q, f.grid, cube) ** (1.0 / q)
+    assert intrinsic_scale(f, center, edge, q, eps) == theta
+    assert intrinsic_scale(f, center, edge, q, eps, m=0.0) == theta
+    eta = average((f.values / M) ** q, f.grid, cube) ** ((1.0 / q) * (2.0 / (2.0 * r - dim)))
+    assert degeneracy_ratio(f, center, edge, q, M, r) == eta
+    assert degeneracy_ratio(f, center, edge, q, M, r, m=0.0) == eta
+    assert time_scaling_exponent(dim, 0.0) == 2.0 - dim
+
+
+def test_degeneracy_ratio_tends_to_log_value():
+    f = _positive_field(3, seed=5)
+    args = (f, (0.0, 0.0, 0.0), 0.5, 2.0, f.max(), 2.0)
+    base = degeneracy_ratio(*args)
+    gaps = [abs(degeneracy_ratio(*args, m=m) - base) for m in (0.4, 0.1, 1e-2, 1e-4, 1e-8)]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-7
+
+
+@pytest.mark.parametrize("m", [-0.1, 1.0, 1.5, float("nan")])
+def test_merged_functions_reject_m_outside_unit_interval(m):
+    f = _positive_field(2, seed=1)
+    with pytest.raises(ParameterError, match="m must lie in"):
+        intrinsic_scale(f, (0.0, 0.0), 0.5, 2.0, 0.1, m=m)
+    with pytest.raises(ParameterError, match="m must lie in"):
+        degeneracy_ratio(f, (0.0, 0.0), 0.5, 2.0, f.max(), 2.0, m=m)
 
 
 def test_log_gradient_energy_frozen_value():

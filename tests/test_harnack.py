@@ -1,5 +1,7 @@
 """Inequality checkers: L1 Harnack, energy, flux, Jensen, pointwise, cutoff."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from logdiff import (
     distributional_identity_check,
     fit_pointwise_constants,
     jensen_check,
+    moment_scaling_exponent,
     sample_cylinders,
 )
 from logdiff.grid import SpaceTimeSlab
@@ -55,11 +58,8 @@ def test_l1_harnack_lump(lump_slab_32):
 
 
 def test_l1_harnack_row_and_functionals(lump_slab_32):
-    rep = check_l1_harnack(
-        lump_slab_32, (0.0, 0.0), 0.25, (0.25, 0.5), with_functionals=True
-    )
+    rep = check_l1_harnack(lump_slab_32, (0.0, 0.0), 0.25, (0.25, 0.5))
     row = rep.to_row()
-    assert "fs_osc_p" in row
     assert row["center"] == "0.0;0.0"
 
 
@@ -72,6 +72,67 @@ def test_l1_harnack_pme_window_power(lump_slab_32):
     assert rep.kind == "l1-pme"
     with pytest.raises(ParameterError):
         check_l1_harnack_pme(lump_slab_32, 1.2, (0.0, 0.0), 0.25, (0.25, 0.5))
+
+
+def _slab_3d(bad_node=None):
+    g = Grid.regular(3, 1.0, 1.0 / 8)
+    times = np.linspace(0.0, 0.5, 5)
+    values = 1.0 + np.random.default_rng(3).random((times.size,) + g.shape)
+    if bad_node is not None:
+        values[bad_node] = -1.0
+    return SpaceTimeSlab(g, times, values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_l1_harnack_m_zero_time_term_is_the_log_formula(dim):
+    g = Grid.regular(dim, 1.0, 1.0 / 16)
+    times = np.linspace(0.0, 0.5, 9)
+    values = 1.0 + np.random.default_rng(dim).random((times.size,) + g.shape)
+    slab = SpaceTimeSlab(g, times, values)
+    rho, (t0, t1) = 0.25, (0.125, 0.4375)
+    for rep in (
+        check_l1_harnack(slab, (0.0,) * dim, rho, (t0, t1)),
+        check_l1_harnack(slab, (0.0,) * dim, rho, (t0, t1), m=0.0),
+    ):
+        assert rep.rhs_time == (t1 - t0) / rho ** (2 - dim)
+        assert rep.kind == "l1-log" and np.isnan(rep.m)
+
+
+@pytest.mark.parametrize("m", [0.05, 0.2, 0.5])
+def test_l1_harnack_pme_is_the_merged_check(lump_slab_32, m):
+    args = ((0.0, 0.0), 0.25, (0.25, 0.5))
+    pme = check_l1_harnack_pme(lump_slab_32, m, *args).to_row()
+    assert pme == check_l1_harnack(lump_slab_32, *args, m=m).to_row()
+    assert pme["kind"] == "l1-pme" and pme["m"] == m
+
+
+@pytest.mark.parametrize("m", [-0.1, 1.0, float("nan")])
+def test_l1_harnack_rejects_m_outside_unit_interval(lump_slab_32, m):
+    with pytest.raises(ParameterError):
+        check_l1_harnack(lump_slab_32, (0.0, 0.0), 0.25, (0.25, 0.5), m=m)
+
+
+def test_probe_error_messages_print_short_floats():
+    """Floats in probe errors carry six significant digits, never a roundoff tail."""
+    long_digits = re.compile(r"\d{8,}")
+    center = (0.1 + 0.2 - 0.3, 0.0, 0.0)  # 5.551115123125783e-17
+    messages = []
+    checks = (
+        # a -1 node inside K_2rho x window, rho = 0.30000000000000004
+        lambda: check_l1_harnack(_slab_3d((2, 4, 4, 4)), center, 0.1 * 3, (0.0, 0.5)),
+        # N(m-1) + 2 = -0.40000000000000036 at N = 3, m = 0.2
+        lambda: check_l1_harnack_pme(_slab_3d(), 0.2, center, 0.25, (0.0, 0.5)),
+        lambda: check_flux_corollary(
+            _slab_3d(), QuasilinearFlux(kind="pme", m=0.2), 0.25, 0.5, (0.0, 0.5)
+        ),
+        # N(m-1) + 2r = -1.0000000000000004
+        lambda: moment_scaling_exponent(3, 0.2, 0.7),
+    )
+    for check in checks:
+        with pytest.raises(ParameterError) as err:
+            check()
+        messages.append(str(err.value))
+    assert not [msg for msg in messages if long_digits.search(msg)], messages
 
 
 def test_window_validation(lump_slab_32):
