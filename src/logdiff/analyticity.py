@@ -38,6 +38,12 @@ from .grid import (
 )
 from .functionals import intrinsic_scale
 
+# analyticity_report's table orders (spatial, time), intrinsic-scale parameters
+# (eps, q) and sub-cylinder fraction sigma
+_A_MAX, _K_MAX = 6, 3
+_EPS, _Q = 0.1, 2.0
+_SIGMA = 0.5
+
 
 @functools.lru_cache(maxsize=None)
 def _stencils(a_max: int) -> np.ndarray:
@@ -85,7 +91,7 @@ class DerivativeTable:
 
 
 def derivative_table(
-    slab: SpaceTimeSlab, x_o, t_o: float, a_max: int = 6, k_max: int = 3
+    slab: SpaceTimeSlab, x_o, t_o: float, a_max: int = _A_MAX, k_max: int = _K_MAX
 ) -> DerivativeTable:
     """Centered-difference derivative table at a grid vertex.
 
@@ -214,9 +220,8 @@ def intrinsic_rescale(
     x_o,
     t_o: float,
     rho: float,
-    eps: float = 0.1,
-    q: float = 2.0,
-    f_star: float | None = None,
+    eps: float = _EPS,
+    q: float = _Q,
 ) -> SpaceTimeSlab:
     """Change variables to the unit solution v on the edge-2 cube.
 
@@ -228,9 +233,8 @@ def intrinsic_rescale(
     as meta ``n_padded``); the equation holds on the padded range too, only
     the sandwich bound is specific to the window.
 
-    Meta records ``u_center``, ``theta``, ``tau_scale``, ``v_min``/``v_max``,
-    the backward-difference equation residual, and (when ``f_star`` is given)
-    whether the sandwich ``f_star <= v <= 1/f_star`` held.
+    Meta records ``u_center``, ``theta``, ``tau_scale``, ``v_min``/``v_max``
+    and the backward-difference equation residual.
     """
     grid = slab.grid
     cells = rho / grid.spacing
@@ -270,11 +274,6 @@ def intrinsic_rescale(
         "v_min": float(vals.min()),
         "v_max": float(vals.max()),
     }
-    if f_star is not None:
-        meta["f_star"] = float(f_star)
-        meta["sandwich_ok"] = bool(
-            vals.min() >= f_star - 1e-12 and vals.max() <= 1.0 / f_star + 1e-12
-        )
     out = SpaceTimeSlab(vgrid, times, vals, meta=meta)
     out.meta["residual"] = rescale_residual(out)
     return out
@@ -424,8 +423,6 @@ class AnalyticityReport:
     sup_vt: float
     rescale_residual: float
     capped: bool
-    fitted_mu1: float = float("nan")
-    fitted_mu2: float = float("nan")
     table: DerivativeTable | None = field(default=None, repr=False)
 
     def to_row(self) -> dict:
@@ -444,22 +441,13 @@ class AnalyticityReport:
 
 
 def analyticity_report(
-    slab: SpaceTimeSlab,
-    x_o,
-    t_o: float,
-    rho: float,
-    a_max: int = 6,
-    k_max: int = 3,
-    eps: float = 0.1,
-    q: float = 2.0,
-    sigma: float = 0.5,
-    f_star: float | None = None,
+    slab: SpaceTimeSlab, x_o, t_o: float, rho: float
 ) -> AnalyticityReport:
     """Full single-vertex workflow: table, growth fit, rescale, sup bounds."""
-    table = derivative_table(slab, x_o, t_o, a_max=a_max, k_max=k_max)
+    table = derivative_table(slab, x_o, t_o, a_max=_A_MAX, k_max=_K_MAX)
     fit = fit_derivative_growth(table, rho)
-    v_slab = intrinsic_rescale(slab, x_o, t_o, rho, eps=eps, q=q, f_star=f_star)
-    sups = rescaled_sup_bounds(v_slab, sigma)
+    v_slab = intrinsic_rescale(slab, x_o, t_o, rho, eps=_EPS, q=_Q)
+    sups = rescaled_sup_bounds(v_slab, _SIGMA)
     return AnalyticityReport(
         x_o=table.x_o,
         t_o=table.t_o,

@@ -56,6 +56,16 @@ coefficient ``k = u^(m-1)`` (``1/u`` at ``m = 0``) into the unknown,
 ``x -> P^-1 x / k`` with ``s`` from ``d = 1/k`` and ``c_a`` the mean of ``a_a``
 over the faces of axis ``a``.
 
+The flux form keeps ``W J`` in one CSR matrix per solve, whose pattern is the
+diagonal and both off-diagonal entries of every face whose two end nodes are
+unknowns; a Newton call rewrites only its data.  As ``W div = -D^T diag(w) /
+h^2``, ``W J = W + (dt/h^2) D^T diag(w) dphi/du``, so a face ``(L, R)`` adds
+the 2x2 block ``[[g1 - g2 d'_L, -(g1 + g2 d'_R)], [-g1 + g2 d'_L, g1 + g2
+d'_R]]`` on its rows and columns ``L, R``, with ``g1 = (dt/h^2) w a (d_L +
+d_R)/2``, ``g2 = (dt/h^2) w a (u_R - u_L)/2`` and ``d' = (m - 1) d / u`` for
+``d = u^(m-1)``.  A face with one unknown end adds only that end's diagonal
+entry.
+
 Newton for step k starts on the unknowns from the polynomial through the
 last ``min(k + 1, 3)`` levels, extrapolated to the new time: ``u_k``, then
 ``2 u_k - u_(k-1)``, then ``3 u_k - 3 u_(k-1) + u_(k-2)``.  The coefficients
@@ -382,10 +392,6 @@ class _FluxOperator:
             raise ParameterError("flux needs one coefficient per axis")
         self.faces, self.flux, self.rows = faces, flux, rows
         self.div = faces.divergence(rows)
-        # d(phi)/du has the pattern of D on the unknown columns
-        self.D_u = faces.D[:, rows]
-        self.jac_face = np.repeat(np.arange(faces.left.size), np.diff(self.D_u.indptr))
-        self.jac_node = rows[self.D_u.indices]
         pts = grid.points().reshape(-1, grid.dim)
         mid = 0.5 * (pts[faces.left] + pts[faces.right])
         self.mid = mid.reshape(grid.dim, -1, grid.dim)
@@ -420,25 +426,39 @@ class _FluxOperator:
         return self.div @ (coef * du)
 
     def newton_solver(self, dt: float, atol: float):
-        """BiCGSTAB on ``W J delta = -W r``, preconditioned by ``x -> P^-1 x / k``."""
-        m, f, pattern, rows = self.flux.m, self.jac_face, self.D_u, self.rows
-        W = self.faces.W[rows]
-        w_diag = sp.diags(W)
-        w_div = w_diag @ self.div
-        spectral = _Spectral(self.faces, rows, dt)
+        """BiCGSTAB on ``W J delta = -W r``, preconditioned by ``x -> P^-1 x / k``;
+        a call rewrites the data of one fixed CSR ``W J`` (module docstring)."""
+        faces, rows, m = self.faces, self.rows, self.flux.m
+        left, right, n = faces.left, faces.right, rows.size
+        W = faces.W[rows]
+        at = np.full(faces.W.size, -1)
+        at[rows] = np.arange(n)
+        inner = np.flatnonzero((at[left] >= 0) & (at[right] >= 0))
+        diag = np.arange(n)
+        i = np.concatenate([diag, at[left[inner]], at[right[inner]]])
+        j = np.concatenate([diag, at[right[inner]], at[left[inner]]])
+        order = np.lexsort((j, i))  # entries in CSR order: by row, then column
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=n))])
+        A = sp.csr_matrix((np.zeros(i.size), j[order], indptr), shape=(n, n))
+        scale = 0.5 * dt * faces.w / faces.grid.spacing**2
+        spectral = _Spectral(faces, rows, dt)
 
         def solve(u, r):
-            coef, du = self._face_terms(u)
-            dprime = ((m - 1.0) * u ** (m - 2.0))[self.jac_node]
-            data = pattern.data * coef[f] + 0.5 * self.a[f] * du[f] * dprime
-            dphi = sp.csr_matrix((data, pattern.indices, pattern.indptr), pattern.shape)
-            k = self._coefficient(u[rows])
-            c = self.a.reshape(self.faces.grid.dim, -1).mean(axis=1)
+            d = self._coefficient(u)
+            g1 = scale * self.a * (d[left] + d[right])
+            g2 = scale * self.a * (u[right] - u[left])
+            dprime = (m - 1.0) * d / u
+            g2_left, g2_right = g2 * dprime[left], g2 * dprime[right]
+            on_diag = W + (
+                np.bincount(left, g1 - g2_left, faces.W.size)
+                + np.bincount(right, g1 + g2_right, faces.W.size)
+            )[rows]
+            entries = [on_diag, -(g1 + g2_right)[inner], (g2_left - g1)[inner]]
+            np.take(np.concatenate(entries), order, out=A.data)
+            k = d[rows]
+            c = self.a.reshape(faces.grid.dim, -1).mean(axis=1)
             inverse = spectral.inverse(_geometric_mid(1.0 / k), c)
-            return _bicgstab(
-                w_diag - dt * (w_div @ dphi), -W * r, lambda x: inverse(x) / k,
-                atol, 2 * r.size + 20,
-            )
+            return _bicgstab(A, -W * r, lambda x: inverse(x) / k, atol, 2 * r.size + 20)
 
         return solve
 

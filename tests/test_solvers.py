@@ -1,6 +1,7 @@
 """Implicit solver behavior: fixed points, positivity, convergence, delegation,
 zero-flux conservation, Krylov Newton steps against a direct-solve reference,
-the spectral preconditioner against a dense solve."""
+the flux Newton matrix against the complex-step Jacobian, the spectral
+preconditioner against a dense solve."""
 
 import os
 import subprocess
@@ -350,6 +351,52 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
     assert defect <= atol + rounding
 
 
+def _wavy_a(points, t):
+    """A callable flux coefficient within ``[0.7, 1.3]``."""
+    return 1.0 + 0.25 * np.cos(5.0 * points.sum(axis=-1) + t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    cells=st.integers(2, 5),
+    boundary=st.sampled_from(["dirichlet-from-oracle", "neumann-zero-flux"]),
+    m=st.sampled_from([0.0, 0.5]),
+    wavy=st.booleans(),
+    dt_h2=st.floats(0.1, 50.0),
+    data=st.data(),
+)
+def test_flux_newton_matrix_is_the_weighted_jacobian(
+    dim, cells, boundary, m, wavy, dt_h2, data
+):
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    faces = _Faces(grid)
+    rows = _unknowns(faces, boundary)
+    a = tuple(_wavy_a if wavy else c for c in (1.0, 0.7, 1.3)[:dim])
+    flux = QuasilinearFlux("diagonal-perturbed", m=m, a=a, c_o=0.7, c_1=1.3)
+    op = _FluxOperator(faces, rows, flux)
+    op.step(0.3)
+    dt = dt_h2 * grid.spacing**2
+    solve = op.newton_solver(dt, 1e-12)
+    bicgstab, matrices = solvers._bicgstab, []
+
+    def capture(A, *rest):
+        matrices.append(A.toarray())
+        return bicgstab(A, *rest)
+
+    u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
+    r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
+    # the second call sees a different u: an entry left from the first one shows
+    shift = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.1, 1.0)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_bicgstab", capture)
+        for v in (u, u + shift):
+            solve(v.copy(), r)
+            J = np.eye(rows.size) - dt * _dense_jacobian(op, v, rows)
+            want = faces.W[rows, None] * J
+            assert np.abs(matrices[-1] - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_bicgstab_cap_leaves_room_on_tiny_neumann_systems():
     # 9 unknowns: BiCGSTAB capped at 9 iterations reported converged=False here
     grid = Grid.regular(2, 1.0, 0.5)
@@ -502,6 +549,13 @@ def test_krylov_solves_match_direct_reference(name, monkeypatch):
     assert krylov.meta["linear_iters"] > 0 == direct.meta["linear_iters"]
     gap = np.abs(krylov.values - direct.values).max() / np.abs(direct.values).max()
     assert gap <= 1e-11
+
+
+@pytest.mark.parametrize("name, counts", [("flux-D", (31, 72, 0)), ("flux-N", (24, 52, 0))])
+def test_flux_reference_solves_keep_their_newton_and_krylov_counts(name, counts):
+    flux, initial, config, horizon = _reference_case(name)
+    meta = solve_quasilinear(initial, flux, config, horizon).meta
+    assert (meta["newton_iters"], meta["linear_iters"], meta["linear_cap_hits"]) == counts
 
 
 def test_no_module_uses_a_direct_sparse_solver():
