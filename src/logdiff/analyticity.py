@@ -33,6 +33,7 @@ from .grid import (
     Grid,
     SpaceTimeSlab,
     gradient,
+    gradient_at,
     interior_slices,
     laplacian,
 )
@@ -322,8 +323,10 @@ def rescaled_sup_bounds(
     """Sup norms over ``K_(2 sigma) x (-sigma * depth, 0]`` of a rescaled slab.
 
     ``depth`` defaults to the slab's full backward reach.  Time derivatives
-    use second-order differences along stored levels.  The sups are numpy
-    reductions over the stacked levels, so a NaN node makes them NaN.
+    use second-order differences along stored levels.  Both derivatives are
+    computed on the box's nodes only (:func:`logdiff.grid.gradient_at` in
+    space).  The sups are numpy reductions over the stacked levels, so a NaN
+    node makes them NaN.
     """
     if not 0.0 < sigma <= 1.0:
         raise ParameterError("sigma must lie in (0, 1]")
@@ -339,13 +342,13 @@ def rescaled_sup_bounds(
     sl = g.cube_slices(Cube(g.center, 2.0 * sigma)) if sigma < 1.0 else tuple(
         slice(0, g.npts) for _ in range(g.dim)
     )
-    vt_all = np.gradient(
-        v_slab.values, v_slab.dt, axis=0, edge_order=2 if v_slab.nlevels >= 3 else 1
-    )
     box = (slice(None),) + sl
+    vt = np.gradient(
+        v_slab.values[box], v_slab.dt, axis=0, edge_order=2 if v_slab.nlevels >= 3 else 1
+    )
     v = v_slab.values[levels]
-    sup_dv = float(np.sqrt(sum(gr**2 for gr in gradient(v, g)))[box].max())
-    sup_vt = float(np.abs(vt_all[levels][box]).max())
+    sup_dv = float(np.sqrt(sum(gr**2 for gr in gradient_at(v, g, sl))).max())
+    sup_vt = float(np.abs(vt[levels]).max())
     v_min = float(v[box].min())
     v_max = float(v[box].max())
     return SupBoundsReport(

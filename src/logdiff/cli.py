@@ -20,6 +20,7 @@ import configparser
 import datetime
 import hashlib
 import sys
+from collections import Counter
 from dataclasses import fields as dc_fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -265,7 +266,7 @@ _VERIFY = {
     "distributional": (
         DistributionalCheck, 1.0,
         lambda s, c, rho, w, o: distributional_identity_check(
-            Cutoff(c, rho, o.sigma), s.grid, v_field=s.level(s.nlevels - 1)
+            Cutoff(c, rho, o.sigma), s.grid, v_field=s.values[-1]
         ),
     ),
 }
@@ -312,6 +313,7 @@ def cmd_verify(args) -> int:
     probes = _verify_probes(cfg, slab, kind, args.seed)
     columns = [f.name for f in dc_fields(report_cls)] + ["probe", "error"]
     rows = []
+    errors = Counter()
     for index, (center, rho, t0, t1) in enumerate(probes):
         row = dict.fromkeys(columns)
         row.update(probe=index, error="")
@@ -320,14 +322,17 @@ def cmd_verify(args) -> int:
             row.update((k, v) for k, v in got.items() if k in row)
         except (GeometryError, ParameterError) as exc:
             row["error"] = str(exc)
+            errors[type(exc).__name__] += 1
         rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "report.csv", rows, columns=columns)
-    cfg.echo["verify_effective"] = {"kind": kind, "probes": len(probes)}
+    errors = dict(sorted(errors.items()))
+    cfg.echo["verify_effective"] = {"kind": kind, "probes": len(probes), "errors": errors}
     _manifest(out, f"verify-{kind}", _config_hash(args.config), cfg.echo, args.threads, args.seed)
-    n_err = sum(1 for row in rows if row["error"])
-    print(f"verify {kind}: {len(rows)} rows ({n_err} probe errors) -> {out / 'report.csv'}")
+    n_err = sum(errors.values())
+    detail = ": " + ", ".join(f"{name} {n}" for name, n in errors.items()) if errors else ""
+    print(f"verify {kind}: {len(rows)} rows ({n_err} probe errors{detail}) -> {out / 'report.csv'}")
     return EXIT_OK
 
 

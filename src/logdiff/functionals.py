@@ -15,14 +15,22 @@ chunk is reduced per level by the trapezoid rule of :mod:`logdiff.grid`;
 sups, infs and time integrals are numpy reductions too, so a NaN sample in
 the cube and window makes the result NaN instead of being skipped.
 
+Probe-local rule: the work of one probe scales with its own cylinder.  No
+function here evaluates anything on a whole level and slices it afterwards:
+powers, logarithms and cutoff weights are applied to the cube's nodes only,
+gradients are differenced at the cube's nodes from one neighbour on each
+side (:func:`logdiff.grid.gradient_at`), and node coordinates are built only
+for the cube, only when a flux coefficient needs them.
+
 The checkers' per-probe statistics come from :func:`_probe_stats`, which
-walks the chunks of ``K_2rho x window`` twice.  The first pass takes the max
-and min of the views (the sup ``M`` and the positivity check).  The second
-evaluates the oscillation integrand once per chunk and integrates it, its
-p-th power (the square unless a checker asks for another p), u, and u on
-the nested ``K_(1+sigma)rho`` (a slice of the same chunk, since both cubes
-snap around one center), so one probe reads its cylinder twice instead of
-six times.
+walks the chunks of ``K_2rho x window`` twice.  The first pass,
+:func:`_probe_sup`, takes the max and min of the views (the sup ``M`` and
+the positivity check).  The second evaluates the oscillation integrand once
+per chunk and integrates it, its square, u, and u on the nested
+``K_(1+sigma)rho`` (a slice of the same chunk, since both cubes snap around
+one center), so one probe reads its cylinder twice instead of six times.
+A checker that needs only ``M`` and one p-mean (the pointwise one) runs the
+first pass and then :func:`_p_mean_sup` on the same chunks.
 
 Two families of oscillation functionals appear.  The logarithmic one is the
 sup over time levels of the p-mean of ``|ln(u/M)|`` over a cube.  The power
@@ -46,11 +54,11 @@ from .grid import (
     Cylinder,
     Field,
     SpaceTimeSlab,
+    _block_volume,
     _point_str,
     _trapezoid,
-    average,
     cube_volume,
-    gradient,
+    gradient_at,
 )
 
 # Values per level chunk (512 KiB of doubles): large enough that the Python
@@ -65,31 +73,24 @@ def _window_levels(slab: SpaceTimeSlab, cyl_or_window) -> np.ndarray:
     return slab.window_indices(float(t0), float(t1))
 
 
-def _cube_chunks(slab: SpaceTimeSlab, cube: Cube, window, halo: bool = False):
-    """Yield ``(ks, u, grads)`` over level chunks of the snapped ``cube x window``.
+def _cube_chunks(slab: SpaceTimeSlab, nodes, levels, halo: bool = False):
+    """Yield ``(ks, u, grads)`` over level chunks of the block ``nodes x levels``.
 
-    ``ks`` slices the slab levels of the chunk and ``u`` is a view shaped
-    ``(levels, *cube)``.  With ``halo`` the chunk is read with one more node on
-    every side the grid allows, so ``grads`` (one array per axis, trimmed to the
-    cube) equals :func:`logdiff.grid.gradient` of the whole level; else it is empty.
+    ``nodes`` are the slices of a snapped cube (:meth:`Grid.cube_slices`) and
+    ``levels`` the window's level indices.  ``ks`` slices the slab levels of
+    the chunk and ``u`` is a view shaped ``(levels, *cube)``.  With ``halo``,
+    ``grads`` holds one array per axis, computed on the cube's nodes only (from
+    one neighbour per side, or the one-sided rule at a grid face) and equal bit
+    for bit to :func:`logdiff.grid.gradient` of the whole level there; else it
+    is empty.
     """
     grid = slab.grid
-    inner = grid.cube_slices(cube)
-    pad = int(halo)
-    outer = tuple(
-        slice(max(s.start - pad, 0), min(s.stop + pad, grid.npts)) for s in inner
-    )
-    core = (slice(None),) + tuple(
-        slice(s.start - o.start, s.stop - o.start) for s, o in zip(inner, outer)
-    )
-    idx = _window_levels(slab, window)
-    first, stop = int(idx[0]), int(idx[-1]) + 1
-    step = max(1, _CHUNK_DOUBLES // math.prod(s.stop - s.start for s in outer))
+    first, stop = int(levels[0]), int(levels[-1]) + 1
+    step = max(1, _CHUNK_DOUBLES // math.prod(s.stop - s.start for s in nodes))
     for k in range(first, stop, step):
         ks = slice(k, min(k + step, stop))
-        u = slab.values[(ks,) + outer]
-        grads = tuple(g[core] for g in gradient(u, grid)) if halo else ()
-        yield ks, u[core], grads
+        grads = gradient_at(slab.values[ks], grid, nodes) if halo else ()
+        yield ks, slab.values[(ks,) + nodes], grads
 
 
 def _level_integrals(
@@ -97,29 +98,40 @@ def _level_integrals(
 ) -> np.ndarray:
     """Trapezoid integral over the cube of ``integrand(*chunk)`` per window level,
     for the chunks :func:`_cube_chunks` yields; the integrand is shaped like ``u``."""
+    nodes, levels = slab.grid.cube_slices(cube), _window_levels(slab, window)
     return np.concatenate(
         [
             _trapezoid(integrand(ks, u, grads), slab.grid.spacing, lead=1)
-            for ks, u, grads in _cube_chunks(slab, cube, window, halo)
+            for ks, u, grads in _cube_chunks(slab, nodes, levels, halo)
         ]
     )
 
 
+def _cylinder_chunks(slab: SpaceTimeSlab, cyl: Cylinder):
+    return _cube_chunks(slab, slab.grid.cube_slices(cyl.cube), _window_levels(slab, cyl))
+
+
 def ess_sup(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
     """Max of the samples over the cylinder (discrete essential sup)."""
-    return float(np.max([u.max() for _, u, _ in _cube_chunks(slab, cyl.cube, cyl)]))
+    return float(np.max([u.max() for _, u, _ in _cylinder_chunks(slab, cyl)]))
 
 
 def ess_inf(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
-    return float(np.min([u.min() for _, u, _ in _cube_chunks(slab, cyl.cube, cyl)]))
+    return float(np.min([u.min() for _, u, _ in _cylinder_chunks(slab, cyl)]))
+
+
+def _p_mean_sup(chunks, integrand, p: float, spacing: float, scale: float) -> float:
+    """Sup over the chunks' levels of ``(int integrand(u)^p / scale)^(1/p)`` over the cube."""
+    vals = np.concatenate(
+        [_trapezoid(integrand(u) ** p, spacing, lead=1) for _, u, _ in chunks]
+    )
+    return float(np.max((vals / scale) ** (1.0 / p)))
 
 
 def _oscillation(slab, cyl: Cylinder, p: float, integrand, normalized: bool) -> float:
     """Sup over levels of the p-root of the cube integral (or mean) of ``integrand(u)^p``."""
-    vals = _level_integrals(slab, cyl.cube, cyl, lambda ks, u, g: integrand(u) ** p)
-    if normalized:
-        vals = vals / cube_volume(slab.grid, cyl.cube)
-    return float(np.max(vals ** (1.0 / p)))
+    scale = cube_volume(slab.grid, cyl.cube) if normalized else 1.0
+    return _p_mean_sup(_cylinder_chunks(slab, cyl), integrand, p, slab.grid.spacing, scale)
 
 
 def log_oscillation(slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float) -> float:
@@ -158,6 +170,12 @@ def _check_m(m: float) -> None:
         raise ParameterError(f"m must lie in [0, 1), got {m:.6g}")
 
 
+def _cube_mean(field: Field, center, edge: float, f) -> float:
+    """Trapezoid mean of ``f(u)`` over the snapped cube, ``f`` applied on its nodes only."""
+    nodes, h = field.grid.cube_slices(Cube(tuple(center), edge)), field.grid.spacing
+    return float(_trapezoid(f(field.values[nodes]), h)) / _block_volume(nodes, h)
+
+
 def intrinsic_scale(
     field: Field, center, edge: float, q: float, eps: float, m: float = 0.0
 ) -> float:
@@ -168,8 +186,7 @@ def intrinsic_scale(
     _check_m(m)
     if q <= 0 or eps <= 0:
         raise ParameterError("q and eps must be positive")
-    cube = Cube(tuple(center), edge)
-    return eps * average(field.values**q, field.grid, cube) ** ((1.0 - m) / q)
+    return eps * _cube_mean(field, center, edge, lambda u: u**q) ** ((1.0 - m) / q)
 
 
 def degeneracy_ratio(
@@ -181,12 +198,10 @@ def degeneracy_ratio(
     ``m = 0`` gives the logarithmic exponent ``2/(2r - N)``.
     """
     _check_m(m)
-    grid = field.grid
     if M <= 0 or q <= 0:
         raise ParameterError("M and q must be positive")
-    lam_r = moment_scaling_exponent(grid.dim, m, r)
-    cube = Cube(tuple(center), edge)
-    mean = average((field.values / M) ** q, grid, cube)
+    lam_r = moment_scaling_exponent(field.grid.dim, m, r)
+    mean = _cube_mean(field, center, edge, lambda u: (u / M) ** q)
     return mean ** ((1.0 / q) * (2.0 / lam_r))
 
 
@@ -239,9 +254,8 @@ def _space_time_integral(
 
 def _gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, power: float) -> float:
     """Space-time integral of ``zeta^2 |Du|^2 / u^power`` over the cutoff support."""
-    grid = slab.grid
     cube = cutoff.support_cube()
-    zeta_sq = cutoff.sample(grid).values[grid.cube_slices(cube)] ** 2
+    zeta_sq = cutoff.block(slab.grid, slab.grid.cube_slices(cube)) ** 2
     return _space_time_integral(
         slab, cube, window, lambda ks, u, g: zeta_sq * sum(x**2 for x in g) / u**power, "energy"
     )
@@ -270,15 +284,16 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     """``(1/rho) * int int_{K_rho} |A| dx dtau`` for the given flux structure."""
     grid = slab.grid
     cube = Cube(tuple(center), rho)
-    pts = grid.points()[grid.cube_slices(cube)]
-    flat = pts.reshape(-1, grid.dim)
+    nodes = grid.cube_slices(cube)
+    shape = tuple(s.stop - s.start for s in nodes)
+    if any(callable(a_d) for a_d in flux.a):
+        coords = np.broadcast_arrays(*grid.block_axes(nodes))
+        flat = np.stack(coords, axis=-1).reshape(-1, grid.dim)
 
     def coefficient(a_d, ks):
         if not callable(a_d):
             return float(a_d)
-        return np.stack(
-            [a_d(flat, float(t)).reshape(pts.shape[:-1]) for t in slab.times[ks]]
-        )
+        return np.stack([a_d(flat, float(t)).reshape(shape) for t in slab.times[ks]])
 
     def magnitude(ks, u, grads):
         if flux.kind == "log-diffusion":
@@ -293,6 +308,24 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     return _space_time_integral(slab, cube, window, magnitude, "flux") / rho
 
 
+def _probe_sup(slab: SpaceTimeSlab, center, edge: float, window):
+    """The first pass of a probe: ``(nodes, chunks, M)`` over ``K_edge x window``.
+
+    ``nodes`` are the cube's slices, ``chunks`` the listed :func:`_cube_chunks`
+    of the cylinder and ``M`` the sup of u there.  Raises ParameterError
+    unless u is finite and positive on the cylinder.
+    """
+    nodes = slab.grid.cube_slices(Cube(tuple(center), edge))
+    chunks = list(_cube_chunks(slab, nodes, _window_levels(slab, window)))
+    M = float(np.max([u.max() for _, u, _ in chunks]))
+    if not (math.isfinite(M) and min(u.min() for _, u, _ in chunks) > 0.0):
+        raise ParameterError(
+            f"u must be finite and positive on the cube of edge {edge:.6g} "
+            f"at {_point_str(center)}"
+        )
+    return nodes, chunks, M
+
+
 def _probe_stats(
     slab: SpaceTimeSlab,
     center,
@@ -300,52 +333,43 @@ def _probe_stats(
     sigma: float,
     window,
     m: float | None = None,
-    p: float = 2.0,
 ) -> tuple[float, float, float, float, float]:
-    """``M, Lambda_1, Lambda_p, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
+    """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
 
     ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_1``,
-    ``Lambda_p`` (``p = 2`` unless given) the log oscillation means there, or
-    given ``m`` the plain-integral power ones with exponent ``m/2``;
-    ``S_sigma`` is the sup over the window of the mass on ``K_(1+sigma)rho``.
-    Equal to the composed :func:`ess_sup`, :func:`log_oscillation` /
-    :func:`power_oscillation`, :func:`sup_mass` and :func:`inf_mass`, but the
-    cylinder is read in two passes: one for ``M`` (and the positivity check),
-    one that evaluates the oscillation integrand once per node.  Raises ParameterError unless u is finite and positive on
-    ``K_2rho x window``.
+    ``Lambda_2`` the log oscillation means there, or given ``m`` the
+    plain-integral power ones with exponent ``m/2``; ``S_sigma`` is the sup
+    over the window of the mass on ``K_(1+sigma)rho``.  Equal to the composed
+    :func:`ess_sup`, :func:`log_oscillation` / :func:`power_oscillation`,
+    :func:`sup_mass` and :func:`inf_mass`, but the cylinder is read in two
+    passes: :func:`_probe_sup` for ``M`` (and the positivity check), then one
+    that evaluates the oscillation integrand once per node.  Raises
+    ParameterError unless u is finite and positive on ``K_2rho x window``.
     """
     if not 0.0 <= sigma < 1.0:
         raise ParameterError("sigma must lie in [0, 1)")
     grid = slab.grid
-    cube = Cube(tuple(center), 2.0 * rho)
-    chunks = list(_cube_chunks(slab, cube, window))
-    M = float(np.max([u.max() for _, u, _ in chunks]))
-    if not (math.isfinite(M) and min(u.min() for _, u, _ in chunks) > 0.0):
-        raise ParameterError(
-            f"u must be finite and positive on the cube of edge {2.0 * rho:.6g} "
-            f"at {_point_str(center)}"
-        )
+    h = grid.spacing
+    outer, chunks, M = _probe_sup(slab, center, 2.0 * rho, window)
     # K_(1+sigma)rho inside the chunks: both cubes snap around one center
-    outer = grid.cube_slices(cube)
     inner = grid.cube_slices(Cube(tuple(center), (1.0 + sigma) * rho))
     sub = (slice(None),) + tuple(
         slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer)
     )
     if m is None:
-        integrand, scale = (lambda u: np.abs(np.log(u / M))), cube_volume(grid, cube)
+        integrand, scale = (lambda u: np.abs(np.log(u / M))), _block_volume(outer, h)
     else:
         mh = m / 2.0
         integrand, scale = (lambda u: (1.0 - (u / M) ** mh) / mh), 1.0
-    h = grid.spacing
     sums = []
     for _, u, _ in chunks:
         a = integrand(u)
-        sums.append([_trapezoid(x, h, lead=1) for x in (a, a**p, u[sub], u)])
-    osc1, osc_p, inner_mass, mass = np.concatenate(sums, axis=1)
+        sums.append([_trapezoid(x, h, lead=1) for x in (a, a * a, u[sub], u)])
+    osc1, osc2, inner_mass, mass = np.concatenate(sums, axis=1)
     return (
         M,
         float(np.max(osc1 / scale)),
-        float(np.max((osc_p / scale) ** (1.0 / p))),
+        float(np.max((osc2 / scale) ** 0.5)),
         float(np.max(inner_mass)),
         float(np.min(mass)),
     )

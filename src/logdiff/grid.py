@@ -109,13 +109,13 @@ class Grid:
     def node(self, idx) -> np.ndarray:
         return np.array([self.axis(d)[idx[d]] for d in range(self.dim)])
 
-    def sup_distance(self, center) -> np.ndarray:
-        """Sup-norm distance of every node from ``center``."""
-        mesh = self.meshgrid()
-        d = np.abs(mesh[0] - center[0])
-        for k in range(1, self.dim):
-            d = np.maximum(d, np.abs(mesh[k] - center[k]))
-        return d
+    def block_axes(self, nodes) -> list[np.ndarray]:
+        """Coordinates of the block ``nodes`` (one slice per axis): one array
+        per axis, shaped to broadcast against the others."""
+        return [
+            self.axis(d)[s].reshape([-1 if k == d else 1 for k in range(self.dim)])
+            for d, s in enumerate(nodes)
+        ]
 
     def cube_slices(self, cube: "Cube") -> tuple[slice, ...]:
         """Index slices of the snapped cube; raises if the cube leaves the grid."""
@@ -319,8 +319,16 @@ class Cutoff:
         tau = np.clip((sup_dist - lo) / (hi - lo), 0.0, 1.0)
         return 1.0 - tau * tau * (3.0 - 2.0 * tau)
 
+    def block(self, grid: Grid, nodes) -> np.ndarray:
+        """Profile values at the nodes of the block ``nodes`` (one slice per axis)."""
+        coords = grid.block_axes(nodes)
+        dist = np.abs(coords[0] - self.center[0])
+        for x, c in zip(coords[1:], self.center[1:]):
+            dist = np.maximum(dist, np.abs(x - c))
+        return self.eval(dist)
+
     def sample(self, grid: Grid) -> Field:
-        return Field(grid, self.eval(grid.sup_distance(self.center)))
+        return Field(grid, self.block(grid, (slice(0, grid.npts),) * grid.dim))
 
 
 @functools.lru_cache(maxsize=None)
@@ -362,13 +370,14 @@ def integrate(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> 
     return float(_trapezoid(values[grid.cube_slices(cube)], grid.spacing))
 
 
+def _block_volume(nodes, spacing: float) -> float:
+    """Volume of the block of nodes ``nodes`` (one slice per axis)."""
+    return math.prod((s.stop - 1 - s.start) * spacing for s in nodes)
+
+
 def cube_volume(grid: Grid, cube: Cube) -> float:
     """Volume of the snapped cube (consistent with :func:`integrate`)."""
-    sl = grid.cube_slices(cube)
-    vol = 1.0
-    for s in sl:
-        vol *= (s.stop - 1 - s.start) * grid.spacing
-    return vol
+    return _block_volume(grid.cube_slices(cube), grid.spacing)
 
 
 def average(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> float:
@@ -382,17 +391,42 @@ def gradient(f: Field | np.ndarray, grid: Grid | None = None) -> tuple[np.ndarra
     """Central-difference gradient (second order interior, one-sided boundary).
 
     Differentiates along the last ``grid.dim`` axes, so stacked levels of
-    shape ``(levels, *grid.shape)`` are differentiated level by level.
+    shape ``(levels, *grid.shape)`` are differentiated level by level.  This
+    is :func:`gradient_at` on the whole grid.
     """
     if isinstance(f, Field):
         grid, values = f.grid, f.values
     else:
         values = np.asarray(f, dtype=float)
-    axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    out = np.gradient(values, grid.spacing, axis=axes, edge_order=2)
-    if grid.dim == 1:
-        return (out,)
-    return tuple(out)
+    return gradient_at(values, grid, (slice(0, grid.npts),) * grid.dim)
+
+
+def gradient_at(values: np.ndarray, grid: Grid, nodes) -> tuple[np.ndarray, ...]:
+    """:func:`gradient` of ``values`` at the block ``nodes`` only.
+
+    ``nodes`` slices the last ``grid.dim`` axes.  Along each axis the block's
+    differences read one node beyond it where the grid has one, and at a grid
+    face use the one-sided second-order formula, each written as
+    ``numpy.gradient(..., edge_order=2)`` writes it, so the result equals
+    numpy's gradient of the whole level at the block bit for bit.
+    """
+    h, n = grid.spacing, grid.npts
+    grads = []
+    for d, s in enumerate(nodes):
+
+        def f(lo, hi):  # the block, moved to indices lo:hi along axis d
+            return values[(Ellipsis, *nodes[:d], slice(lo, hi), *nodes[d + 1 :])]
+
+        lo, hi = max(s.start, 1), min(s.stop, n - 1)
+        parts = [(f(lo + 1, hi + 1) - f(lo - 1, hi - 1)) / (2.0 * h)]
+        if s.start == 0:
+            parts.insert(0, (-1.5 / h) * f(0, 1) + (2.0 / h) * f(1, 2) + (-0.5 / h) * f(2, 3))
+        if s.stop == n:
+            high = (0.5 / h) * f(n - 3, n - 2) + (-2.0 / h) * f(n - 2, n - 1)
+            parts.append(high + (1.5 / h) * f(n - 1, n))
+        axis = values.ndim - grid.dim + d
+        grads.append(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis))
+    return tuple(grads)
 
 
 def laplacian(f: Field | np.ndarray, grid: Grid | None = None) -> np.ndarray:

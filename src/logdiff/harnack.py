@@ -25,13 +25,16 @@ from .grid import (
     Cylinder,
     Grid,
     SpaceTimeSlab,
+    _block_volume,
     _point_str,
-    integrate,
+    _trapezoid,
     laplacian,
 )
 from .functionals import (
     _check_m,
+    _p_mean_sup,
     _probe_stats,
+    _probe_sup,
     ess_sup,
     flux_l1,
     intrinsic_scale,
@@ -510,7 +513,11 @@ def check_pointwise_harnack(
         raise GeometryError(
             f"intrinsic window depth {depth:.6g} reaches below the slab start"
         )
-    M, _, lam_p, _, _ = _probe_stats(slab, x_o, 4.0 * rho, 0.0, (t_lo, t_o), p=p)
+    nodes, chunks, M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))
+    lam_p = _p_mean_sup(
+        chunks, lambda u: np.abs(np.log(u / M)), p, grid.spacing,
+        _block_volume(nodes, grid.spacing),
+    )
     eta = degeneracy_ratio(vertex_field, x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cylinder(x_o, 2.0 * rho, t_o - theta * rho**2, t_o))
     probe_lo = t_o - theta * rho**2 / 16.0
@@ -615,29 +622,32 @@ def distributional_identity_check(
     """Check that the cutoff Laplacian integrates to ~0 over its support.
 
     The support must sit strictly inside the grid so that the interior
-    stencil applies on the whole integration cube.
+    stencil applies on the whole integration cube.  The check reads only the
+    support's nodes plus one node on every side: the cutoff is evaluated on
+    that block, its Laplacian and ``v`` (the given field, or ``exp(x_1)``)
+    on the support, where v must be positive.
     """
-    support = cutoff.support_cube()
-    slices = grid.cube_slices(support)
+    slices = grid.cube_slices(cutoff.support_cube())
     for d, sl in enumerate(slices):
         if sl.start < 1 or sl.stop > grid.npts - 1:
             raise GeometryError(
                 f"cutoff support touches the grid boundary on axis {d}"
             )
-    zeta = cutoff.sample(grid).values
-    lap = laplacian(zeta, grid)
-    base = integrate(lap, grid, support)
+    block = tuple(slice(sl.start - 1, sl.stop + 1) for sl in slices)
+    lap = laplacian(cutoff.block(grid, block), grid)[(slice(1, -1),) * grid.dim]
+    base = float(_trapezoid(lap, grid.spacing))
     if v_field is not None:
         v = np.asarray(v_field.values if hasattr(v_field, "values") else v_field)
-        if v.shape != grid.shape or np.any(v <= 0):
-            raise ParameterError("v must be positive and match the grid shape")
+        if v.shape != grid.shape or np.any(v[slices] <= 0):
+            raise ParameterError("v must match the grid shape and be positive on the support")
+        v = v[slices]
     else:
-        v = np.exp(grid.meshgrid()[0])
+        v = np.exp(grid.block_axes(slices)[0])
     worst = 0.0
     for M in consts:
         diff = np.log(v) - np.log(v / float(M))
-        worst = max(worst, abs(integrate(lap * diff, grid, support)))
-    one = abs(integrate(lap * (np.log(v) - np.log(v / 1.0)), grid, support))
+        worst = max(worst, abs(float(_trapezoid(lap * diff, grid.spacing))))
+    one = abs(float(_trapezoid(lap * (np.log(v) - np.log(v / 1.0)), grid.spacing)))
     return DistributionalCheck(
         spacing=grid.spacing,
         laplacian_defect=abs(base),

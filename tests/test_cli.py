@@ -137,6 +137,21 @@ def test_verify_pointwise_records_probe_errors(run_dir):
     assert all(set(r) == set(rows[0]) for r in rows)
 
 
+def test_verify_counts_probe_errors_by_class(run_dir, capsys):
+    out = run_dir / "pw-errors"
+    assert main([
+        "verify", "pointwise", "--config", str(run_dir / "run.ini"),
+        "--out", str(out), "--seed", "1",
+    ]) == 0
+    n_err = sum(1 for r in read_rows(out / "report.csv") if r["error"])
+    errors = json.loads((out / "manifest.json").read_text())["config"]["verify_effective"]["errors"]
+    assert n_err > 0
+    assert sum(errors.values()) == n_err
+    assert set(errors) <= {"GeometryError", "ParameterError"}
+    detail = ", ".join(f"{name} {n}" for name, n in errors.items())
+    assert f"({n_err} probe errors: {detail})" in capsys.readouterr().out
+
+
 def test_verify_error_cells_round_floats_to_six_digits(run_dir):
     # full-precision floats would make report.csv bytes hang on roundoff
     out = run_dir / "pw-digits"

@@ -9,6 +9,7 @@ real chunk budget and for budgets small enough that every window spans
 several chunks.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from logdiff import (
     Cutoff,
     Cylinder,
     Grid,
+    Lump2D,
     QuasilinearFlux,
     ess_inf,
     ess_sup,
@@ -33,7 +35,13 @@ from logdiff import (
     sup_mass,
 )
 from logdiff import functionals
-from logdiff.grid import SpaceTimeSlab, average, gradient, integrate
+from logdiff.cli import _VERIFY
+from logdiff.grid import SpaceTimeSlab, average, gradient, integrate, laplacian
+from logdiff.harnack import (
+    DistributionalCheck,
+    check_pointwise_harnack,
+    distributional_identity_check,
+)
 from logdiff.limit_m import _l1_distance, _uniform_norms
 
 REL = 1e-12
@@ -306,3 +314,168 @@ def test_probe_stats_reject_bad_values(bad):
         functionals._probe_stats(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))
     with pytest.raises(functionals.ParameterError, match="sigma"):
         functionals._probe_stats(_slab(2, 16, 5, seed=7), (0.0, 0.0), 0.25, 1.0, (0.0, 1.0))
+
+
+# --- probe-local checkers: cube-only work, equal bit for bit ----------------
+
+
+def _face_block(data, cells, dim):
+    """Node slices of a block that touches the low face, the high face, both
+    or neither along each axis (at least two nodes per axis)."""
+    nodes = []
+    for d in range(dim):
+        touch = data.draw(st.sampled_from(("low", "high", "both", "inner")), label=f"touch{d}")
+        lo = 0 if touch in ("low", "both") else data.draw(st.integers(1, cells - 2), label=f"lo{d}")
+        if touch in ("high", "both"):
+            hi = cells + 1
+        else:
+            hi = data.draw(st.integers(lo + 2, cells), label=f"hi{d}")
+        nodes.append(slice(lo, hi))
+    return tuple(nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_cube_gradients_equal_whole_level_gradient(dim, data):
+    cells = data.draw(st.integers(3, {1: 40, 2: 12, 3: 6}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 6), label="levels")
+    slab = _slab(dim, cells, nlevels, data.draw(st.integers(0, 2**16), label="seed"))
+    nodes = _face_block(data, cells, dim)
+    levels = np.arange(nlevels)
+    axes = tuple(range(1, dim + 1))
+
+    def numpy_gradient(values):
+        out = np.gradient(values, slab.grid.spacing, axis=axes, edge_order=2)
+        return (out,) if dim == 1 else tuple(out)
+
+    for w, ref in zip(gradient(slab.values, slab.grid), numpy_gradient(slab.values)):
+        assert np.array_equal(w, ref)
+    for budget in (functionals._CHUNK_DOUBLES, 1):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
+            for ks, u, grads in functionals._cube_chunks(slab, nodes, levels, halo=True):
+                assert np.array_equal(u, slab.values[(ks,) + nodes])
+                whole = numpy_gradient(slab.values[ks])
+                assert len(grads) == dim
+                for g, w in zip(grads, whole):
+                    assert np.array_equal(g, w[(slice(None),) + nodes])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_cutoff_block_equals_whole_grid_sample(dim, data):
+    cells = data.draw(st.integers(3, {1: 40, 2: 16, 3: 8}[dim]), label="cells")
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    center = tuple(
+        data.draw(st.floats(-0.6, 0.6), label=f"center{d}") for d in range(dim)
+    )
+    rho = data.draw(st.floats(0.05, 0.8), label="rho")
+    sigma = data.draw(st.sampled_from((0.0, 0.25, 0.5, 0.9)), label="sigma")
+    cutoff = Cutoff(center, rho, sigma)
+    nodes = _face_block(data, cells, dim)
+    whole = cutoff.sample(grid).values
+    mesh = grid.meshgrid()
+    dist = np.abs(mesh[0] - center[0])
+    for x, c in zip(mesh[1:], center[1:]):
+        dist = np.maximum(dist, np.abs(x - c))
+    assert np.array_equal(whole, cutoff.eval(dist))
+    assert np.array_equal(cutoff.block(grid, nodes), whole[nodes])
+
+
+def ref_distributional(cutoff, grid, v_field=None, consts=(0.5, 2.0, 10.0)):
+    """The whole-grid body: cutoff, Laplacian and logs sampled on every node."""
+    support = cutoff.support_cube()
+    zeta = cutoff.sample(grid).values
+    lap = laplacian(zeta, grid)
+    base = integrate(lap, grid, support)
+    if v_field is not None:
+        v = np.asarray(v_field)
+    else:
+        v = np.exp(grid.meshgrid()[0])
+    worst = 0.0
+    for M in consts:
+        diff = np.log(v) - np.log(v / float(M))
+        worst = max(worst, abs(integrate(lap * diff, grid, support)))
+    one = abs(integrate(lap * (np.log(v) - np.log(v / 1.0)), grid, support))
+    return DistributionalCheck(
+        spacing=grid.spacing,
+        laplacian_defect=abs(base),
+        shift_defect=worst,
+        shift_defect_at_one=one,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_distributional_check_equals_whole_grid_body(dim, data):
+    cells = data.draw(st.integers(6, {1: 48, 2: 24, 3: 10}[dim]), label="cells")
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    h = grid.spacing
+    # support strictly inside the grid: one node of margin on each side
+    half = data.draw(st.integers(1, (cells - 2) // 2), label="half-support")
+    center = tuple(
+        float(grid.axis(d)[data.draw(st.integers(half + 1, cells - half - 1), label=f"c{d}")])
+        for d in range(dim)
+    )
+    sigma = data.draw(st.sampled_from((0.0, 0.5)), label="sigma")
+    cutoff = Cutoff(center, 2 * half * h / (1.0 + sigma), sigma)
+    if data.draw(st.booleans(), label="given v"):
+        v = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(0.5, 3.0, grid.shape)
+    else:
+        v = None
+    consts = (0.5, 2.0, data.draw(st.floats(0.1, 50.0), label="M"))
+    got = distributional_identity_check(cutoff, grid, v_field=v, consts=consts)
+    assert got == ref_distributional(cutoff, grid, v_field=v, consts=consts)
+
+
+def test_distributional_check_reads_v_on_the_support_only():
+    grid = Grid.regular(2, 1.0, 1.0 / 16)
+    cutoff = Cutoff((0.0, 0.0), 0.25, 0.5)  # support: nodes 5..11 on each axis
+    v = np.ones(grid.shape)
+    v[0, 0] = -1.0
+    assert distributional_identity_check(cutoff, grid, v_field=v).shift_defect_at_one == 0.0
+    v[8, 5] = 0.0
+    with pytest.raises(functionals.ParameterError, match="positive on the support"):
+        distributional_identity_check(cutoff, grid, v_field=v)
+
+
+@pytest.mark.parametrize("p", [5.0, 6.0, 7.0, 5.5])
+def test_pointwise_lambda_p_matches_pow(p):
+    grid = Grid.regular(2, 1.0, 1.0 / 32)
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, np.linspace(0.0, 0.5, 65))
+    x_o, rho, t_o = (0.0, 0.0), 1.0 / 16, 0.5
+    rep = check_pointwise_harnack(slab, x_o, t_o, rho, p=p)
+    assert not rep.degenerate
+    # reference: the p-mean of |ln(u/M)| over K_8rho with numpy's pow
+    cyl = Cylinder(x_o, 8.0 * rho, t_o - rep.theta * (8.0 * rho) ** 2, t_o)
+    assert rep.sup_u == ess_sup(slab, cyl)
+    best = 0.0
+    for k in _levels(slab, (cyl.t_start, cyl.t_end)):
+        a = np.abs(np.log(slab.values[k] / rep.sup_u)) ** p
+        best = max(best, average(a, grid, cyl.cube) ** (1.0 / p))
+    assert rep.lambda_p == pytest.approx(best, rel=1e-15, abs=0.0)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("whole-grid helper called by a verify probe")
+
+
+def test_verify_probes_never_touch_the_whole_grid(monkeypatch):
+    grid = Grid.regular(2, 1.0, 1.0 / 64)
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, np.linspace(0.0, 0.5, 65))
+    fluxes = (
+        QuasilinearFlux("log-diffusion"),
+        QuasilinearFlux(
+            "diagonal-perturbed", m=0.3, a=(lambda p, t: 1.0 + 0.2 * p[:, 0] + t, 1.5),
+            c_o=0.5, c_1=2.0,
+        ),
+    )
+    monkeypatch.setattr(Grid, "meshgrid", _raise)
+    monkeypatch.setattr(Grid, "points", _raise)
+    monkeypatch.setattr(Cutoff, "sample", _raise)
+    center, window = (0.0, 0.0), (0.25, 0.5)
+    for kind, (cls, scale, check) in _VERIFY.items():
+        for flux in fluxes if kind == "flux" else (None,):
+            opts = SimpleNamespace(sigma=0.5, m=0.2, q=2.0, p=5.0, r=2.0, eps=0.1, flux=flux)
+            rep = check(slab, center, 0.25 * scale, window, opts)
+            assert isinstance(rep, cls), kind
+            assert not getattr(rep, "degenerate", False), kind
