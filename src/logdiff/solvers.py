@@ -4,22 +4,17 @@ All solvers march backward Euler: each step solves the nonlinear system
 
     u_new - dt * Op(u_new) = u_old
 
-with a damped Newton iteration (exact Jacobian of the discrete operator,
-step halving up to ``max_damping`` times).  ``Op`` is:
+with a damped Newton iteration (step halving up to ``max_damping`` times).
+Every ``Op`` is ``div_h(a grad_h beta(u))``, with ``beta(u) = ln u`` at ``m = 0``
+and ``(u^m - 1)/m`` for ``0 < m < 1``.  ``solve_log_diffusion`` (``m = 0``) and
+``solve_porous_medium`` take ``a = 1``.  ``solve_quasilinear`` with a
+``diagonal-perturbed`` flux takes ``a = a_d(x, t)`` at the midpoint of each face
+of axis ``d``: as ``a_d`` does not depend on u, ``a_d u^(m-1) du/dx_d = a_d d
+beta(u)/dx_d``, and at ``a = 1`` its results are the model solvers' bit for bit.
 
-* ``solve_log_diffusion``: ``Lap_h(ln u)``,
-* ``solve_porous_medium``:  ``Lap_h((u^m - 1)/m)``, ``0 < m < 1``,
-* ``solve_quasilinear`` with a ``diagonal-perturbed`` flux: ``div_h`` of the
-  face flux ``a_d(x,t) * d_face * du``, where ``d_face`` is the harmonic mean
-  of ``u^(1-m)`` (the arithmetic mean of ``u^(m-1)``; ``m = 0`` gives the
-  logarithmic coefficient ``1/u``).
-
-``solve_quasilinear`` with kind ``log-diffusion`` or ``pme`` runs the model
-solvers' operator, so the reduction at ``a == 1`` is exact by construction.
-
-Every ``Op`` is the divergence of a flux ``phi`` on the faces of the grid,
-one per pair of neighbouring nodes: ``div(phi) = -(D^T (w * phi)) / (W h^2)``
-with ``(D u)_f = u[right] - u[left]``.  This is the vertex-centred
+The divergence lives on the faces of the grid, one per pair of neighbouring
+nodes: ``div(phi) = -(D^T (w * phi)) / (W h^2)`` with ``(D u)_f = u[right] -
+u[left]``, and ``Op(u) = div(a * D beta(u))``.  This is the vertex-centred
 finite-volume zero-flux scheme: ``W`` are the trapezoid weights (dual cell
 volumes over ``h^dim``) and ``w`` the dual face areas over ``h^(dim-1)``,
 halved once for each other axis on whose boundary the face lies.  Interior
@@ -30,41 +25,25 @@ supplied by an exact solution (or any callable ``(points, t) -> values``) and
 solves for the interior nodes; ``neumann-zero-flux`` solves for every node and
 conserves the trapezoid mass per step up to the Newton residual.
 
-Newton corrections solve ``J delta = -r`` (``J = I - dt dOp/du``) by Krylov
-iterations from zero.  For log and pme, ``W J = (diag(W/b') + C) diag(b')`` with
-``C = dt D^T diag(w) D / h^2`` exactly symmetric: PCG finds ``b' delta``.  The
-flux form runs BiCGSTAB (right-preconditioned) on ``W J delta = -W r``.  Both
-loops stop by one rule, ``max|W (J delta + r)| <= 0.01 newton_tol min W``, or
-at a cap of ``n`` (PCG) or ``2 n + 20`` (BiCGSTAB) iterations for ``n``
-unknowns (a cap hit); a BiCGSTAB breakdown returns its iterate as not
-converged.  The damped line search guards the result.  Under Neumann
-``W^T J = W^T``, so the constant restoring ``W^T delta = -W^T r`` is added to
-each correction.
+Newton corrections solve ``J delta = -r`` (``J = I - dt dOp/du``) by PCG from
+zero.  ``W J = (diag(W/b') + C) diag(b')`` for ``b' = beta'(u)`` and ``C = dt
+D^T diag(w a) D / h^2``, which is exactly symmetric, so PCG finds ``b'
+delta``.  It stops once ``max|W (J delta + r)| <= 0.01 newton_tol min W``, or
+after ``n`` iterations for ``n`` unknowns (a cap hit); the damped line search
+guards the result.  Under Neumann ``W^T J = W^T``, so the constant restoring
+``W^T delta = -W^T r`` is added to each correction.
 
-Both loops are preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with
-``C_a`` the axis-``a`` part of ``C``.  One orthonormal DST-I (Dirichlet) or
-DCT-I (Neumann, after scaling by ``W^(1/2)``) matrix per axis diagonalises
-``W`` and every ``C_a`` together (fast diagonalisation, Lynch, Rice & Thomas
-1964), so applying ``P^-1`` is a transform along each axis, a division by
-``s + sum_a c_a lam_a`` and the transform back; the matrix depends only on
-the grid and dt and is built once per solve.  PCG takes ``c_a = 1`` and
-``s = sqrt(min d max d)`` for ``d = 1/b'``, so its condition number is at most
-``(max d + lam_min)/(min d + lam_min)`` for the least eigenvalue ``lam_min``
-of ``C`` against ``W``, whatever dt/h^2 is.  BiCGSTAB freezes the flux
-coefficient ``k = u^(m-1)`` (``1/u`` at ``m = 0``) into the unknown,
-``W J delta ~ (diag(W/k) + sum_a a_a C_a)(k delta)``, and preconditions by
-``x -> P^-1 x / k`` with ``s`` from ``d = 1/k`` and ``c_a`` the mean of ``a_a``
-over the faces of axis ``a``.
-
-The flux form keeps ``W J`` in one CSR matrix per solve, whose pattern is the
-diagonal and both off-diagonal entries of every face whose two end nodes are
-unknowns; a Newton call rewrites only its data.  As ``W div = -D^T diag(w) /
-h^2``, ``W J = W + (dt/h^2) D^T diag(w) dphi/du``, so a face ``(L, R)`` adds
-the 2x2 block ``[[g1 - g2 d'_L, -(g1 + g2 d'_R)], [-g1 + g2 d'_L, g1 + g2
-d'_R]]`` on its rows and columns ``L, R``, with ``g1 = (dt/h^2) w a (d_L +
-d_R)/2``, ``g2 = (dt/h^2) w a (u_R - u_L)/2`` and ``d' = (m - 1) d / u`` for
-``d = u^(m-1)``.  A face with one unknown end adds only that end's diagonal
-entry.
+PCG is preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with ``C_a``
+the axis-``a`` part of ``C`` at ``a = 1``, ``c_a`` the mean of ``a`` over the
+faces of axis ``a`` and ``s = sqrt(min d max d)`` for ``d = 1/b'``.  One
+orthonormal DST-I (Dirichlet) or DCT-I (Neumann, after scaling by ``W^(1/2)``)
+matrix per axis diagonalises ``W`` and every ``C_a`` together (fast
+diagonalisation, Lynch, Rice & Thomas 1964), so applying ``P^-1`` is a
+transform along each axis, a division by ``s + sum_a c_a lam_a`` and the
+transform back; the matrix depends only on the grid and dt and is built once
+per solve.  At ``a = 1`` the condition number is at most ``(max d +
+lam_min)/(min d + lam_min)`` for the least eigenvalue ``lam_min`` of ``C``
+against ``W``, whatever dt/h^2 is.
 
 Newton for step k starts on the unknowns from the polynomial through the
 last ``min(k + 1, 3)`` levels, extrapolated to the new time: ``u_k``, then
@@ -78,9 +57,10 @@ positivity floor, that node starts from ``u_k`` instead, counted in
 such a start.
 
 Positivity is maintained by a floor (default ``1e-10 * max(initial)``); every
-clipped entry is counted, and a step whose clipped fraction exceeds
-``floor_warn_fraction`` appends a warning to the slab metadata rather than
-failing, since approach to zero is the phenomenon under study.
+entry clipped, in the Newton start or in an accepted iterate, is counted, and
+a step whose clipped fraction in an iterate exceeds ``floor_warn_fraction``
+appends a warning to the slab metadata rather than failing, since approach to
+zero is the phenomenon under study.
 """
 
 from __future__ import annotations
@@ -127,7 +107,7 @@ class QuasilinearFlux:
 
     ``diagonal-perturbed`` means ``A_d = a_d(x, t) * u^(m-1) * du/dx_d`` with
     ``c_o <= a_d <= c_1``; ``a`` holds one constant or callable per axis and
-    ``m = 0`` selects the logarithmic coefficient ``1/u``.
+    ``m = 0`` selects the logarithmic coefficient ``1/u``, i.e. ``beta = ln u``.
     """
 
     kind: str
@@ -165,6 +145,7 @@ _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 def _damped_newton(x0, residual_fn, correction_fn, floor, config, t, stats):
     """Solve residual(x) = 0 by steps ``correction_fn(x, r)``; keeps x >= floor."""
+    stats["floor_triggers"] += int((x0 < floor).sum())
     x = np.maximum(x0, floor)
     r = residual_fn(x)
     rnorm = float(np.abs(r).max())
@@ -217,42 +198,6 @@ def _pcg(A, b, precond, atol, cap):
         p = z + (rz / rz_old) * p
 
 
-def _bicgstab(A, b, precond, atol, cap):
-    """Right-preconditioned BiCGSTAB for ``A x = b`` from zero, with the stopping
-    rule and return value of :func:`_pcg`.  A breakdown (``rho``, ``rhat.v`` or
-    ``t.t`` zero or not finite) returns the current iterate, not converged."""
-    x, res = np.zeros_like(b), b.copy()
-    rhat, p, v = res.copy(), np.zeros_like(b), np.zeros_like(b)
-    rho = alpha = omega = 1.0
-    for it in range(cap + 1):
-        if (converged := bool(np.abs(res).max() <= atol)) or it == cap:
-            return x, it, converged
-        rho, rho_old = rhat @ res, rho
-        if rho == 0.0 or not np.isfinite(rho):
-            return x, it, False
-        p = res + (rho / rho_old) * (alpha / omega) * (p - omega * v)
-        phat = precond(p)
-        v = A @ phat
-        rv = rhat @ v
-        if rv == 0.0 or not np.isfinite(rv):
-            return x, it, False
-        alpha = rho / rv
-        x += alpha * phat
-        res -= alpha * v
-        if np.abs(res).max() <= atol:
-            return x, it + 1, True
-        shat = precond(res)
-        t = A @ shat
-        tt = t @ t
-        if tt == 0.0 or not np.isfinite(tt):
-            return x, it + 1, False
-        omega = (t @ res) / tt
-        if omega == 0.0:  # res is orthogonal to t: a later beta would divide by it
-            return x, it + 1, False
-        x += omega * shat
-        res -= omega * t
-
-
 def _geometric_mid(d: np.ndarray) -> float:
     """``sqrt(min d * max d)``: the mass shift ``s`` of the preconditioner, which
     bounds ``d/s`` within ``[sqrt(min d/max d), sqrt(max d/min d)]``."""
@@ -290,16 +235,18 @@ class _Faces:
         eye = sp.identity(idx.size, format="csr")
         self.D = eye[self.right] - eye[self.left]
 
-    def divergence(self, rows: np.ndarray) -> sp.csr_matrix:
-        """Rows ``rows`` of ``phi -> -(D^T (w * phi)) / (W h^2)``."""
+    def divergence(self, rows: np.ndarray, a=1.0) -> sp.csr_matrix:
+        """Rows ``rows`` of ``phi -> -(D^T (w * a * phi)) / (W h^2)``, for face
+        weights ``a``."""
         scale = -1.0 / (self.W[rows] * self.grid.spacing**2)
-        return sp.csr_matrix(sp.diags(scale) @ self.D[:, rows].T @ sp.diags(self.w))
+        return sp.csr_matrix(sp.diags(scale) @ self.D[:, rows].T @ sp.diags(self.w * a))
 
-    def stiffness(self, rows: np.ndarray) -> sp.csr_matrix:
-        """``-W L = D^T diag(w) D / h^2`` on ``rows``; exactly symmetric, as
-        each off-diagonal entry is one product of exact factors."""
+    def stiffness(self, rows: np.ndarray, a=1.0) -> sp.csr_matrix:
+        """``-W L = D^T diag(w a) D / h^2`` on ``rows`` for ``L = div(a D)``;
+        exactly symmetric, as each off-diagonal entry is one product of exact
+        factors."""
         D = self.D[:, rows]
-        return sp.csr_matrix(D.T @ sp.diags(self.w / self.grid.spacing**2) @ D)
+        return sp.csr_matrix(D.T @ sp.diags(self.w * a / self.grid.spacing**2) @ D)
 
 
 class _Spectral:
@@ -342,147 +289,97 @@ class _Spectral:
         return apply
 
 
-# Operators: ``step(t)`` once per level, then ``apply(u)`` (Op on ``rows``, u on every
-# node) and ``newton_solver(dt, atol)`` -> ``solve(u, r) -> (delta, iters, converged)``.
+def _beta(m: float):
+    """``(beta, beta')``: ``ln u`` at ``m = 0``, ``(u^m - 1)/m`` for ``0 < m < 1``."""
+    if m == 0.0:
+        return np.log, np.reciprocal
+    return (lambda u: (u**m - 1.0) / m), (lambda u: u ** (m - 1.0))
 
 
 class _BetaOperator:
-    """``Lap_h beta(u)``, with ``L = div D`` assembled once."""
+    """``div_h(a grad_h beta(u))`` on ``rows`` (module docstring): ``step(t)`` once
+    per level, then ``apply(u)`` (Op on ``rows``, u on every node) and
+    ``newton_solver(dt, atol)`` -> ``solve(u, r) -> (delta, iters, converged)``.
 
-    def __init__(self, faces: _Faces, rows: np.ndarray, beta, beta_prime):
-        self.faces, self.rows, self.beta, self.beta_prime = faces, rows, beta, beta_prime
-        self.L = faces.divergence(rows) @ faces.D
+    ``L = div(a D)`` and ``K = D^T diag(w a) D / h^2`` are assembled once, or
+    by each ``step`` when some ``a_d`` is callable.
+    """
+
+    def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux):
+        grid = faces.grid
+        self.faces, self.rows, self.flux = faces, rows, flux
+        self.beta, self.beta_prime = _beta(0.0 if flux.kind == "log-diffusion" else flux.m)
+        self.a_d = flux.a if flux.kind == "diagonal-perturbed" else ()
+        if self.a_d and len(self.a_d) != grid.dim:
+            raise ParameterError("flux needs one coefficient per axis")
+        pts = grid.points().reshape(-1, grid.dim)
+        mid = 0.5 * (pts[faces.left] + pts[faces.right])
+        self.mid = mid.reshape(grid.dim, -1, grid.dim)
+        self.varying = any(map(callable, self.a_d))
+        if not self.varying:
+            self._assemble(None)
+
+    def _assemble(self, t) -> None:
+        """``L``, ``K`` and the preconditioner's per-axis means ``c`` of ``a`` at
+        ``t``; each ``a_d`` must be finite and within ``[c_o, c_1]``."""
+        flux, per_axis = self.flux, []
+        tol = 1e-9 * max(1.0, flux.c_1)
+        for axis, (a_d, mid) in enumerate(zip(self.a_d, self.mid)):
+            vals = a_d(mid, t) if callable(a_d) else a_d
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), len(mid))
+            if not np.isfinite(vals).all():
+                raise ParameterError(f"a_{axis} is not finite at t={t}")
+            if vals.min() < flux.c_o - tol or vals.max() > flux.c_1 + tol:
+                raise ParameterError(
+                    f"a_{axis} leaves the structure interval [{flux.c_o}, {flux.c_1}]"
+                )
+            per_axis.append(vals)
+        a = np.concatenate(per_axis) if per_axis else 1.0
+        self.c = [vals.mean() for vals in per_axis] or np.ones(self.faces.grid.dim)
+        self.L = self.faces.divergence(self.rows, a) @ self.faces.D
+        self.K = self.faces.stiffness(self.rows, a)
 
     def step(self, t: float) -> None:
-        pass
+        if self.varying:
+            self._assemble(t)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.L @ self.beta(u)
 
     def newton_solver(self, dt: float, atol: float):
-        """PCG on ``(diag(W/b') + C) y = -W r``; a call rewrites only the diagonal."""
+        """PCG on ``(diag(W/b') + C) y = -W r`` with ``C = dt K``; a call rewrites
+        only the diagonal, after rebuilding ``A`` if ``step`` re-assembled ``K``."""
         n, W = self.rows.size, self.faces.W[self.rows]
-        C = dt * self.faces.stiffness(self.rows)
-        A = (C + sp.identity(n)).tocsr()  # stores every diagonal entry
-        diag_at = np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
-        c_diag = C.diagonal()
         spectral = _Spectral(self.faces, self.rows, dt)
-        unit = np.ones(self.faces.grid.dim)
+        K = A = diag_at = c_diag = None
 
         def solve(u, r):
+            nonlocal K, A, diag_at, c_diag
+            if K is not self.K:
+                K, C = self.K, dt * self.K
+                A = (C + sp.identity(n)).tocsr()  # stores every diagonal entry
+                rows_of = np.repeat(np.arange(n), np.diff(A.indptr))
+                diag_at, c_diag = np.flatnonzero(A.indices == rows_of), C.diagonal()
             bp = self.beta_prime(u[self.rows])
             A.data[diag_at] = c_diag + W / bp
-            precond = spectral.inverse(_geometric_mid(1.0 / bp), unit)
+            precond = spectral.inverse(_geometric_mid(1.0 / bp), self.c)
             y, iters, converged = _pcg(A, -W * r, precond, atol, n)
             return y / bp, iters, converged
 
         return solve
 
 
-class _FluxOperator:
-    """Divergence of the face flux ``a_d * d_face * du`` (diagonal-perturbed).
-
-    ``a_d`` is evaluated at the face midpoints and checked against
-    ``[c_o, c_1]`` once per step.
-    """
-
-    def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux):
-        grid = faces.grid
-        if len(flux.a) != grid.dim:
-            raise ParameterError("flux needs one coefficient per axis")
-        self.faces, self.flux, self.rows = faces, flux, rows
-        self.div = faces.divergence(rows)
-        pts = grid.points().reshape(-1, grid.dim)
-        mid = 0.5 * (pts[faces.left] + pts[faces.right])
-        self.mid = mid.reshape(grid.dim, -1, grid.dim)
-
-    def step(self, t: float) -> None:
-        flux = self.flux
-        tol = 1e-9 * max(1.0, flux.c_1)
-        per_axis = []
-        for axis, (a_d, mid) in enumerate(zip(flux.a, self.mid)):
-            vals = a_d(mid, t) if callable(a_d) else a_d
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), len(mid))
-            if vals.min() < flux.c_o - tol or vals.max() > flux.c_1 + tol:
-                raise ParameterError(
-                    f"a_{axis} leaves the structure interval [{flux.c_o}, {flux.c_1}]"
-                )
-            per_axis.append(vals)
-        self.a = np.concatenate(per_axis)
-
-    def _coefficient(self, u: np.ndarray) -> np.ndarray:
-        """``k = u^(m-1)``; ``m = 0`` gives the log coefficient ``1/u``."""
-        m = self.flux.m
-        return u ** (m - 1.0) if m != 0.0 else 1.0 / u
-
-    def _face_terms(self, u: np.ndarray):
-        """``a_d * d_face`` and ``du`` on every face."""
-        d = self._coefficient(u)
-        left, right = self.faces.left, self.faces.right
-        return self.a * 0.5 * (d[left] + d[right]), u[right] - u[left]
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        coef, du = self._face_terms(u)
-        return self.div @ (coef * du)
-
-    def newton_solver(self, dt: float, atol: float):
-        """BiCGSTAB on ``W J delta = -W r``, preconditioned by ``x -> P^-1 x / k``;
-        a call rewrites the data of one fixed CSR ``W J`` (module docstring)."""
-        faces, rows, m = self.faces, self.rows, self.flux.m
-        left, right, n = faces.left, faces.right, rows.size
-        W = faces.W[rows]
-        at = np.full(faces.W.size, -1)
-        at[rows] = np.arange(n)
-        inner = np.flatnonzero((at[left] >= 0) & (at[right] >= 0))
-        diag = np.arange(n)
-        i = np.concatenate([diag, at[left[inner]], at[right[inner]]])
-        j = np.concatenate([diag, at[right[inner]], at[left[inner]]])
-        order = np.lexsort((j, i))  # entries in CSR order: by row, then column
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=n))])
-        A = sp.csr_matrix((np.zeros(i.size), j[order], indptr), shape=(n, n))
-        scale = 0.5 * dt * faces.w / faces.grid.spacing**2
-        spectral = _Spectral(faces, rows, dt)
-
-        def solve(u, r):
-            d = self._coefficient(u)
-            g1 = scale * self.a * (d[left] + d[right])
-            g2 = scale * self.a * (u[right] - u[left])
-            dprime = (m - 1.0) * d / u
-            g2_left, g2_right = g2 * dprime[left], g2 * dprime[right]
-            on_diag = W + (
-                np.bincount(left, g1 - g2_left, faces.W.size)
-                + np.bincount(right, g1 + g2_right, faces.W.size)
-            )[rows]
-            entries = [on_diag, -(g1 + g2_right)[inner], (g2_left - g1)[inner]]
-            np.take(np.concatenate(entries), order, out=A.data)
-            k = d[rows]
-            c = self.a.reshape(faces.grid.dim, -1).mean(axis=1)
-            inverse = spectral.inverse(_geometric_mid(1.0 / k), c)
-            return _bicgstab(A, -W * r, lambda x: inverse(x) / k, atol, 2 * r.size + 20)
-
-        return solve
-
-
-def _log_operator(faces, rows, flux):
-    return _BetaOperator(faces, rows, np.log, np.reciprocal)
-
-
-def _pme_operator(faces, rows, flux):
-    m = flux.m
-    return _BetaOperator(faces, rows, lambda u: (u**m - 1.0) / m, lambda u: u ** (m - 1.0))
-
-
-# flux kind -> (operator factory (faces, rows, flux), slab meta "equation")
+# flux kind -> slab meta "equation"; every kind runs ``_BetaOperator``
 _KINDS = {
-    "log-diffusion": (_log_operator, "log-diffusion"),
-    "pme": (_pme_operator, "pme"),
-    "diagonal-perturbed": (_FluxOperator, "quasilinear:diagonal-perturbed"),
+    "log-diffusion": "log-diffusion",
+    "pme": "pme",
+    "diagonal-perturbed": "quasilinear:diagonal-perturbed",
 }
 
 
 def _operator_on_all_nodes(grid: Grid, flux: QuasilinearFlux):
     faces = _Faces(grid)
-    return _KINDS[flux.kind][0](faces, np.arange(faces.W.size), flux)
+    return _BetaOperator(faces, np.arange(faces.W.size), flux)
 
 
 def _march(
@@ -505,7 +402,7 @@ def _march(
     rows = np.flatnonzero(~known)
     pts_known = grid.points().reshape(-1, grid.dim)[known]
     boundary = getattr(config.boundary_values, "eval", config.boundary_values)
-    op = _KINDS[flux.kind][0](faces, rows, flux)
+    op = _BetaOperator(faces, rows, flux)
     solve = op.newton_solver(config.dt, 0.01 * config.newton_tol * faces.W[rows].min())
 
     times = np.linspace(initial.time, initial.time + horizon, nsteps + 1)
@@ -551,7 +448,7 @@ def _march(
             f"of nodes in a Newton step"
         )
     meta = {
-        "equation": _KINDS[flux.kind][1],
+        "equation": _KINDS[flux.kind],
         "m": None if flux.kind == "log-diffusion" else flux.m,
         "dt": config.dt,
         "horizon": horizon,
@@ -583,8 +480,10 @@ def solve_quasilinear(
 ) -> SpaceTimeSlab:
     """Backward Euler for the quasilinear flux ``u_t = div A(x, t, u, Du)``.
 
-    Model kinds run the operator of :func:`solve_log_diffusion` /
-    :func:`solve_porous_medium`; ``diagonal-perturbed`` runs the face flux.
+    Every kind runs ``div_h(a grad_h beta(u))`` (module docstring): the model
+    kinds with ``a = 1``, as :func:`solve_log_diffusion` and
+    :func:`solve_porous_medium` do, and ``diagonal-perturbed`` with ``a = a_d``
+    and the ``beta`` of ``flux.m``, so at ``a = 1`` it gives their results.
     """
     return _march(initial, config, horizon, flux)
 

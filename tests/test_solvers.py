@@ -1,12 +1,10 @@
 """Implicit solver behavior: fixed points, positivity, convergence, delegation,
 zero-flux conservation, Krylov Newton steps against a direct-solve reference,
-the flux Newton matrix against the complex-step Jacobian, the spectral
-preconditioner against a dense solve."""
+the spectral preconditioner against a dense solve."""
 
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +36,7 @@ from logdiff import (
     solve_quasilinear,
 )
 from logdiff import solvers
-from logdiff.solvers import (
-    _KINDS,
-    _BetaOperator,
-    _bicgstab,
-    _Faces,
-    _FluxOperator,
-    _Spectral,
-)
+from logdiff.solvers import _KINDS, _BetaOperator, _Faces, _Spectral
 
 from conftest import lump_grid
 
@@ -138,8 +129,8 @@ def test_quasilinear_model_kinds_delegate_exactly():
 
 
 def test_quasilinear_diagonal_close_to_model():
-    # unit diagonal coefficients: flux-form stencil differs from the beta
-    # form only by the face averaging, so the two stay within O(h^2)
+    # unit diagonal coefficients: div(a grad beta(u)) at a = 1 is the model
+    # operator, so the slabs agree bit for bit
     sol = Lump2D(c=1.0, T=1.0)
     g = lump_grid(16)
     config = SolverConfig(dt=1.0 / 64, boundary="dirichlet-from-oracle", boundary_values=sol)
@@ -147,8 +138,11 @@ def test_quasilinear_diagonal_close_to_model():
     model = solve_log_diffusion(initial, config, 0.125)
     flux = QuasilinearFlux(kind="diagonal-perturbed", m=0.0, a=(1.0, 1.0))
     pert = solve_quasilinear(initial, flux, config, 0.125)
-    rel = np.abs(model.values[-1] - pert.values[-1]).max() / model.values[-1].max()
-    assert rel <= 0.02
+    assert np.array_equal(model.values, pert.values)
+    model = solve_porous_medium(initial, 0.5, config, 0.125)
+    flux = QuasilinearFlux(kind="diagonal-perturbed", m=0.5, a=(1.0, 1.0))
+    pert = solve_quasilinear(initial, flux, config, 0.125)
+    assert np.array_equal(model.values, pert.values)
 
 
 def test_quasilinear_rejects_bad_inputs():
@@ -214,17 +208,42 @@ def test_lump_solves_never_touch_the_floor(cells, request):
     assert [meta[name] for name in counters] == [0, 0, 0]
 
 
+def test_initial_data_below_the_floor_counts_as_clipped():
+    # Newton starts from max(u_0, floor): those nodes are clipped too
+    grid = Grid.regular(1, 1.0, 1.0 / 16)
+    values = np.ones(grid.shape)
+    values[8] = 1e-14
+    config = SolverConfig(dt=1.0 / 64, boundary="neumann-zero-flux")
+    meta = solve_log_diffusion(Field(grid, values), config, 1.0 / 64).meta
+    assert meta["floor_triggers"] > 0
+
+
 def _trapezoid_mass(values, grid):
     return integrate(values, grid, Cube(grid.center, grid.edge))
 
 
+def _wavy_a(points, t):
+    """A callable flux coefficient within ``[0.7, 1.3]``."""
+    return 1.0 + 0.25 * np.cos(5.0 * points.sum(axis=-1) + t)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["log-diffusion", "pme", "diagonal-perturbed"])
-def test_neumann_conserves_trapezoid_mass(kind, dim):
+@pytest.mark.parametrize(
+    "kind, m, a_0",
+    [
+        ("log-diffusion", 0.5, 1.0),
+        ("pme", 0.5, 1.0),
+        ("diagonal-perturbed", 0.5, 1.0),
+        ("diagonal-perturbed", 0.0, _wavy_a),
+        ("diagonal-perturbed", 0.5, _wavy_a),
+    ],
+    ids=["log-diffusion", "pme", "diagonal-perturbed", "wavy-m0", "wavy-m0.5"],
+)
+def test_neumann_conserves_trapezoid_mass(kind, m, a_0, dim):
     grid = Grid.regular(dim, 1.0, 1.0 / (32, 16, 8)[dim - 1])
     initial = BarenblattFD(m=0.5).sample(grid, 0.0)
     config = SolverConfig(dt=4 * grid.spacing**2, boundary="neumann-zero-flux")
-    flux = QuasilinearFlux(kind, m=0.5, a=(1.0, 0.7, 1.3)[:dim], c_o=0.7, c_1=1.3)
+    flux = QuasilinearFlux(kind, m=m, a=(a_0, 0.7, 1.3)[:dim], c_o=0.7, c_1=1.3)
     slab = solve_quasilinear(initial, flux, config, 8 * config.dt)
     m0 = _trapezoid_mass(slab.values[0], grid)
     drift = max(abs(_trapezoid_mass(v, grid) - m0) for v in slab.values) / m0
@@ -246,19 +265,15 @@ def test_predictor_falls_back_to_the_last_level_below_the_floor():
 
 
 def test_neumann_flux_form_matches_log_solver_at_second_order():
-    # with m = 0 and a = 1 the flux form differs from Lap(ln u) only by the
-    # face averaging, an O(h^2) term on interior and boundary nodes alike
+    # with m = 0 and a = 1, div(a grad ln u) is Lap(ln u) on interior and
+    # boundary nodes alike, so the slabs agree bit for bit
     sol = Lump2D(c=1.0, T=1.0)
     flux = QuasilinearFlux(kind="diagonal-perturbed", m=0.0, a=(1.0, 1.0))
     config = SolverConfig(dt=1.0 / 64, boundary="neumann-zero-flux")
-    gaps = []
     for cells in (16, 32):
         initial = sol.sample(lump_grid(cells), 0.0)
-        model = solve_log_diffusion(initial, config, 0.25).values[-1]
-        pert = solve_quasilinear(initial, flux, config, 0.25).values[-1]
-        gaps.append(np.abs(model - pert).max() / model.max())
-    assert max(gaps) <= 1e-4
-    assert gaps[0] >= 3.0 * gaps[1]
+        model = solve_log_diffusion(initial, config, 0.25).values
+        assert np.array_equal(model, solve_quasilinear(initial, flux, config, 0.25).values)
 
 
 def test_coefficient_leaving_structure_interval_midway_raises():
@@ -274,6 +289,16 @@ def test_coefficient_leaving_structure_interval_midway_raises():
         solve_quasilinear(initial, flux, config, 0.25)
 
 
+def test_non_finite_coefficient_is_rejected():
+    # NaN fails no comparison, so a range check alone would let it through
+    g = lump_grid(8)
+    initial = Field(g, np.full(g.shape, 1.0))
+    config = SolverConfig(dt=0.05, boundary="neumann-zero-flux")
+    flux = QuasilinearFlux(kind="diagonal-perturbed", a=(1.0, lambda x, t: np.nan))
+    with pytest.raises(ParameterError, match="a_1 is not finite"):
+        solve_quasilinear(initial, flux, config, 0.1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 3), cells=st.integers(2, 6), data=st.data())
 def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cells, data):
@@ -287,9 +312,9 @@ def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cell
     assert abs((faces.W * div).sum()) <= 1e-13 * scale
 
     u = data.draw(arrays(np.float64, grid.shape, elements=finite))
-    op = _BetaOperator(faces, every, lambda v: v, np.ones_like)
+    L = _BetaOperator(faces, every, QuasilinearFlux("log-diffusion")).L
     inner = interior_slices(grid)
-    got = op.apply(u.ravel()).reshape(grid.shape)[inner]
+    got = (L @ u.ravel()).reshape(grid.shape)[inner]
     want = laplacian(u, grid)[inner]
     tol = 1e-13 * np.abs(u).max() / grid.spacing**2
     assert np.abs(got - want).max() <= tol
@@ -335,7 +360,7 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
     L_uu = (faces.divergence(rows) @ faces.D)[:, rows]
     assert np.allclose((sp.diags(W) @ L_uu).toarray(), -K.toarray(), rtol=1e-13, atol=0)
 
-    op = _KINDS[kind][0](faces, rows, _flux(kind, dim))
+    op = _BetaOperator(faces, rows, _flux(kind, dim))
     op.step(0.0)
     dt = dt_h2 * grid.spacing**2
     atol = 0.01 * 1e-10 * W.min()
@@ -343,75 +368,12 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
     r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
     delta, iters, converged = op.newton_solver(dt, atol)(u.copy(), r)
     if not converged:  # the cap; the damped line search takes the iterate
-        assert iters == (2 * rows.size + 20 if kind == "diagonal-perturbed" else rows.size)
+        assert iters == rows.size
         return
     J = np.eye(rows.size) - dt * _dense_jacobian(op, u, rows)
     defect = np.abs(W * (J @ delta + r)).max()
     rounding = 1e-14 * np.abs(W * (np.abs(J) @ np.abs(delta))).max()
     assert defect <= atol + rounding
-
-
-def _wavy_a(points, t):
-    """A callable flux coefficient within ``[0.7, 1.3]``."""
-    return 1.0 + 0.25 * np.cos(5.0 * points.sum(axis=-1) + t)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    dim=st.integers(1, 3),
-    cells=st.integers(2, 5),
-    boundary=st.sampled_from(["dirichlet-from-oracle", "neumann-zero-flux"]),
-    m=st.sampled_from([0.0, 0.5]),
-    wavy=st.booleans(),
-    dt_h2=st.floats(0.1, 50.0),
-    data=st.data(),
-)
-def test_flux_newton_matrix_is_the_weighted_jacobian(
-    dim, cells, boundary, m, wavy, dt_h2, data
-):
-    grid = Grid.regular(dim, 1.0, 1.0 / cells)
-    faces = _Faces(grid)
-    rows = _unknowns(faces, boundary)
-    a = tuple(_wavy_a if wavy else c for c in (1.0, 0.7, 1.3)[:dim])
-    flux = QuasilinearFlux("diagonal-perturbed", m=m, a=a, c_o=0.7, c_1=1.3)
-    op = _FluxOperator(faces, rows, flux)
-    op.step(0.3)
-    dt = dt_h2 * grid.spacing**2
-    solve = op.newton_solver(dt, 1e-12)
-    bicgstab, matrices = solvers._bicgstab, []
-
-    def capture(A, *rest):
-        matrices.append(A.toarray())
-        return bicgstab(A, *rest)
-
-    u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
-    r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
-    # the second call sees a different u: an entry left from the first one shows
-    shift = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.1, 1.0)))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "_bicgstab", capture)
-        for v in (u, u + shift):
-            solve(v.copy(), r)
-            J = np.eye(rows.size) - dt * _dense_jacobian(op, v, rows)
-            want = faces.W[rows, None] * J
-            assert np.abs(matrices[-1] - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def test_bicgstab_cap_leaves_room_on_tiny_neumann_systems():
-    # 9 unknowns: BiCGSTAB capped at 9 iterations reported converged=False here
-    grid = Grid.regular(2, 1.0, 0.5)
-    flux = _flux("diagonal-perturbed", 2)
-    dt = 15 * grid.spacing**2
-    faces = _Faces(grid)
-    op = _FluxOperator(faces, np.arange(faces.W.size), flux)
-    op.step(0.0)
-    r = np.sin(7.0 * np.arange(faces.W.size))
-    _, _, converged = op.newton_solver(dt, 1e-12 * faces.W.min())(np.ones(r.size), r)
-    assert converged
-    config = SolverConfig(dt=dt, boundary="neumann-zero-flux")
-    initial = Field(grid, 1.5 + r.reshape(grid.shape))
-    slab = solve_quasilinear(initial, flux, config, 4 * dt)
-    assert slab.meta["linear_cap_hits"] == 0
 
 
 def _axis_stiffness(faces, rows, axis):
@@ -477,25 +439,6 @@ def test_krylov_steps_stay_few_on_flat_zeros(flux):
     assert meta["linear_iters"] <= 12 * meta["newton_iters"]
 
 
-def test_bicgstab_breakdown_returns_the_finite_iterate():
-    # rhat.v = 0 at the first step: (1, 0) . A (1, 0) = 0
-    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        x, iters, converged = _bicgstab(swap, np.array([1.0, 0.0]), lambda v: v, 1e-12, 10)
-    assert not converged
-    assert iters < 10
-    assert np.isfinite(x).all()
-
-
-def test_bicgstab_returns_at_once_within_atol():
-    A = sp.identity(3, format="csr")
-    b = np.array([1e-13, -2e-13, 0.0])
-    x, iters, converged = _bicgstab(A, b, lambda v: v, 1e-12, 10)
-    assert (iters, converged) == (0, True)
-    assert not x.any()
-
-
 def test_importing_the_cli_loads_no_sparse_linalg():
     code = "import sys, logdiff.cli; print('scipy.sparse.linalg' in sys.modules)"
     src = str(Path(solvers.__file__).parents[1])
@@ -526,24 +469,26 @@ def _reference_case(name):
         return QuasilinearFlux("log-diffusion"), lump.sample(grid, 0.0), config, 0.25
     baren, grid = BarenblattFD(m=0.5), Grid.regular(3, 1.0, 1.0 / 8)
     dt = 4 * grid.spacing**2
-    if name == "flux-N":
+    if name.endswith("-N"):
         config = SolverConfig(dt=dt, boundary="neumann-zero-flux")
     else:
         config = SolverConfig(dt=dt, boundary="dirichlet-from-oracle", boundary_values=baren)
     if name == "pme-D":
         flux = QuasilinearFlux("pme", m=0.5)
+    elif name == "wavy-N":
+        a = (_wavy_a, 0.7, 1.3)
+        flux = QuasilinearFlux("diagonal-perturbed", m=0.5, a=a, c_o=0.7, c_1=1.3)
     else:
         flux = QuasilinearFlux("diagonal-perturbed", m=0.5, a=(1.0, 1.0, 1.0))
     return flux, baren.sample(grid, 0.0), config, 8 * dt
 
 
-@pytest.mark.parametrize("name", ["lump-16", "pme-D", "flux-D", "flux-N"])
+@pytest.mark.parametrize("name", ["lump-16", "pme-D", "flux-D", "flux-N", "wavy-N"])
 def test_krylov_solves_match_direct_reference(name, monkeypatch):
     flux, initial, config, horizon = _reference_case(name)
     krylov = solve_quasilinear(initial, flux, config, horizon)
     with monkeypatch.context() as patch:
-        for cls in (_BetaOperator, _FluxOperator):
-            patch.setattr(cls, "newton_solver", _direct_newton_solver)
+        patch.setattr(_BetaOperator, "newton_solver", _direct_newton_solver)
         direct = solve_quasilinear(initial, flux, config, horizon)
     assert krylov.meta["newton_iters"] == direct.meta["newton_iters"]
     assert krylov.meta["linear_iters"] > 0 == direct.meta["linear_iters"]
@@ -551,7 +496,7 @@ def test_krylov_solves_match_direct_reference(name, monkeypatch):
     assert gap <= 1e-11
 
 
-@pytest.mark.parametrize("name, counts", [("flux-D", (31, 72, 0)), ("flux-N", (24, 52, 0))])
+@pytest.mark.parametrize("name, counts", [("flux-D", (31, 117, 0)), ("flux-N", (24, 86, 0))])
 def test_flux_reference_solves_keep_their_newton_and_krylov_counts(name, counts):
     flux, initial, config, horizon = _reference_case(name)
     meta = solve_quasilinear(initial, flux, config, horizon).meta
