@@ -173,8 +173,6 @@ def _build_solver_config(cfg: Cfg, fixture) -> SolverConfig:
         newton_tol=cfg.get("solver", "newton_tol", 1e-10, float),
         newton_max_iter=cfg.get("solver", "newton_max_iter", 25, int),
         max_damping=cfg.get("solver", "max_damping", 30, int),
-        positivity_floor=cfg.get("solver", "positivity_floor", None, float),
-        floor_warn_fraction=cfg.get("solver", "floor_warn_fraction", 0.01, float),
         boundary=boundary,
         boundary_values=boundary_values,
     )

@@ -281,12 +281,15 @@ def power_gradient_energy(
 
 
 def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
-    """``(1/rho) * int int_{K_rho} |A| dx dtau`` for the given flux structure."""
+    """``(1/rho) * int int_{K_rho} |A| dx dtau`` for the flux ``A_d = a_d beta'(u)
+    du/dx_d`` of ``flux`` (``a = 1`` for the model kinds)."""
     grid = slab.grid
     cube = Cube(tuple(center), rho)
     nodes = grid.cube_slices(cube)
     shape = tuple(s.stop - s.start for s in nodes)
-    if any(callable(a_d) for a_d in flux.a):
+    a = flux.a if flux.kind == "diagonal-perturbed" else (1.0,) * grid.dim
+    beta_prime = flux.beta()[1]
+    if any(callable(a_d) for a_d in a):
         coords = np.broadcast_arrays(*grid.block_axes(nodes))
         flat = np.stack(coords, axis=-1).reshape(-1, grid.dim)
 
@@ -296,13 +299,9 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
         return np.stack([a_d(flat, float(t)).reshape(shape) for t in slab.times[ks]])
 
     def magnitude(ks, u, grads):
-        if flux.kind == "log-diffusion":
-            return np.sqrt(sum(g**2 for g in grads)) / u
-        if flux.kind == "pme":
-            return u ** (flux.m - 1.0) * np.sqrt(sum(g**2 for g in grads))
-        coef = u ** (flux.m - 1.0) if flux.m != 0.0 else 1.0 / u
-        return np.sqrt(
-            sum((coefficient(a_d, ks) * coef * g) ** 2 for a_d, g in zip(flux.a, grads))
+        # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
+        return beta_prime(u) * np.sqrt(
+            sum((coefficient(a_d, ks) * g) ** 2 for a_d, g in zip(a, grads))
         )
 
     return _space_time_integral(slab, cube, window, magnitude, "flux") / rho

@@ -212,8 +212,8 @@ class SpaceTimeSlab:
     """Fields on a shared grid at uniformly spaced time levels.
 
     ``values`` has shape ``(len(times), *grid.shape)`` and is immutable.
-    ``meta`` carries solver provenance: config echo, positivity-floor trigger
-    counts, and warnings.
+    ``meta`` carries solver provenance: the run's settings and its
+    deterministic Newton and PCG counters (``schema/columns.md``).
     """
 
     __slots__ = ("grid", "times", "values", "meta")

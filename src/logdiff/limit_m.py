@@ -34,7 +34,7 @@ from .harnack import (
     check_l1_harnack,
     check_l1_harnack_pme,
 )
-from .solvers import SolverConfig, solve_log_diffusion, solve_porous_medium
+from .solvers import SolverConfig, _beta, solve_log_diffusion, solve_porous_medium
 from .reporting import write_csv, write_json, read_json
 
 
@@ -250,7 +250,7 @@ def _uniform_norms(slab: SpaceTimeSlab, cube: Cube, m: float, r: float, p: float
     """Sup over all levels of the cube ``L^r`` norm of u and ``L^p`` norm of ``(u^m-1)/m``."""
     window = (slab.times[0], slab.times[-1])
     norms = []
-    for power, f in ((r, lambda u: u), (p, lambda u: (u**m - 1.0) / m)):
+    for power, f in ((r, lambda u: u), (p, _beta(m)[0])):
         vals = _level_integrals(slab, cube, window, lambda ks, u, g: np.abs(f(u)) ** power)
         norms.append(float(np.max(vals ** (1.0 / power))))
     return tuple(norms)

@@ -23,15 +23,14 @@ rows are the standard ``2*dim + 1`` point stencil, and ``sum_i W_i div_i = 0``.
 Boundary conditions: ``dirichlet-from-oracle`` fixes boundary nodes to values
 supplied by an exact solution (or any callable ``(points, t) -> values``) and
 solves for the interior nodes; ``neumann-zero-flux`` solves for every node and
-conserves the trapezoid mass per step up to the Newton residual.
+conserves the trapezoid mass per step to roundoff.
 
 Newton corrections solve ``J delta = -r`` (``J = I - dt dOp/du``) by PCG from
 zero.  ``W J = (diag(W/b') + C) diag(b')`` for ``b' = beta'(u)`` and ``C = dt
-D^T diag(w a) D / h^2``, which is exactly symmetric, so PCG finds ``b'
-delta``.  It stops once ``max|W (J delta + r)| <= 0.01 newton_tol min W``, or
-after ``n`` iterations for ``n`` unknowns (a cap hit); the damped line search
-guards the result.  Under Neumann ``W^T J = W^T``, so the constant restoring
-``W^T delta = -W^T r`` is added to each correction.
+D^T diag(w a) D / h^2``, which is exactly symmetric, so PCG solves for ``y =
+b' delta``, the linearised change of ``beta(u)``.  It stops once ``max|W (J
+delta + r)| <= 0.01 newton_tol min W``, or after ``n`` iterations for ``n``
+unknowns (a cap hit); the damped line search guards the result.
 
 PCG is preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with ``C_a``
 the axis-``a`` part of ``C`` at ``a = 1``, ``c_a`` the mean of ``a`` over the
@@ -45,22 +44,23 @@ per solve.  At ``a = 1`` the condition number is at most ``(max d +
 lam_min)/(min d + lam_min)`` for the least eigenvalue ``lam_min`` of ``C``
 against ``W``, whatever dt/h^2 is.
 
+Newton steps in ``beta``, in which ``Op`` is linear: the trial at damping
+``s`` is ``beta^-1(beta(u) + s y)``, i.e. ``u exp(s y)`` at ``m = 0`` and
+otherwise ``(u^m + m s y)^(1/m)``, NaN where ``u^m + m s y <= 0``.  A NaN
+residual is never smaller than the last, so ``s`` halves until the trial is
+positive: every iterate is positive by construction and nothing is clipped.
+Under Neumann ``W^T r = W^T (u - u_k)``, as ``W^T Op = 0``; each trial is
+multiplied by ``W^T u_k / W^T u``, which zeroes that sum and keeps u > 0.
+
 Newton for step k starts on the unknowns from the polynomial through the
 last ``min(k + 1, 3)`` levels, extrapolated to the new time: ``u_k``, then
 ``2 u_k - u_(k-1)``, then ``3 u_k - 3 u_(k-1) + u_(k-2)``.  The coefficients
 sum to one, so under Neumann the guess keeps the trapezoid mass, and the
 guess is linear in the levels, so the time and space scaling symmetries hold
 step by step.  Only the start changes: every step still solves its
-backward-Euler system to ``newton_tol``.  Where the guess falls below the
-positivity floor, that node starts from ``u_k`` instead, counted in
-``predictor_fallbacks``; the Neumann correction above restores the mass of
-such a start.
-
-Positivity is maintained by a floor (default ``1e-10 * max(initial)``); every
-entry clipped, in the Newton start or in an accepted iterate, is counted, and
-a step whose clipped fraction in an iterate exceeds ``floor_warn_fraction``
-appends a warning to the slab metadata rather than failing, since approach to
-zero is the phenomenon under study.
+backward-Euler system to ``newton_tol``.  Where the guess is not positive,
+that node starts from ``u_k`` instead, counted in ``predictor_fallbacks``.
+Initial data and Dirichlet boundary values must be finite and positive.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max_iter: int = 25
     max_damping: int = 30
-    positivity_floor: float | None = None
-    floor_warn_fraction: float = 0.01
     boundary: str = "dirichlet-from-oracle"
     boundary_values: object = None  # ExactSolution or callable (points, t) -> values
 
@@ -129,6 +127,10 @@ class QuasilinearFlux:
             if not 0 < self.c_o <= self.c_1:
                 raise ParameterError("structure bounds need 0 < c_o <= c_1")
 
+    def beta(self):
+        """:func:`_beta` of this flux; the log kind has ``m = 0`` whatever ``m`` is."""
+        return _beta(0.0 if self.kind == "log-diffusion" else self.m)
+
 
 def _check_horizon(horizon: float, dt: float) -> int:
     nsteps = horizon / dt
@@ -143,30 +145,22 @@ def _check_horizon(horizon: float, dt: float) -> int:
 _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
-def _damped_newton(x0, residual_fn, correction_fn, floor, config, t, stats):
-    """Solve residual(x) = 0 by steps ``correction_fn(x, r)``; keeps x >= floor."""
-    stats["floor_triggers"] += int((x0 < floor).sum())
-    x = np.maximum(x0, floor)
-    r = residual_fn(x)
+def _damped_newton(x0, residual_fn, correction_fn, trial_fn, config, t, stats):
+    """Solve residual(x) = 0 from ``x0``: each iteration takes ``y =
+    correction_fn(x, r)`` and the first of ``trial_fn(x, s y)``, ``s = 1, 1/2,
+    ...``, whose residual is smaller (a NaN one never is)."""
+    x, r = x0, residual_fn(x0)
     rnorm = float(np.abs(r).max())
     for _ in range(config.newton_max_iter):
         if rnorm <= config.newton_tol:
             return x
-        delta = correction_fn(x, r)
+        y = correction_fn(x, r)
         stats["newton_iters"] += 1
         for halvings in range(config.max_damping + 1):
-            x_try = x + 0.5**halvings * delta
-            clipped = x_try < floor
-            if clipped.any():
-                x_try = np.maximum(x_try, floor)
+            x_try = trial_fn(x, 0.5**halvings * y)
             r_try = residual_fn(x_try)
             rn_try = float(np.abs(r_try).max())
             if rn_try < rnorm:
-                nclip = int(clipped.sum())
-                stats["floor_triggers"] += nclip
-                stats["max_floor_fraction"] = max(
-                    stats["max_floor_fraction"], nclip / x.size
-                )
                 x, r, rnorm = x_try, r_try, rn_try
                 break
         else:
@@ -290,16 +284,23 @@ class _Spectral:
 
 
 def _beta(m: float):
-    """``(beta, beta')``: ``ln u`` at ``m = 0``, ``(u^m - 1)/m`` for ``0 < m < 1``."""
+    """``(beta, beta', step)`` for ``beta = ln u`` at ``m = 0`` and ``(u^m - 1)/m``
+    for ``0 < m < 1``; ``step(u, y) = beta^-1(beta(u) + y)``, NaN where
+    ``beta(u) + y`` is not a value of beta (``u^m + m y <= 0``)."""
     if m == 0.0:
-        return np.log, np.reciprocal
-    return (lambda u: (u**m - 1.0) / m), (lambda u: u ** (m - 1.0))
+        return np.log, np.reciprocal, lambda u, y: u * np.exp(y)
+
+    def step(u, y):
+        base = u**m + m * y
+        return np.power(base, 1.0 / m, out=np.full_like(base, np.nan), where=base > 0.0)
+
+    return (lambda u: (u**m - 1.0) / m), (lambda u: u ** (m - 1.0)), step
 
 
 class _BetaOperator:
     """``div_h(a grad_h beta(u))`` on ``rows`` (module docstring): ``step(t)`` once
     per level, then ``apply(u)`` (Op on ``rows``, u on every node) and
-    ``newton_solver(dt, atol)`` -> ``solve(u, r) -> (delta, iters, converged)``.
+    ``newton_solver(dt, atol)`` -> ``solve(u, r) -> (y, iters, converged)``.
 
     ``L = div(a D)`` and ``K = D^T diag(w a) D / h^2`` are assembled once, or
     by each ``step`` when some ``a_d`` is callable.
@@ -308,7 +309,7 @@ class _BetaOperator:
     def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux):
         grid = faces.grid
         self.faces, self.rows, self.flux = faces, rows, flux
-        self.beta, self.beta_prime = _beta(0.0 if flux.kind == "log-diffusion" else flux.m)
+        self.beta, self.beta_prime, self.beta_step = flux.beta()
         self.a_d = flux.a if flux.kind == "diagonal-perturbed" else ()
         if self.a_d and len(self.a_d) != grid.dim:
             raise ParameterError("flux needs one coefficient per axis")
@@ -363,8 +364,7 @@ class _BetaOperator:
             bp = self.beta_prime(u[self.rows])
             A.data[diag_at] = c_diag + W / bp
             precond = spectral.inverse(_geometric_mid(1.0 / bp), self.c)
-            y, iters, converged = _pcg(A, -W * r, precond, atol, n)
-            return y / bp, iters, converged
+            return _pcg(A, -W * r, precond, atol, n)
 
         return solve
 
@@ -387,12 +387,9 @@ def _march(
 ) -> SpaceTimeSlab:
     """Backward Euler for the operator of ``flux.kind``; the module's one step loop."""
     grid = initial.grid
-    if initial.min() <= 0:
-        raise ParameterError("initial data must be strictly positive")
+    if not ((initial.values > 0.0) & (initial.values < np.inf)).all():
+        raise ParameterError("initial data must be finite and strictly positive")
     nsteps = _check_horizon(horizon, config.dt)
-    floor = config.positivity_floor
-    if floor is None:
-        floor = 1e-10 * initial.max()
 
     # unknowns: every node under Neumann, the interior nodes (trapezoid weight
     # one) under Dirichlet
@@ -402,14 +399,15 @@ def _march(
     rows = np.flatnonzero(~known)
     pts_known = grid.points().reshape(-1, grid.dim)[known]
     boundary = getattr(config.boundary_values, "eval", config.boundary_values)
+    W = faces.W[rows]
     op = _BetaOperator(faces, rows, flux)
-    solve = op.newton_solver(config.dt, 0.01 * config.newton_tol * faces.W[rows].min())
+    solve = op.newton_solver(config.dt, 0.01 * config.newton_tol * W.min())
 
     times = np.linspace(initial.time, initial.time + horizon, nsteps + 1)
     levels = np.empty((nsteps + 1,) + grid.shape)
     levels[0] = initial.values
     stats = {"newton_iters": 0, "linear_iters": 0, "linear_cap_hits": 0,
-             "floor_triggers": 0, "max_floor_fraction": 0.0, "predictor_fallbacks": 0}
+             "predictor_fallbacks": 0}
 
     u = initial.values.ravel().copy()
     history = levels.reshape(nsteps + 1, -1)
@@ -417,11 +415,13 @@ def _march(
         t = float(times[k + 1])
         op.step(t)
         if not neumann:
-            u[known] = np.maximum(boundary(pts_known, t), floor)
+            u[known] = boundary(pts_known, t)
+            if not ((u[known] > 0.0) & (u[known] < np.inf)).all():
+                raise ParameterError(f"boundary values must be finite and positive at t={t}")
         prev = u[rows]
         coefs = _EXTRAPOLATION[min(k, 2)]
         guess = sum(c * history[k - j, rows] for j, c in enumerate(coefs))
-        low = (guess < floor) & (prev >= floor)  # initial data may lie below it
+        low = guess <= 0.0
         stats["predictor_fallbacks"] += int(low.sum())
         guess[low] = prev[low]
 
@@ -431,22 +431,20 @@ def _march(
 
         def correction_fn(x, r):
             u[rows] = x
-            delta, iters, converged = solve(u, r)
+            y, iters, converged = solve(u, r)
             stats["linear_iters"] += iters
             stats["linear_cap_hits"] += not converged
-            if neumann:  # rows are every node; restore W^T delta = -W^T r
-                delta -= faces.W @ (r + delta) / faces.W.sum()
-            return delta
+            return y
 
-        u[rows] = _damped_newton(guess, residual_fn, correction_fn, floor, config, t, stats)
+        def trial_fn(x, y):
+            x = op.beta_step(x, y)
+            if neumann:  # rows are every node; zero W^T r = W^T (x - prev)
+                x *= (W @ prev) / (W @ x)
+            return x
+
+        u[rows] = _damped_newton(guess, residual_fn, correction_fn, trial_fn, config, t, stats)
         levels[k + 1] = u.reshape(grid.shape)
 
-    warnings = []
-    if stats["max_floor_fraction"] > config.floor_warn_fraction:
-        warnings.append(
-            f"positivity floor clipped up to {stats['max_floor_fraction']:.2%} "
-            f"of nodes in a Newton step"
-        )
     meta = {
         "equation": _KINDS[flux.kind],
         "m": None if flux.kind == "log-diffusion" else flux.m,
@@ -454,9 +452,7 @@ def _march(
         "horizon": horizon,
         "newton_tol": config.newton_tol,
         "boundary": config.boundary,
-        "positivity_floor": floor,
         **stats,
-        "warnings": warnings,
     }
     return SpaceTimeSlab(grid, times, levels, meta=meta)
 

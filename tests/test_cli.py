@@ -7,6 +7,7 @@ import struct
 
 import pytest
 
+from logdiff import Lump2D
 from logdiff.cli import main
 
 BASE_CONFIG = """\
@@ -276,3 +277,16 @@ def test_oracle_past_lifespan_is_config_error(tmp_path, capsys):
     cfg.write_text(BASE_CONFIG.replace("horizon = 0.25", "horizon = 1.0"))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_non_positive_boundary_value_is_config_error(tmp_path, capsys, monkeypatch):
+    # an oracle that turns negative after t = 0 fails the solve, it is not clipped
+    exact = Lump2D.eval
+    monkeypatch.setattr(
+        Lump2D, "eval", lambda self, x, t: exact(self, x, t) if t == 0.0 else -exact(self, x, t)
+    )
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text(BASE_CONFIG)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 2
+    err = capsys.readouterr().err
+    assert "boundary values must be finite and positive at t=0.0625" in err

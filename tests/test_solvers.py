@@ -153,9 +153,23 @@ def test_quasilinear_rejects_bad_inputs():
         solve_quasilinear(
             initial, QuasilinearFlux(kind="diagonal-perturbed", a=(1.0,)), config, 0.1
         )
-    bad = Field(g, np.full(g.shape, -1.0))
-    with pytest.raises(ParameterError):
-        solve_log_diffusion(bad, config, 0.1)
+    for value in (-1.0, np.nan, np.inf):
+        bad = Field(g, np.full(g.shape, value))
+        with pytest.raises(ParameterError, match="initial data must be finite"):
+            solve_log_diffusion(bad, config, 0.1)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_dirichlet_values_are_rejected_naming_the_time(bad):
+    g = lump_grid(8)
+
+    def boundary(pts, t):
+        return np.full(len(pts), 2.0 if t < 0.1 else bad)
+
+    config = SolverConfig(dt=0.05, boundary_values=boundary)
+    initial = Field(g, np.full(g.shape, 2.0))
+    with pytest.raises(ParameterError, match="finite and positive at t=0.1$"):
+        solve_log_diffusion(initial, config, 0.2)
 
 
 def test_pme_exponent_validated():
@@ -197,25 +211,14 @@ def test_slab_meta_records_run(lump_slab_32):
     assert lump_slab_32.dt == pytest.approx(16.0 / 32**2)
     # deterministic counters, so reruns stay byte-identical
     assert meta["newton_iters"] == 34
-    assert meta["linear_iters"] == 187
+    assert meta["linear_iters"] == 190
     assert meta["linear_cap_hits"] == 0
 
 
 @pytest.mark.parametrize("cells", [32, 64, 128])
-def test_lump_solves_never_touch_the_floor(cells, request):
+def test_lump_solves_never_fall_back_or_hit_the_linear_cap(cells, request):
     meta = request.getfixturevalue(f"lump_slab_{cells}").meta
-    counters = ("floor_triggers", "predictor_fallbacks", "linear_cap_hits")
-    assert [meta[name] for name in counters] == [0, 0, 0]
-
-
-def test_initial_data_below_the_floor_counts_as_clipped():
-    # Newton starts from max(u_0, floor): those nodes are clipped too
-    grid = Grid.regular(1, 1.0, 1.0 / 16)
-    values = np.ones(grid.shape)
-    values[8] = 1e-14
-    config = SolverConfig(dt=1.0 / 64, boundary="neumann-zero-flux")
-    meta = solve_log_diffusion(Field(grid, values), config, 1.0 / 64).meta
-    assert meta["floor_triggers"] > 0
+    assert [meta["predictor_fallbacks"], meta["linear_cap_hits"]] == [0, 0]
 
 
 def _trapezoid_mass(values, grid):
@@ -251,7 +254,8 @@ def test_neumann_conserves_trapezoid_mass(kind, m, a_0, dim):
 
 
 def test_predictor_falls_back_to_the_last_level_below_the_floor():
-    # the spike collapses in one step, so 2 u_1 - u_0 is negative there
+    # the spike collapses in one step, so 2 u_1 - u_0 is negative there and
+    # that node starts from u_1
     grid = Grid.regular(1, 1.0, 1.0 / 64)
     values = np.ones(grid.shape)
     values[32] = 1e4
@@ -366,10 +370,12 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
     atol = 0.01 * 1e-10 * W.min()
     u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
     r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
-    delta, iters, converged = op.newton_solver(dt, atol)(u.copy(), r)
+    y, iters, converged = op.newton_solver(dt, atol)(u.copy(), r)
     if not converged:  # the cap; the damped line search takes the iterate
         assert iters == rows.size
         return
+    # PCG solves for y = beta'(u) delta, the linearised change of beta(u)
+    delta = y / op.beta_prime(u[rows])
     J = np.eye(rows.size) - dt * _dense_jacobian(op, u, rows)
     defect = np.abs(W * (J @ delta + r)).max()
     rounding = 1e-14 * np.abs(W * (np.abs(J) @ np.abs(delta))).max()
@@ -415,11 +421,12 @@ def test_spectral_preconditioner_is_exact(dim, cells, boundary, dt_h2, s, data):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _flat_zero_initial():
-    """ROADMAP E data: ``exp(-(|x|^2 + 0.05^2)^(-1/2))``, range 1.2e8 on the grid."""
-    grid = lump_grid(64)
+def _flat_zero_initial(cells=64, delta=0.05):
+    """ROADMAP E data at alpha = 1: ``exp(-(|x|^2 + delta^2)^(-1/2))``; its range
+    on the grid is 1.2e8 at delta = 0.05 and 3.5e20 at delta = 0.02."""
+    grid = lump_grid(cells)
     r2 = (grid.points() ** 2).sum(axis=-1)
-    return Field(grid, np.exp(-((r2 + 0.05**2) ** -0.5)))
+    return Field(grid, np.exp(-((r2 + delta**2) ** -0.5)))
 
 
 @pytest.mark.parametrize(
@@ -439,6 +446,37 @@ def test_krylov_steps_stay_few_on_flat_zeros(flux):
     assert meta["linear_iters"] <= 12 * meta["newton_iters"]
 
 
+@pytest.mark.parametrize("m", [0.0, 0.4, 0.2, 0.15, 0.1, 0.05])
+@pytest.mark.parametrize("delta", [0.02, 0.05])
+def test_rough_data_converge_with_the_default_budget(delta, m):
+    # a Newton step in u, delta = y / beta'(u) with beta'(u) spanning up to 20
+    # orders of magnitude, crept here for m in [0.1, 0.2] until the budget ran
+    # out at step 1; a step in beta takes 38-40 iterations for the 16 steps
+    initial = _flat_zero_initial(32, delta)
+    grid = initial.grid
+    config = SolverConfig(dt=2 * grid.spacing**2, boundary="neumann-zero-flux")
+    flux = QuasilinearFlux("pme", m=m) if m else QuasilinearFlux("log-diffusion")
+    slab = solve_quasilinear(initial, flux, config, 1.0 / 32)
+    assert slab.meta["newton_iters"] <= 44
+    assert (slab.values[1:] > 0).all()
+    m0 = _trapezoid_mass(slab.values[0], grid)
+    drift = max(abs(_trapezoid_mass(v, grid) - m0) for v in slab.values) / m0
+    assert drift <= 1e-13
+
+
+@pytest.mark.parametrize("c", range(1, 12))
+def test_extrapolated_start_costs_few_newton_steps_on_a_coarse_grid(c):
+    # dt = 15 h^2 on 2x2 cells damps most modes almost entirely in one step,
+    # so the extrapolated start overshoots; stepping in beta absorbs it (11
+    # iterations for every c, against 15-16 for a step in u)
+    grid = Grid.regular(2, 1.0, 1.0 / 2)
+    initial = Field(grid, 1.5 + np.sin(c * np.arange(9.0)).reshape(grid.shape))
+    config = SolverConfig(dt=15 * grid.spacing**2, boundary="neumann-zero-flux")
+    flux = QuasilinearFlux("diagonal-perturbed", m=0.5, a=(1.0, 0.7), c_o=0.7)
+    slab = solve_quasilinear(initial, flux, config, 4 * config.dt)
+    assert slab.meta["newton_iters"] <= 12
+
+
 def test_importing_the_cli_loads_no_sparse_linalg():
     code = "import sys, logdiff.cli; print('scipy.sparse.linalg' in sys.modules)"
     src = str(Path(solvers.__file__).parents[1])
@@ -450,11 +488,12 @@ def test_importing_the_cli_loads_no_sparse_linalg():
 
 
 def _direct_newton_solver(self, dt, atol):
-    """The reference Newton step: SuperLU on the complex-step Jacobian."""
+    """The reference Newton step: SuperLU on the complex-step Jacobian, returned
+    as the change of beta, ``y = beta'(u) delta``."""
 
     def solve(u, r):
         J = np.eye(self.rows.size) - dt * _dense_jacobian(self, u, self.rows)
-        return spsolve(sp.csc_matrix(J), -r), 0, True
+        return self.beta_prime(u[self.rows]) * spsolve(sp.csc_matrix(J), -r), 0, True
 
     return solve
 
@@ -496,7 +535,7 @@ def test_krylov_solves_match_direct_reference(name, monkeypatch):
     assert gap <= 1e-11
 
 
-@pytest.mark.parametrize("name, counts", [("flux-D", (31, 117, 0)), ("flux-N", (24, 86, 0))])
+@pytest.mark.parametrize("name, counts", [("flux-D", (26, 98, 0)), ("flux-N", (20, 75, 0))])
 def test_flux_reference_solves_keep_their_newton_and_krylov_counts(name, counts):
     flux, initial, config, horizon = _reference_case(name)
     meta = solve_quasilinear(initial, flux, config, horizon).meta
