@@ -1,7 +1,8 @@
 """Experiment runner: solve, verify, msweep, and oracle-check subcommands.
 
 Configuration is a single INI file; every recognized key, including applied
-defaults, is echoed into the run manifest so a run is self-describing.  CSV
+defaults, is echoed into the run manifest so a run is self-describing, and a
+section or key that no command reads is a config error.  CSV
 outputs are byte-identical across reruns with the same config and seed:
 probe placement is seeded, probes run one after another in one thread, and
 floats are serialized with ``repr``.  ``--threads`` is accepted and recorded
@@ -118,6 +119,12 @@ def load_config(path) -> Cfg:
         cp.read_string(p.read_text())
     except configparser.Error as exc:
         raise ConfigProblem(f"config parse error: {exc}")
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigProblem(f"unknown config section [{section}]")
+        unknown = sorted(set(cp.options(section)) - _KNOWN_KEYS[section])
+        if unknown:
+            raise ConfigProblem(f"unknown config key(s) in [{section}]: {', '.join(unknown)}")
     return Cfg(cp, p.parent.resolve())
 
 
@@ -139,6 +146,17 @@ _FIXTURE_PARAMS = {
     "lump2d": {"c": float, "T": float},
     "exp_steady": {"a": _parse_floats, "scale": float},
     "barenblatt_fd": {"m": float, "T": float, "C": float},
+}
+
+# every key some command reads, by section; a stale or misspelt one is rejected
+_KNOWN_KEYS = {
+    "grid": {"dim", "edge", "cells", "center"},
+    "initial": {"fixture", "t0", "value"}.union(*_FIXTURE_PARAMS.values()),
+    "solver": {"equation", "kind", "boundary", "dt", "horizon", "newton_tol",
+               "newton_max_iter", "max_damping", "m", "a", "c_o", "c_1"},
+    "verify": {"slab", "count", "center", "rho", "window", "sigma", "m", "q", "p", "r",
+               "eps"},
+    "msweep": {"m_values", "rho", "window", "e_o_edge", "q", "p", "r", "eps", "sigma"},
 }
 
 

@@ -52,14 +52,19 @@ positive: every iterate is positive by construction and nothing is clipped.
 Under Neumann ``W^T r = W^T (u - u_k)``, as ``W^T Op = 0``; each trial is
 multiplied by ``W^T u_k / W^T u``, which zeroes that sum and keeps u > 0.
 
-Newton for step k starts on the unknowns from the polynomial through the
-last ``min(k + 1, 3)`` levels, extrapolated to the new time: ``u_k``, then
-``2 u_k - u_(k-1)``, then ``3 u_k - 3 u_(k-1) + u_(k-2)``.  The coefficients
-sum to one, so under Neumann the guess keeps the trapezoid mass, and the
-guess is linear in the levels, so the time and space scaling symmetries hold
-step by step.  Only the start changes: every step still solves its
-backward-Euler system to ``newton_tol``.  Where the guess is not positive,
-that node starts from ``u_k`` instead, counted in ``predictor_fallbacks``.
+Newton for step k starts on the unknowns from the backward differences ``u_k,
+∇u_k, ..., ∇^q u_k``, ``q = min(k, 4)``, ``∇^(j+1) u_k = ∇^j u_k - ∇^j
+u_(k-1)``.  The polynomial through the last p levels is ``sum_(j<p) ∇^j u_k``
+at the new time and misses by exactly ``∇^p u_(k+1)``, so the start takes the
+p in ``1..q`` that minimises ``max|∇^p u_k|``, the error that order made on the
+newest level (variable-order multistep codes: Gear 1971, Shampine & Gordon
+1975); step 0 starts from ``u_0``.  Every ``∇^j``, ``j >= 1``, has zero
+Neumann trapezoid mass, and the order choice is invariant under ``u -> lam u``
+and ``x -> x/r``, so the guess keeps the mass and the scaling symmetries hold
+step by step.  Every step still solves to ``newton_tol``.  Where the guess is
+not positive, that node starts from ``u_k``, counted in
+``predictor_fallbacks``; ``start_levels`` counts the steps started from 1, 2,
+3 and 4 levels.
 Initial data and Dirichlet boundary values must be finite and positive.
 """
 
@@ -67,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,9 +146,22 @@ def _check_horizon(horizon: float, dt: float) -> int:
     return n
 
 
-# coefficients of the polynomial through the last 1, 2, 3 levels at the next
-# time, newest level first; each row sums to 1
-_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+# most levels the Newton start extrapolates through
+_START_LEVELS = 4
+
+
+def _newton_start(table):
+    """``(guess, p)`` from the backward differences ``[u_k, ∇u_k, ..., ∇^q u_k]``:
+    ``sum_(j<p) ∇^j u_k``, the polynomial through the last ``p`` levels at the
+    next time, for the ``p`` in ``1..q`` that minimises ``max|∇^p u_k|`` (``p =
+    1`` when ``q = 0``)."""
+    p = min(range(1, len(table)), key=lambda j: np.abs(table[j]).max(), default=1)
+    return sum(table[:p]), p
+
+
+def _push_level(table, level):
+    """The table one level on: ``∇^(j+1) u_(k+1) = ∇^j u_(k+1) - ∇^j u_k``."""
+    return list(accumulate(table[:_START_LEVELS], np.subtract, initial=level))
 
 
 def _damped_newton(x0, residual_fn, correction_fn, trial_fn, config, t, stats):
@@ -407,10 +426,10 @@ def _march(
     levels = np.empty((nsteps + 1,) + grid.shape)
     levels[0] = initial.values
     stats = {"newton_iters": 0, "linear_iters": 0, "linear_cap_hits": 0,
-             "predictor_fallbacks": 0}
+             "predictor_fallbacks": 0, "start_levels": [0] * _START_LEVELS}
 
     u = initial.values.ravel().copy()
-    history = levels.reshape(nsteps + 1, -1)
+    table = [u[rows]]
     for k in range(nsteps):
         t = float(times[k + 1])
         op.step(t)
@@ -418,9 +437,9 @@ def _march(
             u[known] = boundary(pts_known, t)
             if not ((u[known] > 0.0) & (u[known] < np.inf)).all():
                 raise ParameterError(f"boundary values must be finite and positive at t={t}")
-        prev = u[rows]
-        coefs = _EXTRAPOLATION[min(k, 2)]
-        guess = sum(c * history[k - j, rows] for j, c in enumerate(coefs))
+        prev = table[0]
+        guess, p = _newton_start(table)
+        stats["start_levels"][p - 1] += 1
         low = guess <= 0.0
         stats["predictor_fallbacks"] += int(low.sum())
         guess[low] = prev[low]
@@ -444,6 +463,7 @@ def _march(
 
         u[rows] = _damped_newton(guess, residual_fn, correction_fn, trial_fn, config, t, stats)
         levels[k + 1] = u.reshape(grid.shape)
+        table = _push_level(table, u[rows])
 
     meta = {
         "equation": _KINDS[flux.kind],

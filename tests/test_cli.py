@@ -270,6 +270,22 @@ def test_bad_equation_is_config_error(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (("dt = 0.0625", "dt = 0.0625\npositivity_floor = 0.5"), "in [solver]: positivity_floor"),
+        (("[verify]", "[solvers]\ndt = 0.1\n\n[verify]"), "section [solvers]"),
+    ],
+    ids=["stale-key", "misspelt-section"],
+)
+def test_unknown_config_key_or_section_is_config_error(tmp_path, capsys, edit, message):
+    cfg = tmp_path / "stale.ini"
+    cfg.write_text(BASE_CONFIG.replace(*edit))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_oracle_past_lifespan_is_config_error(tmp_path, capsys):
     # the lump is defined for t < T = 1; the last step evaluates its boundary
     # values at t = 1

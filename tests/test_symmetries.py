@@ -2,9 +2,11 @@
 
 If u solves the equation, so do ``lam u(x, t/lam)`` and ``r^-2 u(x/r, t)``.
 Backward Euler keeps both exactly when dt scales with lam and the grid with
-r, and so does the extrapolated Newton start, which is linear in the levels;
-the powers of two below scale every float exactly.  The solved slabs then
-agree up to the roundoff of ``ln`` and of the absolute Newton tolerance.
+r, and so does the extrapolated Newton start: it is positively homogeneous in
+the levels, and its order choice, the least ``max|∇^p u_k|``, is invariant
+under both scalings; the powers of two below scale every float exactly.  The
+solved slabs then agree up to the roundoff of ``ln`` and of the absolute
+Newton tolerance.
 """
 
 import numpy as np
