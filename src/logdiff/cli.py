@@ -87,6 +87,7 @@ class Cfg:
         self.echo.setdefault(section, {})[key] = out
 
     def get(self, section: str, key: str, default=None, cast=str, required=False):
+        assert key in _KNOWN_KEYS.get(section, ()), f"[{section}] {key} is not in _KNOWN_KEYS"
         if self.cp.has_option(section, key):
             raw = self.cp.get(section, key)
             try:
@@ -148,7 +149,7 @@ _FIXTURE_PARAMS = {
     "barenblatt_fd": {"m": float, "T": float, "C": float},
 }
 
-# every key some command reads, by section; a stale or misspelt one is rejected
+# every key some command reads (Cfg.get asserts it), by section; others are rejected
 _KNOWN_KEYS = {
     "grid": {"dim", "edge", "cells", "center"},
     "initial": {"fixture", "t0", "value"}.union(*_FIXTURE_PARAMS.values()),

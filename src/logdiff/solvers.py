@@ -58,13 +58,13 @@ u_(k-1)``.  The polynomial through the last p levels is ``sum_(j<p) ∇^j u_k``
 at the new time and misses by exactly ``∇^p u_(k+1)``, so the start takes the
 p in ``1..q`` that minimises ``max|∇^p u_k|``, the error that order made on the
 newest level (variable-order multistep codes: Gear 1971, Shampine & Gordon
-1975); step 0 starts from ``u_0``.  Every ``∇^j``, ``j >= 1``, has zero
-Neumann trapezoid mass, and the order choice is invariant under ``u -> lam u``
-and ``x -> x/r``, so the guess keeps the mass and the scaling symmetries hold
-step by step.  Every step still solves to ``newton_tol``.  Where the guess is
-not positive, that node starts from ``u_k``, counted in
-``predictor_fallbacks``; ``start_levels`` counts the steps started from 1, 2,
-3 and 4 levels.
+1975); step 0 starts from ``u_0`` and step 1, with no ``∇^2`` to judge by, from
+``2 u_1 - u_0``.  Every ``∇^j``, ``j >= 1``, has zero Neumann trapezoid mass,
+and the order choice is invariant under ``u -> lam u`` and ``x -> x/r``, so
+the guess keeps the mass and the scaling symmetries hold step by step.  Every
+step still solves to ``newton_tol``.  Where the guess is not positive, that
+node starts from ``u_k``, counted in ``predictor_fallbacks``;
+``start_levels`` counts the steps started from 1, 2, 3 and 4 levels.
 Initial data and Dirichlet boundary values must be finite and positive.
 """
 
@@ -153,9 +153,10 @@ _START_LEVELS = 4
 def _newton_start(table):
     """``(guess, p)`` from the backward differences ``[u_k, ∇u_k, ..., ∇^q u_k]``:
     ``sum_(j<p) ∇^j u_k``, the polynomial through the last ``p`` levels at the
-    next time, for the ``p`` in ``1..q`` that minimises ``max|∇^p u_k|`` (``p =
-    1`` when ``q = 0``)."""
-    p = min(range(1, len(table)), key=lambda j: np.abs(table[j]).max(), default=1)
+    next time, for the ``p`` in ``1..q`` that minimises ``max|∇^p u_k|``; ``p =
+    q + 1`` while no ``∇^2`` exists to judge it (``u_0``, then ``2 u_1 - u_0``)."""
+    q = len(table) - 1
+    p = min(range(1, q + 1), key=lambda j: np.abs(table[j]).max()) if q >= 2 else q + 1
     return sum(table[:p]), p
 
 

@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from logdiff import Lump2D
-from logdiff.cli import main
+from logdiff.cli import load_config, main
 
 BASE_CONFIG = """\
 [grid]
@@ -284,6 +284,15 @@ def test_unknown_config_key_or_section_is_config_error(tmp_path, capsys, edit, m
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_reading_a_key_missing_from_the_known_keys_fails(tmp_path):
+    # a reader added without its _KNOWN_KEYS entry fails on its first read, not
+    # only when a user sets the key
+    cfg = tmp_path / "base.ini"
+    cfg.write_text(BASE_CONFIG)
+    with pytest.raises(AssertionError, match="positivity_floor"):
+        load_config(cfg).get("solver", "positivity_floor", 0.0, float)
 
 
 def test_oracle_past_lifespan_is_config_error(tmp_path, capsys):
