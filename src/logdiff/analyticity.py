@@ -38,6 +38,7 @@ from .grid import (
     laplacian,
 )
 from .functionals import intrinsic_scale
+from .reporting import Row
 
 # analyticity_report's table orders (spatial, time), intrinsic-scale parameters
 # (eps, q) and sub-cylinder fraction sigma
@@ -147,7 +148,7 @@ def derivative_table(
 
 
 @dataclass
-class GrowthFit:
+class GrowthFit(Row):
     """Minimal pair (C, H) bounding the factorial-normalized derivatives.
 
     H is the largest spatial root ``ratio^(1/|alpha|)`` (falling back to the
@@ -162,9 +163,6 @@ class GrowthFit:
     u_center: float
     n_spatial: int
     n_time: int
-
-    def to_row(self) -> dict:
-        return dict(self.__dict__)
 
 
 def normalized_spatial_roots(table: DerivativeTable, rho: float) -> dict:
@@ -296,7 +294,7 @@ def rescale_residual(v_slab: SpaceTimeSlab) -> float:
 
 
 @dataclass
-class SupBoundsReport:
+class SupBoundsReport(Row):
     """Discrete sup norms of Dv and v_t over a shrunken sub-cylinder.
 
     ``coef_low = 1/v_max`` and ``coef_high = 1/v_min`` bound the equation
@@ -312,9 +310,6 @@ class SupBoundsReport:
     v_max: float
     coef_low: float
     coef_high: float
-
-    def to_row(self) -> dict:
-        return dict(self.__dict__)
 
 
 def rescaled_sup_bounds(
@@ -365,7 +360,7 @@ def rescaled_sup_bounds(
 
 
 @dataclass
-class SupExponentFit:
+class SupExponentFit(Row):
     """Report-only exponents of the sup-bound shape.
 
     Fits ``ln sup_vt ~ ln(gamma) + mu1 ln(coef_high/coef_low) +
@@ -379,9 +374,6 @@ class SupExponentFit:
     prefactor: float
     max_log_residual: float
     n_samples: int
-
-    def to_row(self) -> dict:
-        return dict(self.__dict__)
 
 
 def fit_sup_bound_exponents(samples) -> SupExponentFit:
@@ -413,7 +405,7 @@ def fit_sup_bound_exponents(samples) -> SupExponentFit:
 
 
 @dataclass
-class AnalyticityReport:
+class AnalyticityReport(Row):
     """One vertex's analyticity evidence: table fit plus rescaled sups."""
 
     x_o: tuple
@@ -426,15 +418,10 @@ class AnalyticityReport:
     sup_vt: float
     rescale_residual: float
     capped: bool
-    table: DerivativeTable | None = field(default=None, repr=False)
+    table: DerivativeTable | None = field(default=None, repr=False, metadata={"row": False})
 
     def to_row(self) -> dict:
-        row = {
-            k: v
-            for k, v in self.__dict__.items()
-            if k != "table" and not isinstance(v, tuple)
-        }
-        row["x_o"] = ";".join(repr(c) for c in self.x_o)
+        row = super().to_row()
         if self.table is not None:
             for alpha, val in sorted(self.table.spatial.items()):
                 row["d_" + "_".join(str(a) for a in alpha)] = val

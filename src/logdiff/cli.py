@@ -472,10 +472,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return handlers[args.command](args)
-    except ConfigProblem as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParameterError, DomainError) as exc:
+    except (ConfigProblem, ParameterError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

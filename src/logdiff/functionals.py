@@ -37,13 +37,16 @@ sup over time levels of the p-mean of ``|ln(u/M)|`` over a cube.  The power
 variant replaces the logarithm with ``(1 - (u/M)^m)/m``, which increases to
 ``ln(M/u)`` as ``m`` decreases to zero; it is offered both as a plain
 space integral (the default, matching how the energy and flux bounds consume
-it) and as a normalized mean (used by the small-m comparison studies).
+it) and as a normalized mean (used by the small-m comparison studies).  Both
+integrands come from one function, :func:`_osc_integrand`, with ``m = 0`` as
+the logarithmic case, and :func:`_oscillation`, :func:`_probe_stats` and the
+pointwise ``lambda_p`` all take them from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +63,7 @@ from .grid import (
     cube_volume,
     gradient_at,
 )
+from .reporting import Row
 
 # Values per level chunk (512 KiB of doubles): large enough that the Python
 # overhead per chunk is small, small enough that temporaries stay in cache.
@@ -128,19 +132,29 @@ def _p_mean_sup(chunks, integrand, p: float, spacing: float, scale: float) -> fl
     return float(np.max((vals / scale) ** (1.0 / p)))
 
 
-def _oscillation(slab, cyl: Cylinder, p: float, integrand, normalized: bool) -> float:
-    """Sup over levels of the p-root of the cube integral (or mean) of ``integrand(u)^p``."""
-    scale = cube_volume(slab.grid, cyl.cube) if normalized else 1.0
-    return _p_mean_sup(_cylinder_chunks(slab, cyl), integrand, p, slab.grid.spacing, scale)
+def _osc_integrand(M: float, m: float):
+    """``|ln(u/M)|`` at ``m = 0`` and ``(1 - (u/M)^m)/m`` otherwise, as a function of u."""
+    if m == 0.0:
+        return lambda u: np.abs(np.log(u / M))
+    return lambda u: (1.0 - (u / M) ** m) / m
 
 
-def log_oscillation(slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float) -> float:
-    """Sup over levels of the p-mean of ``|ln(u/M)|`` over the cube."""
+def _oscillation(slab, cyl: Cylinder, M: float, m: float, p: float, normalized: bool) -> float:
+    """Sup over levels of the p-root of the cube integral (or mean) of
+    ``_osc_integrand(M, m)(u)^p``."""
     if M <= 0:
         raise ParameterError("M must be positive")
     if p < 1:
         raise ParameterError("p must be >= 1")
-    return _oscillation(slab, cyl, p, lambda u: np.abs(np.log(u / M)), True)
+    scale = cube_volume(slab.grid, cyl.cube) if normalized else 1.0
+    return _p_mean_sup(
+        _cylinder_chunks(slab, cyl), _osc_integrand(M, m), p, slab.grid.spacing, scale
+    )
+
+
+def log_oscillation(slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float) -> float:
+    """Sup over levels of the p-mean of ``|ln(u/M)|`` over the cube."""
+    return _oscillation(slab, cyl, M, 0.0, p, True)
 
 
 def power_oscillation(
@@ -156,13 +170,9 @@ def power_oscillation(
     ``normalized=True`` replaces the plain integral with the cube mean, the
     form used when comparing against :func:`log_oscillation` as ``m -> 0``.
     """
-    if M <= 0:
-        raise ParameterError("M must be positive")
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
-    if p < 1:
-        raise ParameterError("p must be >= 1")
-    return _oscillation(slab, cyl, p, lambda u: (1.0 - (u / M) ** m) / m, normalized)
+    return _oscillation(slab, cyl, M, m, p, normalized)
 
 
 def _check_m(m: float) -> None:
@@ -331,12 +341,12 @@ def _probe_stats(
     rho: float,
     sigma: float,
     window,
-    m: float | None = None,
+    m: float = 0.0,
 ) -> tuple[float, float, float, float, float]:
     """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
 
     ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_1``,
-    ``Lambda_2`` the log oscillation means there, or given ``m`` the
+    ``Lambda_2`` the log oscillation means there at ``m = 0``, else the
     plain-integral power ones with exponent ``m/2``; ``S_sigma`` is the sup
     over the window of the mass on ``K_(1+sigma)rho``.  Equal to the composed
     :func:`ess_sup`, :func:`log_oscillation` / :func:`power_oscillation`,
@@ -355,11 +365,8 @@ def _probe_stats(
     sub = (slice(None),) + tuple(
         slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer)
     )
-    if m is None:
-        integrand, scale = (lambda u: np.abs(np.log(u / M))), _block_volume(outer, h)
-    else:
-        mh = m / 2.0
-        integrand, scale = (lambda u: (1.0 - (u / M) ** mh) / mh), 1.0
+    integrand = _osc_integrand(M, m / 2.0)
+    scale = _block_volume(outer, h) if m == 0.0 else 1.0
     sums = []
     for _, u, _ in chunks:
         a = integrand(u)
@@ -375,7 +382,7 @@ def _probe_stats(
 
 
 @dataclass
-class FunctionalSet:
+class FunctionalSet(Row):
     """One probe's worth of functionals with full parameter provenance.
 
     ``sup_u`` is the sup over the doubled cube and window; oscillation values
@@ -407,11 +414,6 @@ class FunctionalSet:
     mass_ratio_pow: float
     sup_mass_sigma: float
     inf_mass_2rho: float
-
-    def to_row(self) -> dict:
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
-        row["center"] = ";".join(repr(c) for c in self.center)
-        return row
 
 
 def functional_set(

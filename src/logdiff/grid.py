@@ -248,7 +248,10 @@ class SpaceTimeSlab:
         return int(self.times.size)
 
     def level(self, k: int) -> Field:
-        return Field(self.grid, self.values[k], time=float(self.times[k]))
+        """Level ``k`` as a Field viewing the slab's read-only values, not a copy."""
+        field = Field.__new__(Field)
+        field.grid, field.values, field.time = self.grid, self.values[k], float(self.times[k])
+        return field
 
     def level_index(self, t: float) -> int:
         """Index of the stored level nearest to ``t`` (must be within dt/2)."""

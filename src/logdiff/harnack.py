@@ -6,15 +6,21 @@ any particular constant.  The interesting question is always stability: the
 ratio should stay bounded under mesh refinement, under shrinking of the
 diffusion exponent m, and across probe locations.
 
-Report objects are flat dataclasses with ``to_row()`` so batches serialize
-to deterministic CSV rows.  Unused entries (for instance power-law fields on
-a logarithmic check) are NaN rather than omitted, keeping column sets fixed.
+``m = 0`` is the logarithmic case of each power-type checker: one
+m-parameterised body serves both equations (:func:`check_l1_harnack`,
+:func:`check_energy_lemma`, :func:`check_flux_corollary`), and the ``_pme``
+names only validate ``m > 0`` and call it.
+
+Report objects are flat dataclasses subclassing :class:`logdiff.reporting.Row`,
+whose ``to_row()`` serializes batches to deterministic CSV rows.  Unused
+entries (for instance power-law fields on a logarithmic check) are NaN rather
+than omitted, keeping column sets fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +38,18 @@ from .grid import (
 )
 from .functionals import (
     _check_m,
+    _gradient_energy,
+    _osc_integrand,
     _p_mean_sup,
     _probe_stats,
     _probe_sup,
     ess_sup,
     flux_l1,
     intrinsic_scale,
-    log_gradient_energy,
     degeneracy_ratio,
-    power_gradient_energy,
     time_scaling_exponent,
 )
-
-
-def _as_row(obj) -> dict:
-    """The report's fields as a flat row; tuples become ``;``-joined reprs."""
-    row = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        row[f.name] = ";".join(repr(v) for v in value) if isinstance(value, tuple) else value
-    return row
+from .reporting import Row
 
 
 def _check_window(slab: SpaceTimeSlab, window) -> tuple[float, float]:
@@ -76,7 +74,7 @@ def _time_exponent(N: int, m: float) -> float:
 
 
 @dataclass
-class HarnackReport:
+class HarnackReport(Row):
     """Both sides of a local-mass inequality and the minimal constant.
 
     ``lhs <= gamma_star * (rhs_mass + rhs_time)`` holds with equality by
@@ -97,9 +95,6 @@ class HarnackReport:
     sup_u: float
     lambda_1: float
     lambda_2: float
-
-    def to_row(self) -> dict:
-        return _as_row(self)
 
 
 def check_l1_harnack(
@@ -150,7 +145,7 @@ def check_l1_harnack_pme(
 
 
 @dataclass
-class EnergyReport:
+class EnergyReport(Row):
     """Gradient energy vs its mass + oscillation bound; ratio is the
     empirical constant surrogate."""
 
@@ -170,47 +165,59 @@ class EnergyReport:
     lambda_2: float
     s_sigma: float
 
-    def to_row(self) -> dict:
-        return _as_row(self)
+
+def _ratio(lhs: float, rhs: float) -> float:
+    """``lhs / rhs``; for ``rhs <= 0``, 0 if lhs is 0 and inf otherwise."""
+    return lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
 
 
-def _energy_geometry(slab: SpaceTimeSlab, center, rho: float, sigma: float, window):
+def check_energy_lemma(
+    slab: SpaceTimeSlab, center, rho: float, sigma: float, window, m: float = 0.0
+) -> EnergyReport:
+    """Gradient energy against its mass + oscillation bound with unit constants.
+
+    lhs integrates ``zeta^2 |Du|^2 / u^(2-m/2)`` with the standard cutoff of
+    width ``sigma rho``; the right side is
+
+    ``(1 + L1) rho^(Nm/2) S^(1-m/2)
+      + (L1^2 + L2^2) S^(m/2) (t-s) / (sigma^2 rho^(N(m/2-1)+2))``
+
+    and ``ratio`` is lhs over it.  ``m = 0`` is the logarithmic case (kind
+    ``energy-log``, ``m`` reported as NaN): ``|Du|^2/u^2`` against
+    ``(1+L1)S + (L1^2+L2^2)(t-s)/(sigma^2 rho^(2-N))`` with the log
+    oscillation means over ``K_2rho x window``.  ``0 < m < 2/3`` is the power
+    case (kind ``energy-pme``), with the half-exponent oscillation integrals
+    (plain integrals, not means).  The sup of u is taken over ``K_2rho x
+    window`` too.
+    """
+    if not 0.0 <= m < 2.0 / 3.0:
+        raise ParameterError(f"the energy bound needs 0 <= m < 2/3, got {m:.6g}")
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1) for the energy bound")
     t0, t1 = _check_window(slab, window)
     slab.grid.cube_slices(Cube(tuple(center), 4.0 * rho))
-    return t0, t1
-
-
-def check_energy_lemma(
-    slab: SpaceTimeSlab, center, rho: float, sigma: float, window
-) -> EnergyReport:
-    """Logarithmic gradient energy against ``(1+L1)S + (L1^2+L2^2)(t-s)/(sigma^2 rho^lam)``.
-
-    The left side integrates ``zeta^2 |Du|^2/u^2`` with the standard cutoff
-    of width ``sigma rho``; the oscillation means are over ``K_2rho x window``
-    with the sup of u taken there too.  ``ratio`` is lhs over the structural
-    right side with unit constants.
-    """
-    t0, t1 = _energy_geometry(slab, center, rho, sigma, window)
-    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, sigma, (t0, t1))
-    lhs = log_gradient_energy(slab, Cutoff(tuple(center), rho, sigma), (t0, t1))
-    lam = time_scaling_exponent(slab.grid.dim)
-    mass_term = (1.0 + l1) * s_sig
-    time_term = (l1**2 + l2**2) * (t1 - t0) / (sigma**2 * rho**lam)
-    rhs = mass_term + time_term
+    N = slab.grid.dim
+    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, sigma, (t0, t1), m=m)
+    lhs = _gradient_energy(slab, Cutoff(tuple(center), rho, sigma), (t0, t1), 2.0 - m / 2.0)
+    mass_term = (1.0 + l1) * rho ** (N * m / 2.0) * s_sig ** (1.0 - m / 2.0)
+    time_term = (
+        (l1**2 + l2**2)
+        * s_sig ** (m / 2.0)
+        * (t1 - t0)
+        / (sigma**2 * rho ** time_scaling_exponent(N, m / 2.0))
+    )
     return EnergyReport(
-        kind="energy-log",
+        kind="energy-pme" if m > 0.0 else "energy-log",
         center=tuple(center),
         rho=rho,
         sigma=sigma,
         t_start=t0,
         t_end=t1,
-        m=float("nan"),
+        m=m if m > 0.0 else float("nan"),
         lhs=lhs,
         rhs_mass_term=mass_term,
         rhs_time_term=time_term,
-        ratio=lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf),
+        ratio=_ratio(lhs, mass_term + time_term),
         sup_u=M,
         lambda_1=l1,
         lambda_2=l2,
@@ -221,50 +228,14 @@ def check_energy_lemma(
 def check_energy_lemma_pme(
     slab: SpaceTimeSlab, m: float, center, rho: float, sigma: float, window
 ) -> EnergyReport:
-    """Power-diffusion energy bound; valid for ``0 < m < 2/3``.
-
-    lhs integrates ``zeta^2 |Du|^2 / u^(2-m/2)``; the right side uses the
-    half-exponent oscillation integrals (plain integrals, not means):
-
-    ``(1 + L_{m/2,1}) rho^(Nm/2) S^(1-m/2)
-      + (L_{m/2,1}^2 + L_{m/2,2}^2) S^(m/2) (t-s) rho^(N(1-m/2)) / (sigma rho)^2``.
-    """
+    """The power-diffusion case ``0 < m < 2/3`` of :func:`check_energy_lemma`."""
     if not 0 < m < 2.0 / 3.0:
         raise ParameterError("power energy bound needs 0 < m < 2/3")
-    t0, t1 = _energy_geometry(slab, center, rho, sigma, window)
-    N = slab.grid.dim
-    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, sigma, (t0, t1), m=m)
-    lhs = power_gradient_energy(slab, Cutoff(tuple(center), rho, sigma), (t0, t1), m)
-    mass_term = (1.0 + l1) * rho ** (N * m / 2.0) * s_sig ** (1.0 - m / 2.0)
-    time_term = (
-        (l1**2 + l2**2)
-        * s_sig ** (m / 2.0)
-        * (t1 - t0)
-        * rho ** (N * (1.0 - m / 2.0))
-        / (sigma**2 * rho**2)
-    )
-    rhs = mass_term + time_term
-    return EnergyReport(
-        kind="energy-pme",
-        center=tuple(center),
-        rho=rho,
-        sigma=sigma,
-        t_start=t0,
-        t_end=t1,
-        m=m,
-        lhs=lhs,
-        rhs_mass_term=mass_term,
-        rhs_time_term=time_term,
-        ratio=lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf),
-        sup_u=M,
-        lambda_1=l1,
-        lambda_2=l2,
-        s_sigma=s_sig,
-    )
+    return check_energy_lemma(slab, center, rho, sigma, window, m=m)
 
 
 @dataclass
-class FluxReport:
+class FluxReport(Row):
     """Space-time L1 of the flux against its oscillation/mass/time bound."""
 
     kind: str
@@ -282,9 +253,6 @@ class FluxReport:
     lambda_2: float
     s_sigma: float
     time_ratio: float
-
-    def to_row(self) -> dict:
-        return _as_row(self)
 
 
 def check_flux_corollary(
@@ -310,9 +278,7 @@ def check_flux_corollary(
         center = grid.center
     t0, t1 = _check_window(slab, window)
     m = float(flux.m)
-    M, l1, l2, s_sig, _ = _probe_stats(
-        slab, center, rho, sigma, (t0, t1), m=m if m != 0.0 else None
-    )
+    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, sigma, (t0, t1), m=m)
     lhs = flux_l1(slab, flux, center, rho, (t0, t1))
     T = (t1 - t0) / rho ** _time_exponent(grid.dim, m)
     if m == 0.0:
@@ -335,7 +301,7 @@ def check_flux_corollary(
         m=m if m != 0.0 else float("nan"),
         lhs=lhs,
         rhs=rhs,
-        ratio=lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf),
+        ratio=_ratio(lhs, rhs),
         sup_u=M,
         lambda_1=l1,
         lambda_2=l2,
@@ -345,7 +311,7 @@ def check_flux_corollary(
 
 
 @dataclass
-class JensenCheck:
+class JensenCheck(Row):
     """Convexity bound tying the sup, the mass, and the L1 log-oscillation.
 
     ``ln(M / (S_sigma / rho^N)) <= 2^N Lambda_1`` holds for every admissible
@@ -365,9 +331,6 @@ class JensenCheck:
     rhs: float
     margin: float
     satisfied: bool
-
-    def to_row(self) -> dict:
-        return _as_row(self)
 
 
 def jensen_check(
@@ -431,7 +394,7 @@ _POINTWISE_PROBES = 8
 
 
 @dataclass
-class PointwiseHarnackReport:
+class PointwiseHarnackReport(Row):
     """Infimum-vs-supremum comparison on intrinsically scaled cylinders.
 
     ``f_star = inf_val / sup_val`` lies in (0, 1] for positive data; the inf
@@ -459,9 +422,6 @@ class PointwiseHarnackReport:
     degenerate: bool = False
     fitted_c1: float = float("nan")
     fitted_c2: float = float("nan")
-
-    def to_row(self) -> dict:
-        return _as_row(self)
 
 
 def check_pointwise_harnack(
@@ -515,8 +475,7 @@ def check_pointwise_harnack(
         )
     nodes, chunks, M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))
     lam_p = _p_mean_sup(
-        chunks, lambda u: np.abs(np.log(u / M)), p, grid.spacing,
-        _block_volume(nodes, grid.spacing),
+        chunks, _osc_integrand(M, 0.0), p, grid.spacing, _block_volume(nodes, grid.spacing)
     )
     eta = degeneracy_ratio(vertex_field, x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cylinder(x_o, 2.0 * rho, t_o - theta * rho**2, t_o))
@@ -552,16 +511,13 @@ def check_pointwise_harnack(
 
 
 @dataclass
-class PointwiseFit:
+class PointwiseFit(Row):
     """Exponent pair for the lower-bound profile ``exp(-L^c1 / eta^c2)``."""
 
     c1: float
     c2: float
     violation: float
     mean_bound: float
-
-    def to_row(self) -> dict:
-        return _as_row(self)
 
 
 def fit_pointwise_constants(reports) -> PointwiseFit:
@@ -598,7 +554,7 @@ def fit_pointwise_constants(reports) -> PointwiseFit:
 
 
 @dataclass
-class DistributionalCheck:
+class DistributionalCheck(Row):
     """Discrete divergence-theorem defect of a cutoff Laplacian.
 
     ``laplacian_defect = |int Delta_h zeta|`` over the support cube; it
@@ -611,9 +567,6 @@ class DistributionalCheck:
     laplacian_defect: float
     shift_defect: float
     shift_defect_at_one: float
-
-    def to_row(self) -> dict:
-        return _as_row(self)
 
 
 def distributional_identity_check(

@@ -35,7 +35,7 @@ from .harnack import (
     check_l1_harnack_pme,
 )
 from .solvers import SolverConfig, _beta, solve_log_diffusion, solve_porous_medium
-from .reporting import write_csv, write_json, read_json
+from .reporting import Row, write_csv, write_json, read_json
 
 
 def log_approx_error(
@@ -79,7 +79,7 @@ def taylor_gap_bound(M: float, m: float, values: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class MSweepEntry:
+class MSweepEntry(Row):
     """Per-exponent record of one sweep member."""
 
     m: float
@@ -92,15 +92,14 @@ class MSweepEntry:
     u_norm: float
     w_norm: float
     mass_floor: float
-    functional_set: FunctionalSet | None = field(default=None, repr=False)
+    functional_set: FunctionalSet | None = field(
+        default=None, repr=False, metadata={"row": False}
+    )
 
     def to_row(self) -> dict:
-        row = {
-            k: v for k, v in self.__dict__.items() if k != "functional_set"
-        }
+        row = super().to_row()
         if self.functional_set is not None:
-            for k, v in self.functional_set.to_row().items():
-                row[f"fs_{k}"] = v
+            row.update((f"fs_{k}", v) for k, v in self.functional_set.to_row().items())
         return row
 
 
@@ -153,31 +152,17 @@ class MSweepResult:
                 name = f"pme_{i}.slab"
                 write_slab(self.pme_slabs[m], directory / name)
                 files[f"pme_{i}"] = name
-        write_csv(directory / "summary.csv", self.rows())
-        manifest = {
-            "m_values": list(self.m_values),
-            "center": list(self.center),
-            "rho": self.rho,
-            "window": list(self.window),
-            "e_o_center": list(self.e_o_center),
-            "e_o_edge": self.e_o_edge,
-            "q": self.q,
-            "p": self.p,
-            "r": self.r,
-            "eps": self.eps,
-            "sigma": self.sigma,
-            "horizon": self.horizon,
-            "log_gamma_star": self.log_gamma_star,
-            "log_energy_ratio": self.log_energy_ratio,
-            "files": files,
-            "entries": [
-                {
-                    k: (None if isinstance(v, float) and math.isnan(v) else v)
-                    for k, v in e.to_row().items()
-                }
-                for e in self.entries
-            ],
-        }
+        rows = self.rows()
+        write_csv(directory / "summary.csv", rows)
+        manifest = {}
+        for k in _MANIFEST_HEAD:
+            v = getattr(self, k)
+            manifest[k] = list(v) if isinstance(v, tuple) else v
+        manifest["files"] = files
+        manifest["entries"] = [
+            {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()}
+            for row in rows
+        ]
         write_json(directory / "manifest.json", manifest)
 
     @staticmethod
@@ -190,12 +175,11 @@ class MSweepResult:
         directory = Path(directory)
         path = directory / "manifest.json"
         man = read_json(path)
-        head = [f.name for f in fields(MSweepResult) if f.name not in _LOADED_APART]
-        _require(man, head + ["files", "entries"], f"sweep manifest {path}")
+        _require(man, _MANIFEST_HEAD + ["files", "entries"], f"sweep manifest {path}")
         result = MSweepResult(
-            **{k: tuple(man[k]) if isinstance(man[k], list) else man[k] for k in head}
+            **{k: tuple(man[k]) if isinstance(man[k], list) else man[k] for k in _MANIFEST_HEAD}
         )
-        keys = [f.name for f in fields(MSweepEntry) if f.name != "functional_set"]
+        keys = [f.name for f in fields(MSweepEntry) if f.metadata.get("row", True)]
         for rec in man["entries"]:
             _require(rec, keys, f"an entry of sweep manifest {path}")
             if rec["m"] not in result.m_values:
@@ -219,8 +203,10 @@ class MSweepResult:
         return result
 
 
-# MSweepResult fields that the manifest does not hold as top-level keys
-_LOADED_APART = ("entries", "log_slab", "pme_slabs")
+# the MSweepResult fields that the manifest holds as top-level keys
+_MANIFEST_HEAD = [
+    f.name for f in fields(MSweepResult) if f.name not in ("entries", "log_slab", "pme_slabs")
+]
 
 
 def _require(record: dict, keys, where: str) -> None:
@@ -362,7 +348,7 @@ def run_m_sweep(
 
 
 @dataclass
-class UniformVerdict:
+class UniformVerdict(Row):
     """Boundedness verdict for the sup-in-time norm families."""
 
     r: float
@@ -374,18 +360,15 @@ class UniformVerdict:
     w_median: float
     warning: str
 
-    def to_row(self) -> dict:
-        return dict(self.__dict__)
-
 
 def check_uniform_conditions(
     result: MSweepResult, r: float | None = None, p: float | None = None
 ) -> UniformVerdict:
     """Bounded iff each norm family's max is <= 1.5x its median over m.
 
-    Recomputes the norms from stored slabs when ``r``/``p`` differ from the
-    sweep's; warns when the integrability exponents sit at or below the
-    hypotheses' thresholds (``r > max(1, N/2)``, ``p > N+2``).
+    Recomputes the norms from the stored power slabs at ``r``/``p`` (the
+    sweep's own when not given); warns when the integrability exponents sit
+    at or below the hypotheses' thresholds (``r > max(1, N/2)``, ``p > N+2``).
     """
     if result.log_slab is None and not result.pme_slabs:
         raise ParameterError("sweep result carries no slabs to measure")
@@ -423,7 +406,7 @@ def check_uniform_conditions(
 
 
 @dataclass
-class MassBoundVerdict:
+class MassBoundVerdict(Row):
     """Minimum final-time mass over the sweep versus a required floor."""
 
     e_o_center: tuple
@@ -431,11 +414,6 @@ class MassBoundVerdict:
     sigma_floor: float
     min_mass: float
     passed: bool
-
-    def to_row(self) -> dict:
-        row = dict(self.__dict__)
-        row["e_o_center"] = ";".join(repr(c) for c in self.e_o_center)
-        return row
 
 
 def check_mass_lower_bound(

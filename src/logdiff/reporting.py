@@ -1,8 +1,10 @@
-"""Deterministic CSV and manifest serialization for report rows.
+"""Report rows and their deterministic CSV and manifest serialization.
 
-Byte-identical output is a contract: floats are written with ``repr`` (the
-shortest round-tripping form), column order is fixed by the caller or by the
-first row's insertion order, and nothing time- or host-dependent is emitted.
+Every report dataclass subclasses :class:`Row`, whose ``to_row()`` is the one
+rule that turns a report into a row.  Byte-identical output is a contract:
+floats are written with ``repr`` (the shortest round-tripping form), column
+order is fixed by the caller or by the first row's insertion order, and
+nothing time- or host-dependent is emitted.
 """
 
 from __future__ import annotations
@@ -10,9 +12,28 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ParameterError
+
+
+class Row:
+    """Mixin for report dataclasses: ``to_row()`` is the fields in order.
+
+    Tuples become ``;``-joined reprs; a field declared with
+    ``metadata={"row": False}`` is left out.
+    """
+
+    def to_row(self) -> dict:
+        row = {}
+        for f in fields(self):
+            if f.metadata.get("row", True):
+                value = getattr(self, f.name)
+                row[f.name] = (
+                    ";".join(repr(v) for v in value) if isinstance(value, tuple) else value
+                )
+        return row
 
 
 def format_cell(value) -> str:

@@ -397,11 +397,6 @@ _KINDS = {
 }
 
 
-def _operator_on_all_nodes(grid: Grid, flux: QuasilinearFlux):
-    faces = _Faces(grid)
-    return _BetaOperator(faces, np.arange(faces.W.size), flux)
-
-
 def _march(
     initial: Field, config: SolverConfig, horizon: float, flux: QuasilinearFlux
 ) -> SpaceTimeSlab:
@@ -505,19 +500,6 @@ def solve_quasilinear(
     return _march(initial, config, horizon, flux)
 
 
-def flux_divergence(
-    grid: Grid, values: np.ndarray, flux: QuasilinearFlux, t: float
-) -> np.ndarray:
-    """The operator of ``flux.kind`` at time ``t`` on every node.
-
-    Interior rows are the standard stencil, boundary rows the zero-flux form
-    (dual-area faces, rows divided by the trapezoid weight; module docstring).
-    """
-    op = _operator_on_all_nodes(grid, flux)
-    op.step(t)
-    return op.apply(values.ravel()).reshape(grid.shape)
-
-
 def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
     """Max over steps and interior nodes of ``|(u_k - u_{k-1})/dt - Op(u_k)|``.
 
@@ -526,7 +508,8 @@ def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
     tolerance divided by ``dt`` plus stencil-consistency terms.
     """
     grid = slab.grid
-    op = _operator_on_all_nodes(grid, flux)
+    faces = _Faces(grid)
+    op = _BetaOperator(faces, np.arange(faces.W.size), flux)
     inner = interior_slices(grid)
     worst = 0.0
     for k in range(1, slab.nlevels):

@@ -263,7 +263,7 @@ def composed_probe_stats(slab, center, rho, sigma, window, m):
     cyl2 = Cylinder(center, 2.0 * rho, *window)
     M = ess_sup(slab, cyl2)
     assert ess_inf(slab, cyl2) > 0.0
-    if m is None:
+    if m == 0.0:
         l1, l2 = (log_oscillation(slab, cyl2, M, p) for p in (1.0, 2.0))
     else:
         l1, l2 = (power_oscillation(slab, cyl2, M, m / 2.0, p) for p in (1.0, 2.0))
@@ -297,7 +297,7 @@ def test_probe_stats_match_composed_functionals(dim, data):
     window = (float(slab.times[k0]) - 1e-3, float(slab.times[k1]))
     for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
-            for m in (None, 0.2):
+            for m in (0.0, 0.2):
                 for sigma in (0.0, 0.5):
                     got = functionals._probe_stats(slab, center, rho, sigma, window, m=m)
                     want = composed_probe_stats(slab, center, rho, sigma, window, m)

@@ -139,6 +139,21 @@ def test_field_immutability_and_slab_indexing():
         slab.window_indices(0.31, 0.32)
 
 
+def test_slab_level_is_a_read_only_view():
+    g = Grid.regular(2, 1.0, 0.25)
+    vals = np.stack([np.full(g.shape, 1.0 + k) for k in range(3)])
+    slab = SpaceTimeSlab(g, np.array([0.0, 0.1, 0.2]), vals)
+    level = slab.level(2)
+    assert isinstance(level, Field) and level.grid is g and level.time == 0.2
+    assert np.shares_memory(level.values, slab.values)
+    assert np.array_equal(level.values, slab.values[2])
+    assert not level.values.flags.writeable
+    with pytest.raises(ValueError):
+        level.values[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        level.values.setflags(write=True)
+
+
 def test_field_io_roundtrip(tmp_path):
     g = Grid.regular(2, 1.0, 1.0 / 8)
     rng = np.random.default_rng(0)

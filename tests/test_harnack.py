@@ -164,6 +164,36 @@ def test_energy_lemma_pme_exponent_range(lump_slab_32):
     assert rep.m == 0.4
     with pytest.raises(ParameterError):
         check_energy_lemma_pme(lump_slab_32, 0.7, (0.0, 0.0), 0.25, 0.5, (0.25, 0.5))
+    for m in (-0.1, 0.7, float("nan")):
+        with pytest.raises(ParameterError):
+            check_energy_lemma(lump_slab_32, (0.0, 0.0), 0.25, 0.5, (0.25, 0.5), m=m)
+
+
+@pytest.mark.parametrize("m", [0.05, 0.2, 0.5])
+def test_energy_lemma_pme_is_the_merged_check(lump_slab_32, m):
+    args = ((0.0, 0.0), 0.25, 0.5, (0.25, 0.5))
+    pme = check_energy_lemma_pme(lump_slab_32, m, *args).to_row()
+    assert pme == check_energy_lemma(lump_slab_32, *args, m=m).to_row()
+    assert pme["kind"] == "energy-pme" and pme["m"] == m
+
+
+def test_energy_log_row_keeps_its_floats():
+    """At m = 0 the merged energy body reproduces the logarithmic formula bit for bit.
+
+    rho = 3 cells is not a power of two, so writing the time term in the power
+    form ``rho^(N(1-m/2)) / rho^2`` would move ``rhs_time_term`` by one ulp.
+    """
+    grid = Grid.regular(2, 1.0, 1.0 / 32)
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, np.linspace(0.0, 0.5, 17))
+    row = check_energy_lemma(slab, (0.0, 0.0), 0.09375, 0.5, (0.125, 0.375)).to_row()
+    assert np.isnan(row.pop("m"))
+    assert row == {
+        "kind": "energy-log", "center": "0.0;0.0", "rho": 0.09375, "sigma": 0.5,
+        "t_start": 0.125, "t_end": 0.375, "lhs": 5.4443177710386344e-05,
+        "rhs_mass_term": 0.14666481220505856, "rhs_time_term": 0.24337307879237588,
+        "ratio": 0.00013958433005357537, "sup_u": 7.0, "lambda_1": 0.34878674450316305,
+        "lambda_2": 0.348885204116284, "s_sigma": 0.10873832561209204,
+    }
 
 
 def test_flux_corollary_kinds(lump_slab_32):

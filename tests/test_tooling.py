@@ -1,12 +1,16 @@
-"""Source hygiene: unused imports, and the names the benchmark tracer binds."""
+"""Source hygiene: unused imports, the one row rule, and the names the benchmark
+tracer binds."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 import logdiff
+from logdiff.reporting import Row
 
 PACKAGE = Path(logdiff.__file__).parent
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -29,6 +33,22 @@ def _unused_imports(source: str) -> list[str]:
 )
 def test_every_import_is_used(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_every_report_row_comes_from_the_row_rule():
+    """A class defining ``to_row`` subclasses ``Row``; an override extends its row."""
+    reports = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"logdiff.{path.stem}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__ or cls is Row:
+                continue
+            if "to_row" in vars(cls):
+                assert issubclass(cls, Row), cls
+                assert "super().to_row()" in inspect.getsource(cls.to_row), cls
+            if issubclass(cls, Row):
+                reports.add(cls.__name__)
+    assert len(reports) == 15 and {"AnalyticityReport", "MSweepEntry"} <= reports
 
 
 def test_tracer_finds_every_name_it_binds():
