@@ -10,6 +10,11 @@ in the manifest but starts no workers: the checkers hold the interpreter
 lock, so worker threads only add contention.  Column sets are documented in
 ``schema/columns.md`` shipped inside the package.
 
+``[solver] equation`` names the one flux that both ``solve`` and ``verify
+flux`` use: ``log-diffusion``, ``pme`` (``m`` required) or ``quasilinear``, the
+diagonal-perturbed flux with ``m`` (default 0) and one constant ``a`` per axis
+(default ones).
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification I/O
 error.
 """
@@ -29,15 +34,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, GeometryError, ParameterError, SolverError
-from .grid import Cube, Cutoff, Field, Grid, read_slab, write_slab
+from .grid import Cube, Cutoff, Grid, read_slab, write_slab
 from .oracles import build_fixture, fit_order, residual_check
-from .solvers import (
-    QuasilinearFlux,
-    SolverConfig,
-    solve_log_diffusion,
-    solve_porous_medium,
-    solve_quasilinear,
-)
+from .solvers import QuasilinearFlux, SolverConfig, solve_quasilinear
 from .harnack import (
     DistributionalCheck,
     EnergyReport,
@@ -152,58 +151,55 @@ _FIXTURE_PARAMS = {
 # every key some command reads (Cfg.get asserts it), by section; others are rejected
 _KNOWN_KEYS = {
     "grid": {"dim", "edge", "cells", "center"},
-    "initial": {"fixture", "t0", "value"}.union(*_FIXTURE_PARAMS.values()),
-    "solver": {"equation", "kind", "boundary", "dt", "horizon", "newton_tol",
-               "newton_max_iter", "max_damping", "m", "a", "c_o", "c_1"},
+    "initial": {"fixture", "t0"}.union(*_FIXTURE_PARAMS.values()),
+    "solver": {"equation", "boundary", "dt", "horizon", "newton_tol", "newton_max_iter",
+               "max_damping", "m", "a"},
     "verify": {"slab", "count", "center", "rho", "window", "sigma", "m", "q", "p", "r",
                "eps"},
     "msweep": {"m_values", "rho", "window", "e_o_edge", "q", "p", "r", "eps", "sigma"},
 }
 
 
+def _fixture_params(cfg: Cfg, name: str) -> dict:
+    """The ``[initial]`` parameters of fixture ``name`` that the config sets."""
+    return {
+        key: cfg.get("initial", key, cast=cast)
+        for key, cast in _FIXTURE_PARAMS.get(name, {}).items()
+        if cfg.cp.has_option("initial", key)
+    }
+
+
 def _build_initial(cfg: Cfg, grid: Grid):
-    """Returns (field, fixture-or-None) for the configured initial data."""
+    """Returns (field, fixture) for the configured initial data."""
     name = cfg.get("initial", "fixture", "lump2d", str)
     t0 = cfg.get("initial", "t0", 0.0, float)
-    if name == "constant":
-        value = cfg.get("initial", "value", 1.0, float)
-        if value <= 0:
-            raise ConfigProblem("[initial] value must be positive")
-        return Field(grid, np.full(grid.shape, value), time=t0), None
-    params = {}
-    for key, cast in _FIXTURE_PARAMS.get(name, {}).items():
-        if cfg.cp.has_option("initial", key):
-            params[key] = cfg.get("initial", key, cast=cast)
-    sol = build_fixture(name, **params)
+    sol = build_fixture(name, **_fixture_params(cfg, name))
     return sol.sample(grid, t0), sol
 
 
 def _build_solver_config(cfg: Cfg, fixture) -> SolverConfig:
-    boundary = cfg.get("solver", "boundary", "dirichlet-from-oracle", str)
-    boundary_values = None
-    if boundary == "dirichlet-from-oracle":
-        if fixture is not None:
-            boundary_values = fixture
-        else:
-            value = cfg.echo.get("initial", {}).get("value", 1.0)
-            boundary_values = lambda pts, t: np.full(len(pts), float(value))
     return SolverConfig(
         dt=cfg.get("solver", "dt", required=True, cast=float),
         newton_tol=cfg.get("solver", "newton_tol", 1e-10, float),
         newton_max_iter=cfg.get("solver", "newton_max_iter", 25, int),
         max_damping=cfg.get("solver", "max_damping", 30, int),
-        boundary=boundary,
-        boundary_values=boundary_values,
+        boundary=cfg.get("solver", "boundary", "dirichlet-from-oracle", str),
+        boundary_values=fixture,
     )
 
 
 def _build_flux(cfg: Cfg, grid: Grid) -> QuasilinearFlux:
-    kind = cfg.get("solver", "kind", "log-diffusion", str)
+    """The flux that ``[solver] equation`` names (module docstring)."""
+    equation = cfg.get("solver", "equation", "log-diffusion", str)
+    if equation == "log-diffusion":
+        return QuasilinearFlux("log-diffusion")
+    if equation == "pme":
+        return QuasilinearFlux("pme", m=cfg.get("solver", "m", required=True, cast=float))
+    if equation != "quasilinear":
+        raise ConfigProblem(f"unknown [solver] equation {equation!r}")
     m = cfg.get("solver", "m", 0.0, float)
-    a = cfg.get("solver", "a", tuple(1.0 for _ in range(grid.dim)), _parse_floats)
-    c_o = cfg.get("solver", "c_o", min(a) if a else 1.0, float)
-    c_1 = cfg.get("solver", "c_1", max(a) if a else 1.0, float)
-    return QuasilinearFlux(kind=kind, m=m, a=a, c_o=c_o, c_1=c_1)
+    a = cfg.get("solver", "a", (1.0,) * grid.dim, _parse_floats)
+    return QuasilinearFlux("diagonal-perturbed", m=m, a=a, c_o=min(a), c_1=max(a))
 
 
 def _manifest(out_dir: Path, command: str, run_id: str, cfg_echo: dict, threads: int, seed: int):
@@ -230,18 +226,9 @@ def cmd_solve(args) -> int:
     grid = _build_grid(cfg)
     initial, fixture = _build_initial(cfg, grid)
     solver_cfg = _build_solver_config(cfg, fixture)
-    equation = cfg.get("solver", "equation", "log-diffusion", str)
+    flux = _build_flux(cfg, grid)
     horizon = cfg.get("solver", "horizon", required=True, cast=float)
-    if equation == "log-diffusion":
-        slab = solve_log_diffusion(initial, solver_cfg, horizon)
-    elif equation == "pme":
-        m = cfg.get("solver", "m", required=True, cast=float)
-        slab = solve_porous_medium(initial, m, solver_cfg, horizon)
-    elif equation == "quasilinear":
-        flux = _build_flux(cfg, grid)
-        slab = solve_quasilinear(initial, flux, solver_cfg, horizon)
-    else:
-        raise ConfigProblem(f"unknown [solver] equation {equation!r}")
+    slab = solve_quasilinear(initial, flux, solver_cfg, horizon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_slab(slab, out / "slab.slab")
@@ -400,9 +387,7 @@ def cmd_oracle_check(args) -> int:
     cfg_echo: dict = {}
     if args.config is not None:
         cfg = load_config(args.config)
-        for key, cast in _FIXTURE_PARAMS.get(args.fixture, {}).items():
-            if cfg.cp.has_option("initial", key):
-                params[key] = cfg.get("initial", key, cast=cast)
+        params = _fixture_params(cfg, args.fixture)
         cfg_echo = cfg.echo
     sol = build_fixture(args.fixture, **params)
     meshes = args.meshes or (32, 64, 128)

@@ -284,15 +284,13 @@ def check_flux_corollary(
     if m == 0.0:
         osc = max(math.sqrt(1.0 + l1), math.sqrt(l1**2 + l2**2))
         rhs = osc * math.sqrt(s_sig + T / sigma**2) * math.sqrt(T)
-        kind = "flux-log" if flux.kind == "log-diffusion" else "flux-quasilinear"
     else:
         rhs = (
             math.sqrt(l1**2 + l2**2) * T * s_sig**m / sigma
             + math.sqrt(1.0 + l1) * math.sqrt(T) * s_sig ** ((m + 1.0) / 2.0)
         )
-        kind = "flux-pme" if flux.kind == "pme" else "flux-quasilinear"
     return FluxReport(
-        kind=kind,
+        kind={"log-diffusion": "flux-log", "pme": "flux-pme"}.get(flux.kind, "flux-quasilinear"),
         center=tuple(center),
         rho=rho,
         sigma=sigma,

@@ -97,10 +97,10 @@ class MSweepEntry(Row):
     )
 
     def to_row(self) -> dict:
-        row = super().to_row()
-        if self.functional_set is not None:
-            row.update((f"fs_{k}", v) for k, v in self.functional_set.to_row().items())
-        return row
+        # a failed solve has no functional set: its fs_* cells are NaN
+        fs, names = self.functional_set, [f.name for f in fields(FunctionalSet)]
+        fs_row = fs.to_row() if fs is not None else dict.fromkeys(names, math.nan)
+        return {**super().to_row(), **{f"fs_{k}": v for k, v in fs_row.items()}}
 
 
 @dataclass
@@ -129,12 +129,6 @@ class MSweepResult:
     entries: list = field(default_factory=list)
     log_slab: SpaceTimeSlab | None = field(default=None, repr=False)
     pme_slabs: dict = field(default_factory=dict, repr=False)
-
-    def entry(self, m: float) -> MSweepEntry:
-        for e in self.entries:
-            if e.m == m:
-                return e
-        raise ParameterError(f"no sweep entry for m = {m}")
 
     def rows(self) -> list:
         return [e.to_row() for e in self.entries]

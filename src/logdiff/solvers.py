@@ -4,7 +4,8 @@ All solvers march backward Euler: each step solves the nonlinear system
 
     u_new - dt * Op(u_new) = u_old
 
-with a damped Newton iteration (step halving up to ``max_damping`` times).
+with a damped Newton iteration (step halving up to ``max_damping`` times),
+written once, inline in ``_march``, the module's one step loop.
 Every ``Op`` is ``div_h(a grad_h beta(u))``, with ``beta(u) = ln u`` at ``m = 0``
 and ``(u^m - 1)/m`` for ``0 < m < 1``.  ``solve_log_diffusion`` (``m = 0``) and
 ``solve_porous_medium`` take ``a = 1``.  ``solve_quasilinear`` with a
@@ -26,11 +27,12 @@ solves for the interior nodes; ``neumann-zero-flux`` solves for every node and
 conserves the trapezoid mass per step to roundoff.
 
 Newton corrections solve ``J delta = -r`` (``J = I - dt dOp/du``) by PCG from
-zero.  ``W J = (diag(W/b') + C) diag(b')`` for ``b' = beta'(u)`` and ``C = dt
-D^T diag(w a) D / h^2``, which is exactly symmetric, so PCG solves for ``y =
-b' delta``, the linearised change of ``beta(u)``.  It stops once ``max|W (J
-delta + r)| <= 0.01 newton_tol min W``, or after ``n`` iterations for ``n``
-unknowns (a cap hit); the damped line search guards the result.
+zero, in ``_BetaOperator.solve``.  ``W J = (diag(W/b') + C) diag(b')`` for ``b'
+= beta'(u)`` and ``C = dt D^T diag(w a) D / h^2``, which is exactly symmetric,
+so PCG solves for ``y = b' delta``, the linearised change of ``beta(u)``.  It
+stops once ``max|W (J delta + r)| <= 0.01 newton_tol min W``, or after ``n``
+iterations for ``n`` unknowns (a cap hit); the damped line search guards the
+result.
 
 PCG is preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with ``C_a``
 the axis-``a`` part of ``C`` at ``a = 1``, ``c_a`` the mean of ``a`` over the
@@ -112,6 +114,8 @@ class QuasilinearFlux:
     ``diagonal-perturbed`` means ``A_d = a_d(x, t) * u^(m-1) * du/dx_d`` with
     ``c_o <= a_d <= c_1``; ``a`` holds one constant or callable per axis and
     ``m = 0`` selects the logarithmic coefficient ``1/u``, i.e. ``beta = ln u``.
+    The model kinds carry their effective values: ``a = ()`` (that is, ``a =
+    1``), and ``m = 0`` for ``log-diffusion``.
     """
 
     kind: str
@@ -123,6 +127,10 @@ class QuasilinearFlux:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"flux kind must be one of {tuple(_KINDS)}")
+        if self.kind != "diagonal-perturbed":
+            object.__setattr__(self, "a", ())
+        if self.kind == "log-diffusion":
+            object.__setattr__(self, "m", 0.0)
         if self.kind == "pme" and not 0.0 < self.m < 1.0:
             raise ParameterError(f"pme flux needs m in (0, 1), got {self.m}")
         if self.kind == "diagonal-perturbed":
@@ -134,8 +142,8 @@ class QuasilinearFlux:
                 raise ParameterError("structure bounds need 0 < c_o <= c_1")
 
     def beta(self):
-        """:func:`_beta` of this flux; the log kind has ``m = 0`` whatever ``m`` is."""
-        return _beta(0.0 if self.kind == "log-diffusion" else self.m)
+        """:func:`_beta` of this flux's ``m``."""
+        return _beta(self.m)
 
 
 def _check_horizon(horizon: float, dt: float) -> int:
@@ -163,35 +171,6 @@ def _newton_start(table):
 def _push_level(table, level):
     """The table one level on: ``∇^(j+1) u_(k+1) = ∇^j u_(k+1) - ∇^j u_k``."""
     return list(accumulate(table[:_START_LEVELS], np.subtract, initial=level))
-
-
-def _damped_newton(x0, residual_fn, correction_fn, trial_fn, config, t, stats):
-    """Solve residual(x) = 0 from ``x0``: each iteration takes ``y =
-    correction_fn(x, r)`` and the first of ``trial_fn(x, s y)``, ``s = 1, 1/2,
-    ...``, whose residual is smaller (a NaN one never is)."""
-    x, r = x0, residual_fn(x0)
-    rnorm = float(np.abs(r).max())
-    for _ in range(config.newton_max_iter):
-        if rnorm <= config.newton_tol:
-            return x
-        y = correction_fn(x, r)
-        stats["newton_iters"] += 1
-        for halvings in range(config.max_damping + 1):
-            x_try = trial_fn(x, 0.5**halvings * y)
-            r_try = residual_fn(x_try)
-            rn_try = float(np.abs(r_try).max())
-            if rn_try < rnorm:
-                x, r, rnorm = x_try, r_try, rn_try
-                break
-        else:
-            raise SolverError(
-                f"Newton stalled at t={t}: residual {rnorm:.3e}", residual=rnorm, time=t
-            )
-    if rnorm <= config.newton_tol:
-        return x
-    raise SolverError(
-        f"Newton did not reach tol at t={t}: residual {rnorm:.3e}", residual=rnorm, time=t
-    )
 
 
 def _pcg(A, b, precond, atol, cap):
@@ -318,34 +297,38 @@ def _beta(m: float):
 
 
 class _BetaOperator:
-    """``div_h(a grad_h beta(u))`` on ``rows`` (module docstring): ``step(t)`` once
-    per level, then ``apply(u)`` (Op on ``rows``, u on every node) and
-    ``newton_solver(dt, atol)`` -> ``solve(u, r) -> (y, iters, converged)``.
+    """``div_h(a grad_h beta(u))`` on ``rows`` for time step ``dt`` (module
+    docstring): ``step(t)`` once per level, then ``apply(u)`` (Op on ``rows``, u
+    on every node) and ``solve(u, r, atol) -> (y, iters, converged)``, the PCG
+    Newton correction.
 
-    ``L = div(a D)`` and ``K = D^T diag(w a) D / h^2`` are assembled once, or
-    by each ``step`` when some ``a_d`` is callable.
+    ``L = div(a D)`` and the PCG matrix ``A = diag(W/b') + dt K``, ``K = D^T
+    diag(w a) D / h^2``, are assembled once, or by each ``step`` when some
+    ``a_d`` is callable; ``solve`` rewrites only the diagonal of ``A``.
     """
 
-    def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux):
+    def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux, dt: float):
         grid = faces.grid
-        self.faces, self.rows, self.flux = faces, rows, flux
+        self.faces, self.rows, self.flux, self.dt = faces, rows, flux, dt
+        self.W = faces.W[rows]
+        self.spectral = _Spectral(faces, rows, dt)
         self.beta, self.beta_prime, self.beta_step = flux.beta()
-        self.a_d = flux.a if flux.kind == "diagonal-perturbed" else ()
-        if self.a_d and len(self.a_d) != grid.dim:
+        if flux.a and len(flux.a) != grid.dim:
             raise ParameterError("flux needs one coefficient per axis")
         pts = grid.points().reshape(-1, grid.dim)
         mid = 0.5 * (pts[faces.left] + pts[faces.right])
         self.mid = mid.reshape(grid.dim, -1, grid.dim)
-        self.varying = any(map(callable, self.a_d))
+        self.varying = any(map(callable, flux.a))
         if not self.varying:
             self._assemble(None)
 
     def _assemble(self, t) -> None:
-        """``L``, ``K`` and the preconditioner's per-axis means ``c`` of ``a`` at
-        ``t``; each ``a_d`` must be finite and within ``[c_o, c_1]``."""
+        """``L``, ``A`` with its diagonal positions and the preconditioner's
+        per-axis means ``c`` of ``a`` at ``t``; each ``a_d`` must be finite and
+        within ``[c_o, c_1]``."""
         flux, per_axis = self.flux, []
         tol = 1e-9 * max(1.0, flux.c_1)
-        for axis, (a_d, mid) in enumerate(zip(self.a_d, self.mid)):
+        for axis, (a_d, mid) in enumerate(zip(flux.a, self.mid)):
             vals = a_d(mid, t) if callable(a_d) else a_d
             vals = np.broadcast_to(np.asarray(vals, dtype=float), len(mid))
             if not np.isfinite(vals).all():
@@ -358,7 +341,10 @@ class _BetaOperator:
         a = np.concatenate(per_axis) if per_axis else 1.0
         self.c = [vals.mean() for vals in per_axis] or np.ones(self.faces.grid.dim)
         self.L = self.faces.divergence(self.rows, a) @ self.faces.D
-        self.K = self.faces.stiffness(self.rows, a)
+        C, n = self.dt * self.faces.stiffness(self.rows, a), self.rows.size
+        self.A = (C + sp.identity(n)).tocsr()  # stores every diagonal entry
+        rows_of = np.repeat(np.arange(n), np.diff(self.A.indptr))
+        self.diag_at, self.c_diag = np.flatnonzero(self.A.indices == rows_of), C.diagonal()
 
     def step(self, t: float) -> None:
         if self.varying:
@@ -367,26 +353,12 @@ class _BetaOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.L @ self.beta(u)
 
-    def newton_solver(self, dt: float, atol: float):
-        """PCG on ``(diag(W/b') + C) y = -W r`` with ``C = dt K``; a call rewrites
-        only the diagonal, after rebuilding ``A`` if ``step`` re-assembled ``K``."""
-        n, W = self.rows.size, self.faces.W[self.rows]
-        spectral = _Spectral(self.faces, self.rows, dt)
-        K = A = diag_at = c_diag = None
-
-        def solve(u, r):
-            nonlocal K, A, diag_at, c_diag
-            if K is not self.K:
-                K, C = self.K, dt * self.K
-                A = (C + sp.identity(n)).tocsr()  # stores every diagonal entry
-                rows_of = np.repeat(np.arange(n), np.diff(A.indptr))
-                diag_at, c_diag = np.flatnonzero(A.indices == rows_of), C.diagonal()
-            bp = self.beta_prime(u[self.rows])
-            A.data[diag_at] = c_diag + W / bp
-            precond = spectral.inverse(_geometric_mid(1.0 / bp), self.c)
-            return _pcg(A, -W * r, precond, atol, n)
-
-        return solve
+    def solve(self, u: np.ndarray, r: np.ndarray, atol: float):
+        """PCG on ``(diag(W/b') + dt K) y = -W r`` for ``b' = beta'(u)``."""
+        bp = self.beta_prime(u[self.rows])
+        self.A.data[self.diag_at] = self.c_diag + self.W / bp
+        precond = self.spectral.inverse(_geometric_mid(1.0 / bp), self.c)
+        return _pcg(self.A, -self.W * r, precond, atol, self.rows.size)
 
 
 # flux kind -> slab meta "equation"; every kind runs ``_BetaOperator``
@@ -414,15 +386,20 @@ def _march(
     rows = np.flatnonzero(~known)
     pts_known = grid.points().reshape(-1, grid.dim)[known]
     boundary = getattr(config.boundary_values, "eval", config.boundary_values)
-    W = faces.W[rows]
-    op = _BetaOperator(faces, rows, flux)
-    solve = op.newton_solver(config.dt, 0.01 * config.newton_tol * W.min())
+    op = _BetaOperator(faces, rows, flux, config.dt)
+    W, atol = op.W, 0.01 * config.newton_tol * op.W.min()
 
     times = np.linspace(initial.time, initial.time + horizon, nsteps + 1)
     levels = np.empty((nsteps + 1,) + grid.shape)
     levels[0] = initial.values
     stats = {"newton_iters": 0, "linear_iters": 0, "linear_cap_hits": 0,
              "predictor_fallbacks": 0, "start_levels": [0] * _START_LEVELS}
+
+    def residual(x, prev):
+        """``(r, max|r|)`` at unknowns ``x``, which it writes into ``u``."""
+        u[rows] = x
+        r = x - config.dt * op.apply(u) - prev
+        return r, float(np.abs(r).max())
 
     u = initial.values.ravel().copy()
     table = [u[rows]]
@@ -434,32 +411,42 @@ def _march(
             if not ((u[known] > 0.0) & (u[known] < np.inf)).all():
                 raise ParameterError(f"boundary values must be finite and positive at t={t}")
         prev = table[0]
-        guess, p = _newton_start(table)
+        x, p = _newton_start(table)
         stats["start_levels"][p - 1] += 1
-        low = guess <= 0.0
+        low = x <= 0.0
         stats["predictor_fallbacks"] += int(low.sum())
-        guess[low] = prev[low]
+        x[low] = prev[low]
 
-        def residual_fn(x):
-            u[rows] = x
-            return x - config.dt * op.apply(u) - prev
-
-        def correction_fn(x, r):
-            u[rows] = x
-            y, iters, converged = solve(u, r)
+        # damped Newton: each iteration takes the first trial x_s = beta^-1(beta(x)
+        # + s y), s = 1, 1/2, ..., whose residual is smaller (a NaN one never is);
+        # u holds x after every accepted trial
+        r, rnorm = residual(x, prev)
+        for _ in range(config.newton_max_iter):
+            if rnorm <= config.newton_tol:
+                break
+            y, iters, converged = op.solve(u, r, atol)
+            stats["newton_iters"] += 1
             stats["linear_iters"] += iters
             stats["linear_cap_hits"] += not converged
-            return y
-
-        def trial_fn(x, y):
-            x = op.beta_step(x, y)
-            if neumann:  # rows are every node; zero W^T r = W^T (x - prev)
-                x *= (W @ prev) / (W @ x)
-            return x
-
-        u[rows] = _damped_newton(guess, residual_fn, correction_fn, trial_fn, config, t, stats)
+            for halvings in range(config.max_damping + 1):
+                x_try = op.beta_step(x, 0.5**halvings * y)
+                if neumann:  # rows are every node; zero W^T r = W^T (x - prev)
+                    x_try *= (W @ prev) / (W @ x_try)
+                r_try, rn_try = residual(x_try, prev)
+                if rn_try < rnorm:
+                    x, r, rnorm = x_try, r_try, rn_try
+                    break
+            else:
+                raise SolverError(
+                    f"Newton stalled at t={t}: residual {rnorm:.3e}", residual=rnorm, time=t
+                )
+        if rnorm > config.newton_tol:
+            raise SolverError(
+                f"Newton did not reach tol at t={t}: residual {rnorm:.3e}",
+                residual=rnorm, time=t,
+            )
         levels[k + 1] = u.reshape(grid.shape)
-        table = _push_level(table, u[rows])
+        table = _push_level(table, x)
 
     meta = {
         "equation": _KINDS[flux.kind],
@@ -509,7 +496,7 @@ def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
     """
     grid = slab.grid
     faces = _Faces(grid)
-    op = _BetaOperator(faces, np.arange(faces.W.size), flux)
+    op = _BetaOperator(faces, np.arange(faces.W.size), flux, slab.dt)
     inner = interior_slices(grid)
     worst = 0.0
     for k in range(1, slab.nlevels):

@@ -5,10 +5,14 @@ import json
 import re
 import struct
 
+import numpy as np
 import pytest
 
-from logdiff import Lump2D
+from logdiff import Lump2D, QuasilinearFlux, SolverConfig, read_slab
+from logdiff import solve_porous_medium, solve_quasilinear
 from logdiff.cli import load_config, main
+
+from conftest import lump_grid
 
 BASE_CONFIG = """\
 [grid]
@@ -264,6 +268,82 @@ def test_solver_failure_exit_code(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
 
+def _equation(equation, keys):
+    """BASE_CONFIG with ``[solver] equation`` and the extra ``[solver]`` lines."""
+    return BASE_CONFIG.replace("equation = log-diffusion", f"equation = {equation}\n{keys}")
+
+
+@pytest.mark.parametrize(
+    "equation, keys",
+    [("pme", "m = 0.3"), ("quasilinear", "m = 0.2\na = 1.0 0.7")],
+    ids=["pme", "quasilinear"],
+)
+def test_solve_runs_the_flux_of_the_equation(tmp_path, equation, keys):
+    cfg = tmp_path / "eq.ini"
+    cfg.write_text(_equation(equation, keys))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    got = read_slab(tmp_path / "s" / "slab.slab")
+    lump = Lump2D(c=1.0, T=1.0)
+    initial, config = lump.sample(lump_grid(16), 0.0), SolverConfig(dt=0.0625, boundary_values=lump)
+    if equation == "pme":
+        want = solve_porous_medium(initial, 0.3, config, 0.25)
+    else:
+        flux = QuasilinearFlux("diagonal-perturbed", m=0.2, a=(1.0, 0.7), c_o=0.7)
+        want = solve_quasilinear(initial, flux, config, 0.25)
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.values, want.values)
+    assert got.meta["equation"] == want.meta["equation"]
+
+
+@pytest.mark.parametrize(
+    "equation, kind, m_cell",
+    [("log-diffusion", "flux-log", "nan"), ("pme", "flux-pme", "0.3")],
+    ids=["log-diffusion", "pme"],
+)
+def test_verify_flux_follows_the_equation(run_dir, equation, kind, m_cell):
+    # the log flux has m = 0 whatever [solver] m says, so it keeps the log bound
+    cfg = run_dir / f"flux-{equation}.ini"
+    cfg.write_text(_equation(equation, "m = 0.3"))
+    out = run_dir / f"flux-{equation}"
+    assert main(["verify", "flux", "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 0
+    rows = [r for r in read_rows(out / "report.csv") if not r["error"]]
+    assert rows and all((r["kind"], r["m"]) == (kind, m_cell) for r in rows)
+    assert json.loads((out / "manifest.json").read_text())["config"]["solver"]["m"] == 0.3
+
+
+def test_verify_flux_echoes_the_solver_m_it_read(run_dir):
+    # without [solver] m, every verify kind reads it as 0.2, the log flux too
+    for kind in ("flux", "l1-pme"):
+        out = run_dir / f"echo-{kind}"
+        assert main(["verify", kind, "--config", str(run_dir / "run.ini"), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["solver"]["m"] == 0.2, kind
+
+
+def test_constant_fixture_is_config_error(tmp_path):
+    cfg = tmp_path / "const.ini"
+    cfg.write_text(BASE_CONFIG.replace("fixture = lump2d", "fixture = constant"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    # the same constant state, and steady: exp_steady with a = 0
+    cfg.write_text(BASE_CONFIG.replace("fixture = lump2d", "fixture = exp_steady\na = 0 0\nscale = 2.0"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+    assert (read_slab(tmp_path / "e" / "slab.slab").values == 2.0).all()
+
+
+def test_msweep_cli_records_a_failed_m_and_goes_on(tmp_path, capsys):
+    # one Newton iteration per step meets tol 2e-3 at m = 0.2 but not at 0.4
+    cfg = tmp_path / "ms.ini"
+    solver = "dt = 0.015625\nnewton_tol = 2e-3\nnewton_max_iter = 1"
+    cfg.write_text(
+        BASE_CONFIG.split("[verify]")[0].replace("dt = 0.0625", solver)
+        + "[msweep]\nm_values = 0.4 0.2\n"
+    )
+    assert main(["msweep", "--config", str(cfg), "--out", str(tmp_path / "ms")]) == 0
+    summary = read_rows(tmp_path / "ms" / "msweep" / "summary.csv")
+    assert [(r["m"], r["ok"]) for r in summary] == [("0.4", "False"), ("0.2", "True")]
+    assert summary[0]["fs_sup_u"] == summary[0]["gamma_star"] == "nan"
+    assert "failed at m = [0.4]" in capsys.readouterr().out
+
+
 def test_bad_equation_is_config_error(tmp_path):
     cfg = tmp_path / "eq.ini"
     cfg.write_text(BASE_CONFIG.replace("equation = log-diffusion", "equation = heat"))
@@ -275,8 +355,10 @@ def test_bad_equation_is_config_error(tmp_path):
     [
         (("dt = 0.0625", "dt = 0.0625\npositivity_floor = 0.5"), "in [solver]: positivity_floor"),
         (("[verify]", "[solvers]\ndt = 0.1\n\n[verify]"), "section [solvers]"),
+        (("T = 1.0", "T = 1.0\nvalue = 2.0"), "in [initial]: value"),
+        (("dt = 0.0625", "dt = 0.0625\nkind = pme\nc_o = 0.5"), "in [solver]: c_o, kind"),
     ],
-    ids=["stale-key", "misspelt-section"],
+    ids=["stale-key", "misspelt-section", "removed-value", "removed-kind"],
 )
 def test_unknown_config_key_or_section_is_config_error(tmp_path, capsys, edit, message):
     cfg = tmp_path / "stale.ini"

@@ -288,6 +288,21 @@ def test_pointwise_harnack_guards(lump_slab_32):
         check_pointwise_harnack(lump_slab_32, (0.0, 0.0), 0.5, 0.25)
 
 
+def test_pointwise_harnack_spreads_its_probe_levels():
+    # 1D, u = 1 + x/4 at every level, rho = 2h: theta = 0.1, and 16384 steps
+    # over the intrinsic depth 64 theta rho^2 put ~16 levels in its top
+    # sixteenth, of which the inf reads _POINTWISE_PROBES evenly spread ones
+    g = Grid.regular(1, 1.0, 1.0 / 32)
+    rho = 2.0 * g.spacing
+    times = np.linspace(0.0, 0.02501, 16 * 1024 + 1)
+    values = np.broadcast_to(1.0 + 0.25 * g.axis(0), (times.size, g.npts))
+    slab = SpaceTimeSlab(g, times, values)
+    rep = check_pointwise_harnack(slab, (0.0,), float(times[-1]), rho)
+    assert rep.theta * rho**2 / 16.0 > 12.0 * slab.dt
+    assert rep.n_probes == 8
+    assert 0.0 < rep.f_star <= 1.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, -1.0])
 @pytest.mark.parametrize("t_bad", [0.496, 0.5])
 def test_pointwise_harnack_rejects_bad_nodes(lump_slab_64, t_bad, bad):

@@ -143,25 +143,23 @@ def test_sweep_load_rejects_inconsistent_manifests(tmp_path, sweep):
     assert "gone.slab" in load_with(lambda man: man["files"].update(pme_0="gone.slab"))
 
 
-def test_sweep_failure_slot_is_kept():
-    # an impossible Newton budget forces ok=False rows without aborting
+def test_sweep_failure_slot_is_kept(tmp_path):
+    # one Newton iteration per step meets tol 2e-3 on the log solve and on
+    # m = 0.2, but not on m = 0.4: that entry keeps its slot with NaN metrics
+    # and the sweep goes on to m = 0.2
     g = lump_grid(16)
     config = SolverConfig(
-        dt=1.0 / 64,
-        newton_tol=1e-14,
-        newton_max_iter=1,
-        max_damping=0,
-        boundary="dirichlet-from-oracle",
-        boundary_values=LUMP,
+        dt=1.0 / 64, newton_tol=2e-3, newton_max_iter=1, boundary_values=LUMP
     )
-    try:
-        result = run_m_sweep(LUMP.sample(g, 0.0), (0.4, 0.2), config, 0.125)
-    except Exception as exc:  # the log reference itself may fail first
-        from logdiff import SolverError
-
-        assert isinstance(exc, SolverError)
-        return
-    assert any(not e.ok for e in result.entries)
-    bad = [e for e in result.entries if not e.ok][0]
-    assert np.isnan(bad.l1_distance)
-    assert bad.failure != ""
+    result = run_m_sweep(LUMP.sample(g, 0.0), (0.4, 0.2), config, 0.25)
+    bad, good = result.entries
+    assert (bad.m, bad.ok, good.m, good.ok) == (0.4, False, 0.2, True)
+    assert bad.failure.startswith("Newton did not reach tol")
+    assert bad.gamma_ref == 1.0 / 0.4 and bad.functional_set is None
+    metrics = ("l1_distance", "gamma_star", "energy_ratio", "u_norm", "w_norm", "mass_floor")
+    assert all(np.isnan(getattr(bad, k)) for k in metrics)
+    assert np.isfinite(good.l1_distance) and list(result.pme_slabs) == [0.2]
+    result.save(tmp_path / "sweep")
+    loaded = MSweepResult.load(tmp_path / "sweep")
+    assert (loaded.entries[0].ok, loaded.entries[0].failure) == (False, bad.failure)
+    assert np.isnan(loaded.entries[0].gamma_star) and list(loaded.pme_slabs) == [0.2]

@@ -390,7 +390,7 @@ def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cell
     assert abs((faces.W * div).sum()) <= 1e-13 * scale
 
     u = data.draw(arrays(np.float64, grid.shape, elements=finite))
-    L = _BetaOperator(faces, every, QuasilinearFlux("log-diffusion")).L
+    L = _BetaOperator(faces, every, QuasilinearFlux("log-diffusion"), 1.0).L
     inner = interior_slices(grid)
     got = (L @ u.ravel()).reshape(grid.shape)[inner]
     want = laplacian(u, grid)[inner]
@@ -438,13 +438,13 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
     L_uu = (faces.divergence(rows) @ faces.D)[:, rows]
     assert np.allclose((sp.diags(W) @ L_uu).toarray(), -K.toarray(), rtol=1e-13, atol=0)
 
-    op = _BetaOperator(faces, rows, _flux(kind, dim))
-    op.step(0.0)
     dt = dt_h2 * grid.spacing**2
+    op = _BetaOperator(faces, rows, _flux(kind, dim), dt)
+    op.step(0.0)
     atol = 0.01 * 1e-10 * W.min()
     u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
     r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
-    y, iters, converged = op.newton_solver(dt, atol)(u.copy(), r)
+    y, iters, converged = op.solve(u.copy(), r, atol)
     if not converged:  # the cap; the damped line search takes the iterate
         assert iters == rows.size
         return
@@ -562,15 +562,11 @@ def test_importing_the_cli_loads_no_sparse_linalg():
     assert out.stdout.strip() == "False"
 
 
-def _direct_newton_solver(self, dt, atol):
+def _direct_solve(self, u, r, atol):
     """The reference Newton step: SuperLU on the complex-step Jacobian, returned
     as the change of beta, ``y = beta'(u) delta``."""
-
-    def solve(u, r):
-        J = np.eye(self.rows.size) - dt * _dense_jacobian(self, u, self.rows)
-        return self.beta_prime(u[self.rows]) * spsolve(sp.csc_matrix(J), -r), 0, True
-
-    return solve
+    J = np.eye(self.rows.size) - self.dt * _dense_jacobian(self, u, self.rows)
+    return self.beta_prime(u[self.rows]) * spsolve(sp.csc_matrix(J), -r), 0, True
 
 
 def _reference_case(name):
@@ -602,7 +598,7 @@ def test_krylov_solves_match_direct_reference(name, monkeypatch):
     flux, initial, config, horizon = _reference_case(name)
     krylov = solve_quasilinear(initial, flux, config, horizon)
     with monkeypatch.context() as patch:
-        patch.setattr(_BetaOperator, "newton_solver", _direct_newton_solver)
+        patch.setattr(_BetaOperator, "solve", _direct_solve)
         direct = solve_quasilinear(initial, flux, config, horizon)
     assert krylov.meta["newton_iters"] == direct.meta["newton_iters"]
     assert krylov.meta["linear_iters"] > 0 == direct.meta["linear_iters"]
