@@ -12,8 +12,10 @@ lock, so worker threads only add contention.  Column sets are documented in
 
 ``[solver] equation`` names the one flux that both ``solve`` and ``verify
 flux`` use: ``log-diffusion``, ``pme`` (``m`` required) or ``quasilinear``, the
-diagonal-perturbed flux with ``m`` (default 0) and one constant ``a`` per axis
-(default ones).
+diagonal-perturbed flux with ``m`` and one constant ``a`` per axis (default
+ones); a config that gives another number of ``a`` is a config error.
+``[solver] m`` defaults to 0.2 wherever it is read: by ``quasilinear`` and, unless
+``[verify] m`` is set, by the pme verify kinds.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification I/O
 error.
@@ -188,18 +190,25 @@ def _build_solver_config(cfg: Cfg, fixture) -> SolverConfig:
     )
 
 
+def _solver_m(cfg: Cfg, required=False) -> float:
+    """``[solver] m``, the one reading of it and its one default."""
+    return cfg.get("solver", "m", 0.2, float, required=required)
+
+
 def _build_flux(cfg: Cfg, grid: Grid) -> QuasilinearFlux:
-    """The flux that ``[solver] equation`` names (module docstring)."""
+    """The flux that ``[solver] equation`` names (module docstring), with one
+    coefficient per axis of ``grid``."""
     equation = cfg.get("solver", "equation", "log-diffusion", str)
     if equation == "log-diffusion":
         return QuasilinearFlux("log-diffusion")
     if equation == "pme":
-        return QuasilinearFlux("pme", m=cfg.get("solver", "m", required=True, cast=float))
+        return QuasilinearFlux("pme", m=_solver_m(cfg, required=True))
     if equation != "quasilinear":
         raise ConfigProblem(f"unknown [solver] equation {equation!r}")
-    m = cfg.get("solver", "m", 0.0, float)
     a = cfg.get("solver", "a", (1.0,) * grid.dim, _parse_floats)
-    return QuasilinearFlux("diagonal-perturbed", m=m, a=a, c_o=min(a), c_1=max(a))
+    flux = QuasilinearFlux("diagonal-perturbed", m=_solver_m(cfg), a=a, c_o=min(a), c_1=max(a))
+    flux.coefficients(grid.dim)
+    return flux
 
 
 def _manifest(out_dir: Path, command: str, run_id: str, cfg_echo: dict, threads: int, seed: int):
@@ -306,7 +315,7 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     opts = SimpleNamespace(
         sigma=cfg.get("verify", "sigma", 0.5, float),
-        m=cfg.get("verify", "m", cfg.get("solver", "m", 0.2, float), float),
+        m=cfg.get("verify", "m", _solver_m(cfg), float),
         q=cfg.get("verify", "q", 2.0, float),
         p=cfg.get("verify", "p", 5.0, float),
         r=cfg.get("verify", "r", 2.0, float),

@@ -297,7 +297,7 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     cube = Cube(tuple(center), rho)
     nodes = grid.cube_slices(cube)
     shape = tuple(s.stop - s.start for s in nodes)
-    a = flux.a or (1.0,) * grid.dim
+    a = flux.coefficients(grid.dim)
     beta_prime = flux.beta()[1]
     if any(callable(a_d) for a_d in a):
         coords = np.broadcast_arrays(*grid.block_axes(nodes))

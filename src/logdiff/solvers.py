@@ -21,6 +21,18 @@ volumes over ``h^dim``) and ``w`` the dual face areas over ``h^(dim-1)``,
 halved once for each other axis on whose boundary the face lies.  Interior
 rows are the standard ``2*dim + 1`` point stencil, and ``sum_i W_i div_i = 0``.
 
+``D`` is notation only: ``L = div(a D)`` and the PCG matrix below are built
+straight in CSR form, from a stencil table laid out once per operator that
+lists each node's faces (below and above it on each axis) and the node
+across each, in column order.  An assembly gathers the face values ``c_f =
+w_f a_f / h^2`` into the table: row ``v`` of ``L`` holds ``c_f / W_v`` at the
+node across each face ``f`` of ``v`` and minus their sum at ``v``, and ``D^T
+diag(w a) D / h^2`` holds ``-c_f`` off the diagonal and ``sum_f c_f`` on it.
+Each off-diagonal entry is one product, so that matrix is exactly symmetric;
+a diagonal entry sums the node's faces in face order (below, then above,
+axis by axis).  Under a callable ``a`` each time level redoes only the
+gather.
+
 Boundary conditions: ``dirichlet-from-oracle`` fixes boundary nodes to values
 supplied by an exact solution (or any callable ``(points, t) -> values``) and
 solves for the interior nodes; ``neumann-zero-flux`` solves for every node and
@@ -145,6 +157,16 @@ class QuasilinearFlux:
         """:func:`_beta` of this flux's ``m``."""
         return _beta(self.m)
 
+    def coefficients(self, dim: int) -> tuple:
+        """``a`` on a ``dim``-dimensional grid, one constant or callable per
+        axis (ones for the model kinds); ParameterError for any other count."""
+        a = self.a or (1.0,) * dim
+        if len(a) != dim:
+            raise ParameterError(
+                f"flux needs one coefficient per axis: got {len(a)} for {dim} axes"
+            )
+        return a
+
 
 def _check_horizon(horizon: float, dt: float) -> int:
     nsteps = horizon / dt
@@ -177,18 +199,20 @@ def _pcg(A, b, precond, atol, cap):
     """Preconditioned CG for SPD ``A y = b`` from zero, until
     ``max|b - A y| <= atol`` or ``cap`` iterations: ``(y, iterations, converged)``."""
     y, res = np.zeros_like(b), b.copy()
-    p = z = precond(res)
-    rz = res @ z
+    p = precond(res)
+    rz = res @ p
     for it in range(cap + 1):
-        if (converged := bool(np.abs(res).max() <= atol)) or it == cap:
+        if (converged := bool(max(res.max(), -res.min()) <= atol)) or it == cap:
             return y, it, converged
         Ap = A @ p
         alpha = rz / (p @ Ap)
         y += alpha * p
-        res -= alpha * Ap
+        Ap *= alpha
+        res -= Ap
         z = precond(res)
         rz, rz_old = res @ z, rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
 
 
 def _geometric_mid(d: np.ndarray) -> float:
@@ -203,43 +227,59 @@ def _tensor(factors) -> np.ndarray:
 
 
 class _Faces:
-    """Faces of a grid and the zero-flux divergence on them (module docstring).
+    """Faces of a grid and its stencil table (module docstring).
 
-    ``left``/``right`` are the flat node indices of every face, axis by axis;
-    ``D`` is the difference matrix, ``W`` the node and ``w`` the face weights.
+    ``left``/``right`` are the flat node indices of every face, axis by axis,
+    ``per_axis`` faces to an axis; ``W`` are the node and ``w`` the face
+    weights.  Row ``v`` of the table lists node ``v``'s stencil in column
+    order, ``2 dim + 1`` slots: the faces below ``v`` on axes ``0, ..., dim -
+    1``, ``v`` itself, then the faces above it on axes ``dim - 1, ..., 0``.
+    ``across`` holds the node across each slot's face and ``at`` the face,
+    both -1 where ``v`` lies on the boundary; the middle slot is ``v`` in
+    ``across`` and -1 in ``at``.  ``face_order`` lists the slots below and
+    above ``v`` axis by axis, the order of the faces themselves.
     """
 
     def __init__(self, grid: Grid):
         n, dim = grid.npts, grid.dim
         idx = np.arange(n**dim).reshape(grid.shape)
         tw = _trapezoid_weights(n)
+        self.per_axis = (n - 1) * n ** (dim - 1)
+        self.face_order = [slot for axis in range(dim) for slot in (axis, 2 * dim - axis)]
+        self.at = np.full((idx.size, 2 * dim + 1), -1)
+        self.across = np.full((idx.size, 2 * dim + 1), -1)
+        self.across[:, dim] = idx.ravel()
         left, right, w = [], [], []
         for axis in range(dim):
             lo = tuple(slice(0, -1) if k == axis else slice(None) for k in range(dim))
             hi = tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
-            left.append(idx[lo].ravel())
-            right.append(idx[hi].ravel())
+            lft, rgt = idx[lo].ravel(), idx[hi].ravel()
+            faces = np.arange(axis * self.per_axis, (axis + 1) * self.per_axis)
+            self.at[rgt, axis], self.across[rgt, axis] = faces, lft
+            self.at[lft, 2 * dim - axis], self.across[lft, 2 * dim - axis] = faces, rgt
+            left.append(lft)
+            right.append(rgt)
             w.append(_tensor([np.ones(n - 1) if k == axis else tw for k in range(dim)]))
         self.grid = grid
         self.left = np.concatenate(left)
         self.right = np.concatenate(right)
         self.w = np.concatenate(w)
         self.W = _tensor([tw] * dim)
-        eye = sp.identity(idx.size, format="csr")
-        self.D = eye[self.right] - eye[self.left]
 
-    def divergence(self, rows: np.ndarray, a=1.0) -> sp.csr_matrix:
-        """Rows ``rows`` of ``phi -> -(D^T (w * a * phi)) / (W h^2)``, for face
-        weights ``a``."""
-        scale = -1.0 / (self.W[rows] * self.grid.spacing**2)
-        return sp.csr_matrix(sp.diags(scale) @ self.D[:, rows].T @ sp.diags(self.w * a))
 
-    def stiffness(self, rows: np.ndarray, a=1.0) -> sp.csr_matrix:
-        """``-W L = D^T diag(w a) D / h^2`` on ``rows`` for ``L = div(a D)``;
-        exactly symmetric, as each off-diagonal entry is one product of exact
-        factors."""
-        D = self.D[:, rows]
-        return sp.csr_matrix(D.T @ sp.diags(self.w * a / self.grid.spacing**2) @ D)
+def _csr_layout(cols: np.ndarray, ncols: int):
+    """An all-zero CSR matrix with one row per row of the table ``cols``, whose
+    entries sit at its columns (increasing along a row; -1: no entry), and
+    ``src``, the flat table position of each stored entry."""
+    kept = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    M = sp.csr_matrix((np.zeros(indptr[-1]), cols[kept], indptr), shape=(len(cols), ncols))
+    return M, np.flatnonzero(kept)
+
+
+def _row_sum(table: np.ndarray, order) -> np.ndarray:
+    """Per row, the sum of a stencil table over the slots ``order`` in turn."""
+    return reduce(np.add, (table[:, slot] for slot in order))
 
 
 class _Spectral:
@@ -259,7 +299,8 @@ class _Spectral:
         else:
             self.Q = np.sqrt(2.0 / cells) * np.sin(angle)
         self.lam = dt / grid.spacing**2 * (2.0 - 2.0 * np.cos(np.pi * j / cells))
-        self.inv_root_w = 1.0 / np.sqrt(faces.W[rows])
+        inv_root_w = 1.0 / np.sqrt(faces.W[rows])
+        self.inv_root_w = None if (inv_root_w == 1.0).all() else inv_root_w
         self.dim = grid.dim
 
     def _transform(self, x: np.ndarray) -> np.ndarray:
@@ -272,12 +313,16 @@ class _Spectral:
         return x.ravel()
 
     def inverse(self, s: float, c):
-        """``x -> P^-1 x`` for ``s > 0`` and one ``c_a > 0`` per axis."""
+        """``x -> P^-1 x`` for ``s > 0`` and one ``c_a > 0`` per axis; the
+        scaling by ``W^(-1/2)`` is left out where it is one (Dirichlet)."""
         denom = s + reduce(np.add.outer, [c_a * self.lam for c_a in c]).ravel()
         scale = self.inv_root_w
 
         def apply(x):
-            return scale * self._transform(self._transform(scale * x) / denom)
+            z = self._transform(x if scale is None else scale * x)
+            z /= denom
+            z = self._transform(z)
+            return z if scale is None else np.multiply(z, scale, out=z)
 
         return apply
 
@@ -297,40 +342,49 @@ def _beta(m: float):
 
 
 class _BetaOperator:
-    """``div_h(a grad_h beta(u))`` on ``rows`` for time step ``dt`` (module
-    docstring): ``step(t)`` once per level, then ``apply(u)`` (Op on ``rows``, u
-    on every node) and ``solve(u, r, atol) -> (y, iters, converged)``, the PCG
-    Newton correction.
+    """``div_h(a grad_h beta(u))`` on ``rows`` (module docstring): ``step(t)``
+    once per level, then ``apply(u)`` (Op on ``rows``, u on every node) and,
+    given a time step ``dt``, ``solve(u, r, atol) -> (y, iters, converged)``,
+    the PCG Newton correction; without ``dt`` only ``L`` is built.
 
-    ``L = div(a D)`` and the PCG matrix ``A = diag(W/b') + dt K``, ``K = D^T
-    diag(w a) D / h^2``, are assembled once, or by each ``step`` when some
-    ``a_d`` is callable; ``solve`` rewrites only the diagonal of ``A``.
+    ``L = div(a D)`` and, with ``dt``, the PCG matrix ``A = diag(W/b') + dt
+    K``, ``K = D^T diag(w a) D / h^2``, are laid out once from the stencil
+    table and gathered once, or by each ``step`` when some ``a_d`` is callable;
+    ``solve`` rewrites only the diagonal of ``A``.
     """
 
-    def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux, dt: float):
+    def __init__(self, faces: _Faces, rows: np.ndarray, flux: QuasilinearFlux, dt=None):
         grid = faces.grid
         self.faces, self.rows, self.flux, self.dt = faces, rows, flux, dt
         self.W = faces.W[rows]
-        self.spectral = _Spectral(faces, rows, dt)
         self.beta, self.beta_prime, self.beta_step = flux.beta()
-        if flux.a and len(flux.a) != grid.dim:
-            raise ParameterError("flux needs one coefficient per axis")
-        pts = grid.points().reshape(-1, grid.dim)
-        mid = 0.5 * (pts[faces.left] + pts[faces.right])
-        self.mid = mid.reshape(grid.dim, -1, grid.dim)
-        self.varying = any(map(callable, flux.a))
+        self.a = flux.coefficients(grid.dim)
+        self.varying = any(map(callable, self.a))
+        if self.varying:
+            pts = grid.points().reshape(-1, grid.dim)
+            mid = 0.5 * (pts[faces.left] + pts[faces.right])
+            self.mid = mid.reshape(grid.dim, -1, grid.dim)
+        # the stencil table of the rows; A's columns are the unknowns' positions
+        self.at, across = faces.at[rows], faces.across[rows]
+        self.L, self.L_src = _csr_layout(across, faces.W.size)
+        if dt is not None:
+            unknown = np.full(faces.W.size + 1, -1)  # across = -1 stays -1
+            unknown[rows] = np.arange(rows.size)
+            self.A, self.A_src = _csr_layout(unknown[across], rows.size)
+            self.diag_at = np.flatnonzero(self.A_src % across.shape[1] == grid.dim)
+            self.spectral = _Spectral(faces, rows, dt)
         if not self.varying:
             self._assemble(None)
 
     def _assemble(self, t) -> None:
-        """``L``, ``A`` with its diagonal positions and the preconditioner's
-        per-axis means ``c`` of ``a`` at ``t``; each ``a_d`` must be finite and
-        within ``[c_o, c_1]``."""
+        """Gather ``L`` and ``A`` and set the preconditioner's per-axis means
+        ``c`` of ``a`` at ``t``; each ``a_d`` must be finite and within ``[c_o,
+        c_1]``."""
         flux, per_axis = self.flux, []
         tol = 1e-9 * max(1.0, flux.c_1)
-        for axis, (a_d, mid) in enumerate(zip(flux.a, self.mid)):
-            vals = a_d(mid, t) if callable(a_d) else a_d
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), len(mid))
+        for axis, a_d in enumerate(self.a):
+            vals = a_d(self.mid[axis], t) if callable(a_d) else a_d
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), self.faces.per_axis)
             if not np.isfinite(vals).all():
                 raise ParameterError(f"a_{axis} is not finite at t={t}")
             if vals.min() < flux.c_o - tol or vals.max() > flux.c_1 + tol:
@@ -338,13 +392,19 @@ class _BetaOperator:
                     f"a_{axis} leaves the structure interval [{flux.c_o}, {flux.c_1}]"
                 )
             per_axis.append(vals)
-        a = np.concatenate(per_axis) if per_axis else 1.0
-        self.c = [vals.mean() for vals in per_axis] or np.ones(self.faces.grid.dim)
-        self.L = self.faces.divergence(self.rows, a) @ self.faces.D
-        C, n = self.dt * self.faces.stiffness(self.rows, a), self.rows.size
-        self.A = (C + sp.identity(n)).tocsr()  # stores every diagonal entry
-        rows_of = np.repeat(np.arange(n), np.diff(self.A.indptr))
-        self.diag_at, self.c_diag = np.flatnonzero(self.A.indices == rows_of), C.diagonal()
+        self.c = [vals.mean() for vals in per_axis]
+        # w a per slot: 0 in the node's own slot and where no face is
+        wa = np.append(self.faces.w * np.concatenate(per_axis), 0.0)[self.at]
+        h2, own, order = self.faces.grid.spacing**2, self.faces.grid.dim, self.faces.face_order
+        table = (1.0 / (self.W * h2))[:, None] * wa
+        table[:, own] = -_row_sum(table, order)
+        np.take(table, self.L_src, out=self.L.data)
+        if self.dt is not None:
+            c = wa / h2
+            self.c_diag = self.dt * _row_sum(c, order)
+            table = -self.dt * c
+            table[:, own] = self.c_diag
+            np.take(table, self.A_src, out=self.A.data)
 
     def step(self, t: float) -> None:
         if self.varying:
@@ -496,7 +556,7 @@ def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
     """
     grid = slab.grid
     faces = _Faces(grid)
-    op = _BetaOperator(faces, np.arange(faces.W.size), flux, slab.dt)
+    op = _BetaOperator(faces, np.arange(faces.W.size), flux)
     inner = interior_slices(grid)
     worst = 0.0
     for k in range(1, slab.nlevels):

@@ -319,6 +319,31 @@ def test_verify_flux_echoes_the_solver_m_it_read(run_dir):
         assert manifest["config"]["solver"]["m"] == 0.2, kind
 
 
+def test_flux_with_too_few_coefficients_is_config_error(run_dir):
+    # one a on a 2D grid: solve and verify flux read the per-axis coefficients
+    # through one check, so neither drops axis 1
+    cfg = run_dir / "one-a.ini"
+    cfg.write_text(_equation("quasilinear", "a = 1.0"))
+    assert main(["solve", "--config", str(cfg), "--out", str(run_dir / "one-a-solve")]) == 2
+    out = run_dir / "one-a-verify"
+    assert main(["verify", "flux", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "report.csv").exists()
+
+
+def test_solver_m_has_one_default(run_dir):
+    # quasilinear without m: the flux and the pme verify kinds read one default
+    cfg = run_dir / "no-m.ini"
+    cfg.write_text(_equation("quasilinear", "a = 1.0 0.7"))
+    echoed = set()
+    for kind in ("flux", "l1-pme"):
+        out = run_dir / f"no-m-{kind}"
+        assert main(["verify", kind, "--config", str(cfg), "--out", str(out)]) == 0
+        echoed.add(json.loads((out / "manifest.json").read_text())["config"]["solver"]["m"])
+    assert echoed == {0.2}
+    rows = [r for r in read_rows(run_dir / "no-m-flux" / "report.csv") if not r["error"]]
+    assert rows and all(r["m"] == "0.2" for r in rows)
+
+
 def test_constant_fixture_is_config_error(tmp_path):
     cfg = tmp_path / "const.ini"
     cfg.write_text(BASE_CONFIG.replace("fixture = lump2d", "fixture = constant"))

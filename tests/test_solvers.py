@@ -377,6 +377,18 @@ def test_non_finite_coefficient_is_rejected():
         solve_quasilinear(initial, flux, config, 0.1)
 
 
+def _reference(faces, rows, a=1.0):
+    """``(D, L, K)`` from sparse products, for face coefficients ``a``: the
+    difference matrix ``(D u)_f = u[right] - u[left]``, ``L = div(a D)`` on
+    ``rows`` and ``K = D^T diag(w a) D / h^2`` on ``rows`` x ``rows``."""
+    eye = sp.identity(faces.W.size, format="csr")
+    D = eye[faces.right] - eye[faces.left]
+    h2 = faces.grid.spacing**2
+    L = sp.diags(-1.0 / (faces.W[rows] * h2)) @ D[:, rows].T @ sp.diags(faces.w * a) @ D
+    K = D[:, rows].T @ sp.diags(faces.w * a / h2) @ D[:, rows]
+    return D, sp.csr_matrix(L), sp.csr_matrix(K)
+
+
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 3), cells=st.integers(2, 6), data=st.data())
 def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cells, data):
@@ -385,17 +397,69 @@ def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cell
     every = np.arange(faces.W.size)
     finite = st.floats(-1e3, 1e3, allow_subnormal=False)
     phi = data.draw(arrays(np.float64, faces.left.size, elements=finite))
-    div = faces.divergence(every) @ phi
+    D = _reference(faces, every)[0]
+    div = -(D.T @ (faces.w * phi)) / (faces.W * grid.spacing**2)
     scale = np.abs(faces.w * phi).sum() / grid.spacing**2
     assert abs((faces.W * div).sum()) <= 1e-13 * scale
 
     u = data.draw(arrays(np.float64, grid.shape, elements=finite))
-    L = _BetaOperator(faces, every, QuasilinearFlux("log-diffusion"), 1.0).L
+    L = _BetaOperator(faces, every, QuasilinearFlux("log-diffusion")).L
     inner = interior_slices(grid)
     got = (L @ u.ravel()).reshape(grid.shape)[inner]
     want = laplacian(u, grid)[inner]
     tol = 1e-13 * np.abs(u).max() / grid.spacing**2
     assert np.abs(got - want).max() <= tol
+
+
+def _face_coefficients(faces, a, t):
+    """Per face, the coefficient ``a_d`` of its axis at its midpoint at ``t``."""
+    pts = faces.grid.points().reshape(-1, faces.grid.dim)
+    mid = (0.5 * (pts[faces.left] + pts[faces.right])).reshape(len(a), -1, len(a))
+    return np.concatenate([
+        np.broadcast_to(a_d(m, t) if callable(a_d) else a_d, len(m)) for a_d, m in zip(a, mid)
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    cells=st.integers(2, 6),
+    boundary=st.sampled_from(["dirichlet-from-oracle", "neumann-zero-flux"]),
+    coefficient=st.sampled_from(["ones", "constant", "callable"]),
+    t=st.floats(0.0, 10.0),
+    dt_h2=st.floats(0.1, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stencil_assembly_matches_the_product_reference(
+    dim, cells, boundary, coefficient, t, dt_h2, seed
+):
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    faces = _Faces(grid)
+    rows = _unknowns(faces, boundary)
+    if coefficient == "ones":
+        flux, a = QuasilinearFlux("pme", m=0.5), (1.0,) * dim
+    else:
+        a = ((_wavy_a if coefficient == "callable" else 1.0), 0.7, 1.3)[:dim]
+        flux = QuasilinearFlux("diagonal-perturbed", m=0.5, a=a, c_o=0.7, c_1=1.3)
+    dt = dt_h2 * grid.spacing**2
+    op = _BetaOperator(faces, rows, flux, dt)
+    op.step(t)
+    _, L, K = _reference(faces, rows, _face_coefficients(faces, a, t))
+    # the same matrices entry for entry, each row in column order
+    assert op.L.has_canonical_format and op.A.has_canonical_format
+    assert np.array_equal(op.L.toarray(), L.toarray())
+    assert np.array_equal(op.A.toarray(), (dt * K).toarray())
+    assert (op.A != op.A.T).nnz == 0  # exactly symmetric
+
+    # solve writes the diagonal, and only there
+    off = op.A.toarray() - np.diag(op.A.diagonal())
+    assert np.array_equal(op.A.indices[op.diag_at], np.arange(rows.size))
+    row_of = np.searchsorted(op.A.indptr, op.diag_at, "right") - 1
+    assert np.array_equal(row_of, np.arange(rows.size))
+    u = np.random.default_rng(seed).uniform(0.2, 5.0, faces.W.size)
+    op.solve(u, np.zeros(rows.size), 1.0)
+    assert np.array_equal(op.A.diagonal(), op.c_diag + op.W / op.beta_prime(u[rows]))
+    assert np.array_equal(op.A.toarray() - np.diag(op.A.diagonal()), off)
 
 
 def _unknowns(faces, boundary):
@@ -433,9 +497,9 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
     faces = _Faces(grid)
     rows = _unknowns(faces, boundary)
     W = faces.W[rows]
-    K = faces.stiffness(rows)
+    K = _reference(faces, rows)[2]
     assert (K != K.T).nnz == 0  # exactly symmetric
-    L_uu = (faces.divergence(rows) @ faces.D)[:, rows]
+    L_uu = _BetaOperator(faces, rows, QuasilinearFlux("log-diffusion")).L[:, rows]
     assert np.allclose((sp.diags(W) @ L_uu).toarray(), -K.toarray(), rtol=1e-13, atol=0)
 
     dt = dt_h2 * grid.spacing**2
@@ -457,10 +521,9 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
 
 
 def _axis_stiffness(faces, rows, axis):
-    """The faces of one axis in ``_Faces.stiffness(rows)``."""
-    per_axis = faces.left.size // faces.grid.dim
-    block = slice(axis * per_axis, (axis + 1) * per_axis)
-    D = faces.D[block][:, rows]
+    """The faces of one axis in the reference ``K`` of ``rows``."""
+    block = slice(axis * faces.per_axis, (axis + 1) * faces.per_axis)
+    D = _reference(faces, rows)[0][block][:, rows]
     return (D.T @ sp.diags(faces.w[block] / faces.grid.spacing**2) @ D).toarray()
 
 
@@ -485,7 +548,7 @@ def test_spectral_preconditioner_is_exact(dim, cells, boundary, dt_h2, s, data):
     assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-14
 
     parts = [_axis_stiffness(faces, rows, axis) for axis in range(dim)]
-    assert np.allclose(sum(parts), faces.stiffness(rows).toarray(), rtol=1e-14, atol=0)
+    assert np.allclose(sum(parts), _reference(faces, rows)[2].toarray(), rtol=1e-14, atol=0)
     c = data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
     P = s * np.diag(faces.W[rows]) + dt * sum(c_a * K for c_a, K in zip(c, parts))
     seed = data.draw(st.integers(0, 2**32 - 1))
