@@ -260,7 +260,8 @@ def intrinsic_rescale(
     tau_scale = u_c * rho**2
     times = (slab.times[levels] - t_o) / tau_scale
     vals = slab.values[np.ix_(levels, *[range(s.start, s.stop) for s in slices])]
-    vals = vals / u_c
+    vals /= u_c  # the gather is a new array, rescaled in place and handed over
+    vals.setflags(write=False)
     vgrid = Grid.regular(grid.dim, 2.0, grid.spacing / rho)
     meta = {
         "u_center": u_c,

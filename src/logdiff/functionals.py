@@ -292,26 +292,36 @@ def power_gradient_energy(
 
 def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     """``(1/rho) * int int_{K_rho} |A| dx dtau`` for the flux ``A_d = a_d beta'(u)
-    du/dx_d`` of ``flux`` (``a = 1`` for the model kinds)."""
+    du/dx_d`` of ``flux`` (``a = 1`` for the model kinds).  ParameterError if
+    some ``a_d`` leaves the structure interval ``[c_o, c_1]``, as in the
+    solvers."""
     grid = slab.grid
     cube = Cube(tuple(center), rho)
     nodes = grid.cube_slices(cube)
     shape = tuple(s.stop - s.start for s in nodes)
-    a = flux.coefficients(grid.dim)
+    # constant a_d are checked once, callable ones at every level they are sampled
+    a = [
+        a_d if callable(a_d) else float(flux.checked(axis, a_d))
+        for axis, a_d in enumerate(flux.coefficients(grid.dim))
+    ]
     beta_prime = flux.beta()[1]
     if any(callable(a_d) for a_d in a):
         coords = np.broadcast_arrays(*grid.block_axes(nodes))
         flat = np.stack(coords, axis=-1).reshape(-1, grid.dim)
 
-    def coefficient(a_d, ks):
+    def coefficient(axis, ks):
+        a_d = a[axis]
         if not callable(a_d):
-            return float(a_d)
-        return np.stack([a_d(flat, float(t)).reshape(shape) for t in slab.times[ks]])
+            return a_d
+        return np.stack([
+            flux.checked(axis, a_d(flat, float(t)), float(t)).reshape(shape)
+            for t in slab.times[ks]
+        ])
 
     def magnitude(ks, u, grads):
         # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
         return beta_prime(u) * np.sqrt(
-            sum((coefficient(a_d, ks) * g) ** 2 for a_d, g in zip(a, grads))
+            sum((coefficient(axis, ks) * g) ** 2 for axis, g in enumerate(grads))
         )
 
     return _space_time_integral(slab, cube, window, magnitude, "flux") / rho

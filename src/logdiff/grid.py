@@ -21,9 +21,12 @@ taken over interior nodes (see :func:`interior_slices`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 
@@ -184,19 +187,36 @@ class Cylinder:
         return self.t_end - self.t_start
 
 
+def _owned(values) -> np.ndarray:
+    """The read-only float array a :class:`Field` or :class:`SpaceTimeSlab` keeps.
+
+    An array that is read-only and owns its memory is taken over as it is:
+    its producer hands it over and no longer writes to it.  Anything else (a
+    writable array, a view, a list) is copied, so the caller's data can never
+    change the container's values.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.flags.writeable or not values.flags.owndata:
+        values = values.copy()
+        values.setflags(write=False)
+    return values
+
+
 class Field:
-    """Scalar samples on a grid at a fixed time.  Values are immutable."""
+    """Scalar samples on a grid at a fixed time.  Values are immutable.
+
+    Ownership: ``values`` that are read-only and own their memory are taken
+    over without a copy; any other input is copied (see :class:`SpaceTimeSlab`).
+    """
 
     __slots__ = ("grid", "values", "time")
 
     def __init__(self, grid: Grid, values, time: float = 0.0):
-        values = np.asarray(values, dtype=float)
+        values = _owned(values)
         if values.shape != grid.shape:
             raise ParameterError(
                 f"field shape {values.shape} does not match grid shape {grid.shape}"
             )
-        values = values.copy()
-        values.setflags(write=False)
         self.grid = grid
         self.values = values
         self.time = float(time)
@@ -214,13 +234,20 @@ class SpaceTimeSlab:
     ``values`` has shape ``(len(times), *grid.shape)`` and is immutable.
     ``meta`` carries solver provenance: the run's settings and its
     deterministic Newton and PCG counters (``schema/columns.md``).
+
+    Ownership: the slab holds one buffer.  ``values`` (and ``times``) that
+    are read-only and own their memory are taken over without a copy, so a
+    producer that is done writing its array marks it read-only and hands it
+    over; a writable array, a read-only view of a writable base or any other
+    input is copied.  Taking over never changes the values or the bytes
+    :func:`write_slab` puts on disk.
     """
 
     __slots__ = ("grid", "times", "values", "meta")
 
     def __init__(self, grid: Grid, times, values, meta: dict | None = None):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+        times = _owned(times)
+        values = _owned(values)
         if times.ndim != 1 or times.size < 2:
             raise ParameterError("slab needs at least two time levels")
         steps = np.diff(times)
@@ -230,10 +257,6 @@ class SpaceTimeSlab:
             raise ParameterError("slab time levels must be uniformly spaced")
         if values.shape != (times.size,) + grid.shape:
             raise ParameterError("slab values shape does not match times x grid")
-        times = times.copy()
-        values = values.copy()
-        times.setflags(write=False)
-        values.setflags(write=False)
         self.grid = grid
         self.times = times
         self.values = values
@@ -358,18 +381,11 @@ def _trapezoid(values: np.ndarray, spacing: float, lead: int = 0) -> np.ndarray:
     return out * spacing ** (values.ndim - lead)
 
 
-def integrate(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> float:
-    """Composite-trapezoid integral of ``f`` over ``cube`` (snapped to nodes).
-
-    Accepts ``integrate(field, cube)`` or ``integrate(values, grid, cube)``.
-    Exact for affine integrands up to roundoff.
+def integrate(values: np.ndarray, grid: Grid, cube: Cube) -> float:
+    """Composite-trapezoid integral of ``values`` (sampled on ``grid``) over
+    ``cube`` (snapped to nodes).  Exact for affine integrands up to roundoff.
     """
-    if isinstance(f, Field):
-        grid, values = f.grid, f.values
-        cube = grid_or_cube
-    else:
-        grid = grid_or_cube
-        values = np.asarray(f, dtype=float)
+    values = np.asarray(values, dtype=float)
     return float(_trapezoid(values[grid.cube_slices(cube)], grid.spacing))
 
 
@@ -383,24 +399,19 @@ def cube_volume(grid: Grid, cube: Cube) -> float:
     return _block_volume(grid.cube_slices(cube), grid.spacing)
 
 
-def average(f: Field | np.ndarray, grid_or_cube, cube: Cube | None = None) -> float:
-    """Mean value of ``f`` over the snapped cube."""
-    if isinstance(f, Field):
-        return integrate(f, grid_or_cube) / cube_volume(f.grid, grid_or_cube)
-    return integrate(f, grid_or_cube, cube) / cube_volume(grid_or_cube, cube)
+def average(values: np.ndarray, grid: Grid, cube: Cube) -> float:
+    """Mean value of ``values`` (sampled on ``grid``) over the snapped cube."""
+    return integrate(values, grid, cube) / cube_volume(grid, cube)
 
 
-def gradient(f: Field | np.ndarray, grid: Grid | None = None) -> tuple[np.ndarray, ...]:
+def gradient(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
     """Central-difference gradient (second order interior, one-sided boundary).
 
-    Differentiates along the last ``grid.dim`` axes, so stacked levels of
-    shape ``(levels, *grid.shape)`` are differentiated level by level.  This
-    is :func:`gradient_at` on the whole grid.
+    Differentiates ``values`` along the last ``grid.dim`` axes, so stacked
+    levels of shape ``(levels, *grid.shape)`` are differentiated level by
+    level.  This is :func:`gradient_at` on the whole grid.
     """
-    if isinstance(f, Field):
-        grid, values = f.grid, f.values
-    else:
-        values = np.asarray(f, dtype=float)
+    values = np.asarray(values, dtype=float)
     return gradient_at(values, grid, (slice(0, grid.npts),) * grid.dim)
 
 
@@ -432,18 +443,16 @@ def gradient_at(values: np.ndarray, grid: Grid, nodes) -> tuple[np.ndarray, ...]
     return tuple(grads)
 
 
-def laplacian(f: Field | np.ndarray, grid: Grid | None = None) -> np.ndarray:
-    """Standard ``2*dim + 1`` point Laplacian over the last ``grid.dim`` axes.
+def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Standard ``2*dim + 1`` point Laplacian of ``values`` over the last
+    ``grid.dim`` axes.
 
     Interior nodes get the centered stencil; boundary nodes get a shifted
     (one-sided) second difference purely as a placeholder.  Callers must
     restrict norms to interior nodes.  Leading axes (stacked levels) are
     treated independently.
     """
-    if isinstance(f, Field):
-        grid, values = f.grid, f.values
-    else:
-        values = np.asarray(f, dtype=float)
+    values = np.asarray(values, dtype=float)
 
     def at(d, index):
         sl = [slice(None)] * grid.dim
@@ -511,12 +520,43 @@ def _unpack_grid(buf, off, path):
     return grid, off
 
 
+@contextlib.contextmanager
+def _mapped(path):
+    """``(fh, head, size)``: the open file, its bytes mapped read-only and its
+    length.  ``head`` is a window onto the file, not a copy, so parsing a
+    header allocates nothing however large the file is."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0:  # an empty file cannot be mapped
+            yield fh, b"", 0
+            return
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as head:
+            yield fh, head, size
+
+
+def _read_values(fh, off: int, shape, path) -> np.ndarray:
+    """The ``<f8`` block of ``shape`` at byte ``off``, read straight from the
+    file into one new array, which is returned read-only (a Field or slab
+    takes it over)."""
+    values = np.empty(shape, dtype="<f8")
+    fh.seek(off)
+    if fh.readinto(memoryview(values).cast("B")) != values.nbytes:
+        raise ParameterError(f"{path} ended while its values were read")
+    values.setflags(write=False)
+    return values
+
+
+def _write_values(fh, values: np.ndarray) -> None:
+    """Write ``values`` as ``<f8`` in C order from the array's own buffer."""
+    fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+
+
 def write_field(f: Field, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_FIELD_MAGIC)
         fh.write(_pack_grid(f.grid))
         fh.write(struct.pack("<d", f.time))
-        fh.write(np.ascontiguousarray(f.values).tobytes())
+        _write_values(fh, f.values)
 
 
 def read_field(path) -> Field:
@@ -524,26 +564,26 @@ def read_field(path) -> Field:
 
     The header is checked against the file length: a truncated or padded
     file raises ParameterError naming the expected and actual byte counts.
+    Only then are the values read, straight into the array the Field keeps.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _FIELD_MAGIC:
-        raise ParameterError(f"{path} is not a field file")
-    try:
-        grid, off = _unpack_grid(buf, 4, path)
-        (time,) = struct.unpack_from("<d", buf, off)
-    except struct.error as exc:
-        raise ParameterError(
-            f"field file {path} has {len(buf)} bytes, too few for its header: {exc}"
-        )
-    off += 8
-    expected = off + 8 * grid.npts**grid.dim
-    if len(buf) != expected:
-        raise ParameterError(
-            f"field file {path} has {len(buf)} bytes, but its header ({grid.shape} "
-            f"grid) needs {expected}"
-        )
-    values = np.frombuffer(buf, dtype="<f8", offset=off).reshape(grid.shape)
+    with _mapped(path) as (fh, buf, size):
+        if buf[:4] != _FIELD_MAGIC:
+            raise ParameterError(f"{path} is not a field file")
+        try:
+            grid, off = _unpack_grid(buf, 4, path)
+            (time,) = struct.unpack_from("<d", buf, off)
+        except struct.error as exc:
+            raise ParameterError(
+                f"field file {path} has {size} bytes, too few for its header: {exc}"
+            )
+        off += 8
+        expected = off + 8 * grid.npts**grid.dim
+        if size != expected:
+            raise ParameterError(
+                f"field file {path} has {size} bytes, but its header ({grid.shape} "
+                f"grid) needs {expected}"
+            )
+        values = _read_values(fh, off, grid.shape, path)
     return Field(grid, values, time=time)
 
 
@@ -553,10 +593,10 @@ def write_slab(slab: SpaceTimeSlab, path) -> None:
         fh.write(_SLAB_MAGIC)
         fh.write(_pack_grid(slab.grid))
         fh.write(struct.pack("<i", slab.nlevels))
-        fh.write(np.ascontiguousarray(slab.times).tobytes())
+        _write_values(fh, slab.times)
         fh.write(struct.pack("<i", len(meta_blob)))
         fh.write(meta_blob)
-        fh.write(np.ascontiguousarray(slab.values).tobytes())
+        _write_values(fh, slab.values)
 
 
 def read_slab(path) -> SpaceTimeSlab:
@@ -564,34 +604,32 @@ def read_slab(path) -> SpaceTimeSlab:
 
     The header is checked against the file length: a truncated or padded
     file raises ParameterError naming the expected and actual byte counts.
+    Only then are the values read, straight into the array the slab keeps.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _SLAB_MAGIC:
-        raise ParameterError(f"{path} is not a slab file")
-    try:
-        grid, off = _unpack_grid(buf, 4, path)
-        (nlevels,) = struct.unpack_from("<i", buf, off)
-        times_at = off + 4
-        off = times_at + 8 * max(nlevels, 0)
-        (mlen,) = struct.unpack_from("<i", buf, off)
-    except struct.error as exc:
-        raise ParameterError(
-            f"slab file {path} has {len(buf)} bytes, too few for its header: {exc}"
-        )
-    off += 4
-    expected = off + mlen + 8 * nlevels * grid.npts**grid.dim
-    if nlevels < 2 or mlen < 0 or len(buf) != expected:
-        raise ParameterError(
-            f"slab file {path} has {len(buf)} bytes, but its header ({nlevels} "
-            f"levels on a {grid.shape} grid, {mlen} metadata bytes) needs {expected}"
-        )
-    try:
-        meta = json.loads(buf[off : off + mlen].decode())
-    except ValueError as exc:
-        raise ParameterError(f"slab file {path} has unreadable metadata: {exc}")
-    times = np.frombuffer(buf, dtype="<f8", offset=times_at, count=nlevels)
-    values = np.frombuffer(buf, dtype="<f8", offset=off + mlen).reshape(
-        (nlevels,) + grid.shape
-    )
+    with _mapped(path) as (fh, buf, size):
+        if buf[:4] != _SLAB_MAGIC:
+            raise ParameterError(f"{path} is not a slab file")
+        try:
+            grid, off = _unpack_grid(buf, 4, path)
+            (nlevels,) = struct.unpack_from("<i", buf, off)
+            times_at = off + 4
+            off = times_at + 8 * max(nlevels, 0)
+            (mlen,) = struct.unpack_from("<i", buf, off)
+        except struct.error as exc:
+            raise ParameterError(
+                f"slab file {path} has {size} bytes, too few for its header: {exc}"
+            )
+        off += 4
+        expected = off + mlen + 8 * nlevels * grid.npts**grid.dim
+        if nlevels < 2 or mlen < 0 or size != expected:
+            raise ParameterError(
+                f"slab file {path} has {size} bytes, but its header ({nlevels} "
+                f"levels on a {grid.shape} grid, {mlen} metadata bytes) needs {expected}"
+            )
+        try:
+            meta = json.loads(buf[off : off + mlen].decode())
+        except ValueError as exc:
+            raise ParameterError(f"slab file {path} has unreadable metadata: {exc}")
+        times = np.frombuffer(buf[times_at : times_at + 8 * nlevels], dtype="<f8")
+        values = _read_values(fh, off + mlen, (nlevels,) + grid.shape, path)
     return SpaceTimeSlab(grid, times, values, meta=meta)

@@ -374,13 +374,14 @@ def sample_cylinders(grid: Grid, times, rng, count: int):
     j_max = cells // 8
     if j_max < 1:
         raise GeometryError("grid too coarse to fit a doubled probe cube")
+    axes = grid.axes()
     out = []
     for _ in range(int(count)):
         j = int(rng.integers(1, j_max + 1))
         rho = 4 * j * grid.spacing
         margin = 4 * j
         idx = [int(rng.integers(margin, cells - margin + 1)) for _ in range(grid.dim)]
-        center = tuple(float(grid.axis(d)[idx[d]]) for d in range(grid.dim))
+        center = tuple(float(x[i]) for x, i in zip(axes, idx))
         k0 = int(rng.integers(0, times.size - 1))
         k1 = int(rng.integers(k0 + 1, times.size))
         out.append((center, rho, float(times[k0]), float(times[k1])))
@@ -594,11 +595,13 @@ def distributional_identity_check(
         v = v[slices]
     else:
         v = np.exp(grid.block_axes(slices)[0])
-    worst = 0.0
-    for M in consts:
-        diff = np.log(v) - np.log(v / float(M))
-        worst = max(worst, abs(float(_trapezoid(lap * diff, grid.spacing))))
-    one = abs(float(_trapezoid(lap * (np.log(v) - np.log(v / 1.0)), grid.spacing)))
+    log_v = np.log(v)
+
+    def shift_defect(log_v_over_M):
+        return abs(float(_trapezoid(lap * (log_v - log_v_over_M), grid.spacing)))
+
+    worst = max([0.0] + [shift_defect(np.log(v / float(M))) for M in consts])
+    one = shift_defect(log_v)  # v / 1.0 is v, bit for bit
     return DistributionalCheck(
         spacing=grid.spacing,
         laplacian_defect=abs(base),

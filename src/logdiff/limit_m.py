@@ -39,24 +39,17 @@ from .reporting import Row, write_csv, write_json, read_json
 
 
 def log_approx_error(
-    field_or_values, M: float, m: float, p: float, cube: Cube | None = None, grid=None
+    field: Field, M: float, m: float, p: float, cube: Cube | None = None
 ) -> tuple[float, float]:
-    """Sup and p-mean distance between ``(1-(u/M)^m)/m`` and ``ln(M/u)``.
-
-    Accepts a Field (cube defaults to its full grid) or a raw array with an
-    explicit grid.  First order in m on fixed data: halving m halves both.
+    """Sup and p-mean distance between ``(1-(u/M)^m)/m`` and ``ln(M/u)`` for
+    the values ``u`` of ``field`` over ``cube`` (default: the field's whole
+    grid).  First order in m on fixed data: halving m halves both.
     """
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
     if M <= 0:
         raise ParameterError("M must be positive")
-    if isinstance(field_or_values, Field):
-        grid = field_or_values.grid
-        values = field_or_values.values
-    else:
-        values = np.asarray(field_or_values, dtype=float)
-        if grid is None:
-            raise ParameterError("raw values need an explicit grid")
+    grid, values = field.grid, field.values
     if np.any(values <= 0):
         raise ParameterError("field must be positive")
     if cube is None:

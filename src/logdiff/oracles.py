@@ -57,9 +57,15 @@ class ExactSolution:
         return Field(grid, self.eval(grid.points(), t), time=t)
 
     def sample_slab(self, grid: Grid, times) -> SpaceTimeSlab:
+        """The fixture at ``times``, evaluated level by level into the one
+        array the slab then takes over."""
         self.check_dim(grid.dim)
         pts = grid.points()
-        vals = np.stack([self.eval(pts, float(t)) for t in times])
+        times = np.asarray(times, dtype=float)
+        vals = np.empty(times.shape + grid.shape)
+        for k, t in enumerate(times):
+            vals[k] = self.eval(pts, float(t))
+        vals.setflags(write=False)
         return SpaceTimeSlab(grid, times, vals, meta={"source": self.name})
 
 

@@ -167,6 +167,20 @@ class QuasilinearFlux:
             )
         return a
 
+    def checked(self, axis: int, vals, t=None) -> np.ndarray:
+        """Values ``vals`` of ``a_axis`` (at ``t``) as floats; ParameterError
+        unless each is finite and within the structure interval ``[c_o, c_1]``.
+        The one check of ``a`` for the solvers and the flux functionals."""
+        vals = np.asarray(vals, dtype=float)
+        if not np.isfinite(vals).all():
+            raise ParameterError(f"a_{axis} is not finite at t={t}")
+        tol = 1e-9 * max(1.0, self.c_1)
+        if vals.min() < self.c_o - tol or vals.max() > self.c_1 + tol:
+            raise ParameterError(
+                f"a_{axis} leaves the structure interval [{self.c_o}, {self.c_1}]"
+            )
+        return vals
+
 
 def _check_horizon(horizon: float, dt: float) -> int:
     nsteps = horizon / dt
@@ -378,20 +392,13 @@ class _BetaOperator:
 
     def _assemble(self, t) -> None:
         """Gather ``L`` and ``A`` and set the preconditioner's per-axis means
-        ``c`` of ``a`` at ``t``; each ``a_d`` must be finite and within ``[c_o,
-        c_1]``."""
-        flux, per_axis = self.flux, []
-        tol = 1e-9 * max(1.0, flux.c_1)
+        ``c`` of ``a`` at ``t``, each ``a_d`` checked by
+        :meth:`QuasilinearFlux.checked`."""
+        per_axis = []
         for axis, a_d in enumerate(self.a):
             vals = a_d(self.mid[axis], t) if callable(a_d) else a_d
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), self.faces.per_axis)
-            if not np.isfinite(vals).all():
-                raise ParameterError(f"a_{axis} is not finite at t={t}")
-            if vals.min() < flux.c_o - tol or vals.max() > flux.c_1 + tol:
-                raise ParameterError(
-                    f"a_{axis} leaves the structure interval [{flux.c_o}, {flux.c_1}]"
-                )
-            per_axis.append(vals)
+            vals = self.flux.checked(axis, vals, t)
+            per_axis.append(np.broadcast_to(vals, self.faces.per_axis))
         self.c = [vals.mean() for vals in per_axis]
         # w a per slot: 0 in the node's own slot and where no face is
         wa = np.append(self.faces.w * np.concatenate(per_axis), 0.0)[self.at]
@@ -517,6 +524,7 @@ def _march(
         "boundary": config.boundary,
         **stats,
     }
+    levels.setflags(write=False)  # handed over to the slab, not copied
     return SpaceTimeSlab(grid, times, levels, meta=meta)
 
 

@@ -7,6 +7,7 @@ on a node and every probe cube used by the tests is mesh-aligned.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ def solve_lump(cells: int):
     slab = solve_log_diffusion(sol.sample(grid, 0.0), config, HORIZON)
     SOLVE_TIMES[cells] = time.monotonic() - start
     return slab
+
+
+def peak_bytes(fn, *args):
+    """``(fn(*args), peak)``: the most memory the call held at once beyond
+    what was allocated before it, as tracemalloc (which sees numpy's arrays)
+    counts it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 @pytest.fixture(scope="session")

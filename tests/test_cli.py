@@ -199,6 +199,34 @@ def test_oracle_check_cli(tmp_path):
     assert 1.7 <= order <= 2.3
 
 
+def test_oracle_check_reads_fixture_parameters_from_config(tmp_path):
+    # the config's [initial] parameters reach the residuals, the dimension and the manifest
+    runs = {}
+    for name, text in {
+        "default": None,
+        "lump": "[initial]\nc = 0.25\nT = 2.0\n",
+        "exp3d": "[initial]\na = 0.5, 0.25, 1.0\nscale = 3.0\n",
+    }.items():
+        fixture = "exp_steady" if name == "exp3d" else "lump2d"
+        argv = ["oracle-check", fixture, "--out", str(tmp_path / name), "--meshes", "8", "16"]
+        if text is not None:
+            (tmp_path / f"{name}.ini").write_text(text)
+            argv += ["--config", str(tmp_path / f"{name}.ini")]
+        assert main(argv) == 0
+        rows = read_rows(tmp_path / name / "oracle.csv")
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        runs[name] = ([float(r["residual"]) for r in rows], manifest)
+    residuals, manifest = runs["lump"]
+    assert manifest["config"]["initial"] == {"c": 0.25, "T": 2.0}
+    assert manifest["run_id"] != "no-config"
+    # u_t and the log's Laplacian both scale with c: another c gives other residuals
+    assert residuals != runs["default"][0]
+    residuals, manifest = runs["exp3d"]
+    assert manifest["config"]["initial"] == {"a": [0.5, 0.25, 1.0], "scale": 3.0}
+    assert all(r <= 1e-10 for r in residuals)  # ln u affine on the 3D grid
+    assert runs["default"][1]["run_id"] == "no-config"
+
+
 def test_oracle_check_exp_exact(tmp_path):
     out = tmp_path / "oce"
     code = main(["oracle-check", "exp_steady", "--out", str(out), "--meshes", "16", "32"])

@@ -26,6 +26,8 @@ from logdiff import (
 )
 from logdiff.grid import SpaceTimeSlab
 
+from conftest import peak_bytes
+
 
 def test_regular_grid_basics():
     g = Grid.regular(2, 1.0, 1.0 / 8)
@@ -154,6 +156,49 @@ def test_slab_level_is_a_read_only_view():
         level.values.setflags(write=True)
 
 
+def read_only(values, own=True):
+    """``values`` as a read-only array that owns its memory, or (``own=False``)
+    as a read-only view of a writable base."""
+    out = np.array(values, dtype=float)
+    if not own:
+        out = out.view()
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("make", ["slab", "field"])
+def test_containers_take_over_only_read_only_arrays_they_own(make):
+    g = Grid.regular(2, 1.0, 0.25)
+    if make == "slab":
+        base = np.stack([np.full(g.shape, 1.0 + k) for k in range(3)])
+        build = lambda values: SpaceTimeSlab(g, [0.0, 0.1, 0.2], values).values  # noqa: E731
+    else:
+        base = np.full(g.shape, 2.0)
+        build = lambda values: Field(g, values).values  # noqa: E731
+    for given, taken in (
+        (base, False),  # writable: copied
+        (read_only(base), True),  # read-only and owns its memory: taken over
+        (read_only(base, own=False), False),  # read-only view of a writable base
+    ):
+        kept = build(given)
+        assert np.shares_memory(kept, given) is taken
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, given)
+    # a copy is the container's own: writing to the writable input changes nothing
+    kept = build(base)
+    base[...] = -1.0
+    assert kept.min() >= 1.0
+
+
+def test_slab_times_follow_the_same_rule():
+    g = Grid.regular(2, 1.0, 0.25)
+    times = read_only([0.0, 0.1, 0.2])
+    slab = SpaceTimeSlab(g, times, np.ones((3,) + g.shape))
+    assert np.shares_memory(slab.times, times)
+    writable = np.array([0.0, 0.1, 0.2])
+    assert not np.shares_memory(SpaceTimeSlab(g, writable, slab.values).times, writable)
+
+
 def test_field_io_roundtrip(tmp_path):
     g = Grid.regular(2, 1.0, 1.0 / 8)
     rng = np.random.default_rng(0)
@@ -180,6 +225,79 @@ def test_slab_io_roundtrip(tmp_path):
     assert np.array_equal(back.values, slab.values)
     assert back.meta["source"] == "test"
     assert back.meta["k"] == 3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slab_file_read_and_written_back_keeps_its_bytes(tmp_path, dim):
+    g = Grid.regular(dim, 0.5, 1.0 / 8, center=(0.25,) * dim)
+    rng = np.random.default_rng(dim)
+    slab = SpaceTimeSlab(
+        g, np.linspace(0.0, 0.3, 4), rng.uniform(0.5, 2.0, (4,) + g.shape), meta={"dim": dim}
+    )
+    first, second = tmp_path / "a.slab", tmp_path / "b.slab"
+    write_slab(slab, first)
+    back = read_slab(first)
+    assert not back.values.flags.writeable and back.values.flags.owndata
+    write_slab(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    # the file is the header, then the values in C order as little-endian float64
+    body = first.read_bytes()[-slab.values.nbytes :]
+    assert body == slab.values.astype("<f8").tobytes()
+
+
+def test_field_file_read_and_written_back_keeps_its_bytes(tmp_path):
+    g = Grid.regular(3, 1.0, 1.0 / 8)
+    f = Field(g, np.random.default_rng(0).uniform(0.5, 2.0, g.shape), time=0.25)
+    first, second = tmp_path / "a.field", tmp_path / "b.field"
+    write_field(f, first)
+    write_field(read_field(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def big_slab(levels=64):
+    """A 65^2 x ``levels`` slab, large enough that fixed costs of the IO are
+    small beside its values."""
+    g = Grid.regular(2, 1.0, 1.0 / 64)
+    values = np.random.default_rng(3).uniform(0.5, 2.0, (levels,) + g.shape)
+    return SpaceTimeSlab(g, np.linspace(0.0, 1.0, levels), values, meta={"k": 1})
+
+
+def test_write_slab_makes_no_copy_of_the_values(tmp_path):
+    slab = big_slab()
+    _, peak = peak_bytes(write_slab, slab, tmp_path / "s.slab")
+    assert peak <= 0.05 * slab.values.nbytes
+
+
+def test_read_slab_reads_into_the_one_array_it_keeps(tmp_path):
+    path = tmp_path / "s.slab"
+    write_slab(big_slab(), path)
+    back, peak = peak_bytes(read_slab, path)
+    assert peak <= 1.1 * back.values.nbytes
+    assert back.values.flags.owndata and not back.values.flags.writeable
+
+
+def test_readers_allocate_nothing_before_the_size_check(tmp_path):
+    slab = big_slab()
+    field = Field(Grid.regular(3, 1.0, 1.0 / 64), np.ones((65,) * 3))
+    write_slab(slab, tmp_path / "s.slab")
+    write_field(field, tmp_path / "f.field")
+    data = (tmp_path / "s.slab").read_bytes()
+    # the level count follows the magic and the dim = 2 grid header (37 bytes)
+    cases = [
+        (read_slab, data[:41] + struct.pack("<i", 2**31 - 1) + data[45:], slab.values),
+        (read_slab, data + bytes(8), slab.values),
+        (read_field, (tmp_path / "f.field").read_bytes() + bytes(8), field.values),
+    ]
+    for k, (read, bad, values) in enumerate(cases):
+        path = tmp_path / f"bad-{k}"
+        path.write_bytes(bad)
+
+        def attempt():
+            with pytest.raises(ParameterError, match=f"has {len(bad)} bytes"):
+                read(path)
+
+        _, peak = peak_bytes(attempt)
+        assert peak <= 0.05 * values.nbytes
 
 
 def test_read_slab_rejects_truncated_files(tmp_path):

@@ -24,8 +24,11 @@ from logdiff import (
     jensen_check,
     moment_scaling_exponent,
     sample_cylinders,
+    solve_quasilinear,
 )
-from logdiff.grid import SpaceTimeSlab
+from logdiff.functionals import flux_l1
+from logdiff.grid import Field, SpaceTimeSlab
+from logdiff.solvers import SolverConfig
 
 # independently computed divergence defects of the smoothstep cutoff
 # (rho = 1, sigma = 0.5, edge-2 grid), decaying at first order
@@ -208,6 +211,31 @@ def test_flux_corollary_kinds(lump_slab_32):
     diag = QuasilinearFlux(kind="diagonal-perturbed", m=0.0, a=(1.0, 1.0))
     rep3 = check_flux_corollary(lump_slab_32, diag, 0.25, 0.5, (0.25, 0.5))
     assert rep3.kind == "flux-quasilinear"
+
+
+def test_flux_outside_the_structure_interval_is_rejected_by_solver_and_checker(lump_slab_32):
+    # a_1 = 3 lies outside the default [c_o, c_1] = [1, 1]: both entry points refuse it
+    grid = lump_slab_32.grid
+    config = SolverConfig(dt=1.0 / 64, boundary="neumann-zero-flux")
+    initial = Field(grid, np.full(grid.shape, 1.0))
+    outside = QuasilinearFlux("diagonal-perturbed", m=0.2, a=(1.0, 3.0))
+    message = re.escape("a_1 leaves the structure interval [1.0, 1.0]")
+    with pytest.raises(ParameterError, match=message):
+        solve_quasilinear(initial, outside, config, 1.0 / 64)
+    with pytest.raises(ParameterError, match=message):
+        check_flux_corollary(lump_slab_32, outside, 0.25, 0.5, (0.25, 0.5))
+    # a callable a_0 is checked at each level it is sampled: 1 + 4t leaves [1, 1.5] past 1/8
+    drifting = QuasilinearFlux(
+        "diagonal-perturbed", a=(lambda x, t: np.full(len(x), 1.0 + 4.0 * t), 1.0),
+        c_o=1.0, c_1=1.5,
+    )
+    assert flux_l1(lump_slab_32, drifting, (0.0, 0.0), 0.25, (0.0, 0.125)) > 0
+    with pytest.raises(ParameterError, match="a_0 leaves"):
+        flux_l1(lump_slab_32, drifting, (0.0, 0.0), 0.25, (0.0, 0.25))
+    # with the interval widened to hold a, both accept it
+    inside = QuasilinearFlux("diagonal-perturbed", m=0.2, a=(1.0, 3.0), c_o=1.0, c_1=3.0)
+    solve_quasilinear(initial, inside, config, 1.0 / 64)
+    assert check_flux_corollary(lump_slab_32, inside, 0.25, 0.5, (0.25, 0.5)).ratio > 0
 
 
 def test_jensen_on_solved_slab(lump_slab_32):

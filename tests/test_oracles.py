@@ -17,6 +17,8 @@ from logdiff import (
     residual_check,
 )
 
+from conftest import peak_bytes
+
 
 def test_fixture_registry():
     assert set(FIXTURES) == {"lump2d", "exp_steady", "barenblatt_fd"}
@@ -129,3 +131,13 @@ def test_convergence_order_reports_unreliable_on_noise():
     # identical runs cannot support a fit; flagged, not raised
     rep = convergence_order([slab, slab], sol)
     assert not rep.reliable
+
+
+def test_sample_slab_fills_the_one_array_the_slab_keeps():
+    sol, grid = Lump2D(), Grid.regular(2, 1.0, 1.0 / 32)
+    times = np.linspace(0.0, 0.5, 129)
+    slab, peak = peak_bytes(sol.sample_slab, grid, times)
+    assert peak <= 1.1 * slab.values.nbytes
+    assert slab.values.flags.owndata and not slab.values.flags.writeable
+    for k in (0, 64, 128):
+        assert np.array_equal(slab.values[k], sol.eval(grid.points(), float(times[k])))
