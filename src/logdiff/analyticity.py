@@ -282,9 +282,12 @@ def intrinsic_rescale(
 def rescale_residual(v_slab: SpaceTimeSlab) -> float:
     """Max interior defect of ``v_tau - (1/v) Lap v + |Dv|^2/v^2``.
 
-    The time derivative is the backward difference, matching how implicit
-    slabs were produced, so for solved data the residual isolates the
-    spatial chain-rule mismatch (O(h^2)).  A NaN node makes it NaN.
+    The time derivative is the first-order backward difference ``(v_k -
+    v_(k-1))/dt`` on every slab, whatever made it: sampled slabs name no
+    scheme, and the solvers march BDF2, so besides the spatial chain-rule
+    mismatch (O(h^2)) the residual carries an O(dt) time-difference term.
+    It is not the solver's own defect (``solvers.residual_norm``).  A NaN
+    node makes it NaN.
     """
     g = v_slab.grid
     v = v_slab.values[1:]

@@ -313,8 +313,10 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
         a_d = a[axis]
         if not callable(a_d):
             return a_d
+        # one value for all points broadcasts, as in the solvers
         return np.stack([
-            flux.checked(axis, a_d(flat, float(t)), float(t)).reshape(shape)
+            np.broadcast_to(flux.checked(axis, a_d(flat, float(t)), float(t)), len(flat))
+            .reshape(shape)
             for t in slab.times[ks]
         ])
 

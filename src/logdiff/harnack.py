@@ -590,7 +590,7 @@ def distributional_identity_check(
     base = float(_trapezoid(lap, grid.spacing))
     if v_field is not None:
         v = np.asarray(v_field.values if hasattr(v_field, "values") else v_field)
-        if v.shape != grid.shape or np.any(v[slices] <= 0):
+        if v.shape != grid.shape or not (v[slices] > 0).all():
             raise ParameterError("v must match the grid shape and be positive on the support")
         v = v[slices]
     else:
@@ -600,7 +600,7 @@ def distributional_identity_check(
     def shift_defect(log_v_over_M):
         return abs(float(_trapezoid(lap * (log_v - log_v_over_M), grid.spacing)))
 
-    worst = max([0.0] + [shift_defect(np.log(v / float(M))) for M in consts])
+    worst = float(np.max([shift_defect(np.log(v / float(M))) for M in consts], initial=0.0))
     one = shift_defect(log_v)  # v / 1.0 is v, bit for bit
     return DistributionalCheck(
         spacing=grid.spacing,

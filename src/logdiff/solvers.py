@@ -1,11 +1,23 @@
 """Implicit solvers for singular diffusion equations.
 
-All solvers march backward Euler: each step solves the nonlinear system
+All solvers march BDF2 (Gear 1971), with backward Euler for the first step:
+the step to level k + 1 solves the nonlinear system
 
-    u_new - dt * Op(u_new) = u_old
+    x - gamma * Op(x) = rhs
 
-with a damped Newton iteration (step halving up to ``max_damping`` times),
-written once, inline in ``_march``, the module's one step loop.
+for ``x = u_(k+1)``, with ``(gamma, rhs) = (dt, u_0)`` on the first step and
+``(2 dt / 3, (4 u_k - u_(k-1))/3)`` on every later one.  ``rhs`` is read off
+the backward differences the Newton start keeps (below): ``u_k + ∇u_k / 3``.
+``_SCHEMES`` holds each scheme's ``theta = dt / gamma`` and ``rhs``
+coefficients per order, ``_step_coefficients`` reads them for ``_march`` and
+``residual_norm``, and a slab names its scheme in ``meta["scheme"]``.  Each
+step runs a damped Newton iteration (step halving up to ``max_damping``
+times) on the residual ``r = x - gamma Op(x) - rhs`` until ``max|r| <=
+newton_tol``, written once, inline in ``_march``, the module's one step loop.
+BDF2 is second order and A-stable but not positivity preserving: ``rhs <= 0``
+where ``u_(k-1) > 4 u_k``.  The Newton step in ``beta`` below keeps every
+iterate positive all the same.
+
 Every ``Op`` is ``div_h(a grad_h beta(u))``, with ``beta(u) = ln u`` at ``m = 0``
 and ``(u^m - 1)/m`` for ``0 < m < 1``.  ``solve_log_diffusion`` (``m = 0``) and
 ``solve_porous_medium`` take ``a = 1``.  ``solve_quasilinear`` with a
@@ -38,17 +50,20 @@ supplied by an exact solution (or any callable ``(points, t) -> values``) and
 solves for the interior nodes; ``neumann-zero-flux`` solves for every node and
 conserves the trapezoid mass per step to roundoff.
 
-Newton corrections solve ``J delta = -r`` (``J = I - dt dOp/du``) by PCG from
-zero, in ``_BetaOperator.solve``.  ``W J = (diag(W/b') + C) diag(b')`` for ``b'
-= beta'(u)`` and ``C = dt D^T diag(w a) D / h^2``, which is exactly symmetric,
-so PCG solves for ``y = b' delta``, the linearised change of ``beta(u)``.  It
-stops once ``max|W (J delta + r)| <= 0.01 newton_tol min W``, or after ``n``
-iterations for ``n`` unknowns (a cap hit); the damped line search guards the
-result.
+Newton corrections solve ``J delta = -r`` (``J = I - gamma dOp/du``) by PCG
+from zero, in ``_BetaOperator.solve``.  Multiplied by ``theta = dt / gamma``
+(1, then 3/2), ``theta W J = (diag(theta W/b') + C) diag(b')`` for ``b' =
+beta'(u)`` and ``C = dt D^T diag(w a) D / h^2``, which is exactly symmetric
+and the same on every step: one operator, built at dt, serves both kinds of
+step, and each correction rewrites only the diagonal.  PCG solves for ``y =
+b' delta``, the linearised change of ``beta(u)``, with right-hand side
+``-theta W r``.  It stops once ``max|theta W (J delta + r)| <= theta 0.01
+newton_tol min W``, or after ``n`` iterations for ``n`` unknowns (a cap hit);
+the damped line search guards the result.
 
 PCG is preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with ``C_a``
 the axis-``a`` part of ``C`` at ``a = 1``, ``c_a`` the mean of ``a`` over the
-faces of axis ``a`` and ``s = sqrt(min d max d)`` for ``d = 1/b'``.  One
+faces of axis ``a`` and ``s = sqrt(min d max d)`` for ``d = theta/b'``.  One
 orthonormal DST-I (Dirichlet) or DCT-I (Neumann, after scaling by ``W^(1/2)``)
 matrix per axis diagonalises ``W`` and every ``C_a`` together (fast
 diagonalisation, Lynch, Rice & Thomas 1964), so applying ``P^-1`` is a
@@ -63,8 +78,9 @@ Newton steps in ``beta``, in which ``Op`` is linear: the trial at damping
 otherwise ``(u^m + m s y)^(1/m)``, NaN where ``u^m + m s y <= 0``.  A NaN
 residual is never smaller than the last, so ``s`` halves until the trial is
 positive: every iterate is positive by construction and nothing is clipped.
-Under Neumann ``W^T r = W^T (u - u_k)``, as ``W^T Op = 0``; each trial is
-multiplied by ``W^T u_k / W^T u``, which zeroes that sum and keeps u > 0.
+Under Neumann ``W^T r = W^T (u - rhs)``, as ``W^T Op = 0``, and ``rhs`` has
+the mass ``W^T u_k``, as every ``∇u_k`` has none; each trial is multiplied
+by ``W^T u_k / W^T u``, which zeroes that sum and keeps u > 0.
 
 Newton for step k starts on the unknowns from the backward differences ``u_k,
 ∇u_k, ..., ∇^q u_k``, ``q = min(k, 4)``, ``∇^(j+1) u_k = ∇^j u_k - ∇^j
@@ -77,7 +93,8 @@ newest level (variable-order multistep codes: Gear 1971, Shampine & Gordon
 and the order choice is invariant under ``u -> lam u`` and ``x -> x/r``, so
 the guess keeps the mass and the scaling symmetries hold step by step.  Every
 step still solves to ``newton_tol``.  Where the guess is not positive, that
-node starts from ``u_k``, counted in ``predictor_fallbacks``;
+node starts from ``u_k`` (not from ``rhs``, which can be <= 0), counted in
+``predictor_fallbacks``;
 ``start_levels`` counts the steps started from 1, 2, 3 and 4 levels.
 Initial data and Dirichlet boundary values must be finite and positive.
 """
@@ -207,6 +224,29 @@ def _newton_start(table):
 def _push_level(table, level):
     """The table one level on: ``∇^(j+1) u_(k+1) = ∇^j u_(k+1) - ∇^j u_k``."""
     return list(accumulate(table[:_START_LEVELS], np.subtract, initial=level))
+
+
+# time scheme -> (theta, c) by order: from the backward differences [u_k, ∇u_k,
+# ...], a step solves x - (dt/theta) Op(x) = u_k + sum_j c_j ∇^j u_k (j >= 1)
+# at the highest order the table holds; BDF2 is (3/2, u_k + ∇u_k/3), that is
+# (3/2, (4 u_k - u_(k-1))/3)
+_SCHEMES = {
+    "backward-euler": ((1.0, ()),),
+    "bdf2": ((1.0, ()), (1.5, (1.0 / 3.0,))),
+}
+# the scheme every solver marches
+_SCHEME = "bdf2"
+
+
+def _step_coefficients(scheme: str, table):
+    """``(theta, rhs)`` of the next step of ``scheme`` from the backward
+    differences ``table = [u_k, ∇u_k, ...]``; ParameterError for a scheme
+    not in ``_SCHEMES``."""
+    if scheme not in _SCHEMES:
+        raise ParameterError(f"unknown time scheme {scheme!r}: one of {tuple(_SCHEMES)}")
+    orders = _SCHEMES[scheme]
+    theta, c = orders[min(len(table), len(orders)) - 1]
+    return theta, sum((c_j * diff for c_j, diff in zip(c, table[1:])), table[0])
 
 
 def _pcg(A, b, precond, atol, cap):
@@ -358,11 +398,12 @@ def _beta(m: float):
 class _BetaOperator:
     """``div_h(a grad_h beta(u))`` on ``rows`` (module docstring): ``step(t)``
     once per level, then ``apply(u)`` (Op on ``rows``, u on every node) and,
-    given a time step ``dt``, ``solve(u, r, atol) -> (y, iters, converged)``,
-    the PCG Newton correction; without ``dt`` only ``L`` is built.
+    given a time step ``dt``, ``solve(u, r, atol, theta) -> (y, iters,
+    converged)``, the PCG Newton correction of a step ``x - (dt/theta) Op(x)
+    = rhs``; without ``dt`` only ``L`` is built.
 
-    ``L = div(a D)`` and, with ``dt``, the PCG matrix ``A = diag(W/b') + dt
-    K``, ``K = D^T diag(w a) D / h^2``, are laid out once from the stencil
+    ``L = div(a D)`` and, with ``dt``, the PCG matrix ``A = diag(theta W/b') +
+    dt K``, ``K = D^T diag(w a) D / h^2``, are laid out once from the stencil
     table and gathered once, or by each ``step`` when some ``a_d`` is callable;
     ``solve`` rewrites only the diagonal of ``A``.
     """
@@ -420,12 +461,14 @@ class _BetaOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.L @ self.beta(u)
 
-    def solve(self, u: np.ndarray, r: np.ndarray, atol: float):
-        """PCG on ``(diag(W/b') + dt K) y = -W r`` for ``b' = beta'(u)``."""
-        bp = self.beta_prime(u[self.rows])
-        self.A.data[self.diag_at] = self.c_diag + self.W / bp
-        precond = self.spectral.inverse(_geometric_mid(1.0 / bp), self.c)
-        return _pcg(self.A, -self.W * r, precond, atol, self.rows.size)
+    def solve(self, u: np.ndarray, r: np.ndarray, atol: float, theta: float):
+        """PCG on ``(diag(theta W/b') + dt K) y = -theta W r`` for ``b' =
+        beta'(u)``, to ``theta atol``: the Newton step of ``x - (dt/theta)
+        Op(x) = rhs`` with residual ``r``, multiplied by ``theta W``."""
+        d = theta / self.beta_prime(u[self.rows])
+        self.A.data[self.diag_at] = self.c_diag + self.W * d
+        precond = self.spectral.inverse(_geometric_mid(d), self.c)
+        return _pcg(self.A, -theta * self.W * r, precond, theta * atol, self.rows.size)
 
 
 # flux kind -> slab meta "equation"; every kind runs ``_BetaOperator``
@@ -439,7 +482,8 @@ _KINDS = {
 def _march(
     initial: Field, config: SolverConfig, horizon: float, flux: QuasilinearFlux
 ) -> SpaceTimeSlab:
-    """Backward Euler for the operator of ``flux.kind``; the module's one step loop."""
+    """BDF2 after one backward-Euler step (module docstring) for the operator of
+    ``flux.kind``; the module's one step loop."""
     grid = initial.grid
     if not ((initial.values > 0.0) & (initial.values < np.inf)).all():
         raise ParameterError("initial data must be finite and strictly positive")
@@ -462,10 +506,10 @@ def _march(
     stats = {"newton_iters": 0, "linear_iters": 0, "linear_cap_hits": 0,
              "predictor_fallbacks": 0, "start_levels": [0] * _START_LEVELS}
 
-    def residual(x, prev):
+    def residual(x):
         """``(r, max|r|)`` at unknowns ``x``, which it writes into ``u``."""
         u[rows] = x
-        r = x - config.dt * op.apply(u) - prev
+        r = x - gamma * op.apply(u) - rhs
         return r, float(np.abs(r).max())
 
     u = initial.values.ravel().copy()
@@ -477,29 +521,30 @@ def _march(
             u[known] = boundary(pts_known, t)
             if not ((u[known] > 0.0) & (u[known] < np.inf)).all():
                 raise ParameterError(f"boundary values must be finite and positive at t={t}")
-        prev = table[0]
+        theta, rhs = _step_coefficients(_SCHEME, table)
+        gamma = config.dt / theta
         x, p = _newton_start(table)
         stats["start_levels"][p - 1] += 1
         low = x <= 0.0
         stats["predictor_fallbacks"] += int(low.sum())
-        x[low] = prev[low]
+        x[low] = table[0][low]  # u_k, as rhs can be <= 0 where u_(k-1) > 4 u_k
 
         # damped Newton: each iteration takes the first trial x_s = beta^-1(beta(x)
         # + s y), s = 1, 1/2, ..., whose residual is smaller (a NaN one never is);
         # u holds x after every accepted trial
-        r, rnorm = residual(x, prev)
+        r, rnorm = residual(x)
         for _ in range(config.newton_max_iter):
             if rnorm <= config.newton_tol:
                 break
-            y, iters, converged = op.solve(u, r, atol)
+            y, iters, converged = op.solve(u, r, atol, theta)
             stats["newton_iters"] += 1
             stats["linear_iters"] += iters
             stats["linear_cap_hits"] += not converged
             for halvings in range(config.max_damping + 1):
                 x_try = op.beta_step(x, 0.5**halvings * y)
-                if neumann:  # rows are every node; zero W^T r = W^T (x - prev)
-                    x_try *= (W @ prev) / (W @ x_try)
-                r_try, rn_try = residual(x_try, prev)
+                if neumann:  # rows are every node; zero W^T r = W^T (x - rhs)
+                    x_try *= (W @ table[0]) / (W @ x_try)
+                r_try, rn_try = residual(x_try)
                 if rn_try < rnorm:
                     x, r, rnorm = x_try, r_try, rn_try
                     break
@@ -517,6 +562,7 @@ def _march(
 
     meta = {
         "equation": _KINDS[flux.kind],
+        "scheme": _SCHEME,
         "m": None if flux.kind == "log-diffusion" else flux.m,
         "dt": config.dt,
         "horizon": horizon,
@@ -545,7 +591,8 @@ def solve_porous_medium(
 def solve_quasilinear(
     initial: Field, flux: QuasilinearFlux, config: SolverConfig, horizon: float
 ) -> SpaceTimeSlab:
-    """Backward Euler for the quasilinear flux ``u_t = div A(x, t, u, Du)``.
+    """BDF2 after one backward-Euler step for the quasilinear flux ``u_t = div
+    A(x, t, u, Du)`` (module docstring).
 
     Every kind runs ``div_h(a grad_h beta(u))`` (module docstring): the model
     kinds with ``a = 1``, as :func:`solve_log_diffusion` and
@@ -556,20 +603,29 @@ def solve_quasilinear(
 
 
 def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
-    """Max over steps and interior nodes of ``|(u_k - u_{k-1})/dt - Op(u_k)|``.
+    """Max over steps and interior nodes of ``|theta (u_k - rhs_k)/dt - Op(u_k)|``.
 
-    The operator matches the flux kind and is evaluated at the newer level
-    (backward-Euler convention), so solver-produced slabs score at the Newton
-    tolerance divided by ``dt`` plus stencil-consistency terms.
+    Replays the step of the scheme in ``slab.meta["scheme"]`` (backward Euler
+    where the key is missing, as on older files and sampled slabs; an unknown
+    name raises ParameterError): ``(theta, rhs_k)`` from the backward
+    differences of the levels before ``u_k`` (``_step_coefficients``), so the
+    first term is ``(u_k - u_(k-1))/dt`` for backward Euler and BDF2's first
+    step and ``(3 u_k - 4 u_(k-1) + u_(k-2))/(2 dt)`` after it.  The operator
+    matches the flux kind and is evaluated at the newer level, so a solver
+    slab scores at its Newton tolerance times ``theta/dt`` plus
+    stencil-consistency terms.
     """
+    scheme = slab.meta.get("scheme", "backward-euler")
     grid = slab.grid
     faces = _Faces(grid)
     op = _BetaOperator(faces, np.arange(faces.W.size), flux)
     inner = interior_slices(grid)
-    worst = 0.0
+    table, worst = [slab.values[0]], []
     for k in range(1, slab.nlevels):
+        theta, rhs = _step_coefficients(scheme, table)
         u = slab.values[k]
         op.step(float(slab.times[k]))
-        defect = (u - slab.values[k - 1]) / slab.dt - op.apply(u.ravel()).reshape(u.shape)
-        worst = max(worst, float(np.abs(defect[inner]).max()))
-    return worst
+        defect = theta * (u - rhs) / slab.dt - op.apply(u.ravel()).reshape(u.shape)
+        worst.append(np.abs(defect[inner]).max())
+        table = _push_level(table, u)
+    return float(np.max(worst))

@@ -238,6 +238,18 @@ def test_flux_outside_the_structure_interval_is_rejected_by_solver_and_checker(l
     assert check_flux_corollary(lump_slab_32, inside, 0.25, 0.5, (0.25, 0.5)).ratio > 0
 
 
+def test_flux_checker_broadcasts_a_callable_that_returns_one_value(lump_slab_32):
+    # the solvers broadcast a_d(x, t) = 2 to every face; the checker does too
+    constant = QuasilinearFlux("diagonal-perturbed", a=(2.0, 2.0), c_o=1.0, c_1=3.0)
+    one_value = QuasilinearFlux(
+        "diagonal-perturbed", a=(lambda x, t: 2.0, 2.0), c_o=1.0, c_1=3.0
+    )
+    args = (0.25, 0.5, (0.25, 0.5))
+    got = check_flux_corollary(lump_slab_32, one_value, *args)
+    # repr, as m is NaN on this kind and NaN != NaN
+    assert repr(got) == repr(check_flux_corollary(lump_slab_32, constant, *args))
+
+
 def test_jensen_on_solved_slab(lump_slab_32):
     rng = np.random.default_rng(11)
     probes = sample_cylinders(lump_slab_32.grid, lump_slab_32.times, rng, 12)
@@ -375,6 +387,15 @@ def test_distributional_shift_invariance(lump_slab_32):
         chk.laplacian_defect * abs(np.log(10.0)), rel=1e-9
     )
     assert chk.shift_defect_at_one == 0.0
+
+
+def test_distributional_check_refuses_a_nan_in_v():
+    # NaN fails every comparison, so a check for v <= 0 would let it through
+    g = Grid.regular(2, 2.0, 2.0 / 32)
+    v = np.ones(g.shape)
+    v[16, 16] = np.nan
+    with pytest.raises(ParameterError, match="positive on the support"):
+        distributional_identity_check(Cutoff((0.0, 0.0), 1.0, 0.5), g, v_field=v)
 
 
 def test_distributional_support_must_be_interior():

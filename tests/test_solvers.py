@@ -26,6 +26,7 @@ from logdiff import (
     QuasilinearFlux,
     SolverConfig,
     SolverError,
+    SpaceTimeSlab,
     fit_order,
     integrate,
     interior_slices,
@@ -42,8 +43,8 @@ from conftest import lump_grid
 
 
 def test_exp_steady_is_a_fixed_point():
-    # ln u affine => the discrete operator is exactly zero, so backward Euler
-    # reproduces the initial data at every step to the Newton tolerance
+    # ln u affine => the discrete operator is exactly zero, so each step
+    # reproduces the initial data to the Newton tolerance
     sol = ExpSteady(a=(1.0, 0.5), scale=1.0)
     g = Grid.regular(2, 1.0, 1.0 / 16)
     config = SolverConfig(dt=0.05, boundary="dirichlet-from-oracle", boundary_values=sol)
@@ -109,6 +110,25 @@ def test_barenblatt_pme_accuracy():
     exact = sol.sample(g, 0.125).values
     rel = np.abs(slab.values[-1] - exact).max() / exact.max()
     assert rel <= 5e-3
+
+
+def test_bdf2_time_order_on_the_barenblatt_is_two():
+    # the lump is linear in t, so only a solution like this one sees time error;
+    # the reference is the same mesh at dt = h^2/4 (backward Euler read 1.00 / 1.08)
+    sol, grid = BarenblattFD(m=0.5), lump_grid(32)
+    h2 = grid.spacing**2
+    initial = sol.sample(grid, 0.0)
+
+    def final(dt):
+        config = SolverConfig(dt=dt, boundary="dirichlet-from-oracle", boundary_values=sol)
+        slab = solve_porous_medium(initial, 0.5, config, 32 * h2)
+        assert slab.meta["scheme"] == "bdf2"
+        return slab.values[-1]
+
+    ref = final(h2 / 4)
+    errs = [np.abs(final(f * h2) - ref).max() for f in (8, 4, 2)]
+    orders = np.log2(np.divide(errs[:-1], errs[1:]))
+    assert (orders >= 1.8).all(), orders
 
 
 def test_quasilinear_model_kinds_delegate_exactly():
@@ -204,6 +224,26 @@ def test_residual_norm_small_on_solved_slab(lump_slab_32):
     assert res <= 1e-6
 
 
+def test_residual_norm_replays_the_scheme_the_slab_names():
+    # on a solution that varies in time the two schemes' defects differ by the
+    # time error, so replaying the wrong one is seen
+    sol, grid = BarenblattFD(m=0.5), lump_grid(16)
+    config = SolverConfig(dt=4 * grid.spacing**2, boundary_values=sol)
+    slab = solve_porous_medium(sol.sample(grid, 0.0), 0.5, config, 8 * config.dt)
+    flux = QuasilinearFlux("pme", m=0.5)
+    assert slab.meta["scheme"] == "bdf2"
+    assert residual_norm(slab, flux) <= 1e-6
+
+    def renamed(**scheme):
+        meta = {k: v for k, v in slab.meta.items() if k != "scheme"}
+        return SpaceTimeSlab(grid, slab.times, slab.values, meta={**meta, **scheme})
+
+    unnamed = residual_norm(renamed(), flux)  # older files and sampled slabs
+    assert unnamed == residual_norm(renamed(scheme="backward-euler"), flux) > 1e-2
+    with pytest.raises(ParameterError, match="unknown time scheme 'bdf3'"):
+        residual_norm(renamed(scheme="bdf3"), flux)
+
+
 def test_slab_meta_records_run(lump_slab_32):
     meta = lump_slab_32.meta
     assert meta["equation"] == "log-diffusion"
@@ -211,10 +251,10 @@ def test_slab_meta_records_run(lump_slab_32):
     assert lump_slab_32.dt == pytest.approx(16.0 / 32**2)
     # deterministic counters, so reruns stay byte-identical
     assert meta["newton_iters"] == 34
-    assert meta["linear_iters"] == 162
+    assert meta["linear_iters"] == 164
     assert meta["linear_cap_hits"] == 0
     # steps started from 1, 2, 3 and 4 levels; step 0 has only u_0, step 1 no ∇^2
-    assert meta["start_levels"] == [1, 2, 2, 27]
+    assert meta["start_levels"] == [1, 2, 1, 28]
 
 
 @pytest.mark.parametrize("cells", [32, 64, 128])
@@ -309,6 +349,29 @@ def test_neumann_conserves_trapezoid_mass(kind, m, a_0, dim):
     assert drift <= 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    cells=st.integers(2, 8),
+    kind=st.sampled_from(["log-diffusion", "pme"]),
+    dt_h2=st.floats(0.1, 50.0),
+    steps=st.integers(2, 6),
+    data=st.data(),
+)
+def test_bdf2_keeps_neumann_mass_on_random_positive_data(dim, cells, kind, dt_h2, steps, data):
+    # every step from the second on is BDF2, whose right-hand side
+    # (4 u_k - u_(k-1))/3 has the mass of u_k
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    values = data.draw(arrays(np.float64, grid.shape, elements=st.floats(0.1, 10.0)))
+    config = SolverConfig(dt=dt_h2 * grid.spacing**2, boundary="neumann-zero-flux")
+    flux = QuasilinearFlux(kind, m=0.5)
+    slab = solve_quasilinear(Field(grid, values), flux, config, steps * config.dt)
+    assert slab.meta["scheme"] == "bdf2"
+    m0 = _trapezoid_mass(slab.values[0], grid)
+    drift = max(abs(_trapezoid_mass(v, grid) - m0) for v in slab.values) / m0
+    assert drift <= 1e-13
+
+
 def test_neumann_spike_keeps_its_mass_through_the_fallback():
     # the spike collapses in one step, so 2 u_1 - u_0 is negative there and
     # that node starts from u_1; the mass holds at a dynamic range of 1e4
@@ -338,6 +401,10 @@ def test_predictor_falls_back_to_the_last_level_below_the_floor():
     slab = solve_log_diffusion(Field(grid, values), config, 8 * config.dt)
     first_two = solve_log_diffusion(Field(grid, values), config, 2 * config.dt)
     assert slab.meta["predictor_fallbacks"] > first_two.meta["predictor_fallbacks"]
+    # BDF2's right-hand side (4 u_k - u_(k-1))/3 is negative at the spike on
+    # some step, yet every level stays positive and Newton converges
+    spike = slab.values[:, 1, 1]
+    assert (4 * spike[1:-1] - spike[:-2] < 0).any()
     assert slab.values.min() > 0
     assert residual_norm(slab, QuasilinearFlux("log-diffusion")) <= 1e-6
 
@@ -451,15 +518,17 @@ def test_stencil_assembly_matches_the_product_reference(
     assert np.array_equal(op.A.toarray(), (dt * K).toarray())
     assert (op.A != op.A.T).nnz == 0  # exactly symmetric
 
-    # solve writes the diagonal, and only there
+    # solve writes the diagonal, and only there, at either step's theta
     off = op.A.toarray() - np.diag(op.A.diagonal())
     assert np.array_equal(op.A.indices[op.diag_at], np.arange(rows.size))
     row_of = np.searchsorted(op.A.indptr, op.diag_at, "right") - 1
     assert np.array_equal(row_of, np.arange(rows.size))
     u = np.random.default_rng(seed).uniform(0.2, 5.0, faces.W.size)
-    op.solve(u, np.zeros(rows.size), 1.0)
-    assert np.array_equal(op.A.diagonal(), op.c_diag + op.W / op.beta_prime(u[rows]))
-    assert np.array_equal(op.A.toarray() - np.diag(op.A.diagonal()), off)
+    for theta in (1.0, 1.5):
+        op.solve(u, np.zeros(rows.size), 1.0, theta)
+        want = op.c_diag + theta * op.W / op.beta_prime(u[rows])
+        assert np.array_equal(op.A.diagonal(), want)
+        assert np.array_equal(op.A.toarray() - np.diag(op.A.diagonal()), off)
 
 
 def _unknowns(faces, boundary):
@@ -490,9 +559,10 @@ def _flux(kind, dim):
     boundary=st.sampled_from(["dirichlet-from-oracle", "neumann-zero-flux"]),
     kind=st.sampled_from(sorted(_KINDS)),
     dt_h2=st.floats(0.1, 50.0),
+    theta=st.sampled_from([1.0, 1.5]),
     data=st.data(),
 )
-def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data):
+def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, theta, data):
     grid = Grid.regular(dim, 1.0, 1.0 / cells)
     faces = _Faces(grid)
     rows = _unknowns(faces, boundary)
@@ -508,13 +578,14 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, data
     atol = 0.01 * 1e-10 * W.min()
     u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
     r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
-    y, iters, converged = op.solve(u.copy(), r, atol)
+    y, iters, converged = op.solve(u.copy(), r, atol, theta)
     if not converged:  # the cap; the damped line search takes the iterate
         assert iters == rows.size
         return
-    # PCG solves for y = beta'(u) delta, the linearised change of beta(u)
+    # PCG solves for y = beta'(u) delta, the linearised change of beta(u), in
+    # the step x - (dt/theta) Op(x) = rhs (theta = 3/2: BDF2 after step 1)
     delta = y / op.beta_prime(u[rows])
-    J = np.eye(rows.size) - dt * _dense_jacobian(op, u, rows)
+    J = np.eye(rows.size) - dt / theta * _dense_jacobian(op, u, rows)
     defect = np.abs(W * (J @ delta + r)).max()
     rounding = 1e-14 * np.abs(W * (np.abs(J) @ np.abs(delta))).max()
     assert defect <= atol + rounding
@@ -625,10 +696,11 @@ def test_importing_the_cli_loads_no_sparse_linalg():
     assert out.stdout.strip() == "False"
 
 
-def _direct_solve(self, u, r, atol):
-    """The reference Newton step: SuperLU on the complex-step Jacobian, returned
-    as the change of beta, ``y = beta'(u) delta``."""
-    J = np.eye(self.rows.size) - self.dt * _dense_jacobian(self, u, self.rows)
+def _direct_solve(self, u, r, atol, theta):
+    """The reference Newton step of ``x - (dt/theta) Op(x) = rhs``: SuperLU on
+    the complex-step Jacobian, returned as the change of beta, ``y = beta'(u)
+    delta``."""
+    J = np.eye(self.rows.size) - self.dt / theta * _dense_jacobian(self, u, self.rows)
     return self.beta_prime(u[self.rows]) * spsolve(sp.csc_matrix(J), -r), 0, True
 
 
@@ -669,7 +741,7 @@ def test_krylov_solves_match_direct_reference(name, monkeypatch):
     assert gap <= 1e-11
 
 
-@pytest.mark.parametrize("name, counts", [("flux-D", (27, 97, 0)), ("flux-N", (18, 63, 0))])
+@pytest.mark.parametrize("name, counts", [("flux-D", (27, 103, 0)), ("flux-N", (18, 63, 0))])
 def test_flux_reference_solves_keep_their_newton_and_krylov_counts(name, counts):
     flux, initial, config, horizon = _reference_case(name)
     meta = solve_quasilinear(initial, flux, config, horizon).meta

@@ -1,8 +1,9 @@
 """Discrete scaling symmetries of ``u_t = Lap(ln u)``, step by step.
 
 If u solves the equation, so do ``lam u(x, t/lam)`` and ``r^-2 u(x/r, t)``.
-Backward Euler keeps both exactly when dt scales with lam and the grid with
-r, and so does the extrapolated Newton start: it is positively homogeneous in
+The solver's steps, BDF2 after one backward-Euler step, keep both exactly
+when dt scales with lam and the grid with r: their coefficients are fixed
+numbers.  So does the extrapolated Newton start: it is positively homogeneous in
 the levels, and its order choice, the least ``max|∇^p u_k|``, is invariant
 under both scalings; the powers of two below scale every float exactly.  The
 solved slabs then agree up to the roundoff of ``ln`` and of the absolute
