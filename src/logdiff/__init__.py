@@ -113,98 +113,3 @@ from .limit_m import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticityReport",
-    "BarenblattFD",
-    "Cube",
-    "Cutoff",
-    "Cylinder",
-    "DerivativeTable",
-    "DistributionalCheck",
-    "DomainError",
-    "EnergyReport",
-    "ExactSolution",
-    "ExpSteady",
-    "FIXTURES",
-    "Field",
-    "FluxReport",
-    "FunctionalSet",
-    "GeometryError",
-    "Grid",
-    "GrowthFit",
-    "HarnackReport",
-    "JensenCheck",
-    "Lump2D",
-    "MSweepEntry",
-    "MSweepResult",
-    "MassBoundVerdict",
-    "OrderReport",
-    "ParameterError",
-    "PointwiseFit",
-    "PointwiseHarnackReport",
-    "QuasilinearFlux",
-    "SolverConfig",
-    "SolverError",
-    "SpaceTimeSlab",
-    "SupBoundsReport",
-    "SupExponentFit",
-    "UniformVerdict",
-    "analyticity_report",
-    "average",
-    "build_fixture",
-    "check_energy_lemma",
-    "check_energy_lemma_pme",
-    "check_flux_corollary",
-    "check_l1_harnack",
-    "check_l1_harnack_pme",
-    "check_mass_lower_bound",
-    "check_pointwise_harnack",
-    "check_uniform_conditions",
-    "convergence_order",
-    "cube_volume",
-    "degeneracy_ratio",
-    "derivative_table",
-    "distributional_identity_check",
-    "ess_inf",
-    "ess_sup",
-    "fit_derivative_growth",
-    "fit_order",
-    "fit_pointwise_constants",
-    "fit_sup_bound_exponents",
-    "flux_l1",
-    "functional_set",
-    "gradient",
-    "inf_mass",
-    "integrate",
-    "interior_slices",
-    "intrinsic_rescale",
-    "intrinsic_scale",
-    "intrinsic_scale_pme",
-    "jensen_check",
-    "laplacian",
-    "log_approx_error",
-    "log_gradient_energy",
-    "log_oscillation",
-    "moment_scaling_exponent",
-    "normalized_spatial_roots",
-    "power_gradient_energy",
-    "power_oscillation",
-    "read_field",
-    "read_slab",
-    "rescale_residual",
-    "rescaled_sup_bounds",
-    "residual_check",
-    "residual_norm",
-    "run_m_sweep",
-    "sample_cylinders",
-    "solve_log_diffusion",
-    "solve_porous_medium",
-    "solve_quasilinear",
-    "sup_mass",
-    "taylor_gap_bound",
-    "time_scaling_exponent",
-    "time_scaling_exponent_pme",
-    "write_field",
-    "write_slab",
-]

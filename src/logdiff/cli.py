@@ -190,6 +190,10 @@ def _build_solver_config(cfg: Cfg, fixture) -> SolverConfig:
     )
 
 
+# the probe constants that [verify] and [msweep] both read, with their one default
+_PROBE_DEFAULTS = {"sigma": 0.5, "q": 2.0, "p": 5.0, "r": 2.0, "eps": 0.1}
+
+
 def _solver_m(cfg: Cfg, required=False) -> float:
     """``[solver] m``, the one reading of it and its one default."""
     return cfg.get("solver", "m", 0.2, float, required=required)
@@ -314,12 +318,8 @@ def cmd_verify(args) -> int:
         print(f"verify: cannot read slab {slab_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     opts = SimpleNamespace(
-        sigma=cfg.get("verify", "sigma", 0.5, float),
+        **{k: cfg.get("verify", k, v, float) for k, v in _PROBE_DEFAULTS.items()},
         m=cfg.get("verify", "m", _solver_m(cfg), float),
-        q=cfg.get("verify", "q", 2.0, float),
-        p=cfg.get("verify", "p", 5.0, float),
-        r=cfg.get("verify", "r", 2.0, float),
-        eps=cfg.get("verify", "eps", 0.1, float),
         flux=_build_flux(cfg, slab.grid) if kind == "flux" else None,
     )
     report_cls, _, check = _VERIFY[kind]
@@ -359,11 +359,6 @@ def cmd_msweep(args) -> int:
     rho = cfg.get("msweep", "rho", grid.edge / 4.0, float)
     window = cfg.get("msweep", "window", (horizon / 2.0, horizon), _parse_floats)
     e_o_edge = cfg.get("msweep", "e_o_edge", grid.edge / 4.0, float)
-    q = cfg.get("msweep", "q", 2.0, float)
-    p = cfg.get("msweep", "p", 5.0, float)
-    r = cfg.get("msweep", "r", 2.0, float)
-    eps = cfg.get("msweep", "eps", 0.1, float)
-    sigma = cfg.get("msweep", "sigma", 0.5, float)
     try:
         result = run_m_sweep(
             initial,
@@ -373,11 +368,7 @@ def cmd_msweep(args) -> int:
             rho=rho,
             window=tuple(window),
             e_o=Cube(grid.center, e_o_edge),
-            q=q,
-            p=p,
-            r=r,
-            eps=eps,
-            sigma=sigma,
+            **{k: cfg.get("msweep", k, v, float) for k, v in _PROBE_DEFAULTS.items()},
         )
     except ParameterError as exc:
         raise ConfigProblem(str(exc))

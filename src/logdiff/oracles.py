@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .grid import Field, Grid, SpaceTimeSlab, interior_slices, laplacian
+from .grid import Cube, Field, Grid, SpaceTimeSlab, interior_slices, laplacian
 from .solvers import _beta
 
 
@@ -241,14 +241,6 @@ class OrderReport:
     note: str = ""
 
 
-def _interior_cube(grid: Grid):
-    from .grid import Cube
-
-    # fixed comparison region: concentric cube of half the edge; its distance
-    # to the boundary (edge/4) exceeds the 4h collar on all meshes used here
-    return Cube(grid.center, grid.edge / 2)
-
-
 def convergence_order(slabs, sol: ExactSolution) -> OrderReport:
     """Fitted order of max relative error against the exact solution.
 
@@ -265,8 +257,9 @@ def convergence_order(slabs, sol: ExactSolution) -> OrderReport:
     hs, errs = [], []
     for slab in slabs:
         grid = slab.grid
-        cube = _interior_cube(grid)
-        sl = grid.cube_slices(cube)
+        # fixed comparison region: concentric cube of half the edge; its distance
+        # to the boundary (edge/4) exceeds the 4h collar on all meshes used here
+        sl = grid.cube_slices(Cube(grid.center, grid.edge / 2))
         exact = sol.sample(grid, t_final[0]).values[sl]
         got = slab.values[-1][sl]
         errs.append(float(np.abs(got - exact).max() / np.abs(exact).max()))

@@ -43,7 +43,9 @@ diag(w a) D / h^2`` holds ``-c_f`` off the diagonal and ``sum_f c_f`` on it.
 Each off-diagonal entry is one product, so that matrix is exactly symmetric;
 a diagonal entry sums the node's faces in face order (below, then above,
 axis by axis).  Under a callable ``a`` each time level redoes only the
-gather.
+gather.  ``scipy.sparse`` is imported in ``_csr_layout`` alone, so the
+checkers, which import this module for ``QuasilinearFlux`` and ``_beta``, run
+without scipy.
 
 Boundary conditions: ``dirichlet-from-oracle`` fixes boundary nodes to values
 supplied by an exact solution (or any callable ``(points, t) -> values``) and
@@ -106,7 +108,6 @@ from functools import reduce
 from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError
 from .grid import Field, Grid, SpaceTimeSlab, _trapezoid_weights, interior_slices
@@ -325,6 +326,9 @@ def _csr_layout(cols: np.ndarray, ncols: int):
     """An all-zero CSR matrix with one row per row of the table ``cols``, whose
     entries sit at its columns (increasing along a row; -1: no entry), and
     ``src``, the flat table position of each stored entry."""
+    # the checkers import QuasilinearFlux and _beta: scipy loads only to build an operator
+    import scipy.sparse as sp
+
     kept = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
     M = sp.csr_matrix((np.zeros(indptr[-1]), cols[kept], indptr), shape=(len(cols), ncols))

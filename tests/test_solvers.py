@@ -35,6 +35,7 @@ from logdiff import (
     solve_log_diffusion,
     solve_porous_medium,
     solve_quasilinear,
+    write_slab,
 )
 from logdiff import solvers
 from logdiff.solvers import _KINDS, _BetaOperator, _Faces, _Spectral
@@ -686,14 +687,28 @@ def test_extrapolated_start_costs_few_newton_steps_on_a_coarse_grid(c):
     assert slab.meta["newton_iters"] <= 10
 
 
-def test_importing_the_cli_loads_no_sparse_linalg():
-    code = "import sys, logdiff.cli; print('scipy.sparse.linalg' in sys.modules)"
+@pytest.mark.parametrize("entry", ["import", "verify", "oracle-check"])
+def test_the_cli_loads_no_scipy_until_it_solves(entry, tmp_path):
+    # the checkers import solvers for QuasilinearFlux and _beta; scipy.sparse
+    # loads only where an operator is built
+    grid = Grid.regular(2, 1.0, 1.0 / 8)
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, np.linspace(0.0, 0.25, 9))
+    write_slab(slab, tmp_path / "lump.slab")
+    (tmp_path / "verify.ini").write_text("[verify]\nslab = lump.slab\ncount = 3\n")
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "import": None,
+        "verify": ["verify", "l1", "--config", str(tmp_path / "verify.ini"), *out],
+        "oracle-check": ["oracle-check", "lump2d", "--meshes", "8", "16", *out],
+    }[entry]
+    run = "" if argv is None else f"assert logdiff.cli.main({argv!r}) == 0; "
+    code = f"import sys, logdiff.cli; {run}print('scipy' in sys.modules)"
     src = str(Path(solvers.__file__).parents[1])
-    out = subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def _direct_solve(self, u, r, atol, theta):
