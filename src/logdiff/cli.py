@@ -17,8 +17,9 @@ ones); a config that gives another number of ``a`` is a config error.
 ``[solver] m`` defaults to 0.2 wherever it is read: by ``quasilinear`` and, unless
 ``[verify] m`` is set, by the pme verify kinds.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification I/O
-error.
+Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range
+among them), 3 solver failure (stderr names the failing step and its Newton
+residual max-norms), 4 verification I/O error.
 """
 
 from __future__ import annotations
@@ -462,6 +463,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        if exc.step is not None:
+            norms = ", ".join(f"{norm:.3e}" for norm in exc.history)
+            print(f"failed step: {exc.step}; its Newton residuals: {norms}", file=sys.stderr)
         return EXIT_SOLVER
     except GeometryError as exc:
         print(f"config error (geometry): {exc}", file=sys.stderr)

@@ -16,11 +16,15 @@ class ParameterError(ValueError):
 class SolverError(RuntimeError):
     """Newton iteration failed to converge.
 
-    Carries the last residual max-norm and the time level at which the
-    step failed, so callers can report or retry with a smaller step.
+    Carries the last residual max-norm, the time level and the index of the
+    step that failed (0 for the step from the initial data), and that step's
+    residual max-norms: the Newton start's, then one per accepted Newton
+    iteration.  Callers can report them or retry with a smaller step.
     """
 
-    def __init__(self, message, residual=None, time=None):
+    def __init__(self, message, residual=None, time=None, step=None, history=()):
         super().__init__(message)
         self.residual = residual
         self.time = time
+        self.step = step
+        self.history = list(history)

@@ -61,7 +61,11 @@ step, and each correction rewrites only the diagonal.  PCG solves for ``y =
 b' delta``, the linearised change of ``beta(u)``, with right-hand side
 ``-theta W r``.  It stops once ``max|theta W (J delta + r)| <= theta 0.01
 newton_tol min W``, or after ``n`` iterations for ``n`` unknowns (a cap hit);
-the damped line search guards the result.
+the damped line search guards the result.  The stop test reads only the
+residual and comes before the preconditioner, so each iteration applies
+``P^-1`` (below) once, none is applied to the residual that ends the loop,
+and ``linear_iters`` counts iterations: one product with the PCG matrix and
+one ``P^-1`` each.
 
 PCG is preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with ``C_a``
 the axis-``a`` part of ``C`` at ``a = 1``, ``c_a`` the mean of ``a`` over the
@@ -71,7 +75,9 @@ matrix per axis diagonalises ``W`` and every ``C_a`` together (fast
 diagonalisation, Lynch, Rice & Thomas 1964), so applying ``P^-1`` is a
 transform along each axis, a division by ``s + sum_a c_a lam_a`` and the
 transform back; the matrix depends only on the grid and dt and is built once
-per solve.  At ``a = 1`` the condition number is at most ``(max d +
+per solve, and ``sum_a c_a lam_a`` is formed again only when ``c`` changes:
+once per solve at a constant ``a``, at most once per time level under a
+callable one.  At ``a = 1`` the condition number is at most ``(max d +
 lam_min)/(min d + lam_min)`` for the least eigenvalue ``lam_min`` of ``C``
 against ``W``, whatever dt/h^2 is.
 
@@ -117,7 +123,9 @@ _BOUNDARY_KINDS = ("dirichlet-from-oracle", "neumann-zero-flux")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step and Newton controls shared by all solvers."""
+    """Time step and Newton controls shared by all solvers: ``dt`` and
+    ``newton_tol`` finite and positive, ``newton_max_iter >= 1`` and
+    ``max_damping >= 0``, or ParameterError."""
 
     dt: float
     newton_tol: float = 1e-10
@@ -127,8 +135,14 @@ class SolverConfig:
     boundary_values: object = None  # ExactSolution or callable (points, t) -> values
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ParameterError(f"dt must be finite and positive, got {self.dt}")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ParameterError(f"newton_tol must be finite and positive, got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ParameterError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
+        if self.max_damping < 0:
+            raise ParameterError(f"max_damping must be at least 0, got {self.max_damping}")
         if self.boundary not in _BOUNDARY_KINDS:
             raise ParameterError(
                 f"boundary must be one of {_BOUNDARY_KINDS}, got {self.boundary!r}"
@@ -201,6 +215,8 @@ class QuasilinearFlux:
 
 
 def _check_horizon(horizon: float, dt: float) -> int:
+    if not np.isfinite(horizon):
+        raise ParameterError(f"horizon must be finite, got {horizon}")
     nsteps = horizon / dt
     n = int(round(nsteps))
     if n < 1 or abs(nsteps - n) > 1e-8 * max(1.0, nsteps):
@@ -218,8 +234,16 @@ def _newton_start(table):
     next time, for the ``p`` in ``1..q`` that minimises ``max|∇^p u_k|``; ``p =
     q + 1`` while no ``∇^2`` exists to judge it (``u_0``, then ``2 u_1 - u_0``)."""
     q = len(table) - 1
-    p = min(range(1, q + 1), key=lambda j: np.abs(table[j]).max()) if q >= 2 else q + 1
-    return sum(table[:p]), p
+    p = min(range(1, q + 1), key=lambda j: _max_abs(table[j])) if q >= 2 else q + 1
+    guess = table[0].copy()
+    for diff in table[1:p]:
+        guess += diff
+    return guess, p
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """``max|x|`` without the ``|x|`` temporary; NaN if ``x`` holds one."""
+    return float(max(x.max(), -x.min()))
 
 
 def _push_level(table, level):
@@ -252,18 +276,24 @@ def _step_coefficients(scheme: str, table):
 
 def _pcg(A, b, precond, atol, cap):
     """Preconditioned CG for SPD ``A y = b`` from zero, until
-    ``max|b - A y| <= atol`` or ``cap`` iterations: ``(y, iterations, converged)``."""
+    ``max|b - A y| <= atol`` or ``cap`` iterations: ``(y, iterations, converged)``.
+
+    The stop test reads only the residual, so it runs before the
+    preconditioner: ``precond`` is applied once per iteration (none when ``b``
+    already meets ``atol``), never to a residual that ends the loop."""
     y, res = np.zeros_like(b), b.copy()
+    if (converged := _max_abs(res) <= atol) or cap == 0:
+        return y, 0, converged
     p = precond(res)
     rz = res @ p
-    for it in range(cap + 1):
-        if (converged := bool(max(res.max(), -res.min()) <= atol)) or it == cap:
-            return y, it, converged
+    for it in range(1, cap + 1):
         Ap = A @ p
         alpha = rz / (p @ Ap)
         y += alpha * p
         Ap *= alpha
         res -= Ap
+        if (converged := _max_abs(res) <= atol) or it == cap:
+            return y, it, converged
         z = precond(res)
         rz, rz_old = res @ z, rz
         p *= rz / rz_old
@@ -360,6 +390,7 @@ class _Spectral:
         inv_root_w = 1.0 / np.sqrt(faces.W[rows])
         self.inv_root_w = None if (inv_root_w == 1.0).all() else inv_root_w
         self.dim = grid.dim
+        self.c, self.lam_c = None, None
 
     def _transform(self, x: np.ndarray) -> np.ndarray:
         """``Q`` applied along every axis of the flat node array ``x``: the last
@@ -372,8 +403,12 @@ class _Spectral:
 
     def inverse(self, s: float, c):
         """``x -> P^-1 x`` for ``s > 0`` and one ``c_a > 0`` per axis; the
-        scaling by ``W^(-1/2)`` is left out where it is one (Dirichlet)."""
-        denom = s + reduce(np.add.outer, [c_a * self.lam for c_a in c]).ravel()
+        scaling by ``W^(-1/2)`` is left out where it is one (Dirichlet).  The
+        table ``sum_a c_a lam_a`` is formed again only when ``c`` changes."""
+        if self.c != c:
+            self.c = c
+            self.lam_c = reduce(np.add.outer, [c_a * self.lam for c_a in c]).ravel()
+        denom = s + self.lam_c
         scale = self.inv_root_w
 
         def apply(x):
@@ -416,6 +451,7 @@ class _BetaOperator:
         grid = faces.grid
         self.faces, self.rows, self.flux, self.dt = faces, rows, flux, dt
         self.W = faces.W[rows]
+        self.unit_weights = bool((self.W == 1.0).all())  # the Dirichlet unknowns
         self.beta, self.beta_prime, self.beta_step = flux.beta()
         self.a = flux.coefficients(grid.dim)
         self.varying = any(map(callable, self.a))
@@ -470,9 +506,10 @@ class _BetaOperator:
         beta'(u)``, to ``theta atol``: the Newton step of ``x - (dt/theta)
         Op(x) = rhs`` with residual ``r``, multiplied by ``theta W``."""
         d = theta / self.beta_prime(u[self.rows])
-        self.A.data[self.diag_at] = self.c_diag + self.W * d
+        Wd, b = (d, -theta * r) if self.unit_weights else (self.W * d, -theta * self.W * r)
+        self.A.data[self.diag_at] = self.c_diag + Wd
         precond = self.spectral.inverse(_geometric_mid(d), self.c)
-        return _pcg(self.A, -theta * self.W * r, precond, theta * atol, self.rows.size)
+        return _pcg(self.A, b, precond, theta * atol, self.rows.size)
 
 
 # flux kind -> slab meta "equation"; every kind runs ``_BetaOperator``
@@ -497,8 +534,8 @@ def _march(
     # one) under Dirichlet
     faces = _Faces(grid)
     neumann = config.boundary == "neumann-zero-flux"
-    known = np.zeros(faces.W.size, dtype=bool) if neumann else faces.W < 1.0
-    rows = np.flatnonzero(~known)
+    on_boundary = np.zeros(faces.W.size, dtype=bool) if neumann else faces.W < 1.0
+    known, rows = np.flatnonzero(on_boundary), np.flatnonzero(~on_boundary)
     pts_known = grid.points().reshape(-1, grid.dim)[known]
     boundary = getattr(config.boundary_values, "eval", config.boundary_values)
     op = _BetaOperator(faces, rows, flux, config.dt)
@@ -513,8 +550,11 @@ def _march(
     def residual(x):
         """``(r, max|r|)`` at unknowns ``x``, which it writes into ``u``."""
         u[rows] = x
-        r = x - gamma * op.apply(u) - rhs
-        return r, float(np.abs(r).max())
+        r = op.apply(u)
+        r *= -gamma
+        r += x
+        r -= rhs
+        return r, _max_abs(r)
 
     u = initial.values.ravel().copy()
     table = [u[rows]]
@@ -522,21 +562,26 @@ def _march(
         t = float(times[k + 1])
         op.step(t)
         if not neumann:
-            u[known] = boundary(pts_known, t)
-            if not ((u[known] > 0.0) & (u[known] < np.inf)).all():
+            values = np.asarray(boundary(pts_known, t), dtype=float)
+            if not ((values > 0.0) & (values < np.inf)).all():
                 raise ParameterError(f"boundary values must be finite and positive at t={t}")
+            u[known] = values
         theta, rhs = _step_coefficients(_SCHEME, table)
         gamma = config.dt / theta
         x, p = _newton_start(table)
         stats["start_levels"][p - 1] += 1
-        low = x <= 0.0
-        stats["predictor_fallbacks"] += int(low.sum())
-        x[low] = table[0][low]  # u_k, as rhs can be <= 0 where u_(k-1) > 4 u_k
+        if x.min() <= 0.0:
+            low = x <= 0.0
+            stats["predictor_fallbacks"] += int(low.sum())
+            x[low] = table[0][low]  # u_k, as rhs can be <= 0 where u_(k-1) > 4 u_k
+        if neumann:  # rows are every node; each trial keeps W^T r = W^T (x - rhs) zero
+            mass = W @ table[0]
 
         # damped Newton: each iteration takes the first trial x_s = beta^-1(beta(x)
         # + s y), s = 1, 1/2, ..., whose residual is smaller (a NaN one never is);
         # u holds x after every accepted trial
         r, rnorm = residual(x)
+        history = [rnorm]  # max|r| before each Newton iteration and after the last
         for _ in range(config.newton_max_iter):
             if rnorm <= config.newton_tol:
                 break
@@ -545,21 +590,23 @@ def _march(
             stats["linear_iters"] += iters
             stats["linear_cap_hits"] += not converged
             for halvings in range(config.max_damping + 1):
-                x_try = op.beta_step(x, 0.5**halvings * y)
-                if neumann:  # rows are every node; zero W^T r = W^T (x - rhs)
-                    x_try *= (W @ table[0]) / (W @ x_try)
+                x_try = op.beta_step(x, 0.5**halvings * y if halvings else y)
+                if neumann:
+                    x_try *= mass / (W @ x_try)
                 r_try, rn_try = residual(x_try)
                 if rn_try < rnorm:
                     x, r, rnorm = x_try, r_try, rn_try
                     break
             else:
                 raise SolverError(
-                    f"Newton stalled at t={t}: residual {rnorm:.3e}", residual=rnorm, time=t
+                    f"Newton stalled at t={t}: residual {rnorm:.3e}",
+                    residual=rnorm, time=t, step=k, history=history,
                 )
+            history.append(rnorm)
         if rnorm > config.newton_tol:
             raise SolverError(
                 f"Newton did not reach tol at t={t}: residual {rnorm:.3e}",
-                residual=rnorm, time=t,
+                residual=rnorm, time=t, step=k, history=history,
             )
         levels[k + 1] = u.reshape(grid.shape)
         table = _push_level(table, x)

@@ -285,7 +285,7 @@ def test_verify_rejects_corrupted_grid_header(tmp_path, run_dir, capsys, offset,
     assert f"{bad} has a corrupted grid header" in err
 
 
-def test_solver_failure_exit_code(tmp_path):
+def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "hard.ini"
     cfg.write_text(
         BASE_CONFIG.replace(
@@ -294,6 +294,31 @@ def test_solver_failure_exit_code(tmp_path):
         )
     )
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    # the failing step and its residual max-norms: the Newton start's, then one iteration's
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "failed step: 0; its Newton residuals: 9.069e+00, 6.051e-02"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("dt = 0.0625", "dt = nan"),
+        ("horizon = 0.25", "horizon = inf"),
+        ("horizon = 0.25", "horizon = nan"),
+        ("dt = 0.0625", "dt = 0.0625\nnewton_tol = 0"),
+        ("dt = 0.0625", "dt = 0.0625\nnewton_tol = nan"),
+        ("dt = 0.0625", "dt = 0.0625\nnewton_max_iter = 0"),
+        ("dt = 0.0625", "dt = 0.0625\nmax_damping = -1"),
+    ],
+    ids=lambda edit: edit[1].splitlines()[-1].replace(" ", ""),
+)
+def test_bad_solver_controls_are_config_errors(tmp_path, capsys, edit):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(BASE_CONFIG.replace(*edit))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "s").exists()
 
 
 def _equation(equation, keys):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,6 +203,28 @@ def test_pme_exponent_validated():
             solve_porous_medium(initial, bad_m, config, 0.1)
 
 
+@pytest.mark.parametrize(
+    "control",
+    [
+        {"dt": np.nan}, {"dt": np.inf}, {"dt": 0.0},
+        {"newton_tol": np.nan}, {"newton_tol": 0.0}, {"newton_tol": -1e-10},
+        {"newton_tol": np.inf}, {"newton_max_iter": 0}, {"max_damping": -1},
+    ],
+    ids=lambda control: "{}={}".format(*next(iter(control.items()))),
+)
+def test_bad_solver_controls_are_rejected(control):
+    with pytest.raises(ParameterError, match=f"^{next(iter(control))} must be"):
+        SolverConfig(**{"dt": 0.05, "boundary": "neumann-zero-flux", **control})
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_non_finite_horizon_is_rejected(horizon):
+    g = lump_grid(8)
+    config = SolverConfig(dt=0.05, boundary="neumann-zero-flux")
+    with pytest.raises(ParameterError, match="horizon must be finite"):
+        solve_log_diffusion(Field(g, np.ones(g.shape)), config, horizon)
+
+
 def test_newton_budget_failure_raises():
     sol = Lump2D(c=1.0, T=1.0)
     g = lump_grid(16)
@@ -215,7 +238,10 @@ def test_newton_budget_failure_raises():
     )
     with pytest.raises(SolverError) as err:
         solve_log_diffusion(sol.sample(g, 0.0), config, 0.4)
-    assert err.value.residual is None or err.value.residual > 0
+    # the first step fails: its Newton start's residual, then one iteration's
+    assert (err.value.step, err.value.time) == (0, 0.2)
+    start, last = err.value.history
+    assert start > last == err.value.residual > 0
 
 
 def test_residual_norm_small_on_solved_slab(lump_slab_32):
@@ -553,6 +579,20 @@ def _flux(kind, dim):
     return QuasilinearFlux(kind, m=0.5, a=(1.0, 0.7, 1.3)[:dim], c_o=0.7, c_1=1.3)
 
 
+def _drawn_newton_step(dim, cells, boundary, kind, dt_h2, data):
+    """``(op, u, r, atol)``: an operator at dt = ``dt_h2`` h^2, a drawn iterate
+    ``u`` and residual ``r``, and ``_march``'s PCG tolerance at ``newton_tol =
+    1e-10``."""
+    grid = Grid.regular(dim, 1.0, 1.0 / cells)
+    faces = _Faces(grid)
+    rows = _unknowns(faces, boundary)
+    op = _BetaOperator(faces, rows, _flux(kind, dim), dt_h2 * grid.spacing**2)
+    op.step(0.0)
+    u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
+    r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
+    return op, u, r, 0.01 * 1e-10 * op.W.min()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.integers(1, 3),
@@ -564,21 +604,13 @@ def _flux(kind, dim):
     data=st.data(),
 )
 def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, theta, data):
-    grid = Grid.regular(dim, 1.0, 1.0 / cells)
-    faces = _Faces(grid)
-    rows = _unknowns(faces, boundary)
-    W = faces.W[rows]
+    op, u, r, atol = _drawn_newton_step(dim, cells, boundary, kind, dt_h2, data)
+    faces, rows, W, dt = op.faces, op.rows, op.W, op.dt
     K = _reference(faces, rows)[2]
     assert (K != K.T).nnz == 0  # exactly symmetric
     L_uu = _BetaOperator(faces, rows, QuasilinearFlux("log-diffusion")).L[:, rows]
     assert np.allclose((sp.diags(W) @ L_uu).toarray(), -K.toarray(), rtol=1e-13, atol=0)
 
-    dt = dt_h2 * grid.spacing**2
-    op = _BetaOperator(faces, rows, _flux(kind, dim), dt)
-    op.step(0.0)
-    atol = 0.01 * 1e-10 * W.min()
-    u = data.draw(arrays(np.float64, faces.W.size, elements=st.floats(0.2, 5.0)))
-    r = data.draw(arrays(np.float64, rows.size, elements=st.floats(-1.0, 1.0)))
     y, iters, converged = op.solve(u.copy(), r, atol, theta)
     if not converged:  # the cap; the damped line search takes the iterate
         assert iters == rows.size
@@ -590,6 +622,61 @@ def test_krylov_step_meets_stopping_rule(dim, cells, boundary, kind, dt_h2, thet
     defect = np.abs(W * (J @ delta + r)).max()
     rounding = 1e-14 * np.abs(W * (np.abs(J) @ np.abs(delta))).max()
     assert defect <= atol + rounding
+
+
+def _pcg_reference(A, b, precond, atol, cap):
+    """The reference for ``solvers._pcg``: the same iteration with the stop
+    test after the preconditioner, which it therefore also applies to the
+    residual that ends the loop; ``_pcg`` must return its result bit for bit."""
+    y, res = np.zeros_like(b), b.copy()
+    p = precond(res)
+    rz = res @ p
+    for it in range(cap + 1):
+        if (converged := bool(max(res.max(), -res.min()) <= atol)) or it == cap:
+            return y, it, converged
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        y += alpha * p
+        Ap *= alpha
+        res -= Ap
+        z = precond(res)
+        rz, rz_old = res @ z, rz
+        p *= rz / rz_old
+        p += z
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    cells=st.integers(2, 5),
+    boundary=st.sampled_from(["dirichlet-from-oracle", "neumann-zero-flux"]),
+    kind=st.sampled_from(sorted(_KINDS)),
+    dt_h2=st.floats(0.1, 50.0),
+    theta=st.sampled_from([1.0, 1.5]),
+    cap=st.sampled_from([0, 1, 2, None]),
+    data=st.data(),
+)
+def test_pcg_preconditions_once_per_iteration(dim, cells, boundary, kind, dt_h2, theta, cap, data):
+    op, u, r, atol = _drawn_newton_step(dim, cells, boundary, kind, dt_h2, data)
+    with mock.patch.object(solvers, "_pcg", wraps=solvers._pcg) as spy:
+        op.solve(u.copy(), r, atol, theta)
+    A, b, precond, atol, full_cap = spy.call_args.args  # the system the step solves
+    cap = full_cap if cap is None else cap
+    applied = 0
+
+    def counted(x):
+        nonlocal applied
+        applied += 1
+        return precond(x)
+
+    for tol in (atol, np.abs(b).max()):  # the second is met by b itself
+        applied = 0
+        y, iters, converged = solvers._pcg(A, b, counted, tol, cap)
+        assert applied == iters
+        y_ref, iters_ref, converged_ref = _pcg_reference(A, b, precond, tol, cap)
+        assert (iters, converged) == (iters_ref, converged_ref)
+        assert np.array_equal(y, y_ref)
+    assert (iters, converged, np.abs(y).max()) == (0, True, 0.0)
 
 
 def _axis_stiffness(faces, rows, axis):
