@@ -19,7 +19,7 @@ from logdiff import (
     SolverConfig,
     check_energy_lemma,
     check_flux_corollary,
-    log_gradient_energy,
+    gradient_energy,
     solve_log_diffusion,
 )
 
@@ -47,7 +47,7 @@ print(f"  ratio                   = {rep.ratio:.6f}")
 # |a|^2 * volume * T, here 1.0.
 exp_sol = ExpSteady(a=(1.0, 0.0), scale=1.0)
 exp_slab = exp_sol.sample_slab(grid, np.linspace(0.0, 1.0, 9))
-lhs = log_gradient_energy(exp_slab, Cutoff((0.0, 0.0), 1.0, 0.0), (0.0, 1.0))
+lhs = gradient_energy(exp_slab, Cutoff((0.0, 0.0), 1.0, 0.0), (0.0, 1.0))
 print(f"\nexp_steady energy over unit window = {lhs:.6f}  (exact value 1)")
 
 # Flux corollary.  The logarithmic flux is grad(u)/u; its space-time L1

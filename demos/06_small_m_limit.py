@@ -19,8 +19,7 @@ from logdiff import (
     SolverConfig,
     check_mass_lower_bound,
     check_uniform_conditions,
-    log_oscillation,
-    power_oscillation,
+    oscillation,
     run_m_sweep,
 )
 
@@ -32,11 +31,11 @@ grid = Grid.regular(2, 1.0, 1.0 / 64)
 # halves every time m does.
 slab = sol.sample_slab(grid, [0.0, 0.01])
 cyl = Cylinder((0.0, 0.0), 1.0, -0.005, 0.005)
-lam = log_oscillation(slab, cyl, M=8.0, p=2.0)
+lam = oscillation(slab, cyl, M=8.0, p=2.0)
 print(f"log oscillation (p=2)           = {lam:.6f}")
 prev = None
 for m in (0.4, 0.2, 0.1, 0.05):
-    val = power_oscillation(slab, cyl, M=8.0, m=m / 2.0, p=2.0, normalized=True)
+    val = oscillation(slab, cyl, M=8.0, m=m / 2.0, p=2.0, normalized=True)
     gap = val - lam
     line = f"m={m:4.2f}  power value={val:.6f}  gap={gap:+.2e}"
     if prev is not None:

@@ -54,17 +54,13 @@ from .functionals import (
     ess_sup,
     flux_l1,
     functional_set,
+    gradient_energy,
     inf_mass,
     intrinsic_scale,
-    intrinsic_scale_pme,
-    log_gradient_energy,
-    log_oscillation,
     moment_scaling_exponent,
-    power_gradient_energy,
-    power_oscillation,
+    oscillation,
     sup_mass,
     time_scaling_exponent,
-    time_scaling_exponent_pme,
 )
 from .harnack import (
     DistributionalCheck,

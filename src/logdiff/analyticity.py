@@ -381,12 +381,13 @@ class SupExponentFit(Row):
 
 
 def fit_sup_bound_exponents(samples) -> SupExponentFit:
-    """Log-linear regression over ``(sup_vt, coef_ratio, theta, sigma)`` rows."""
-    rows = [
-        (float(s[0]), float(s[1]), float(s[2]), float(s[3]))
-        for s in samples
-        if float(s[0]) > 0
-    ]
+    """Log-linear regression over ``(sup_vt, coef_ratio, theta, sigma)`` rows; rows
+    with ``sup_vt <= 0`` are skipped, and a value that is not finite raises."""
+    rows = [(float(s[0]), float(s[1]), float(s[2]), float(s[3])) for s in samples]
+    for name, col in zip(("sup_vt", "coef_ratio", "theta", "sigma"), zip(*rows)):
+        if not all(math.isfinite(x) for x in col):
+            raise ParameterError(f"{name} must be finite in every sample")
+    rows = [r for r in rows if r[0] > 0]
     if len(rows) < 3:
         raise ParameterError("need at least three positive samples to fit")
     b = np.log([r[0] for r in rows])

@@ -32,15 +32,15 @@ one center), so one probe reads its cylinder twice instead of six times.
 A checker that needs only ``M`` and one p-mean (the pointwise one) runs the
 first pass and then :func:`_p_mean_sup` on the same chunks.
 
-Two families of oscillation functionals appear.  The logarithmic one is the
-sup over time levels of the p-mean of ``|ln(u/M)|`` over a cube.  The power
-variant replaces the logarithm with ``(1 - (u/M)^m)/m``, which increases to
-``ln(M/u)`` as ``m`` decreases to zero; it is offered both as a plain
-space integral (the default, matching how the energy and flux bounds consume
-it) and as a normalized mean (used by the small-m comparison studies).  Both
-integrands come from one function, :func:`_osc_integrand`, with ``m = 0`` as
-the logarithmic case, and :func:`_oscillation`, :func:`_probe_stats` and the
-pointwise ``lambda_p`` all take them from there.
+One oscillation functional serves both equations, with ``m = 0`` as the
+logarithmic case, as in the checkers: :func:`oscillation` is the sup over
+time levels of the p-mean over a cube of ``|ln(u/M)|`` at ``m = 0`` and of
+``(1 - (u/M)^m)/m`` for ``0 < m < 1``, which increases to ``ln(M/u)`` as
+``m`` decreases to zero.  ``normalized=False`` takes the plain space
+integral instead of the mean, the form the energy and flux bounds consume.
+Both integrands come from :func:`_osc_integrand`, and :func:`oscillation`,
+:func:`_probe_stats` and the pointwise ``lambda_p`` all take them from
+there.  :func:`gradient_energy` and the scale functions take ``m`` alike.
 """
 
 from __future__ import annotations
@@ -132,6 +132,11 @@ def _p_mean_sup(chunks, integrand, p: float, spacing: float, scale: float) -> fl
     return float(np.max((vals / scale) ** (1.0 / p)))
 
 
+def _check_m(m: float) -> None:
+    if not 0.0 <= m < 1.0:
+        raise ParameterError(f"m must lie in [0, 1), got {m:.6g}")
+
+
 def _osc_integrand(M: float, m: float):
     """``|ln(u/M)|`` at ``m = 0`` and ``(1 - (u/M)^m)/m`` otherwise, as a function of u."""
     if m == 0.0:
@@ -139,9 +144,13 @@ def _osc_integrand(M: float, m: float):
     return lambda u: (1.0 - (u / M) ** m) / m
 
 
-def _oscillation(slab, cyl: Cylinder, M: float, m: float, p: float, normalized: bool) -> float:
-    """Sup over levels of the p-root of the cube integral (or mean) of
-    ``_osc_integrand(M, m)(u)^p``."""
+def oscillation(
+    slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float, m: float = 0.0, normalized: bool = True
+) -> float:
+    """Sup over levels of the p-root of the cube mean of ``_osc_integrand(M, m)(u)^p``:
+    ``|ln(u/M)|`` at ``m = 0``, ``(1 - (u/M)^m)/m`` for ``0 < m < 1``.  ``normalized=False``
+    takes the plain cube integral, the form the energy and flux bounds consume."""
+    _check_m(m)
     if M <= 0:
         raise ParameterError("M must be positive")
     if p < 1:
@@ -150,34 +159,6 @@ def _oscillation(slab, cyl: Cylinder, M: float, m: float, p: float, normalized: 
     return _p_mean_sup(
         _cylinder_chunks(slab, cyl), _osc_integrand(M, m), p, slab.grid.spacing, scale
     )
-
-
-def log_oscillation(slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float) -> float:
-    """Sup over levels of the p-mean of ``|ln(u/M)|`` over the cube."""
-    return _oscillation(slab, cyl, M, 0.0, p, True)
-
-
-def power_oscillation(
-    slab: SpaceTimeSlab,
-    cyl: Cylinder,
-    M: float,
-    m: float,
-    p: float,
-    normalized: bool = False,
-) -> float:
-    """Sup over levels of the p-root of ``int ((1-(u/M)^m)/m)^p`` over the cube.
-
-    ``normalized=True`` replaces the plain integral with the cube mean, the
-    form used when comparing against :func:`log_oscillation` as ``m -> 0``.
-    """
-    if not 0 < m < 1:
-        raise ParameterError("m must be in (0, 1)")
-    return _oscillation(slab, cyl, M, m, p, normalized)
-
-
-def _check_m(m: float) -> None:
-    if not 0.0 <= m < 1.0:
-        raise ParameterError(f"m must lie in [0, 1), got {m:.6g}")
 
 
 def _cube_mean(field: Field, center, edge: float, f) -> float:
@@ -220,11 +201,6 @@ def time_scaling_exponent(N: int, m: float = 0.0) -> float:
     return N * (m - 1.0) + 2.0
 
 
-# the power-flux names of the merged functions
-time_scaling_exponent_pme = time_scaling_exponent
-intrinsic_scale_pme = intrinsic_scale
-
-
 def moment_scaling_exponent(N: int, m: float, r: float) -> float:
     """``N(m - 1) + 2r``; must be positive for the ratio exponents to make sense."""
     val = N * (m - 1.0) + 2.0 * r
@@ -262,32 +238,18 @@ def _space_time_integral(
     return float(_trapezoid(vals, slab.dt))
 
 
-def _gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, power: float) -> float:
-    """Space-time integral of ``zeta^2 |Du|^2 / u^power`` over the cutoff support."""
+def gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float = 0.0) -> float:
+    """Space-time integral of ``zeta^2 |Du|^2 / u^(2 - m/2)`` over the cutoff support
+    (``|Du|^2 / u^2`` at ``m = 0``): trapezoid in time over the window levels, discrete
+    central gradient in space.  The weight vanishes outside the support cube, so
+    integrating over that cube captures the whole quantity."""
+    _check_m(m)
+    power = 2.0 - m / 2.0
     cube = cutoff.support_cube()
     zeta_sq = cutoff.block(slab.grid, slab.grid.cube_slices(cube)) ** 2
     return _space_time_integral(
         slab, cube, window, lambda ks, u, g: zeta_sq * sum(x**2 for x in g) / u**power, "energy"
     )
-
-
-def log_gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window) -> float:
-    """Space-time integral of ``zeta^2 |Du|^2 / u^2`` over the cutoff support.
-
-    Trapezoid in time over the window levels, discrete central gradient in
-    space.  The weight vanishes outside the support cube, so integrating over
-    that cube captures the whole quantity.
-    """
-    return _gradient_energy(slab, cutoff, window, 2.0)
-
-
-def power_gradient_energy(
-    slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float
-) -> float:
-    """Space-time integral of ``zeta^2 |Du|^2 / u^(2 - m/2)``."""
-    if not 0 < m < 1:
-        raise ParameterError("m must be in (0, 1)")
-    return _gradient_energy(slab, cutoff, window, 2.0 - m / 2.0)
 
 
 def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
@@ -361,8 +323,8 @@ def _probe_stats(
     ``Lambda_2`` the log oscillation means there at ``m = 0``, else the
     plain-integral power ones with exponent ``m/2``; ``S_sigma`` is the sup
     over the window of the mass on ``K_(1+sigma)rho``.  Equal to the composed
-    :func:`ess_sup`, :func:`log_oscillation` / :func:`power_oscillation`,
-    :func:`sup_mass` and :func:`inf_mass`, but the cylinder is read in two
+    :func:`ess_sup`, :func:`oscillation`, :func:`sup_mass` and
+    :func:`inf_mass`, but the cylinder is read in two
     passes: :func:`_probe_sup` for ``M`` (and the positivity check), then one
     that evaluates the oscillation integrand once per node.  Raises
     ParameterError unless u is finite and positive on ``K_2rho x window``.
@@ -446,8 +408,11 @@ def functional_set(
     cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
     M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, sigma, (t0, t1))
     last = slab.level(int(_window_levels(slab, (t0, t1))[-1]))
+    osc_p = oscillation(slab, cyl2, M, p)
     nan = float("nan")
     have_m = m is not None
+    if have_m and not 0 < m < 1:
+        raise ParameterError("m must be in (0, 1)")
     return FunctionalSet(
         center=tuple(center),
         rho=rho,
@@ -462,10 +427,10 @@ def functional_set(
         sup_u=M,
         osc_p1=osc_p1,
         osc_p2=osc_p2,
-        osc_p=log_oscillation(slab, cyl2, M, p),
-        osc_pow_p1=power_oscillation(slab, cyl2, M, m, 1.0) if have_m else nan,
-        osc_pow_p2=power_oscillation(slab, cyl2, M, m, 2.0) if have_m else nan,
-        osc_pow_p=power_oscillation(slab, cyl2, M, m, p) if have_m else nan,
+        osc_p=osc_p,
+        osc_pow_p1=oscillation(slab, cyl2, M, 1.0, m, normalized=False) if have_m else nan,
+        osc_pow_p2=oscillation(slab, cyl2, M, 2.0, m, normalized=False) if have_m else nan,
+        osc_pow_p=oscillation(slab, cyl2, M, p, m, normalized=False) if have_m else nan,
         time_scale=intrinsic_scale(last, center, rho, q, eps),
         time_scale_pow=intrinsic_scale(last, center, rho, q, eps, m) if have_m else nan,
         mass_ratio=degeneracy_ratio(last, center, rho, q, M, r),

@@ -47,11 +47,11 @@ def log_approx_error(
     """
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
-    if M <= 0:
-        raise ParameterError("M must be positive")
+    if not 0 < M < math.inf:
+        raise ParameterError("M must be finite and positive")
     grid, values = field.grid, field.values
-    if np.any(values <= 0):
-        raise ParameterError("field must be positive")
+    if not (values.min() > 0 and values.max() < math.inf):
+        raise ParameterError("field must be finite and positive")
     if cube is None:
         cube = Cube(grid.center, grid.edge)
     ratio = values / M

@@ -225,8 +225,11 @@ def fit_order(spacings, errors) -> float:
     """Least-squares slope of ``log(error)`` against ``log(h)``."""
     hs = np.asarray(spacings, dtype=float)
     es = np.asarray(errors, dtype=float)
-    if hs.size < 2 or np.any(es <= 0):
-        raise ParameterError("need >= 2 meshes with positive errors to fit an order")
+    if hs.size < 2:
+        raise ParameterError("need >= 2 meshes to fit an order")
+    for name, x in (("spacings", hs), ("errors", es)):
+        if not (x.min() > 0 and x.max() < np.inf):
+            raise ParameterError(f"{name} must be finite and positive to fit an order")
     return float(np.polyfit(np.log(hs), np.log(es), 1)[0])
 
 
@@ -275,5 +278,5 @@ def convergence_order(slabs, sol: ExactSolution) -> OrderReport:
     elif any(errs[i + 1] >= errs[i] for i in range(len(errs) - 1)):
         reliable = False
         note = "errors not monotone under refinement"
-    order = fit_order(hs, errs) if all(e > 0 for e in errs) else float("nan")
+    order = fit_order(hs, errs) if all(0 < e < np.inf for e in errs) else float("nan")
     return OrderReport(order, hs, errs, reliable, note)

@@ -27,11 +27,9 @@ from logdiff import (
     ess_inf,
     ess_sup,
     flux_l1,
+    gradient_energy,
     inf_mass,
-    log_gradient_energy,
-    log_oscillation,
-    power_gradient_energy,
-    power_oscillation,
+    oscillation,
     sup_mass,
 )
 from logdiff import functionals
@@ -184,11 +182,11 @@ def _compare_all(slab, other, center_idx, half, k0, k1):
     assert ess_sup(slab, cyl) == ref_ess(slab, cyl, np.max)
     assert ess_inf(slab, cyl) == ref_ess(slab, cyl, np.min)
     for p in (1.0, 2.5):
-        assert log_oscillation(slab, cyl, M, p) == pytest.approx(
+        assert oscillation(slab, cyl, M, p) == pytest.approx(
             ref_log_oscillation(slab, cyl, M, p), rel=REL
         )
         for normalized in (False, True):
-            assert power_oscillation(slab, cyl, M, 0.3, p, normalized) == pytest.approx(
+            assert oscillation(slab, cyl, M, p, 0.3, normalized) == pytest.approx(
                 ref_power_oscillation(slab, cyl, M, 0.3, p, normalized), rel=REL
             )
     rho = edge / 1.5  # (1 + sigma) rho is the cube for sigma = 0.5
@@ -210,10 +208,10 @@ def _compare_all(slab, other, center_idx, half, k0, k1):
     if k1 == k0:
         return
     cutoff = Cutoff(center, rho, 0.5)
-    assert log_gradient_energy(slab, cutoff, window) == pytest.approx(
+    assert gradient_energy(slab, cutoff, window) == pytest.approx(
         ref_gradient_energy(slab, cutoff, window, 2), rel=REL
     )
-    assert power_gradient_energy(slab, cutoff, window, 0.3) == pytest.approx(
+    assert gradient_energy(slab, cutoff, window, 0.3) == pytest.approx(
         ref_gradient_energy(slab, cutoff, window, 2.0 - 0.15), rel=REL
     )
     for flux in FLUXES:
@@ -263,10 +261,8 @@ def composed_probe_stats(slab, center, rho, sigma, window, m):
     cyl2 = Cylinder(center, 2.0 * rho, *window)
     M = ess_sup(slab, cyl2)
     assert ess_inf(slab, cyl2) > 0.0
-    if m == 0.0:
-        l1, l2 = (log_oscillation(slab, cyl2, M, p) for p in (1.0, 2.0))
-    else:
-        l1, l2 = (power_oscillation(slab, cyl2, M, m / 2.0, p) for p in (1.0, 2.0))
+    # the log means at m = 0, the plain power integrals otherwise
+    l1, l2 = (oscillation(slab, cyl2, M, p, m / 2.0, normalized=m == 0.0) for p in (1.0, 2.0))
     return (
         M,
         l1,

@@ -24,17 +24,13 @@ from logdiff import (
     ess_sup,
     flux_l1,
     functional_set,
+    gradient_energy,
     inf_mass,
     intrinsic_scale,
-    intrinsic_scale_pme,
-    log_gradient_energy,
-    log_oscillation,
     moment_scaling_exponent,
-    power_gradient_energy,
-    power_oscillation,
+    oscillation,
     sup_mass,
     time_scaling_exponent,
-    time_scaling_exponent_pme,
 )
 from logdiff.grid import SpaceTimeSlab
 
@@ -64,10 +60,10 @@ def test_log_oscillation_frozen_values():
     g = fine_grid()
     slab = LUMP.sample_slab(g, [0.0, 0.01])
     cyl0 = Cylinder((0.0, 0.0), 1.0, -0.005, 0.005)
-    got0 = log_oscillation(slab, cyl0, M=8.0, p=2.0)
+    got0 = oscillation(slab, cyl0, M=8.0, p=2.0)
     assert got0 == pytest.approx(LUMP_LOG_OSC2_T0, rel=5e-4)
     cyl = Cylinder((0.0, 0.0), 1.0, 0.0, 0.01)
-    got = log_oscillation(slab, cyl, M=8.0, p=2.0)
+    got = oscillation(slab, cyl, M=8.0, p=2.0)
     assert got == pytest.approx(LUMP_LOG_OSC2_T001, rel=5e-4)
 
 
@@ -76,9 +72,9 @@ def test_log_oscillation_rejects_bad_parameters():
     slab = LUMP.sample_slab(g, [0.0, 0.1])
     cyl = Cylinder((0.0, 0.0), 1.0, -0.1, 0.1)
     with pytest.raises(ParameterError):
-        log_oscillation(slab, cyl, M=0.0, p=2.0)
+        oscillation(slab, cyl, M=0.0, p=2.0)
     with pytest.raises(ParameterError):
-        log_oscillation(slab, cyl, M=1.0, p=0.5)
+        oscillation(slab, cyl, M=1.0, p=0.5)
 
 
 def test_intrinsic_scale_frozen_value():
@@ -94,7 +90,7 @@ def test_intrinsic_scale_pme_m_to_zero():
     base = intrinsic_scale(f, (0.0, 0.0), 1.0, q=2.0, eps=0.1)
     prev = None
     for m in (0.4, 0.2, 0.1, 0.05):
-        val = intrinsic_scale_pme(f, (0.0, 0.0), 1.0, q=2.0, eps=0.1, m=m)
+        val = intrinsic_scale(f, (0.0, 0.0), 1.0, q=2.0, eps=0.1, m=m)
         if prev is not None:
             assert abs(val - base) < abs(prev - base)
         prev = val
@@ -107,10 +103,10 @@ def test_power_oscillation_decreases_to_log():
     # (1 - z^m)/m <= ln(1/z) on (0, 1], so the power functional increases
     # to the log one from below as m -> 0
     for p in (1.0, 2.0, 5.0):
-        lam = log_oscillation(slab, cyl, M=8.0, p=p)
+        lam = oscillation(slab, cyl, M=8.0, p=p)
         prev = 0.0
         for m in (0.4, 0.2, 0.1, 0.05):
-            val = power_oscillation(slab, cyl, M=8.0, m=m / 2, p=p, normalized=True)
+            val = oscillation(slab, cyl, M=8.0, m=m / 2, p=p, normalized=True)
             assert prev < val < lam
             prev = val
 
@@ -119,8 +115,8 @@ def test_power_oscillation_plain_vs_normalized():
     g = Grid.regular(2, 1.0, 1.0 / 32)
     slab = LUMP.sample_slab(g, [0.0, 0.1])
     cyl = Cylinder((0.0, 0.0), 0.5, -0.005, 0.005)
-    plain = power_oscillation(slab, cyl, M=8.0, m=0.2, p=2.0)
-    mean = power_oscillation(slab, cyl, M=8.0, m=0.2, p=2.0, normalized=True)
+    plain = oscillation(slab, cyl, M=8.0, m=0.2, p=2.0, normalized=False)
+    mean = oscillation(slab, cyl, M=8.0, m=0.2, p=2.0, normalized=True)
     # cube volume 0.25, exponent 1/p: plain = mean * vol^(1/p)
     assert plain == pytest.approx(mean * 0.25**0.5, rel=1e-12)
 
@@ -128,7 +124,7 @@ def test_power_oscillation_plain_vs_normalized():
 def test_exponent_identities():
     for N in (1, 2, 3):
         assert time_scaling_exponent(N) == 2.0 - N
-        assert time_scaling_exponent_pme(N, 0.5) == N * (0.5 - 1.0) + 2.0
+        assert time_scaling_exponent(N, 0.5) == N * (0.5 - 1.0) + 2.0
     assert moment_scaling_exponent(2, 0.5, 2.0) == pytest.approx(3.0)
     with pytest.raises(ParameterError):
         moment_scaling_exponent(3, 0.1, 0.2)
@@ -165,7 +161,7 @@ def test_nan_sample_propagates():
     cyl = Cylinder((0.0, 0.0), 0.5, 0.0, 0.2)
     assert np.isnan(ess_sup(slab, cyl))
     assert np.isnan(ess_inf(slab, cyl))
-    assert np.isnan(log_oscillation(slab, cyl, M=2.0, p=1.0))
+    assert np.isnan(oscillation(slab, cyl, M=2.0, p=1.0))
     assert np.isnan(sup_mass(slab, (0.0, 0.0), 0.5, 0.0, (0.0, 0.2)))
     assert np.isnan(inf_mass(slab, (0.0, 0.0), 0.5, (0.0, 0.2)))
 
@@ -220,13 +216,18 @@ def test_merged_functions_reject_m_outside_unit_interval(m):
         intrinsic_scale(f, (0.0, 0.0), 0.5, 2.0, 0.1, m=m)
     with pytest.raises(ParameterError, match="m must lie in"):
         degeneracy_ratio(f, (0.0, 0.0), 0.5, 2.0, f.max(), 2.0, m=m)
+    slab = SpaceTimeSlab(f.grid, [0.0, 0.1], np.stack([f.values, f.values]))
+    with pytest.raises(ParameterError, match="m must lie in"):
+        oscillation(slab, Cylinder((0.0, 0.0), 0.5, 0.0, 0.1), f.max(), 2.0, m=m)
+    with pytest.raises(ParameterError, match="m must lie in"):
+        gradient_energy(slab, Cutoff((0.0, 0.0), 0.5, 0.5), (0.0, 0.1), m=m)
 
 
 def test_log_gradient_energy_frozen_value():
     g = Grid.regular(2, 2.0, 1.0 / 128)
     slab = LUMP.sample_slab(g, [0.0, 0.125, 0.25])
     cut = Cutoff((0.0, 0.0), 1.0, 0.5)
-    got = log_gradient_energy(slab, cut, (0.0, 0.25))
+    got = gradient_energy(slab, cut, (0.0, 0.25))
     assert got == pytest.approx(LUMP_LOG_ENERGY_TOTAL, rel=2e-3)
 
 
@@ -236,7 +237,7 @@ def test_log_gradient_energy_exp_identity():
     g = Grid.regular(2, 1.0, 1.0 / 64)
     slab = sol.sample_slab(g, np.linspace(0.0, 1.0, 5))
     cut = Cutoff((0.0, 0.0), 1.0, 0.0)
-    got = log_gradient_energy(slab, cut, (0.0, 1.0))
+    got = gradient_energy(slab, cut, (0.0, 1.0))
     assert got == pytest.approx(1.0, rel=1e-3)
 
 
@@ -244,10 +245,10 @@ def test_power_gradient_energy_approaches_log():
     g = Grid.regular(2, 2.0, 1.0 / 32)
     slab = LUMP.sample_slab(g, [0.0, 0.25])
     cut = Cutoff((0.0, 0.0), 1.0, 0.5)
-    base = log_gradient_energy(slab, cut, (0.0, 0.25))
+    base = gradient_energy(slab, cut, (0.0, 0.25))
     prev = None
     for m in (0.4, 0.2, 0.1):
-        val = power_gradient_energy(slab, cut, (0.0, 0.25), m=m)
+        val = gradient_energy(slab, cut, (0.0, 0.25), m=m)
         if prev is not None:
             assert abs(val - base) < abs(prev - base)
         prev = val
@@ -272,3 +273,6 @@ def test_functional_set_row_shape(lump_slab_32):
     fs_m = functional_set(lump_slab_32, (0.0, 0.0), 0.25, (0.25, 0.5), m=0.2)
     assert fs_m.osc_pow_p > 0
     assert fs_m.time_scale_pow > 0
+    # the power entries need 0 < m < 1: m = 0 is not the log case here
+    with pytest.raises(ParameterError, match=r"m must be in \(0, 1\)"):
+        functional_set(lump_slab_32, (0.0, 0.0), 0.25, (0.25, 0.5), m=0.0)

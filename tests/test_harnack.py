@@ -1,6 +1,7 @@
 """Inequality checkers: L1 Harnack, energy, flux, Jensen, pointwise, cutoff."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -368,6 +369,15 @@ def test_fit_pointwise_constants(lump_slab_64):
         assert bound <= rep.f_star + 1e-9
     with pytest.raises(ParameterError):
         fit_pointwise_constants([])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["lambda_p", "eta", "f_star"])
+def test_fit_pointwise_constants_rejects_non_finite_values(name, bad):
+    good = dict(degenerate=False, lambda_p=0.5, eta=0.8, f_star=0.6)
+    reports = [SimpleNamespace(**good), SimpleNamespace(**{**good, name: bad})]
+    with pytest.raises(ParameterError, match=f"finite {name}"):
+        fit_pointwise_constants(reports)
 
 
 def test_distributional_defects_match_reference():

@@ -48,6 +48,15 @@ def test_log_approx_error_decreases_in_m():
         prev = sup_err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_approx_error_rejects_non_finite_field(bad):
+    f = LUMP.sample(Grid.regular(2, 1.0, 1.0 / 16), 0.0)
+    values = f.values.copy()
+    values[8, 8] = bad
+    with pytest.raises(ParameterError, match="field must be finite"):
+        log_approx_error(Field(f.grid, values), 8.0, 0.2, 2.0)
+
+
 def test_taylor_gap_bound_dominates():
     g = Grid.regular(2, 1.0, 1.0 / 32)
     f = LUMP.sample(g, 0.0)

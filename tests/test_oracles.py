@@ -104,6 +104,12 @@ def test_residual_order_barenblatt():
     assert 1.8 <= order <= 2.2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_order_rejects_non_finite_errors(bad):
+    with pytest.raises(ParameterError, match="errors must be finite"):
+        fit_order([0.1, 0.05, 0.025], [1e-2, bad, 6e-4])
+
+
 def test_fit_order_exact_power_law():
     hs = [0.1, 0.05, 0.025]
     errs = [3.0 * h**2 for h in hs]
