@@ -15,10 +15,7 @@ import tempfile
 
 from logdiff.cli import main
 
-root = pathlib.Path(tempfile.mkdtemp(prefix="logdiff_demo_"))
-cfg = root / "experiment.ini"
-cfg.write_text(
-    """
+CONFIG = """
 [grid]
 dim = 2
 edge = 1.0
@@ -38,49 +35,55 @@ slab = solve/slab.slab
 count = 8
 sigma = 0.5
 """
-)
 
-# Solve once, then run two verification passes against the stored slab.
-rc = main(["solve", "--config", str(cfg), "--out", str(root / "solve")])
-print("solve exit code:", rc)
+with tempfile.TemporaryDirectory(prefix="logdiff_demo_") as tmp:
+    root = pathlib.Path(tmp)
+    cfg = root / "experiment.ini"
+    cfg.write_text(CONFIG)
 
-for out in ("verify_a", "verify_b"):
+    # Solve once, then run two verification passes against the stored slab.
+    rc = main(["solve", "--config", str(cfg), "--out", str(root / "solve")])
+    print("solve exit code:", rc)
+
+    for out in ("verify_a", "verify_b"):
+        rc = main(
+            [
+                "verify",
+                "l1",
+                "--config",
+                str(cfg),
+                "--out",
+                str(root / out),
+                "--seed",
+                "11",
+                "--threads",
+                "4",
+            ]
+        )
+        print(f"{out} exit code:", rc)
+
+    a = (root / "verify_a" / "report.csv").read_bytes()
+    b = (root / "verify_b" / "report.csv").read_bytes()
+    print("two runs byte-identical:", a == b)
+
+    # The CSV is plain enough for the stdlib reader; every row carries the
+    # full probe geometry next to the computed constants.
+    with open(root / "verify_a" / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    print(f"\n{len(rows)} probes verified")
+    for row in rows[:4]:
+        print(
+            f"  center={row['center']}  rho={row['rho']}  "
+            f"window=[{row['t_start']}, {row['t_end']}]  gamma*={row['gamma_star']}"
+        )
+
+    # Each run directory carries a manifest naming its inputs and outputs.
+    manifest = json.loads((root / "verify_a" / "manifest.json").read_text())
+    print(f"\nmanifest run_id={manifest['run_id']}  files={manifest['files']}")
+
+    # Oracle certification from the command line, no config needed.
     rc = main(
-        [
-            "verify",
-            "l1",
-            "--config",
-            str(cfg),
-            "--out",
-            str(root / out),
-            "--seed",
-            "11",
-            "--threads",
-            "4",
-        ]
+        ["oracle-check", "lump2d", "--meshes", "16", "32", "64", "--out", str(root / "oracle")]
     )
-    print(f"{out} exit code:", rc)
-
-a = (root / "verify_a" / "report.csv").read_bytes()
-b = (root / "verify_b" / "report.csv").read_bytes()
-print("two runs byte-identical:", a == b)
-
-# The CSV is plain enough for the stdlib reader; every row carries the
-# full probe geometry next to the computed constants.
-with open(root / "verify_a" / "report.csv", newline="") as fh:
-    rows = list(csv.DictReader(fh))
-print(f"\n{len(rows)} probes verified")
-for row in rows[:4]:
-    print(
-        f"  center={row['center']}  rho={row['rho']}  "
-        f"window=[{row['t_start']}, {row['t_end']}]  gamma*={row['gamma_star']}"
-    )
-
-# Each run directory carries a manifest naming its inputs and outputs.
-manifest = json.loads((root / "verify_a" / "manifest.json").read_text())
-print(f"\nmanifest run_id={manifest['run_id']}  files={manifest['files']}")
-
-# Oracle certification from the command line, no config needed.
-rc = main(["oracle-check", "lump2d", "--meshes", "16", "32", "64", "--out", str(root / "oracle")])
-print("\noracle-check exit code:", rc)
-print((root / "oracle" / "oracle.csv").read_text().strip())
+    print("\noracle-check exit code:", rc)
+    print((root / "oracle" / "oracle.csv").read_text().strip())

@@ -28,20 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .grid import (
-    Cube,
-    Grid,
-    SpaceTimeSlab,
-    gradient,
-    gradient_at,
-    interior_slices,
-    laplacian,
-)
-from .functionals import intrinsic_scale
+from .grid import Cube, Grid, SpaceTimeSlab, gradient_at, interior_slices, laplacian
+from .functionals import _intrinsic_window
 from .reporting import Row
 
-# analyticity_report's table orders (spatial, time), intrinsic-scale parameters
-# (eps, q) and sub-cylinder fraction sigma
+# analyticity_report's table orders (spatial, time) and sub-cylinder fraction
+# sigma; intrinsic_rescale's intrinsic-scale parameters (eps, q)
 _A_MAX, _K_MAX = 6, 3
 _EPS, _Q = 0.1, 2.0
 _SIGMA = 0.5
@@ -189,21 +181,23 @@ def fit_derivative_growth(table: DerivativeTable, rho: float) -> GrowthFit:
     """Fit the growth bound ``|D^alpha u| <= C H^|alpha| |alpha|! u_c / rho^|alpha|``.
 
     The time family is covered through ``|d^k u/dt^k| <= C H^(2k) (2k)!
-    u_c^(1-k) / rho^(2k)``.  An all-zero table yields (C, H) = (1, 0).
+    u_c^(1-k) / rho^(2k)``.  An all-zero table yields (C, H) = (1, 0).  The
+    maxima are numpy reductions, so a NaN entry is never skipped: it makes C
+    NaN, and H too wherever H reads it.
     """
     if not table.spatial and not table.time:
         raise ParameterError("empty derivative table")
     roots = normalized_spatial_roots(table, rho)
-    H = max(roots.values(), default=0.0)
+    H = float(np.max([0.0, *roots.values()]))
     time_ratios = {k: _time_ratio(table, rho, k) for k in table.time}
-    if H == 0.0 and any(r > 0 for r in time_ratios.values()):
-        H = max(r ** (1.0 / (2 * k)) for k, r in time_ratios.items() if r > 0)
-    C = 1.0
-    if H > 0:
-        for alpha, root in roots.items():
-            C = max(C, root ** sum(alpha) / H ** sum(alpha))
-        for k, r in time_ratios.items():
-            C = max(C, r / H ** (2 * k))
+    if H == 0.0:  # every spatial root vanishes: H from the nonzero time roots
+        time_roots = [r ** (1.0 / (2 * k)) for k, r in time_ratios.items() if r != 0]
+        H = float(np.max([0.0, *time_roots]))
+    C = 1.0 if H == 0.0 else float(np.max([
+        1.0,
+        *(root ** sum(alpha) / H ** sum(alpha) for alpha, root in roots.items()),
+        *(r / H ** (2 * k) for k, r in time_ratios.items()),
+    ]))
     return GrowthFit(
         fitted_c=C,
         fitted_h=H,
@@ -214,23 +208,17 @@ def fit_derivative_growth(table: DerivativeTable, rho: float) -> GrowthFit:
     )
 
 
-def intrinsic_rescale(
-    slab: SpaceTimeSlab,
-    x_o,
-    t_o: float,
-    rho: float,
-    eps: float = _EPS,
-    q: float = _Q,
-) -> SpaceTimeSlab:
+def intrinsic_rescale(slab: SpaceTimeSlab, x_o, t_o: float, rho: float) -> SpaceTimeSlab:
     """Change variables to the unit solution v on the edge-2 cube.
 
     The returned slab holds ``v = u/u_c`` on a grid of edge 2 and spacing
     ``h/rho`` (exact node reuse; rho must be a whole number of cells), with
-    times ``(t - t_o)/(u_c rho^2)`` for the stored levels inside the
-    intrinsic window ``(t_o - theta rho^2/16, t_o]``.  When the window holds
-    fewer than three levels, earlier levels pad it (count recorded
-    as meta ``n_padded``); the equation holds on the padded range too, only
-    the sandwich bound is specific to the window.
+    times ``(t - t_o)/(u_c rho^2)`` for the stored levels of the intrinsic
+    window ``(t_o - theta rho^2/16, t_o]`` (eps 0.1, q 2), which always holds
+    the vertex level.  When it holds fewer than three levels, earlier levels
+    pad it (count recorded as meta ``n_padded``); the equation holds on the
+    padded range too, only the sandwich bound is specific to the window.
+    ParameterError unless u is finite and positive near the vertex.
 
     Meta records ``u_center``, ``theta``, ``tau_scale``, ``v_min``/``v_max``
     and the backward-difference equation residual.
@@ -245,18 +233,13 @@ def intrinsic_rescale(
     u_c = float(slab.values[k_hi][idx])
     if u_c <= 0:
         raise ParameterError("u at the vertex must be positive")
-    theta = intrinsic_scale(slab.level(k_hi), x_o, rho, q, eps)
+    theta, window = _intrinsic_window(slab, x_o, k_hi, rho, _Q, _EPS)
     slices = grid.cube_slices(Cube(tuple(float(c) for c in x_o), 2.0 * rho))
-    t_lo = t_o - theta * rho**2 / 16.0
-    tol = 1e-9 * max(1.0, abs(float(slab.times[-1])))
-    inside = [k for k in range(k_hi + 1) if slab.times[k] > t_lo + tol]
-    n_padded = max(0, 3 - len(inside))
-    k_lo = (inside[0] if inside else k_hi) - n_padded
+    n_padded = max(0, 3 - window.size)
+    k_lo = int(window[0]) - n_padded
     if k_lo < 0:
         raise GeometryError("slab holds too few levels below the vertex time")
     levels = list(range(k_lo, k_hi + 1))
-    if len(levels) < 2:
-        raise GeometryError("intrinsic window needs at least two levels")
     tau_scale = u_c * rho**2
     times = (slab.times[levels] - t_o) / tau_scale
     vals = slab.values[np.ix_(levels, *[range(s.start, s.stop) for s in slices])]
@@ -286,15 +269,16 @@ def rescale_residual(v_slab: SpaceTimeSlab) -> float:
     v_(k-1))/dt`` on every slab, whatever made it: sampled slabs name no
     scheme, and the solvers march BDF2, so besides the spatial chain-rule
     mismatch (O(h^2)) the residual carries an O(dt) time-difference term.
-    It is not the solver's own defect (``solvers.residual_norm``).  A NaN
-    node makes it NaN.
+    It is not the solver's own defect (``solvers.residual_norm``).  Every
+    term is formed at the interior nodes only (the gradient by
+    :func:`logdiff.grid.gradient_at`).  A NaN node makes it NaN.
     """
-    g = v_slab.grid
-    v = v_slab.values[1:]
-    vt = np.diff(v_slab.values, axis=0) / v_slab.dt
-    gsq = sum(gr**2 for gr in gradient(v, g))
-    res = vt - laplacian(v, g) / v + gsq / v**2
-    return float(np.abs(res[(slice(None),) + interior_slices(g)]).max())
+    g, inner = v_slab.grid, interior_slices(v_slab.grid)
+    later = v_slab.values[1:]
+    v = later[(slice(None),) + inner]
+    vt = np.diff(v_slab.values[(slice(None),) + inner], axis=0) / v_slab.dt
+    gsq = sum(gr**2 for gr in gradient_at(later, g, inner))
+    return float(np.abs(vt - laplacian(later, g) / v + gsq / v**2).max())
 
 
 @dataclass
@@ -316,38 +300,33 @@ class SupBoundsReport(Row):
     coef_high: float
 
 
-def rescaled_sup_bounds(
-    v_slab: SpaceTimeSlab, sigma: float, depth: float | None = None
-) -> SupBoundsReport:
+def rescaled_sup_bounds(v_slab: SpaceTimeSlab, sigma: float) -> SupBoundsReport:
     """Sup norms over ``K_(2 sigma) x (-sigma * depth, 0]`` of a rescaled slab.
 
-    ``depth`` defaults to the slab's full backward reach.  Time derivatives
-    use second-order differences along stored levels.  Both derivatives are
-    computed on the box's nodes only (:func:`logdiff.grid.gradient_at` in
-    space).  The sups are numpy reductions over the stacked levels, so a NaN
-    node makes them NaN.
+    ``depth = -times[0]`` is the slab's full backward reach, and the
+    sub-window's levels come from :meth:`SpaceTimeSlab.window_indices`.
+    Time derivatives use second-order differences along stored levels.  Both
+    derivatives are computed on the box's nodes only
+    (:func:`logdiff.grid.gradient_at` in space), from the levels their
+    differences read.  The sups are numpy reductions over the stacked levels,
+    so a NaN node makes them NaN.
     """
     if not 0.0 < sigma <= 1.0:
         raise ParameterError("sigma must lie in (0, 1]")
     g = v_slab.grid
-    full_depth = float(-v_slab.times[0]) if depth is None else float(depth)
+    full_depth = float(-v_slab.times[0])
     if full_depth <= 0:
         raise ParameterError("depth must be positive")
-    t_lo = -sigma * full_depth
-    tol = 1e-9 * max(1.0, full_depth)
-    levels = np.nonzero((v_slab.times > t_lo - tol) & (v_slab.times <= tol))[0]
-    if levels.size == 0:
-        raise GeometryError("sub-cylinder contains no stored levels")
-    sl = g.cube_slices(Cube(g.center, 2.0 * sigma)) if sigma < 1.0 else tuple(
-        slice(0, g.npts) for _ in range(g.dim)
-    )
+    levels = v_slab.window_indices(-sigma * full_depth, 0.0)
+    sl = g.cube_slices(Cube(g.center, 2.0 * sigma))
     box = (slice(None),) + sl
-    vt = np.gradient(
-        v_slab.values[box], v_slab.dt, axis=0, edge_order=2 if v_slab.nlevels >= 3 else 1
-    )
-    v = v_slab.values[levels]
+    # time differences read the level before the window and the slab's last three
+    first = max(0, min(int(levels[0]) - 1, v_slab.nlevels - 3))
+    later = v_slab.values[(slice(first, None),) + sl]
+    vt = np.gradient(later, v_slab.dt, axis=0, edge_order=2 if v_slab.nlevels >= 3 else 1)
+    v = v_slab.values[levels[0] : levels[-1] + 1]
     sup_dv = float(np.sqrt(sum(gr**2 for gr in gradient_at(v, g, sl))).max())
-    sup_vt = float(np.abs(vt[levels]).max())
+    sup_vt = float(np.abs(vt[levels - first]).max())
     v_min = float(v[box].min())
     v_max = float(v[box].max())
     return SupBoundsReport(
@@ -441,7 +420,7 @@ def analyticity_report(
     """Full single-vertex workflow: table, growth fit, rescale, sup bounds."""
     table = derivative_table(slab, x_o, t_o, a_max=_A_MAX, k_max=_K_MAX)
     fit = fit_derivative_growth(table, rho)
-    v_slab = intrinsic_rescale(slab, x_o, t_o, rho, eps=_EPS, q=_Q)
+    v_slab = intrinsic_rescale(slab, x_o, t_o, rho)
     sups = rescaled_sup_bounds(v_slab, _SIGMA)
     return AnalyticityReport(
         x_o=table.x_o,

@@ -2,10 +2,11 @@
 
 Configuration is a single INI file; every recognized key, including applied
 defaults, is echoed into the run manifest so a run is self-describing, and a
-section or key that no command reads is a config error.  CSV
-outputs are byte-identical across reruns with the same config and seed:
-probe placement is seeded, probes run one after another in one thread, and
-floats are serialized with ``repr``.  ``--threads`` is accepted and recorded
+section or key that no command reads, or an ``[initial]`` parameter that the
+chosen fixture does not take, is a config error.  CSV outputs are
+byte-identical across reruns with the same config and seed: probe placement
+is seeded, probes run one after another in one thread, and floats are
+serialized with ``repr``.  ``--threads`` is accepted and recorded
 in the manifest but starts no workers: the checkers hold the interpreter
 lock, so worker threads only add contention.  Column sets are documented in
 ``schema/columns.md`` shipped inside the package.
@@ -164,10 +165,18 @@ _KNOWN_KEYS = {
 
 
 def _fixture_params(cfg: Cfg, name: str) -> dict:
-    """The ``[initial]`` parameters of fixture ``name`` that the config sets."""
+    """The ``[initial]`` parameters of fixture ``name`` that the config sets;
+    a parameter that only other fixtures take is a config error."""
+    takes = _FIXTURE_PARAMS.get(name, {})
+    others = set().union(*_FIXTURE_PARAMS.values()) - set(takes)
+    foreign = sorted(key for key in others if cfg.cp.has_option("initial", key))
+    if foreign and name in _FIXTURE_PARAMS:  # an unknown name is build_fixture's error
+        raise ConfigProblem(
+            f"[initial] {', '.join(foreign)}: not a parameter of fixture {name!r}"
+        )
     return {
         key: cfg.get("initial", key, cast=cast)
-        for key, cast in _FIXTURE_PARAMS.get(name, {}).items()
+        for key, cast in takes.items()
         if cfg.cp.has_option("initial", key)
     }
 

@@ -180,6 +180,24 @@ def intrinsic_scale(
     return eps * _cube_mean(field, center, edge, lambda u: u**q) ** ((1.0 - m) / q)
 
 
+def _intrinsic_window(slab: SpaceTimeSlab, x_o, k_o: int, rho: float, q: float, eps: float):
+    """``(theta, levels)`` of the vertex ``x_o`` at the stored level ``k_o``, time ``t_o``.
+
+    ``theta`` is :func:`intrinsic_scale` over ``K_rho`` at ``t_o``, and
+    ``levels`` are the stored levels of ``(t_o - theta rho^2/16, t_o]`` by
+    :meth:`SpaceTimeSlab.window_indices`, so they end on ``k_o``.  Raises
+    ParameterError, before the window is formed, if theta is not finite.
+    """
+    t_o = float(slab.times[k_o])
+    theta = intrinsic_scale(slab.level(k_o), x_o, rho, q, eps)
+    if not math.isfinite(theta):
+        raise ParameterError(
+            f"u must be finite and positive near the vertex {_point_str(x_o)}, "
+            f"t_o {t_o:.6g}, rho {rho:.6g}"
+        )
+    return theta, slab.window_indices(t_o - theta * rho**2 / 16.0, t_o)
+
+
 def degeneracy_ratio(
     field: Field, center, edge: float, q: float, M: float, r: float, m: float = 0.0
 ) -> float:

@@ -12,11 +12,12 @@ exact for affine integrands up to roundoff.  Cube bounds snap to the nearest
 grid nodes; a cube whose requested bounds exceed the grid raises
 :class:`~logdiff.errors.GeometryError`.
 
-Discrete operators are second order in the interior: central differences for
-the gradient and the standard ``2*dim + 1`` point stencil for the Laplacian.
-Boundary entries are filled with one-sided formulas so arrays keep the grid
-shape, but they are placeholders: norms and verification quantities must be
-taken over interior nodes (see :func:`interior_slices`).
+Discrete operators are second order: central differences for the gradient
+and the standard ``2*dim + 1`` point stencil for the Laplacian.  The gradient
+keeps the grid shape, with one-sided second-order formulas at the grid faces,
+because a probe whose cube reaches a face reads it there
+(:func:`gradient_at`).  The Laplacian exists at the interior nodes only
+(:func:`interior_slices`) and is returned on them.
 """
 
 from __future__ import annotations
@@ -286,6 +287,9 @@ class SpaceTimeSlab:
         return k
 
     def window_indices(self, t_start: float, t_end: float) -> np.ndarray:
+        """The stored levels of ``(t_start, t_end]`` by the one rule every measurement
+        uses: closed and roundoff tolerant (:class:`Cylinder`), so a window that
+        ends on a stored level holds it.  GeometryError if the window holds none."""
         tol = 1e-9 * max(1.0, abs(self.times[-1]))
         idx = np.nonzero((self.times >= t_start - tol) & (self.times <= t_end + tol))[0]
         if idx.size == 0:
@@ -444,37 +448,23 @@ def gradient_at(values: np.ndarray, grid: Grid, nodes) -> tuple[np.ndarray, ...]
 
 
 def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Standard ``2*dim + 1`` point Laplacian of ``values`` over the last
-    ``grid.dim`` axes.
+    """Standard ``2*dim + 1`` point Laplacian of ``values`` at its interior nodes.
 
-    Interior nodes get the centered stencil; boundary nodes get a shifted
-    (one-sided) second difference purely as a placeholder.  Callers must
-    restrict norms to interior nodes.  Leading axes (stacked levels) are
+    Differences the last ``grid.dim`` axes (nodes ``grid.spacing`` apart),
+    each of which loses its two end nodes: on a whole level the result holds
+    the :func:`interior_slices` nodes.  Leading axes (stacked levels) are
     treated independently.
     """
     values = np.asarray(values, dtype=float)
+    inner = (slice(1, -1),) * grid.dim
 
-    def at(d, index):
-        sl = [slice(None)] * grid.dim
-        sl[d] = index
-        return (Ellipsis, *sl)
+    def shifted(d, index):  # the interior nodes, moved to ``index`` along axis d
+        return values[(Ellipsis, *inner[:d], index, *inner[d + 1 :])]
 
-    h2 = grid.spacing**2
-    out = np.zeros_like(values)
-    for d in range(grid.dim):
-        d2 = np.empty_like(values)
-        d2[at(d, slice(1, -1))] = (
-            values[at(d, slice(2, None))]
-            - 2 * values[at(d, slice(1, -1))]
-            + values[at(d, slice(0, -2))]
-        )
-        # one-sided placeholders at the two boundary faces of axis d
-        for f0, f1, f2 in ((0, 1, 2), (-1, -2, -3)):
-            d2[at(d, f0)] = (
-                values[at(d, f0)] - 2 * values[at(d, f1)] + values[at(d, f2)]
-            )
-        out += d2
-    return out / h2
+    return sum(
+        shifted(d, slice(2, None)) - 2 * shifted(d, inner[d]) + shifted(d, slice(0, -2))
+        for d in range(grid.dim)
+    ) / grid.spacing**2
 
 
 def interior_slices(grid: Grid) -> tuple[slice, ...]:

@@ -32,7 +32,6 @@ from .grid import (
     Grid,
     SpaceTimeSlab,
     _block_volume,
-    _point_str,
     _trapezoid,
     laplacian,
 )
@@ -40,13 +39,13 @@ from .grid import (
 from .functionals import gradient_energy as _gradient_energy
 from .functionals import (
     _check_m,
+    _intrinsic_window,
     _osc_integrand,
     _p_mean_sup,
     _probe_stats,
     _probe_sup,
     ess_sup,
     flux_l1,
-    intrinsic_scale,
     degeneracy_ratio,
     time_scaling_exponent,
 )
@@ -441,8 +440,9 @@ def check_pointwise_harnack(
     rho^2, t_o]`` must fit inside the slab.  Requires ``p > N + 2``; raises
     ParameterError unless u is finite and positive on that cylinder, which
     holds every sampled node.  The inf is taken over at most
-    ``_POINTWISE_PROBES`` evenly spread levels of the top sixteenth of the
-    intrinsic window.
+    ``_POINTWISE_PROBES`` evenly spread levels of the intrinsic window
+    ``(t_o - theta rho^2/16, t_o]``, which holds the vertex level
+    (``functionals._intrinsic_window``).
     """
     grid = slab.grid
     if p <= grid.dim + 2:
@@ -450,14 +450,7 @@ def check_pointwise_harnack(
     x_o = tuple(float(c) for c in x_o)
     k_o = slab.level_index(t_o)
     t_o = float(slab.times[k_o])
-    vertex_field = slab.level(k_o)
-    theta = intrinsic_scale(vertex_field, x_o, rho, q, eps)
-    bad_u = (
-        f"u must be finite and positive near the vertex {_point_str(x_o)}, "
-        f"t_o {t_o:.6g}, rho {rho:.6g}"
-    )
-    if not math.isfinite(theta):
-        raise ParameterError(bad_u)
+    theta, probes = _intrinsic_window(slab, x_o, k_o, rho, q, eps)
     if theta <= 0.0:
         return PointwiseHarnackReport(
             x_o=x_o, t_o=t_o, rho=rho, q=q, eps=eps, p=p, r=r,
@@ -468,29 +461,22 @@ def check_pointwise_harnack(
         )
     depth = theta * (8.0 * rho) ** 2
     t_lo = t_o - depth
-    tol = 1e-9 * max(1.0, abs(float(slab.times[-1])))
-    if t_lo < slab.times[0] - tol:
+    try:
+        _check_window(slab, (t_lo, t_o))
+    except GeometryError:
         raise GeometryError(
             f"intrinsic window depth {depth:.6g} reaches below the slab start"
-        )
+        ) from None
     nodes, chunks, M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))
     lam_p = _p_mean_sup(
         chunks, _osc_integrand(M, 0.0), p, grid.spacing, _block_volume(nodes, grid.spacing)
     )
-    eta = degeneracy_ratio(vertex_field, x_o, rho, q, M, r)
+    eta = degeneracy_ratio(slab.level(k_o), x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cylinder(x_o, 2.0 * rho, t_o - theta * rho**2, t_o))
-    probe_lo = t_o - theta * rho**2 / 16.0
-    strict = np.nonzero(
-        (slab.times > probe_lo + tol) & (slab.times <= t_o + tol)
-    )[0]
-    if strict.size == 0:
-        strict = np.array([k_o])
-    if strict.size > _POINTWISE_PROBES:
-        pick = np.unique(
-            np.round(np.linspace(0, strict.size - 1, _POINTWISE_PROBES)).astype(int)
-        )
-        strict = strict[pick]
-    inf_val = float(slab.values[(strict,) + grid.cube_slices(Cube(x_o, 4.0 * rho))].min())
+    if probes.size > _POINTWISE_PROBES:
+        pick = np.round(np.linspace(0, probes.size - 1, _POINTWISE_PROBES)).astype(int)
+        probes = probes[np.unique(pick)]
+    inf_val = float(slab.values[(probes,) + grid.cube_slices(Cube(x_o, 4.0 * rho))].min())
     return PointwiseHarnackReport(
         x_o=x_o,
         t_o=t_o,
@@ -506,7 +492,7 @@ def check_pointwise_harnack(
         inf_val=inf_val,
         sup_val=sup_val,
         f_star=inf_val / sup_val,
-        n_probes=int(strict.size),
+        n_probes=int(probes.size),
     )
 
 
@@ -590,7 +576,7 @@ def distributional_identity_check(
                 f"cutoff support touches the grid boundary on axis {d}"
             )
     block = tuple(slice(sl.start - 1, sl.stop + 1) for sl in slices)
-    lap = laplacian(cutoff.block(grid, block), grid)[(slice(1, -1),) * grid.dim]
+    lap = laplacian(cutoff.block(grid, block), grid)
     base = float(_trapezoid(lap, grid.spacing))
     if v_field is not None:
         v = np.asarray(v_field.values if hasattr(v_field, "values") else v_field)

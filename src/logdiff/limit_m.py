@@ -38,31 +38,23 @@ from .solvers import SolverConfig, _beta, solve_log_diffusion, solve_porous_medi
 from .reporting import Row, write_csv, write_json, read_json
 
 
-def log_approx_error(
-    field: Field, M: float, m: float, p: float, cube: Cube | None = None
-) -> tuple[float, float]:
+def log_approx_error(field: Field, M: float, m: float, p: float) -> tuple[float, float]:
     """Sup and p-mean distance between ``(1-(u/M)^m)/m`` and ``ln(M/u)`` for
-    the values ``u`` of ``field`` over ``cube`` (default: the field's whole
-    grid).  First order in m on fixed data: halving m halves both.
+    the values ``u`` of ``field`` over its whole grid.  First order in m on
+    fixed data: halving m halves both.
     """
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
     if not 0 < M < math.inf:
         raise ParameterError("M must be finite and positive")
-    grid, values = field.grid, field.values
+    values = field.values
     if not (values.min() > 0 and values.max() < math.inf):
         raise ParameterError("field must be finite and positive")
-    if cube is None:
-        cube = Cube(grid.center, grid.edge)
     ratio = values / M
     err = np.abs((1.0 - ratio**m) / m - np.log(1.0 / ratio))
-    sl = grid.cube_slices(cube)
-    sup_err = float(err[sl].max())
-    pmean = float(
-        (integrate(err**p, grid, cube) / integrate(np.ones_like(err), grid, cube))
-        ** (1.0 / p)
-    )
-    return sup_err, pmean
+    h = field.grid.spacing
+    pmean = float((_trapezoid(err**p, h) / _trapezoid(np.ones_like(err), h)) ** (1.0 / p))
+    return float(err.max()), pmean
 
 
 def taylor_gap_bound(M: float, m: float, values: np.ndarray) -> np.ndarray:
@@ -235,7 +227,6 @@ def run_m_sweep(
     config: SolverConfig,
     horizon: float,
     *,
-    center=None,
     rho: float | None = None,
     window=None,
     e_o: Cube | None = None,
@@ -247,9 +238,9 @@ def run_m_sweep(
 ) -> MSweepResult:
     """Solve the log equation once and the power equation per m; compare.
 
-    Probe geometry defaults: the comparison cube is the doubled cube of a
-    quarter-edge radius at the grid center, the window is the second half of
-    the horizon, and the mass cube is the quarter-edge cube.  A solver
+    Every probe is centered on the grid.  Defaults: the comparison cube is
+    the doubled cube of a quarter-edge radius, the window is the second half
+    of the horizon, and the mass cube is the quarter-edge cube.  A solver
     failure records the entry with ``ok = False`` and continues the sweep.
     """
     m_values = tuple(float(m) for m in m_values)
@@ -258,9 +249,7 @@ def run_m_sweep(
     if any(b >= a for a, b in zip(m_values, m_values[1:])):
         raise ParameterError("m_values must be strictly decreasing")
     grid = initial.grid
-    if center is None:
-        center = grid.center
-    center = tuple(float(c) for c in center)
+    center = grid.center
     if rho is None:
         rho = grid.edge / 4.0
     if window is None:

@@ -662,21 +662,21 @@ def residual_norm(slab: SpaceTimeSlab, flux: QuasilinearFlux) -> float:
     differences of the levels before ``u_k`` (``_step_coefficients``), so the
     first term is ``(u_k - u_(k-1))/dt`` for backward Euler and BDF2's first
     step and ``(3 u_k - 4 u_(k-1) + u_(k-2))/(2 dt)`` after it.  The operator
-    matches the flux kind and is evaluated at the newer level, so a solver
-    slab scores at its Newton tolerance times ``theta/dt`` plus
-    stencil-consistency terms.
+    matches the flux kind, is built on the interior rows the norm reads and
+    is evaluated at the newer level, so a solver slab scores at its Newton
+    tolerance times ``theta/dt`` plus stencil-consistency terms.
     """
     scheme = slab.meta.get("scheme", "backward-euler")
     grid = slab.grid
     faces = _Faces(grid)
-    op = _BetaOperator(faces, np.arange(faces.W.size), flux)
+    op = _BetaOperator(faces, np.flatnonzero(faces.W == 1.0), flux)  # the interior rows
     inner = interior_slices(grid)
-    table, worst = [slab.values[0]], []
+    table, worst = [slab.values[0][inner]], []
     for k in range(1, slab.nlevels):
         theta, rhs = _step_coefficients(scheme, table)
         u = slab.values[k]
         op.step(float(slab.times[k]))
-        defect = theta * (u - rhs) / slab.dt - op.apply(u.ravel()).reshape(u.shape)
-        worst.append(np.abs(defect[inner]).max())
-        table = _push_level(table, u)
+        defect = theta * (u[inner] - rhs) / slab.dt - op.apply(u.ravel()).reshape(rhs.shape)
+        worst.append(np.abs(defect).max())
+        table = _push_level(table, u[inner])
     return float(np.max(worst))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdiff import (
+    Cube,
     ExpSteady,
     GeometryError,
     Grid,
@@ -23,6 +24,7 @@ from logdiff import (
     rescale_residual,
     rescaled_sup_bounds,
 )
+from logdiff.analyticity import DerivativeTable
 from logdiff.grid import SpaceTimeSlab
 
 LUMP = Lump2D(c=1.0, T=1.0)
@@ -278,3 +280,57 @@ def test_rescaled_sup_bounds_and_residual_propagate_nan(level):
     for name in ("sup_dv", "sup_vt", "v_min", "v_max", "coef_low", "coef_high"):
         assert np.isnan(getattr(report, name)), name
     assert np.isnan(rescale_residual(v_slab))
+
+
+@pytest.mark.parametrize("nlevels", [2, 3, 4, 9])
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0])
+def test_rescaled_sup_vt_is_the_whole_box_gradient_at_the_window(nlevels, sigma):
+    # differencing only the levels the sub-window needs gives numpy's gradient
+    # of every level of the box there, bit for bit
+    grid = Grid.regular(2, 2.0, 2.0 / 8)
+    times = np.linspace(-1.0, 0.0, nlevels)
+    values = 1.0 + np.random.default_rng(nlevels).random((nlevels,) + grid.shape)
+    report = rescaled_sup_bounds(SpaceTimeSlab(grid, times, values), sigma)
+    box = (slice(None),) + grid.cube_slices(Cube(grid.center, 2.0 * sigma))
+    vt = np.gradient(values[box], times[1] - times[0], axis=0, edge_order=min(2, nlevels - 1))
+    assert report.sup_vt == np.abs(vt[times >= -sigma - 1e-12]).max()
+
+
+# --- a NaN near the vertex is never skipped ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "spatial", [{(1,): 2.0, (2,): math.nan}, {(2,): math.nan, (1,): 2.0}]
+)
+def test_fit_derivative_growth_is_nan_whatever_the_order(spatial):
+    table = DerivativeTable(
+        x_o=(0.0,), t_o=0.0, u_center=1.0, spacing=0.25, dt=1.0, a_max=2, k_max=0,
+        spatial=spatial,
+    )
+    fit = fit_derivative_growth(table, 1.0)
+    assert math.isnan(fit.fitted_h) and math.isnan(fit.fitted_c)
+
+
+@pytest.mark.parametrize("measure", [intrinsic_rescale, analyticity_report])
+def test_nan_near_the_vertex_is_rejected(lump_slab_64, measure):
+    # a node inside K_rho next to the vertex (0, 0), at the vertex level
+    values = lump_slab_64.values.copy()
+    values[lump_slab_64.level_index(0.5), 33, 32] = np.nan
+    slab = SpaceTimeSlab(lump_slab_64.grid, lump_slab_64.times, values)
+    with pytest.raises(ParameterError, match="finite and positive near the vertex"):
+        measure(slab, (0.0, 0.0), 0.5, 0.25)
+
+
+def test_intrinsic_window_holds_the_vertex_level_at_tiny_theta():
+    # the flat-zero data u = exp(-(|x|^2 + delta^2)^(-1/2)), delta = 0.01, held
+    # for 33 levels: theta = 3.3e-7 puts no other level in the window, which
+    # still holds the vertex level, so two levels pad it to three
+    grid = Grid.regular(2, 1.0, 1.0 / 32)
+    X, Y = grid.meshgrid()
+    u = np.exp(-((X**2 + Y**2 + 0.01**2) ** -0.5))
+    times = np.linspace(0.0, 0.5, 33)
+    slab = SpaceTimeSlab(grid, times, np.broadcast_to(u, (33,) + grid.shape))
+    v = intrinsic_rescale(slab, (0.0, 0.0), 0.5, 1.0 / 8)
+    assert v.meta["theta"] == pytest.approx(3.3e-7, rel=0.05)
+    assert v.meta["n_padded"] == 2
+    assert v.nlevels == 3

@@ -401,8 +401,9 @@ def test_constant_fixture_is_config_error(tmp_path):
     cfg = tmp_path / "const.ini"
     cfg.write_text(BASE_CONFIG.replace("fixture = lump2d", "fixture = constant"))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
-    # the same constant state, and steady: exp_steady with a = 0
-    cfg.write_text(BASE_CONFIG.replace("fixture = lump2d", "fixture = exp_steady\na = 0 0\nscale = 2.0"))
+    # the same constant state, and steady: exp_steady with a = 0 (without the lump's c and T)
+    steady = "fixture = exp_steady\na = 0 0\nscale = 2.0"
+    cfg.write_text(BASE_CONFIG.replace("fixture = lump2d\nc = 1.0\nT = 1.0", steady))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
     assert (read_slab(tmp_path / "e" / "slab.slab").values == 2.0).all()
 
@@ -475,3 +476,13 @@ def test_non_positive_boundary_value_is_config_error(tmp_path, capsys, monkeypat
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 2
     err = capsys.readouterr().err
     assert "boundary values must be finite and positive at t=0.0625" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "msweep"])
+def test_initial_key_of_another_fixture_is_config_error(tmp_path, capsys, command):
+    # m belongs to barenblatt_fd: with the lump it would be ignored and never echoed
+    cfg = tmp_path / "foreign.ini"
+    cfg.write_text(BASE_CONFIG.replace("T = 1.0", "T = 1.0\nm = 0.3"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "[initial] m: not a parameter of fixture 'lump2d'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

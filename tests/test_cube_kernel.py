@@ -381,7 +381,7 @@ def ref_distributional(cutoff, grid, v_field=None, consts=(0.5, 2.0, 10.0)):
     """The whole-grid body: cutoff, Laplacian and logs sampled on every node."""
     support = cutoff.support_cube()
     zeta = cutoff.sample(grid).values
-    lap = laplacian(zeta, grid)
+    lap = np.pad(laplacian(zeta, grid), 1)  # zero on the boundary, which the support avoids
     base = integrate(lap, grid, support)
     if v_field is not None:
         v = np.asarray(v_field)

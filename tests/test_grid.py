@@ -17,7 +17,6 @@ from logdiff import (
     cube_volume,
     gradient,
     integrate,
-    interior_slices,
     laplacian,
     read_field,
     read_slab,
@@ -90,8 +89,8 @@ def test_laplacian_exact_on_quadratic_interior():
     g = Grid.regular(2, 1.0, 1.0 / 8)
     X, Y = g.meshgrid()
     lap = laplacian(X**2 + Y**2, g)
-    inner = lap[interior_slices(g)]
-    assert np.allclose(inner, 4.0, atol=1e-9)
+    assert lap.shape == (7, 7)  # the interior nodes only
+    assert np.allclose(lap, 4.0, atol=1e-9)
 
 
 def test_cutoff_profile_and_gradient_bound():
@@ -391,3 +390,12 @@ def test_cylinder_accessors():
     cyl = Cylinder((0.0, 0.0), 0.5, 0.1, 0.4)
     assert cyl.cube.edge == pytest.approx(0.5)
     assert cyl.length == pytest.approx(0.3)
+
+
+def test_laplacian_of_stacked_3d_levels_is_interior_only():
+    g = Grid.regular(3, 1.0, 1.0 / 6)
+    X, Y, Z = g.meshgrid()
+    levels = np.stack([X**2, Y**2 + Z**2, np.zeros_like(X)])
+    lap = laplacian(levels, g)
+    assert lap.shape == (3, 5, 5, 5)
+    assert np.allclose(lap, np.array([2.0, 4.0, 0.0])[:, None, None, None], atol=1e-9)

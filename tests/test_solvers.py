@@ -500,7 +500,7 @@ def test_faces_divergence_conserves_and_is_the_standard_stencil_inside(dim, cell
     L = _BetaOperator(faces, every, QuasilinearFlux("log-diffusion")).L
     inner = interior_slices(grid)
     got = (L @ u.ravel()).reshape(grid.shape)[inner]
-    want = laplacian(u, grid)[inner]
+    want = laplacian(u, grid)
     tol = 1e-13 * np.abs(u).max() / grid.spacing**2
     assert np.abs(got - want).max() <= tol
 
