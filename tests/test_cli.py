@@ -486,3 +486,43 @@ def test_initial_key_of_another_fixture_is_config_error(tmp_path, capsys, comman
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "[initial] m: not a parameter of fixture 'lump2d'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_MSWEEP_CONFIG = BASE_CONFIG.split("[verify]")[0] + "[msweep]\nm_values = 0.4 0.2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["verify", "l1"], "window = 0.5", "[verify] window: need 2 values, got 1"),
+        (["verify", "l1"], "window = 0.1 0.2 0.3", "[verify] window: need 2 values, got 3"),
+        (["verify", "l1"], "center = 0.1", "[verify] center: need 2 values, got 1"),
+        (["verify", "l1"], "center = 0 0 0", "[verify] center: need 2 values, got 3"),
+        (["msweep"], "window = 0.2", "[msweep] window: need 2 values, got 1"),
+        (["oracle-check", "lump2d", "--meshes", "0", "8"], None, "--meshes must be >= 2"),
+    ],
+    ids=["window-1", "window-3", "center-1", "center-3", "msweep-window-1", "meshes-0"],
+)
+def test_list_of_the_wrong_length_or_too_few_cells_is_config_error(
+    run_dir, tmp_path, capsys, argv, text, message
+):
+    # a window holds two times, a center one coordinate per axis, a mesh at least 2 cells
+    out = tmp_path / "out"
+    if text is not None:
+        cfg = run_dir / f"{tmp_path.name}.ini"
+        single = BASE_CONFIG.replace("count = 5", "count = 1")
+        base = _MSWEEP_CONFIG if argv == ["msweep"] else single
+        cfg.write_text(base + text + "\n")
+        argv = argv + ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_msweep_rejects_m_values_that_do_not_decrease(tmp_path, capsys):
+    cfg = tmp_path / "ms.ini"
+    cfg.write_text(_MSWEEP_CONFIG.replace("m_values = 0.4 0.2", "m_values = 0.2 0.4"))
+    assert main(["msweep", "--config", str(cfg), "--out", str(tmp_path / "ms")]) == 2
+    assert "config error: m_values must be strictly decreasing" in capsys.readouterr().err

@@ -34,7 +34,9 @@ from logdiff import (
 )
 from logdiff import functionals
 from logdiff.cli import _VERIFY
-from logdiff.grid import SpaceTimeSlab, average, gradient, integrate, laplacian
+from logdiff.grid import (
+    SpaceTimeSlab, average, gradient, gradient_at, integrate, laplacian
+)
 from logdiff.harnack import (
     DistributionalCheck,
     check_pointwise_harnack,
@@ -245,7 +247,7 @@ def test_kernel_matches_per_level_loops(dim, data):
 
 def test_kernel_window_spanning_several_chunks():
     # 65^2 nodes per level: the real budget holds 15 levels, so 40 levels
-    # make three chunks, the halo blocks included
+    # make three chunks, the gradient blocks included
     slab = _slab(2, 64, 40, seed=3)
     other = _slab(2, 64, 40, seed=4)
     per_level = 65**2
@@ -348,9 +350,10 @@ def test_cube_gradients_equal_whole_level_gradient(dim, data):
         assert np.array_equal(w, ref)
     for budget in (functionals._CHUNK_DOUBLES, 1):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
-            for ks, u, grads in functionals._cube_chunks(slab, nodes, levels, halo=True):
+            for ks, u in functionals._cube_chunks(slab, nodes, levels):
                 assert np.array_equal(u, slab.values[(ks,) + nodes])
                 whole = numpy_gradient(slab.values[ks])
+                grads = gradient_at(slab.values[ks], slab.grid, nodes)
                 assert len(grads) == dim
                 for g, w in zip(grads, whole):
                     assert np.array_equal(g, w[(slice(None),) + nodes])
@@ -449,6 +452,7 @@ def test_pointwise_lambda_p_matches_pow(p):
         a = np.abs(np.log(slab.values[k] / rep.sup_u)) ** p
         best = max(best, average(a, grid, cyl.cube) ** (1.0 / p))
     assert rep.lambda_p == pytest.approx(best, rel=1e-15, abs=0.0)
+    assert rep.lambda_p == oscillation(slab, cyl, rep.sup_u, p)
 
 
 def _raise(*args, **kwargs):
