@@ -22,9 +22,7 @@ from .grid import (
     integrate,
     interior_slices,
     laplacian,
-    read_field,
     read_slab,
-    write_field,
     write_slab,
 )
 from .oracles import (
@@ -50,7 +48,6 @@ from .solvers import (
 from .functionals import (
     FunctionalSet,
     degeneracy_ratio,
-    ess_inf,
     ess_sup,
     flux_l1,
     functional_set,
@@ -86,11 +83,9 @@ from .analyticity import (
     DerivativeTable,
     GrowthFit,
     SupBoundsReport,
-    SupExponentFit,
     analyticity_report,
     derivative_table,
     fit_derivative_growth,
-    fit_sup_bound_exponents,
     intrinsic_rescale,
     normalized_spatial_roots,
     rescale_residual,
@@ -103,9 +98,7 @@ from .limit_m import (
     UniformVerdict,
     check_mass_lower_bound,
     check_uniform_conditions,
-    log_approx_error,
     run_m_sweep,
-    taylor_gap_bound,
 )
 
 __version__ = "0.1.0"

@@ -343,52 +343,6 @@ def rescaled_sup_bounds(v_slab: SpaceTimeSlab, sigma: float) -> SupBoundsReport:
 
 
 @dataclass
-class SupExponentFit(Row):
-    """Report-only exponents of the sup-bound shape.
-
-    Fits ``ln sup_vt ~ ln(gamma) + mu1 ln(coef_high/coef_low) +
-    mu2 ln(1/(theta (1 - sigma)))`` by least squares; the additive constant
-    inside the bound's ``(1 + theta^-mu2)`` factor is dropped (dominant-term
-    regression), so the exponents are descriptive, not certified.
-    """
-
-    mu1: float
-    mu2: float
-    prefactor: float
-    max_log_residual: float
-    n_samples: int
-
-
-def fit_sup_bound_exponents(samples) -> SupExponentFit:
-    """Log-linear regression over ``(sup_vt, coef_ratio, theta, sigma)`` rows; rows
-    with ``sup_vt <= 0`` are skipped, and a value that is not finite raises."""
-    rows = [(float(s[0]), float(s[1]), float(s[2]), float(s[3])) for s in samples]
-    for name, col in zip(("sup_vt", "coef_ratio", "theta", "sigma"), zip(*rows)):
-        if not all(math.isfinite(x) for x in col):
-            raise ParameterError(f"{name} must be finite in every sample")
-    rows = [r for r in rows if r[0] > 0]
-    if len(rows) < 3:
-        raise ParameterError("need at least three positive samples to fit")
-    b = np.log([r[0] for r in rows])
-    A = np.column_stack(
-        [
-            np.ones(len(rows)),
-            np.log([r[1] for r in rows]),
-            np.log([1.0 / (r[2] * (1.0 - r[3])) for r in rows]),
-        ]
-    )
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = A @ coef - b
-    return SupExponentFit(
-        mu1=float(coef[1]),
-        mu2=float(coef[2]),
-        prefactor=float(math.exp(coef[0])),
-        max_log_residual=float(np.abs(resid).max()),
-        n_samples=len(rows),
-    )
-
-
-@dataclass
 class AnalyticityReport(Row):
     """One vertex's analyticity evidence: table fit plus rescaled sups."""
 

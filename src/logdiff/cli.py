@@ -20,9 +20,10 @@ a config error.
 ``[solver] m`` defaults to 0.2 wherever it is read: by ``quasilinear`` and, unless
 ``[verify] m`` is set, by the pme verify kinds.
 
-Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range or
-``--meshes`` below 2 cells among them), 3 solver failure (stderr names the
-failing step and its Newton residual max-norms), 4 verification I/O error.
+Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range, and
+``--meshes`` below 2 cells or repeated, among them), 3 solver failure (stderr
+names the failing step and its Newton residual max-norms), 4 verification I/O
+error.
 """
 
 from __future__ import annotations
@@ -399,6 +400,8 @@ def cmd_oracle_check(args) -> int:
     meshes = args.meshes or (32, 64, 128)
     if min(meshes) < 2:
         raise ConfigProblem(f"--meshes must be >= 2 cells per edge, got {min(meshes)}")
+    if len(set(meshes)) < len(meshes):
+        raise ConfigProblem(f"--meshes must not repeat a mesh, got {' '.join(map(str, meshes))}")
     params = {}
     cfg_echo: dict = {}
     if args.config is not None:

@@ -99,18 +99,10 @@ def _level_integrals(slab: SpaceTimeSlab, cube: Cube, window, integrand) -> np.n
     )
 
 
-def _cylinder_chunks(slab: SpaceTimeSlab, cyl: Cylinder):
-    levels = slab.window_indices(cyl.t_start, cyl.t_end)
-    return _cube_chunks(slab, slab.grid.cube_slices(cyl.cube), levels)
-
-
 def ess_sup(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
     """Max of the samples over the cylinder (discrete essential sup)."""
-    return float(np.max([u.max() for _, u in _cylinder_chunks(slab, cyl)]))
-
-
-def ess_inf(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
-    return float(np.min([u.min() for _, u in _cylinder_chunks(slab, cyl)]))
+    nodes, levels = slab.grid.cube_slices(cyl.cube), slab.window_indices(cyl.t_start, cyl.t_end)
+    return float(np.max([u.max() for _, u in _cube_chunks(slab, nodes, levels)]))
 
 
 def _check_m(m: float) -> None:
@@ -365,8 +357,7 @@ class FunctionalSet(Row):
 
     ``sup_u`` is the sup over the doubled cube and window; oscillation values
     are taken there too.  ``time_scale``/``mass_ratio`` families are evaluated
-    on the window's final level over the base cube.  Power-flux entries are
-    NaN when no ``m`` was supplied.
+    on the window's final level over the base cube.
     """
 
     center: tuple
@@ -400,23 +391,21 @@ def functional_set(
     rho: float,
     window,
     *,
+    m: float,
     q: float = 2.0,
     p: float = 5.0,
     r: float = 2.0,
     eps: float = 0.1,
     sigma: float = 0.5,
-    m: float | None = None,
 ) -> FunctionalSet:
-    """Evaluate the full probe family on one cylinder."""
+    """Evaluate the full probe family on one cylinder, the power entries at ``0 < m < 1``."""
+    if not 0 < m < 1:
+        raise ParameterError("m must be in (0, 1)")
     t0, t1 = float(window[0]), float(window[1])
     cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
     M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, sigma, (t0, t1))
     last = slab.level(int(slab.window_indices(t0, t1)[-1]))
     osc_p = oscillation(slab, cyl2, M, p)
-    nan = float("nan")
-    have_m = m is not None
-    if have_m and not 0 < m < 1:
-        raise ParameterError("m must be in (0, 1)")
     return FunctionalSet(
         center=tuple(center),
         rho=rho,
@@ -427,18 +416,18 @@ def functional_set(
         r=r,
         eps=eps,
         sigma=sigma,
-        m=m if have_m else nan,
+        m=m,
         sup_u=M,
         osc_p1=osc_p1,
         osc_p2=osc_p2,
         osc_p=osc_p,
-        osc_pow_p1=oscillation(slab, cyl2, M, 1.0, m, normalized=False) if have_m else nan,
-        osc_pow_p2=oscillation(slab, cyl2, M, 2.0, m, normalized=False) if have_m else nan,
-        osc_pow_p=oscillation(slab, cyl2, M, p, m, normalized=False) if have_m else nan,
+        osc_pow_p1=oscillation(slab, cyl2, M, 1.0, m, normalized=False),
+        osc_pow_p2=oscillation(slab, cyl2, M, 2.0, m, normalized=False),
+        osc_pow_p=oscillation(slab, cyl2, M, p, m, normalized=False),
         time_scale=intrinsic_scale(last, center, rho, q, eps),
-        time_scale_pow=intrinsic_scale(last, center, rho, q, eps, m) if have_m else nan,
+        time_scale_pow=intrinsic_scale(last, center, rho, q, eps, m),
         mass_ratio=degeneracy_ratio(last, center, rho, q, M, r),
-        mass_ratio_pow=degeneracy_ratio(last, center, rho, q, M, r, m) if have_m else nan,
+        mass_ratio_pow=degeneracy_ratio(last, center, rho, q, M, r, m),
         sup_mass_sigma=s_sig,
         inf_mass_2rho=inf_2rho,
     )

@@ -154,7 +154,7 @@ class Cube:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.edge <= 0:
+        if not self.edge > 0:
             raise ParameterError("cube edge must be positive")
 
 
@@ -176,7 +176,7 @@ class Cylinder:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not self.t_start < self.t_end:
             raise ParameterError("cylinder window must have t_start < t_end")
-        if self.edge <= 0:
+        if not self.edge > 0:
             raise ParameterError("cylinder edge must be positive")
 
     @property
@@ -317,7 +317,7 @@ class Cutoff:
     __slots__ = ("center", "rho", "sigma")
 
     def __init__(self, center, rho: float, sigma: float):
-        if rho <= 0:
+        if not rho > 0:
             raise ParameterError("cutoff rho must be positive")
         if not 0.0 <= sigma < 1.0:
             raise ParameterError("cutoff sigma must lie in [0, 1)")
@@ -476,7 +476,6 @@ def interior_slices(grid: Grid) -> tuple[slice, ...]:
 # serialization: flat binary layout, bit-exact round trip
 # ---------------------------------------------------------------------------
 
-_FIELD_MAGIC = b"LGF1"
 _SLAB_MAGIC = b"LGS1"
 
 
@@ -526,8 +525,8 @@ def _mapped(path):
 
 def _read_values(fh, off: int, shape, path) -> np.ndarray:
     """The ``<f8`` block of ``shape`` at byte ``off``, read straight from the
-    file into one new array, which is returned read-only (a Field or slab
-    takes it over)."""
+    file into one new array, which is returned read-only (the slab takes it
+    over)."""
     values = np.empty(shape, dtype="<f8")
     fh.seek(off)
     if fh.readinto(memoryview(values).cast("B")) != values.nbytes:
@@ -539,42 +538,6 @@ def _read_values(fh, off: int, shape, path) -> np.ndarray:
 def _write_values(fh, values: np.ndarray) -> None:
     """Write ``values`` as ``<f8`` in C order from the array's own buffer."""
     fh.write(np.ascontiguousarray(values, dtype="<f8").data)
-
-
-def write_field(f: Field, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_FIELD_MAGIC)
-        fh.write(_pack_grid(f.grid))
-        fh.write(struct.pack("<d", f.time))
-        _write_values(fh, f.values)
-
-
-def read_field(path) -> Field:
-    """Read a field written by :func:`write_field`.
-
-    The header is checked against the file length: a truncated or padded
-    file raises ParameterError naming the expected and actual byte counts.
-    Only then are the values read, straight into the array the Field keeps.
-    """
-    with _mapped(path) as (fh, buf, size):
-        if buf[:4] != _FIELD_MAGIC:
-            raise ParameterError(f"{path} is not a field file")
-        try:
-            grid, off = _unpack_grid(buf, 4, path)
-            (time,) = struct.unpack_from("<d", buf, off)
-        except struct.error as exc:
-            raise ParameterError(
-                f"field file {path} has {size} bytes, too few for its header: {exc}"
-            )
-        off += 8
-        expected = off + 8 * grid.npts**grid.dim
-        if size != expected:
-            raise ParameterError(
-                f"field file {path} has {size} bytes, but its header ({grid.shape} "
-                f"grid) needs {expected}"
-            )
-        values = _read_values(fh, off, grid.shape, path)
-    return Field(grid, values, time=time)
 
 
 def write_slab(slab: SpaceTimeSlab, path) -> None:

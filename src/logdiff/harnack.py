@@ -110,6 +110,8 @@ def check_l1_harnack(
     the constant, not the inequality itself.
     """
     _check_m(m)
+    if not 0.0 < rho < math.inf:
+        raise ParameterError(f"rho must be finite and positive, got {rho:.6g}")
     t0, t1 = _check_window(slab, window)
     lam = _time_exponent(slab.grid.dim, m)
     rhs_time = ((t1 - t0) / rho**lam) ** (1.0 / (1.0 - m))

@@ -38,31 +38,6 @@ from .solvers import SolverConfig, _beta, solve_log_diffusion, solve_porous_medi
 from .reporting import Row, write_csv, write_json, read_json
 
 
-def log_approx_error(field: Field, M: float, m: float, p: float) -> tuple[float, float]:
-    """Sup and p-mean distance between ``(1-(u/M)^m)/m`` and ``ln(M/u)`` for
-    the values ``u`` of ``field`` over its whole grid.  First order in m on
-    fixed data: halving m halves both.
-    """
-    if not 0 < m < 1:
-        raise ParameterError("m must be in (0, 1)")
-    if not 0 < M < math.inf:
-        raise ParameterError("M must be finite and positive")
-    values = field.values
-    if not (values.min() > 0 and values.max() < math.inf):
-        raise ParameterError("field must be finite and positive")
-    ratio = values / M
-    err = np.abs((1.0 - ratio**m) / m - np.log(1.0 / ratio))
-    h = field.grid.spacing
-    pmean = float((_trapezoid(err**p, h) / _trapezoid(np.ones_like(err), h)) ** (1.0 / p))
-    return float(err.max()), pmean
-
-
-def taylor_gap_bound(M: float, m: float, values: np.ndarray) -> np.ndarray:
-    """Second-order remainder bound ``m ln(M/u)^2 / 2`` (elementwise)."""
-    L = np.log(M / np.asarray(values, dtype=float))
-    return m * L**2 / 2.0
-
-
 @dataclass
 class MSweepEntry(Row):
     """Per-exponent record of one sweep member."""

@@ -222,8 +222,8 @@ def fit_order(spacings, errors) -> float:
     """Least-squares slope of ``log(error)`` against ``log(h)``."""
     hs = np.asarray(spacings, dtype=float)
     es = np.asarray(errors, dtype=float)
-    if hs.size < 2:
-        raise ParameterError("need >= 2 meshes to fit an order")
+    if np.unique(hs).size < 2:
+        raise ParameterError("need >= 2 distinct mesh spacings to fit an order")
     for name, x in (("spacings", hs), ("errors", es)):
         if not (x.min() > 0 and x.max() < np.inf):
             raise ParameterError(f"{name} must be finite and positive to fit an order")

@@ -18,7 +18,6 @@ from logdiff import (
     analyticity_report,
     derivative_table,
     fit_derivative_growth,
-    fit_sup_bound_exponents,
     intrinsic_rescale,
     normalized_spatial_roots,
     rescale_residual,
@@ -136,33 +135,6 @@ def test_rescaled_sup_bounds(lump_slab_64):
     assert full.coef_low == pytest.approx(1.0 / full.v_max)
     with pytest.raises(ParameterError):
         rescaled_sup_bounds(v, 0.0)
-
-
-def test_fit_sup_bound_exponents_needs_samples():
-    with pytest.raises(ParameterError):
-        fit_sup_bound_exponents([(1.0, 2.0, 0.5, 0.5)])
-    samples = [
-        (2.0, 1.5, 0.4, 0.25),
-        (3.0, 2.0, 0.4, 0.5),
-        (6.0, 2.5, 0.4, 0.75),
-        (1.5, 1.2, 0.8, 0.25),
-    ]
-    fit = fit_sup_bound_exponents(samples)
-    assert np.isfinite(fit.mu1) and np.isfinite(fit.mu2)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("col, name", [(0, "sup_vt"), (2, "theta")])
-def test_fit_sup_bound_exponents_rejects_non_finite_values(col, name, bad):
-    samples = [
-        [2.0, 1.5, 0.4, 0.25],
-        [3.0, 2.0, 0.4, 0.5],
-        [6.0, 2.5, 0.4, 0.75],
-        [1.5, 1.2, 0.8, 0.25],
-    ]
-    samples[1][col] = bad
-    with pytest.raises(ParameterError, match=f"{name} must be finite"):
-        fit_sup_bound_exponents(samples)
 
 
 def test_analyticity_report_end_to_end(lump_slab_64):

@@ -8,9 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from logdiff import Lump2D, QuasilinearFlux, SolverConfig, read_slab
-from logdiff import solve_porous_medium, solve_quasilinear
-from logdiff.cli import load_config, main
+from logdiff import Grid, Lump2D, QuasilinearFlux, SolverConfig, read_slab, write_slab
+from logdiff import SpaceTimeSlab, solve_porous_medium, solve_quasilinear
+from logdiff.cli import VERIFY_KINDS, load_config, main
 
 from conftest import lump_grid
 
@@ -170,6 +170,25 @@ def test_verify_error_cells_round_floats_to_six_digits(run_dir):
     for f in floats:
         mantissa = f.split("e")[0].replace(".", "").lstrip("0")
         assert len(mantissa) <= 6, f
+
+
+@pytest.mark.parametrize("rho", ["0", "nan"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_verify_records_a_rho_that_is_not_positive(tmp_path, dim, rho):
+    # rho = 0 reached the l1 time term rho^lam and raised ZeroDivisionError, and
+    # rho = nan passed the cube's edge check and raised ValueError (exit 1)
+    grid = Grid.regular(dim, 1.0, 0.25)
+    write_slab(SpaceTimeSlab(grid, [0.0, 0.5], np.ones((2,) + grid.shape)), tmp_path / "s.slab")
+    cfg = tmp_path / "v.ini"
+    # m = 0.5 keeps N(m-1)+2 > 0 in 3D, so l1-pme reaches the time term too
+    cfg.write_text(f"[verify]\nslab = s.slab\ncount = 1\nrho = {rho}\nm = 0.5\n")
+    for kind in VERIFY_KINDS:
+        out = tmp_path / kind
+        assert main(["verify", kind, "--config", str(cfg), "--out", str(out)]) == 0
+        (row,) = read_rows(out / "report.csv")
+        assert row["error"]
+        if kind in ("l1", "l1-pme"):
+            assert row["error"] == f"rho must be finite and positive, got {rho}"
 
 
 def test_msweep_cli(tmp_path):
@@ -500,8 +519,12 @@ _MSWEEP_CONFIG = BASE_CONFIG.split("[verify]")[0] + "[msweep]\nm_values = 0.4 0.
         (["verify", "l1"], "center = 0 0 0", "[verify] center: need 2 values, got 3"),
         (["msweep"], "window = 0.2", "[msweep] window: need 2 values, got 1"),
         (["oracle-check", "lump2d", "--meshes", "0", "8"], None, "--meshes must be >= 2"),
+        (["oracle-check", "lump2d", "--meshes", "8", "8"], None, "must not repeat a mesh, got 8 8"),
     ],
-    ids=["window-1", "window-3", "center-1", "center-3", "msweep-window-1", "meshes-0"],
+    ids=[
+        "window-1", "window-3", "center-1", "center-3", "msweep-window-1", "meshes-0",
+        "meshes-repeated",
+    ],
 )
 def test_list_of_the_wrong_length_or_too_few_cells_is_config_error(
     run_dir, tmp_path, capsys, argv, text, message

@@ -18,9 +18,7 @@ from logdiff import (
     gradient,
     integrate,
     laplacian,
-    read_field,
     read_slab,
-    write_field,
     write_slab,
 )
 from logdiff.grid import SpaceTimeSlab
@@ -198,19 +196,6 @@ def test_slab_times_follow_the_same_rule():
     assert not np.shares_memory(SpaceTimeSlab(g, writable, slab.values).times, writable)
 
 
-def test_field_io_roundtrip(tmp_path):
-    g = Grid.regular(2, 1.0, 1.0 / 8)
-    rng = np.random.default_rng(0)
-    f = Field(g, rng.uniform(0.5, 2.0, g.shape), time=0.75)
-    path = tmp_path / "f.field"
-    write_field(f, path)
-    back = read_field(path)
-    assert back.time == f.time
-    assert np.array_equal(back.values, f.values)
-    assert back.grid.shape == g.shape
-    assert back.grid.spacing == g.spacing
-
-
 def test_slab_io_roundtrip(tmp_path):
     g = Grid.regular(2, 0.5, 1.0 / 16)
     rng = np.random.default_rng(1)
@@ -244,15 +229,6 @@ def test_slab_file_read_and_written_back_keeps_its_bytes(tmp_path, dim):
     assert body == slab.values.astype("<f8").tobytes()
 
 
-def test_field_file_read_and_written_back_keeps_its_bytes(tmp_path):
-    g = Grid.regular(3, 1.0, 1.0 / 8)
-    f = Field(g, np.random.default_rng(0).uniform(0.5, 2.0, g.shape), time=0.25)
-    first, second = tmp_path / "a.field", tmp_path / "b.field"
-    write_field(f, first)
-    write_field(read_field(first), second)
-    assert first.read_bytes() == second.read_bytes()
-
-
 def big_slab(levels=64):
     """A 65^2 x ``levels`` slab, large enough that fixed costs of the IO are
     small beside its values."""
@@ -277,26 +253,20 @@ def test_read_slab_reads_into_the_one_array_it_keeps(tmp_path):
 
 def test_readers_allocate_nothing_before_the_size_check(tmp_path):
     slab = big_slab()
-    field = Field(Grid.regular(3, 1.0, 1.0 / 64), np.ones((65,) * 3))
     write_slab(slab, tmp_path / "s.slab")
-    write_field(field, tmp_path / "f.field")
     data = (tmp_path / "s.slab").read_bytes()
     # the level count follows the magic and the dim = 2 grid header (37 bytes)
-    cases = [
-        (read_slab, data[:41] + struct.pack("<i", 2**31 - 1) + data[45:], slab.values),
-        (read_slab, data + bytes(8), slab.values),
-        (read_field, (tmp_path / "f.field").read_bytes() + bytes(8), field.values),
-    ]
-    for k, (read, bad, values) in enumerate(cases):
+    cases = [data[:41] + struct.pack("<i", 2**31 - 1) + data[45:], data + bytes(8)]
+    for k, bad in enumerate(cases):
         path = tmp_path / f"bad-{k}"
         path.write_bytes(bad)
 
         def attempt():
             with pytest.raises(ParameterError, match=f"has {len(bad)} bytes"):
-                read(path)
+                read_slab(path)
 
         _, peak = peak_bytes(attempt)
-        assert peak <= 0.05 * values.nbytes
+        assert peak <= 0.05 * slab.values.nbytes
 
 
 def test_read_slab_rejects_truncated_files(tmp_path):
@@ -317,27 +287,6 @@ def test_read_slab_rejects_truncated_files(tmp_path):
         p.write_bytes(data)
         with pytest.raises(ParameterError) as err:
             read_slab(p)
-        msg = str(err.value)
-        assert f"has {len(data)} bytes" in msg
-        assert f"needs {expected}" in msg if expected else "at least" in msg
-
-
-def test_read_field_rejects_truncated_and_padded_files(tmp_path):
-    g = Grid.regular(2, 1.0, 1.0 / 64)
-    path = tmp_path / "f.field"
-    write_field(Field(g, np.ones(g.shape), time=0.5), path)
-    full = path.read_bytes()
-    cases = {
-        "body": (full[:-16], len(full)),
-        "header-only": (full[: len(full) - 8 * 65**2], len(full)),
-        "grid-only": (full[:20], None),
-        "padded": (full + bytes(8), len(full)),
-    }
-    for name, (data, expected) in cases.items():
-        p = tmp_path / f"{name}.field"
-        p.write_bytes(data)
-        with pytest.raises(ParameterError) as err:
-            read_field(p)
         msg = str(err.value)
         assert f"has {len(data)} bytes" in msg
         assert f"needs {expected}" in msg if expected else "at least" in msg
@@ -367,14 +316,13 @@ def corrupt_header(data: bytes, name: str) -> bytes:
 @pytest.mark.parametrize("name", sorted(CORRUPT_HEADERS))
 def test_read_rejects_corrupted_grid_headers(tmp_path, name):
     g = Grid.regular(2, 1.0, 1.0 / 8)
-    write_slab(SpaceTimeSlab(g, [0.0, 0.5], np.ones((2,) + g.shape)), tmp_path / "s.slab")
-    write_field(Field(g, np.ones(g.shape)), tmp_path / "f.field")
-    for path, read in ((tmp_path / "s.slab", read_slab), (tmp_path / "f.field", read_field)):
-        bad = tmp_path / f"{name}{path.suffix}"
-        bad.write_bytes(corrupt_header(path.read_bytes(), name))
-        with pytest.raises(ParameterError, match="corrupted grid header") as err:
-            read(bad)
-        assert str(bad) in str(err.value)
+    path = tmp_path / "s.slab"
+    write_slab(SpaceTimeSlab(g, [0.0, 0.5], np.ones((2,) + g.shape)), path)
+    bad = tmp_path / f"{name}.slab"
+    bad.write_bytes(corrupt_header(path.read_bytes(), name))
+    with pytest.raises(ParameterError, match="corrupted grid header") as err:
+        read_slab(bad)
+    assert str(bad) in str(err.value)
 
 
 def test_read_rejects_wrong_magic(tmp_path):
@@ -382,8 +330,6 @@ def test_read_rejects_wrong_magic(tmp_path):
     p.write_bytes(b"XXXX garbage")
     with pytest.raises(ParameterError):
         read_slab(p)
-    with pytest.raises(ParameterError):
-        read_field(p)
 
 
 def test_cylinder_accessors():

@@ -8,16 +8,13 @@ import pytest
 from logdiff import (
     Cube,
     Field,
-    Grid,
     Lump2D,
     MSweepResult,
     ParameterError,
     SolverConfig,
     check_mass_lower_bound,
     check_uniform_conditions,
-    log_approx_error,
     run_m_sweep,
-    taylor_gap_bound,
 )
 
 from conftest import lump_grid
@@ -36,37 +33,6 @@ def small_sweep(m_values=(0.4, 0.2, 0.1)):
 @pytest.fixture(scope="module")
 def sweep():
     return small_sweep()
-
-
-def test_log_approx_error_decreases_in_m():
-    g = Grid.regular(2, 1.0, 1.0 / 32)
-    f = LUMP.sample(g, 0.0)
-    prev = np.inf
-    for m in (0.4, 0.2, 0.1, 0.05):
-        sup_err, mean_err = log_approx_error(f, 8.0, m, 2.0)
-        assert 0 < mean_err <= sup_err < prev
-        prev = sup_err
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_log_approx_error_rejects_non_finite_field(bad):
-    f = LUMP.sample(Grid.regular(2, 1.0, 1.0 / 16), 0.0)
-    values = f.values.copy()
-    values[8, 8] = bad
-    with pytest.raises(ParameterError, match="field must be finite"):
-        log_approx_error(Field(f.grid, values), 8.0, 0.2, 2.0)
-
-
-def test_taylor_gap_bound_dominates():
-    g = Grid.regular(2, 1.0, 1.0 / 32)
-    f = LUMP.sample(g, 0.0)
-    for m in (0.4, 0.1):
-        sup_err, _ = log_approx_error(f, 8.0, m, 1.0)
-        bound = taylor_gap_bound(8.0, m, f.values)
-        # elementwise remainder bound: its max dominates the sup error
-        assert sup_err <= bound.max() + 1e-12
-        gap = np.abs((1.0 - (f.values / 8.0) ** m) / m - np.log(8.0 / f.values))
-        assert np.all(gap <= bound + 1e-12)
 
 
 def test_sweep_validates_m_values():

@@ -116,6 +116,9 @@ def test_fit_order_exact_power_law():
     assert fit_order(hs, errs) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ParameterError):
         fit_order([0.1], [0.01])
+    # two copies of one mesh give no slope
+    with pytest.raises(ParameterError, match="2 distinct mesh spacings"):
+        fit_order([0.1, 0.1], [0.01, 0.02])
     with pytest.raises(ParameterError):
         fit_order([0.1, 0.05], [0.01, 0.0])
 

@@ -48,7 +48,7 @@ def test_every_report_row_comes_from_the_row_rule():
                 assert "super().to_row()" in inspect.getsource(cls.to_row), cls
             if issubclass(cls, Row):
                 reports.add(cls.__name__)
-    assert len(reports) == 15 and {"AnalyticityReport", "MSweepEntry"} <= reports
+    assert len(reports) == 14 and {"AnalyticityReport", "MSweepEntry"} <= reports
 
 
 def test_tracer_finds_every_name_it_binds():
