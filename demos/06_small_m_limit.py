@@ -13,7 +13,6 @@ import numpy as np
 
 from logdiff import (
     Cube,
-    Cylinder,
     Grid,
     Lump2D,
     SolverConfig,
@@ -30,12 +29,12 @@ grid = Grid.regular(2, 1.0, 1.0 / 64)
 # the normalized power oscillation sits below its log limit and the gap
 # halves every time m does.
 slab = sol.sample_slab(grid, [0.0, 0.01])
-cyl = Cylinder((0.0, 0.0), 1.0, -0.005, 0.005)
-lam = oscillation(slab, cyl, M=8.0, p=2.0)
+cube, window = Cube((0.0, 0.0), 1.0), (-0.005, 0.005)
+lam = oscillation(slab, cube, window, M=8.0, p=2.0)
 print(f"log oscillation (p=2)           = {lam:.6f}")
 prev = None
 for m in (0.4, 0.2, 0.1, 0.05):
-    val = oscillation(slab, cyl, M=8.0, m=m / 2.0, p=2.0, normalized=True)
+    val = oscillation(slab, cube, window, M=8.0, m=m / 2.0, p=2.0, normalized=True)
     gap = val - lam
     line = f"m={m:4.2f}  power value={val:.6f}  gap={gap:+.2e}"
     if prev is not None:

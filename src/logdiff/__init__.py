@@ -12,7 +12,6 @@ from .errors import DomainError, GeometryError, ParameterError, SolverError
 from .grid import (
     Cube,
     Cutoff,
-    Cylinder,
     Field,
     Grid,
     SpaceTimeSlab,

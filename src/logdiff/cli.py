@@ -2,12 +2,13 @@
 
 Configuration is a single INI file; every recognized key, including applied
 defaults, is echoed into the run manifest so a run is self-describing, and a
-section or key that no command reads, or an ``[initial]`` parameter that the
-chosen fixture does not take, is a config error.  CSV outputs are
-byte-identical across reruns with the same config and seed: probe placement
-is seeded, probes run one after another in one thread, and floats are
-serialized with ``repr``.  ``--threads`` is accepted and recorded
-in the manifest but starts no workers: the checkers hold the interpreter
+section or key that no command reads, an ``[initial]`` parameter that the
+chosen fixture does not take, a ``[verify] count`` below 1, and ``center``,
+``rho`` or ``window`` (which place one explicit probe) with ``count`` above 1
+are config errors.  CSV outputs are byte-identical across reruns with the same
+config and seed: probe placement is seeded, probes run one after another in one
+thread, and floats are serialized with ``repr``.  ``--threads`` is accepted and
+recorded in the manifest but starts no workers: the checkers hold the interpreter
 lock, so worker threads only add contention.  Column sets are documented in
 ``schema/columns.md`` shipped inside the package.
 
@@ -206,8 +207,11 @@ def _build_solver_config(cfg: Cfg, fixture) -> SolverConfig:
     )
 
 
-# the probe constants that [verify] and [msweep] both read, with their one default
-_PROBE_DEFAULTS = {"sigma": 0.5, "q": 2.0, "p": 5.0, "r": 2.0, "eps": 0.1}
+def _probe_constants(cfg: Cfg, section: str, dim: int) -> dict:
+    """The probe constants that [verify] and [msweep] both read, with their one default;
+    ``p`` defaults to ``max(5, N + 3)``, as the pointwise bound needs ``p > N + 2``."""
+    defaults = {"sigma": 0.5, "q": 2.0, "p": max(5.0, dim + 3.0), "r": 2.0, "eps": 0.1}
+    return {k: cfg.get(section, k, v, float) for k, v in defaults.items()}
 
 
 def _solver_m(cfg: Cfg, required=False) -> float:
@@ -308,7 +312,12 @@ def _verify_probes(cfg: Cfg, slab, kind: str, seed: int):
     """Probe cylinders for a verify run: explicit single or seeded batch."""
     grid = slab.grid
     count = cfg.get("verify", "count", 1, int)
-    if count <= 1:
+    if count < 1:
+        raise ConfigProblem(f"[verify] count must be >= 1, got {count}")
+    explicit = [k for k in ("center", "rho", "window") if cfg.cp.has_option("verify", k)]
+    if count > 1 and explicit:
+        raise ConfigProblem(f"[verify] {', '.join(explicit)}: set only with count = 1, got {count}")
+    if count == 1:
         center = cfg.get("verify", "center", grid.center, lambda raw: _parse_floats(raw, grid.dim))
         rho = cfg.get("verify", "rho", grid.edge / 4.0, float)
         window = cfg.get(
@@ -333,7 +342,7 @@ def cmd_verify(args) -> int:
         print(f"verify: cannot read slab {slab_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     opts = SimpleNamespace(
-        **{k: cfg.get("verify", k, v, float) for k, v in _PROBE_DEFAULTS.items()},
+        **_probe_constants(cfg, "verify", slab.grid.dim),
         m=cfg.get("verify", "m", _solver_m(cfg), float),
         flux=_build_flux(cfg, slab.grid) if kind == "flux" else None,
     )
@@ -384,7 +393,7 @@ def cmd_msweep(args) -> int:
         rho=rho,
         window=window,
         e_o=Cube(grid.center, e_o_edge),
-        **{k: cfg.get("msweep", k, v, float) for k, v in _PROBE_DEFAULTS.items()},
+        **_probe_constants(cfg, "msweep", grid.dim),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

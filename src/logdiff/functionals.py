@@ -4,17 +4,18 @@ Conventions shared by every function here:
 
 * cubes are edge-specified (``Cube(y, e)`` spans ``e``, not ``2e``);
 * spatial means are trapezoid averages over the snapped cube;
+* a space-time region is a cube and a window ``(t_start, t_end)`` with
+  ``t_start < t_end``, passed in that order;
 * time windows select stored levels (closed window, roundoff tolerant);
 * the discrete essential sup/inf over a region is the max/min of its samples.
 
-Every quantity over a cube and a window ``(t_start, t_end)`` is read by one
-kernel, :func:`_cube_chunks`, as ``(ks, u)``: a slice of slab levels and a
-view of the cube's nodes there holding at most ``_CHUNK_DOUBLES`` values (or
-one level, if that is larger), so temporaries stay cache-sized however long
-the window is.  Each chunk is reduced per level by the trapezoid rule of
-:mod:`logdiff.grid`; sups, infs and time integrals are numpy reductions too,
-so a NaN sample in the cube and window makes the result NaN instead of being
-skipped.
+Every quantity over a cube and a window is read by one kernel,
+:func:`_cube_chunks`, as ``(ks, u)``: a slice of slab levels and a view of the
+cube's nodes there holding at most ``_CHUNK_DOUBLES`` values (or one level, if
+that is larger), so temporaries stay cache-sized however long the window is.
+Each chunk is reduced per level by the trapezoid rule of :mod:`logdiff.grid`;
+sups, infs and time integrals are numpy reductions too, so a NaN sample in the
+cube and window makes the result NaN instead of being skipped.
 
 Probe-local rule: the work of one probe scales with its own cylinder.  No
 function here evaluates anything on a whole level and slices it afterwards:
@@ -54,7 +55,6 @@ from .errors import ParameterError
 from .grid import (
     Cube,
     Cutoff,
-    Cylinder,
     Field,
     SpaceTimeSlab,
     _block_volume,
@@ -99,9 +99,17 @@ def _level_integrals(slab: SpaceTimeSlab, cube: Cube, window, integrand) -> np.n
     )
 
 
-def ess_sup(slab: SpaceTimeSlab, cyl: Cylinder) -> float:
-    """Max of the samples over the cylinder (discrete essential sup)."""
-    nodes, levels = slab.grid.cube_slices(cyl.cube), slab.window_indices(cyl.t_start, cyl.t_end)
+def _window(window) -> tuple[float, float]:
+    """``(t_start, t_end)`` as floats; ParameterError unless ``t_start < t_end``."""
+    t0, t1 = float(window[0]), float(window[1])
+    if not t0 < t1:
+        raise ParameterError("window must satisfy t_start < t_end")
+    return t0, t1
+
+
+def ess_sup(slab: SpaceTimeSlab, cube: Cube, window) -> float:
+    """Max of the samples over ``cube x window`` (discrete essential sup)."""
+    nodes, levels = slab.grid.cube_slices(cube), slab.window_indices(*_window(window))
     return float(np.max([u.max() for _, u in _cube_chunks(slab, nodes, levels)]))
 
 
@@ -118,19 +126,20 @@ def _osc_integrand(M: float, m: float):
 
 
 def oscillation(
-    slab: SpaceTimeSlab, cyl: Cylinder, M: float, p: float, m: float = 0.0, normalized: bool = True
+    slab: SpaceTimeSlab, cube: Cube, window, M: float, p: float, m: float = 0.0, normalized=True
 ) -> float:
     """Sup over levels of the p-root of the cube mean of ``_osc_integrand(M, m)(u)^p``:
     ``|ln(u/M)|`` at ``m = 0``, ``(1 - (u/M)^m)/m`` for ``0 < m < 1``.  ``normalized=False``
     takes the plain cube integral, the form the energy and flux bounds consume."""
+    window = _window(window)
     _check_m(m)
     if M <= 0:
         raise ParameterError("M must be positive")
     if p < 1:
         raise ParameterError("p must be >= 1")
     f = _osc_integrand(M, m)
-    vals = _level_integrals(slab, cyl.cube, (cyl.t_start, cyl.t_end), lambda ks, u: f(u) ** p)
-    scale = cube_volume(slab.grid, cyl.cube) if normalized else 1.0
+    vals = _level_integrals(slab, cube, window, lambda ks, u: f(u) ** p)
+    scale = cube_volume(slab.grid, cube) if normalized else 1.0
     return float(np.max((vals / scale) ** (1.0 / p)))
 
 
@@ -401,16 +410,16 @@ def functional_set(
     """Evaluate the full probe family on one cylinder, the power entries at ``0 < m < 1``."""
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
-    t0, t1 = float(window[0]), float(window[1])
-    cyl2 = Cylinder(tuple(center), 2.0 * rho, t0, t1)
-    M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, sigma, (t0, t1))
-    last = slab.level(int(slab.window_indices(t0, t1)[-1]))
-    osc_p = oscillation(slab, cyl2, M, p)
+    window = _window(window)
+    cube2 = Cube(tuple(center), 2.0 * rho)
+    M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, sigma, window)
+    last = slab.level(int(slab.window_indices(*window)[-1]))
+    osc_p = oscillation(slab, cube2, window, M, p)
     return FunctionalSet(
         center=tuple(center),
         rho=rho,
-        t_start=t0,
-        t_end=t1,
+        t_start=window[0],
+        t_end=window[1],
         q=q,
         p=p,
         r=r,
@@ -421,9 +430,9 @@ def functional_set(
         osc_p1=osc_p1,
         osc_p2=osc_p2,
         osc_p=osc_p,
-        osc_pow_p1=oscillation(slab, cyl2, M, 1.0, m, normalized=False),
-        osc_pow_p2=oscillation(slab, cyl2, M, 2.0, m, normalized=False),
-        osc_pow_p=oscillation(slab, cyl2, M, p, m, normalized=False),
+        osc_pow_p1=oscillation(slab, cube2, window, M, 1.0, m, normalized=False),
+        osc_pow_p2=oscillation(slab, cube2, window, M, 2.0, m, normalized=False),
+        osc_pow_p=oscillation(slab, cube2, window, M, p, m, normalized=False),
         time_scale=intrinsic_scale(last, center, rho, q, eps),
         time_scale_pow=intrinsic_scale(last, center, rho, q, eps, m),
         mass_ratio=degeneracy_ratio(last, center, rho, q, M, r),

@@ -110,9 +110,6 @@ class Grid:
             idx.append(jr)
         return tuple(idx)
 
-    def node(self, idx) -> np.ndarray:
-        return np.array([self.axis(d)[idx[d]] for d in range(self.dim)])
-
     def block_axes(self, nodes) -> list[np.ndarray]:
         """Coordinates of the block ``nodes`` (one slice per axis): one array
         per axis, shaped to broadcast against the others."""
@@ -158,36 +155,6 @@ class Cube:
             raise ParameterError("cube edge must be positive")
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Space-time cylinder: cube of edge ``edge`` at ``center`` times ``(t_start, t_end]``.
-
-    Discrete window selection is closed: stored levels with
-    ``t_start - tol <= tau <= t_end + tol`` participate, which is equivalent
-    on samples and avoids losing endpoint levels to roundoff.
-    """
-
-    center: tuple[float, ...]
-    edge: float
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not self.t_start < self.t_end:
-            raise ParameterError("cylinder window must have t_start < t_end")
-        if not self.edge > 0:
-            raise ParameterError("cylinder edge must be positive")
-
-    @property
-    def cube(self) -> Cube:
-        return Cube(self.center, self.edge)
-
-    @property
-    def length(self) -> float:
-        return self.t_end - self.t_start
-
-
 def _owned(values) -> np.ndarray:
     """The read-only float array a :class:`Field` or :class:`SpaceTimeSlab` keeps.
 
@@ -221,12 +188,6 @@ class Field:
         self.grid = grid
         self.values = values
         self.time = float(time)
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
 
 
 class SpaceTimeSlab:
@@ -288,8 +249,9 @@ class SpaceTimeSlab:
 
     def window_indices(self, t_start: float, t_end: float) -> np.ndarray:
         """The stored levels of ``(t_start, t_end]`` by the one rule every measurement
-        uses: closed and roundoff tolerant (:class:`Cylinder`), so a window that
-        ends on a stored level holds it.  GeometryError if the window holds none."""
+        uses: closed and roundoff tolerant, so a window that ends on a stored level
+        holds it, and ``(t, t]`` holds the level at ``t``.  GeometryError if the
+        window holds none."""
         tol = 1e-9 * max(1.0, abs(self.times[-1]))
         idx = np.nonzero((self.times >= t_start - tol) & (self.times <= t_end + tol))[0]
         if idx.size == 0:
@@ -310,8 +272,8 @@ class Cutoff:
     gradient satisfies ``max|D zeta| <= 3/(sigma*rho) * (1 + c*h)``.
 
     ``sigma = 0`` is accepted as the degenerate sharp-indicator limit (used by
-    identity checks where the ramp must carry zero mass); its gradient bound
-    is infinite.
+    identity checks where the ramp must carry zero mass); its slope bound is
+    infinite.
     """
 
     __slots__ = ("center", "rho", "sigma")
@@ -331,14 +293,6 @@ class Cutoff:
 
     def support_cube(self) -> Cube:
         return Cube(self.center, self.support_edge)
-
-    def inner_cube(self) -> Cube:
-        return Cube(self.center, self.rho)
-
-    def gradient_bound(self) -> float:
-        if self.sigma == 0.0:
-            return np.inf
-        return 3.0 / (self.sigma * self.rho)
 
     def eval(self, sup_dist: np.ndarray) -> np.ndarray:
         """Profile value given sup-norm distance from the center."""

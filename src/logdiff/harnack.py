@@ -28,7 +28,6 @@ from .errors import GeometryError, ParameterError
 from .grid import (
     Cube,
     Cutoff,
-    Cylinder,
     Grid,
     SpaceTimeSlab,
     _trapezoid,
@@ -42,6 +41,7 @@ from .functionals import (
     _intrinsic_window,
     _probe_stats,
     _probe_sup,
+    _window,
     ess_sup,
     flux_l1,
     degeneracy_ratio,
@@ -58,9 +58,7 @@ def _check_window(slab: SpaceTimeSlab, window) -> tuple[float, float]:
             f"window ({t0:.6g}, {t1:.6g}] leaves the slab range "
             f"[{slab.times[0]:.6g}, {slab.times[-1]:.6g}]"
         )
-    if not t0 < t1:
-        raise ParameterError("window must satisfy t_start < t_end")
-    return t0, t1
+    return _window(window)
 
 
 def _time_exponent(N: int, m: float) -> float:
@@ -468,9 +466,9 @@ def check_pointwise_harnack(
             f"intrinsic window depth {depth:.6g} reaches below the slab start"
         ) from None
     M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))[2]
-    lam_p = _oscillation(slab, Cylinder(x_o, 8.0 * rho, t_lo, t_o), M, p)
+    lam_p = _oscillation(slab, Cube(x_o, 8.0 * rho), (t_lo, t_o), M, p)
     eta = degeneracy_ratio(slab.level(k_o), x_o, rho, q, M, r)
-    sup_val = ess_sup(slab, Cylinder(x_o, 2.0 * rho, t_o - theta * rho**2, t_o))
+    sup_val = ess_sup(slab, Cube(x_o, 2.0 * rho), (t_o - theta * rho**2, t_o))
     if probes.size > _POINTWISE_PROBES:
         pick = np.round(np.linspace(0, probes.size - 1, _POINTWISE_PROBES)).astype(int)
         probes = probes[np.unique(pick)]

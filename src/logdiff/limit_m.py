@@ -121,7 +121,7 @@ class MSweepResult:
 
     @staticmethod
     def load(directory) -> "MSweepResult":
-        """Read a sweep written by :meth:`save`.
+        """Read a sweep written by :meth:`save`, each ``ok`` entry's functional set included.
 
         Raises ParameterError if the manifest lacks a key, holds an entry
         whose m is not in ``m_values``, or lists a slab file that is missing.
@@ -134,6 +134,7 @@ class MSweepResult:
             **{k: tuple(man[k]) if isinstance(man[k], list) else man[k] for k in _MANIFEST_HEAD}
         )
         keys = [f.name for f in fields(MSweepEntry) if f.metadata.get("row", True)]
+        keys += [f"fs_{f.name}" for f in fields(FunctionalSet)]
         for rec in man["entries"]:
             _require(rec, keys, f"an entry of sweep manifest {path}")
             if rec["m"] not in result.m_values:
@@ -142,7 +143,11 @@ class MSweepResult:
                     f"which is not in m_values {result.m_values}"
                 )
             values = {k: math.nan if rec[k] is None else rec[k] for k in keys}
+            fs = {k[3:]: values.pop(k) for k in keys if k.startswith("fs_")}
             values.update(ok=bool(rec["ok"]), failure=rec["failure"] or "")
+            if values["ok"]:  # a failed solve has no functional set
+                fs["center"] = tuple(float(c) for c in fs["center"].split(";"))
+                values["functional_set"] = FunctionalSet(**fs)
             result.entries.append(MSweepEntry(**values))
         files = man["files"]
         missing = [name for name in files.values() if not (directory / name).is_file()]

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from logdiff import (
+    Cube,
     Cutoff,
-    Cylinder,
     ExpSteady,
     Grid,
     Lump2D,
@@ -95,13 +95,13 @@ def test_03_exponent_identities(capsys):
 def test_04_functional_limit(capsys):
     g = Grid.regular(2, 1.0, 1.0 / 128)
     slab = LUMP.sample_slab(g, [0.0, 0.01])
-    cyl = Cylinder((0.0, 0.0), 1.0, -0.005, 0.005)
+    cube, window = Cube((0.0, 0.0), 1.0), (-0.005, 0.005)
     worst = (np.inf, 0.0)
     ratios = {}
     for p in (1.0, 2.0, 5.0):
-        lam = oscillation(slab, cyl, M=8.0, p=p)
+        lam = oscillation(slab, cube, window, M=8.0, p=p)
         gaps = {
-            m: oscillation(slab, cyl, M=8.0, m=m / 2.0, p=p, normalized=True) - lam
+            m: oscillation(slab, cube, window, M=8.0, m=m / 2.0, p=p, normalized=True) - lam
             for m in (0.2, 0.1, 0.05)
         }
         r1 = gaps[0.1] / gaps[0.2]

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from logdiff import Grid, Lump2D, QuasilinearFlux, SolverConfig, read_slab, write_slab
+from logdiff import BarenblattFD, Grid, Lump2D, QuasilinearFlux, SolverConfig, read_slab, write_slab
 from logdiff import SpaceTimeSlab, solve_porous_medium, solve_quasilinear
 from logdiff.cli import VERIFY_KINDS, load_config, main
 
@@ -189,6 +189,55 @@ def test_verify_records_a_rho_that_is_not_positive(tmp_path, dim, rho):
         assert row["error"]
         if kind in ("l1", "l1-pme"):
             assert row["error"] == f"rho must be finite and positive, got {rho}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("count = 0", "[verify] count must be >= 1, got 0"),
+        ("count = -3", "[verify] count must be >= 1, got -3"),
+        (
+            "count = 5\nrho = 0.1\ncenter = 0.3 0.3",
+            "[verify] center, rho: set only with count = 1, got 5",
+        ),
+        ("count = 2\nwindow = 0.0 0.25", "[verify] window: set only with count = 1, got 2"),
+    ],
+    ids=["count-0", "count-negative", "count-5-center-rho", "count-2-window"],
+)
+def test_verify_count_below_one_or_with_an_explicit_probe_is_config_error(
+    run_dir, tmp_path, capsys, text, message
+):
+    # count < 1 wrote one explicit probe, and count > 1 sampled its probes
+    # without a word about the center, rho or window that the config set
+    cfg = run_dir / f"{tmp_path.name}.ini"
+    cfg.write_text(BASE_CONFIG.replace("count = 5", text))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["verify", "l1", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim, p", [(2, 5.0), (3, 6.0)])
+def test_default_p_exceeds_n_plus_2(tmp_path, dim, p):
+    # p = 5 made every pointwise probe on a 3D slab a row error, "need p > N + 2 = 5"
+    grid = Grid.regular(dim, 1.0, 1.0 / 16)
+    write_slab(BarenblattFD().sample_slab(grid, np.linspace(0.0, 0.25, 17)), tmp_path / "b.slab")
+    cfg = tmp_path / "b.ini"
+    cfg.write_text(
+        f"[grid]\ndim = {dim}\ncells = 8\n\n[initial]\nfixture = barenblatt_fd\n\n"
+        "[solver]\ndt = 0.015625\nhorizon = 0.03125\n\n"
+        "[verify]\nslab = b.slab\ncount = 4\n\n[msweep]\nm_values = 0.4\n"
+    )
+    for command in (["verify", "pointwise"], ["msweep"]):
+        out = tmp_path / command[-1]
+        assert main(command + ["--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"][command[0]]["p"] == p
+    rows = read_rows(tmp_path / "pointwise" / "report.csv")
+    assert not any("need p" in row["error"] for row in rows)
+    assert {row["p"] for row in rows if not row["error"]} == {repr(p)}
 
 
 def test_msweep_cli(tmp_path):

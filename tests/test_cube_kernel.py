@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from logdiff import (
     Cube,
     Cutoff,
-    Cylinder,
     Grid,
     Lump2D,
     QuasilinearFlux,
@@ -61,27 +60,27 @@ def _time_weights(ts):
     return w
 
 
-def ref_ess(slab, cyl, reduce):
-    sl = slab.grid.cube_slices(cyl.cube)
-    idx = _levels(slab, (cyl.t_start, cyl.t_end))
+def ref_ess(slab, cube, window, reduce):
+    sl = slab.grid.cube_slices(cube)
+    idx = _levels(slab, window)
     return float(reduce(slab.values[idx][(slice(None),) + sl]))
 
 
-def ref_log_oscillation(slab, cyl, M, p):
+def ref_log_oscillation(slab, cube, window, M, p):
     best = 0.0
-    for k in _levels(slab, (cyl.t_start, cyl.t_end)):
+    for k in _levels(slab, window):
         integrand = np.abs(np.log(slab.values[k] / M)) ** p
-        best = max(best, average(integrand, slab.grid, cyl.cube) ** (1.0 / p))
+        best = max(best, average(integrand, slab.grid, cube) ** (1.0 / p))
     return best
 
 
-def ref_power_oscillation(slab, cyl, M, m, p, normalized):
+def ref_power_oscillation(slab, cube, window, M, m, p, normalized):
     best = 0.0
-    for k in _levels(slab, (cyl.t_start, cyl.t_end)):
+    for k in _levels(slab, window):
         with np.errstate(invalid="ignore"):  # u > M outside the cube
             integrand = ((1.0 - (slab.values[k] / M) ** m) / m) ** p
         quad = average if normalized else integrate
-        best = max(best, quad(integrand, slab.grid, cyl.cube) ** (1.0 / p))
+        best = max(best, quad(integrand, slab.grid, cube) ** (1.0 / p))
     return best
 
 
@@ -177,17 +176,17 @@ def _compare_all(slab, other, center_idx, half, k0, k1):
     center = tuple(float(grid.axis(d)[i]) for d, i in enumerate(center_idx))
     edge = 2 * half * grid.spacing
     window = (float(slab.times[k0]), float(slab.times[k1]))
-    cyl = Cylinder(center, edge, window[0] - 1e-3, window[1])
-    M = 1.1 * ref_ess(slab, cyl, np.max)
+    cube, span = Cube(center, edge), (window[0] - 1e-3, window[1])
+    M = 1.1 * ref_ess(slab, cube, span, np.max)
 
-    assert ess_sup(slab, cyl) == ref_ess(slab, cyl, np.max)
+    assert ess_sup(slab, cube, span) == ref_ess(slab, cube, span, np.max)
     for p in (1.0, 2.5):
-        assert oscillation(slab, cyl, M, p) == pytest.approx(
-            ref_log_oscillation(slab, cyl, M, p), rel=REL
+        assert oscillation(slab, cube, span, M, p) == pytest.approx(
+            ref_log_oscillation(slab, cube, span, M, p), rel=REL
         )
         for normalized in (False, True):
-            assert oscillation(slab, cyl, M, p, 0.3, normalized) == pytest.approx(
-                ref_power_oscillation(slab, cyl, M, 0.3, p, normalized), rel=REL
+            assert oscillation(slab, cube, span, M, p, 0.3, normalized) == pytest.approx(
+                ref_power_oscillation(slab, cube, span, M, 0.3, p, normalized), rel=REL
             )
     rho = edge / 1.5  # (1 + sigma) rho is the cube for sigma = 0.5
     assert sup_mass(slab, center, rho, 0.5, window) == pytest.approx(
@@ -258,11 +257,13 @@ def test_kernel_window_spanning_several_chunks():
 
 
 def composed_probe_stats(slab, center, rho, sigma, window, m):
-    cyl2 = Cylinder(center, 2.0 * rho, *window)
-    M = ess_sup(slab, cyl2)
-    assert ref_ess(slab, cyl2, np.min) > 0.0
+    cube2 = Cube(center, 2.0 * rho)
+    M = ess_sup(slab, cube2, window)
+    assert ref_ess(slab, cube2, window, np.min) > 0.0
     # the log means at m = 0, the plain power integrals otherwise
-    l1, l2 = (oscillation(slab, cyl2, M, p, m / 2.0, normalized=m == 0.0) for p in (1.0, 2.0))
+    l1, l2 = (
+        oscillation(slab, cube2, window, M, p, m / 2.0, normalized=m == 0.0) for p in (1.0, 2.0)
+    )
     return (
         M,
         l1,
@@ -443,14 +444,14 @@ def test_pointwise_lambda_p_matches_pow(p):
     rep = check_pointwise_harnack(slab, x_o, t_o, rho, p=p)
     assert not rep.degenerate
     # reference: the p-mean of |ln(u/M)| over K_8rho with numpy's pow
-    cyl = Cylinder(x_o, 8.0 * rho, t_o - rep.theta * (8.0 * rho) ** 2, t_o)
-    assert rep.sup_u == ess_sup(slab, cyl)
+    cube, window = Cube(x_o, 8.0 * rho), (t_o - rep.theta * (8.0 * rho) ** 2, t_o)
+    assert rep.sup_u == ess_sup(slab, cube, window)
     best = 0.0
-    for k in _levels(slab, (cyl.t_start, cyl.t_end)):
+    for k in _levels(slab, window):
         a = np.abs(np.log(slab.values[k] / rep.sup_u)) ** p
-        best = max(best, average(a, grid, cyl.cube) ** (1.0 / p))
+        best = max(best, average(a, grid, cube) ** (1.0 / p))
     assert rep.lambda_p == pytest.approx(best, rel=1e-15, abs=0.0)
-    assert rep.lambda_p == oscillation(slab, cyl, rep.sup_u, p)
+    assert rep.lambda_p == oscillation(slab, cube, window, rep.sup_u, p)
 
 
 def _raise(*args, **kwargs):

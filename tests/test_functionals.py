@@ -11,7 +11,6 @@ import pytest
 from logdiff import (
     Cube,
     Cutoff,
-    Cylinder,
     Grid,
     ExpSteady,
     Field,
@@ -31,6 +30,7 @@ from logdiff import (
     sup_mass,
     time_scaling_exponent,
 )
+from logdiff import functionals
 from logdiff.grid import SpaceTimeSlab
 
 LUMP = Lump2D(c=1.0, T=1.0)
@@ -58,22 +58,21 @@ def test_lump_mean_over_unit_cube():
 def test_log_oscillation_frozen_values():
     g = fine_grid()
     slab = LUMP.sample_slab(g, [0.0, 0.01])
-    cyl0 = Cylinder((0.0, 0.0), 1.0, -0.005, 0.005)
-    got0 = oscillation(slab, cyl0, M=8.0, p=2.0)
+    cube = Cube((0.0, 0.0), 1.0)
+    got0 = oscillation(slab, cube, (-0.005, 0.005), M=8.0, p=2.0)
     assert got0 == pytest.approx(LUMP_LOG_OSC2_T0, rel=5e-4)
-    cyl = Cylinder((0.0, 0.0), 1.0, 0.0, 0.01)
-    got = oscillation(slab, cyl, M=8.0, p=2.0)
+    got = oscillation(slab, cube, (0.0, 0.01), M=8.0, p=2.0)
     assert got == pytest.approx(LUMP_LOG_OSC2_T001, rel=5e-4)
 
 
 def test_log_oscillation_rejects_bad_parameters():
     g = Grid.regular(2, 1.0, 0.25)
     slab = LUMP.sample_slab(g, [0.0, 0.1])
-    cyl = Cylinder((0.0, 0.0), 1.0, -0.1, 0.1)
+    cube, window = Cube((0.0, 0.0), 1.0), (-0.1, 0.1)
     with pytest.raises(ParameterError):
-        oscillation(slab, cyl, M=0.0, p=2.0)
+        oscillation(slab, cube, window, M=0.0, p=2.0)
     with pytest.raises(ParameterError):
-        oscillation(slab, cyl, M=1.0, p=0.5)
+        oscillation(slab, cube, window, M=1.0, p=0.5)
 
 
 def test_intrinsic_scale_frozen_value():
@@ -98,14 +97,14 @@ def test_intrinsic_scale_pme_m_to_zero():
 def test_power_oscillation_decreases_to_log():
     g = Grid.regular(2, 1.0, 1.0 / 64)
     slab = LUMP.sample_slab(g, [0.0, 0.1])
-    cyl = Cylinder((0.0, 0.0), 1.0, -0.005, 0.005)
+    cube, window = Cube((0.0, 0.0), 1.0), (-0.005, 0.005)
     # (1 - z^m)/m <= ln(1/z) on (0, 1], so the power functional increases
     # to the log one from below as m -> 0
     for p in (1.0, 2.0, 5.0):
-        lam = oscillation(slab, cyl, M=8.0, p=p)
+        lam = oscillation(slab, cube, window, M=8.0, p=p)
         prev = 0.0
         for m in (0.4, 0.2, 0.1, 0.05):
-            val = oscillation(slab, cyl, M=8.0, m=m / 2, p=p, normalized=True)
+            val = oscillation(slab, cube, window, M=8.0, m=m / 2, p=p, normalized=True)
             assert prev < val < lam
             prev = val
 
@@ -113,9 +112,9 @@ def test_power_oscillation_decreases_to_log():
 def test_power_oscillation_plain_vs_normalized():
     g = Grid.regular(2, 1.0, 1.0 / 32)
     slab = LUMP.sample_slab(g, [0.0, 0.1])
-    cyl = Cylinder((0.0, 0.0), 0.5, -0.005, 0.005)
-    plain = oscillation(slab, cyl, M=8.0, m=0.2, p=2.0, normalized=False)
-    mean = oscillation(slab, cyl, M=8.0, m=0.2, p=2.0, normalized=True)
+    cube, window = Cube((0.0, 0.0), 0.5), (-0.005, 0.005)
+    plain = oscillation(slab, cube, window, M=8.0, m=0.2, p=2.0, normalized=False)
+    mean = oscillation(slab, cube, window, M=8.0, m=0.2, p=2.0, normalized=True)
     # cube volume 0.25, exponent 1/p: plain = mean * vol^(1/p)
     assert plain == pytest.approx(mean * 0.25**0.5, rel=1e-12)
 
@@ -132,8 +131,29 @@ def test_exponent_identities():
 def test_ess_sup_inf_on_samples():
     g = Grid.regular(2, 1.0, 1.0 / 16)
     slab = LUMP.sample_slab(g, [0.0, 0.25])
-    cyl = Cylinder((0.0, 0.0), 0.5, 0.0, 0.25)
-    assert ess_sup(slab, cyl) == pytest.approx(8.0)  # peak at the origin, t = 0
+    # peak at the origin, t = 0
+    assert ess_sup(slab, Cube((0.0, 0.0), 0.5), (0.0, 0.25)) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize(
+    "window", [(0.1, 0.1), (0.1, 0.0), (0.0, float("nan"))], ids=["empty", "reversed", "nan-end"]
+)
+def test_readers_reject_a_window_that_does_not_end_after_it_starts(window, monkeypatch):
+    g = Grid.regular(2, 1.0, 1.0 / 8)
+    slab = LUMP.sample_slab(g, [0.0, 0.1])
+    cube = Cube((0.0, 0.0), 0.5)
+
+    def no_read(*args):
+        raise AssertionError("a level was read")
+
+    monkeypatch.setattr(functionals, "_cube_chunks", no_read)
+    for read in (
+        lambda: ess_sup(slab, cube, window),
+        lambda: oscillation(slab, cube, window, M=8.0, p=2.0),
+        lambda: functional_set(slab, (0.0, 0.0), 0.25, window, m=0.2),
+    ):
+        with pytest.raises(ParameterError, match="t_start < t_end"):
+            read()
 
 
 def test_mass_functionals_exact_on_constants():
@@ -154,9 +174,9 @@ def test_nan_sample_propagates():
     values = np.full((3,) + g.shape, 2.0)
     values[1, 8, 8] = np.nan
     slab = SpaceTimeSlab(g, [0.0, 0.1, 0.2], values)
-    cyl = Cylinder((0.0, 0.0), 0.5, 0.0, 0.2)
-    assert np.isnan(ess_sup(slab, cyl))
-    assert np.isnan(oscillation(slab, cyl, M=2.0, p=1.0))
+    cube, window = Cube((0.0, 0.0), 0.5), (0.0, 0.2)
+    assert np.isnan(ess_sup(slab, cube, window))
+    assert np.isnan(oscillation(slab, cube, window, M=2.0, p=1.0))
     assert np.isnan(sup_mass(slab, (0.0, 0.0), 0.5, 0.0, (0.0, 0.2)))
     assert np.isnan(inf_mass(slab, (0.0, 0.0), 0.5, (0.0, 0.2)))
 
@@ -184,7 +204,7 @@ def _positive_field(dim, seed):
 def test_merged_functions_at_m_zero_are_the_log_formulas(dim):
     f = _positive_field(dim, seed=dim)
     center, edge, q, eps, r = (0.0,) * dim, 0.5, 3.0, 0.1, 2.0
-    M = f.max()
+    M = f.values.max()
     cube = Cube(center, edge)
     theta = eps * average(f.values**q, f.grid, cube) ** (1.0 / q)
     assert intrinsic_scale(f, center, edge, q, eps) == theta
@@ -197,7 +217,7 @@ def test_merged_functions_at_m_zero_are_the_log_formulas(dim):
 
 def test_degeneracy_ratio_tends_to_log_value():
     f = _positive_field(3, seed=5)
-    args = (f, (0.0, 0.0, 0.0), 0.5, 2.0, f.max(), 2.0)
+    args = (f, (0.0, 0.0, 0.0), 0.5, 2.0, f.values.max(), 2.0)
     base = degeneracy_ratio(*args)
     gaps = [abs(degeneracy_ratio(*args, m=m) - base) for m in (0.4, 0.1, 1e-2, 1e-4, 1e-8)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -210,10 +230,10 @@ def test_merged_functions_reject_m_outside_unit_interval(m):
     with pytest.raises(ParameterError, match="m must lie in"):
         intrinsic_scale(f, (0.0, 0.0), 0.5, 2.0, 0.1, m=m)
     with pytest.raises(ParameterError, match="m must lie in"):
-        degeneracy_ratio(f, (0.0, 0.0), 0.5, 2.0, f.max(), 2.0, m=m)
+        degeneracy_ratio(f, (0.0, 0.0), 0.5, 2.0, f.values.max(), 2.0, m=m)
     slab = SpaceTimeSlab(f.grid, [0.0, 0.1], np.stack([f.values, f.values]))
     with pytest.raises(ParameterError, match="m must lie in"):
-        oscillation(slab, Cylinder((0.0, 0.0), 0.5, 0.0, 0.1), f.max(), 2.0, m=m)
+        oscillation(slab, Cube((0.0, 0.0), 0.5), (0.0, 0.1), f.values.max(), 2.0, m=m)
     with pytest.raises(ParameterError, match="m must lie in"):
         gradient_energy(slab, Cutoff((0.0, 0.0), 0.5, 0.5), (0.0, 0.1), m=m)
 

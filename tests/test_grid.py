@@ -8,7 +8,6 @@ import pytest
 from logdiff import (
     Cube,
     Cutoff,
-    Cylinder,
     Field,
     GeometryError,
     Grid,
@@ -37,8 +36,7 @@ def test_regular_grid_basics():
     pts = g.points()
     assert pts.shape == (9, 9, 2)
     assert np.allclose(pts[4, 4], (0.0, 0.0))
-    node = g.node((4, 4))
-    assert node == pytest.approx((0.0, 0.0))
+    assert (g.axis(0)[4], g.axis(1)[4]) == pytest.approx((0.0, 0.0))
     assert g.index_of((0.0, 0.0)) == (4, 4)
 
 
@@ -91,29 +89,28 @@ def test_laplacian_exact_on_quadratic_interior():
     assert np.allclose(lap, 4.0, atol=1e-9)
 
 
-def test_cutoff_profile_and_gradient_bound():
+def test_cutoff_profile_and_slope_bound():
     cut = Cutoff((0.0, 0.0), 1.0, 0.5)
     g = Grid.regular(2, 2.0, 1.0 / 32)
     z = cut.sample(g).values
-    sl_in = g.cube_slices(cut.inner_cube())
+    sl_in = g.cube_slices(Cube((0.0, 0.0), 1.0))
     sl_sup = g.cube_slices(cut.support_cube())
     assert np.all(z[sl_in] == 1.0)
     outside = z.copy()
     outside[sl_sup] = 0.0
     assert np.all(outside == 0.0)
     assert z.min() >= 0.0 and z.max() <= 1.0
-    assert cut.gradient_bound() == pytest.approx(3.0 / (0.5 * 1.0))
-    # the discrete gradient approaches the bound from below
+    # the discrete gradient approaches the slope bound 3/(sigma*rho) from below
     gx, gy = gradient(z, g)
     gmax = float(np.sqrt(gx**2 + gy**2).max())
-    assert gmax <= cut.gradient_bound() * (1.0 + 2.0 * g.spacing)
+    assert gmax <= 3.0 / (0.5 * 1.0) * (1.0 + 2.0 * g.spacing)
 
 
 def test_cutoff_sigma_zero_is_indicator():
     cut = Cutoff((0.0, 0.0), 1.0, 0.0)
     g = Grid.regular(2, 2.0, 1.0 / 16)
     z = cut.sample(g).values
-    sl = g.cube_slices(cut.inner_cube())
+    sl = g.cube_slices(Cube((0.0, 0.0), 1.0))
     assert np.all(z[sl] == 1.0)
     total = z.sum()
     assert total == pytest.approx(z[sl].sum())
@@ -330,12 +327,6 @@ def test_read_rejects_wrong_magic(tmp_path):
     p.write_bytes(b"XXXX garbage")
     with pytest.raises(ParameterError):
         read_slab(p)
-
-
-def test_cylinder_accessors():
-    cyl = Cylinder((0.0, 0.0), 0.5, 0.1, 0.4)
-    assert cyl.cube.edge == pytest.approx(0.5)
-    assert cyl.length == pytest.approx(0.3)
 
 
 def test_laplacian_of_stacked_3d_levels_is_interior_only():

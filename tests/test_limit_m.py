@@ -96,6 +96,22 @@ def test_sweep_save_load_roundtrip(tmp_path, sweep):
     assert np.array_equal(back.log_slab.values, sweep.log_slab.values)
     for m in sweep.m_values:
         assert np.array_equal(back.pme_slabs[m].values, sweep.pme_slabs[m].values)
+    # the functional sets come back too: a second save writes the same bytes
+    assert all(e.functional_set is not None for e in back.entries)
+    assert same_rows(back.rows(), sweep.rows())
+    back.save(tmp_path / "again")
+    for name in ("summary.csv", "manifest.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
+
+
+def same_rows(a, b):
+    """Row lists equal cell by cell, a NaN cell equal to a NaN cell."""
+    def same(x, y):
+        return x == y or (isinstance(x, float) and isinstance(y, float) and x != x and y != y)
+
+    return len(a) == len(b) and all(
+        r.keys() == s.keys() and all(same(r[k], s[k]) for k in r) for r, s in zip(a, b)
+    )
 
 
 def test_sweep_load_rejects_inconsistent_manifests(tmp_path, sweep):
@@ -138,3 +154,5 @@ def test_sweep_failure_slot_is_kept(tmp_path):
     loaded = MSweepResult.load(tmp_path / "sweep")
     assert (loaded.entries[0].ok, loaded.entries[0].failure) == (False, bad.failure)
     assert np.isnan(loaded.entries[0].gamma_star) and list(loaded.pme_slabs) == [0.2]
+    assert loaded.entries[0].functional_set is None
+    assert same_rows(loaded.rows(), result.rows())
