@@ -23,8 +23,8 @@ a config error.
 
 Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range, and
 ``--meshes`` below 2 cells or repeated, among them), 3 solver failure (stderr
-names the failing step and its Newton residual max-norms), 4 verification I/O
-error.
+names the failing step and its Newton residual max-norms), 4 I/O error (a slab
+that cannot be read, an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -268,7 +268,11 @@ def cmd_solve(args) -> int:
     }
     cfg.echo["result"] = {"meta": meta_echo, "nlevels": slab.nlevels}
     _manifest(out, "solve", _config_hash(args.config), cfg.echo, args.threads, args.seed)
-    print(f"solve: wrote {out / 'slab.slab'} ({slab.nlevels} levels)")
+    meta = slab.meta
+    print(
+        f"solve: wrote {out / 'slab.slab'} ({slab.nlevels} levels; {meta['newton_iters']} Newton, "
+        f"{meta['linear_iters']} PCG iterations, {meta['linear_cap_hits']} linear cap hits)"
+    )
     return EXIT_OK
 
 
@@ -494,6 +498,9 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"config error (geometry): {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -59,13 +59,15 @@ beta'(u)`` and ``C = dt D^T diag(w a) D / h^2``, which is exactly symmetric
 and the same on every step: one operator, built at dt, serves both kinds of
 step, and each correction rewrites only the diagonal.  PCG solves for ``y =
 b' delta``, the linearised change of ``beta(u)``, with right-hand side
-``-theta W r``.  It stops once ``max|theta W (J delta + r)| <= theta 0.01
+``-theta W r``.  It stops once ``max|theta W (J delta + r)| <= theta 0.1
 newton_tol min W``, or after ``n`` iterations for ``n`` unknowns (a cap hit);
-the damped line search guards the result.  The stop test reads only the
-residual and comes before the preconditioner, so each iteration applies
-``P^-1`` (below) once, none is applied to the residual that ends the loop,
-and ``linear_iters`` counts iterations: one product with the PCG matrix and
-one ``P^-1`` each.
+the damped line search guards the result.  That stop sits 10x below the
+Newton test, so a tighter one would cost PCG iterations and save no Newton
+iteration (inexact Newton, Dembo, Eisenstat & Steihaug 1982).  The stop test
+reads only the residual and comes before the preconditioner, so each
+iteration applies ``P^-1`` (below) once, none is applied to the residual that
+ends the loop, and ``linear_iters`` counts iterations: one product with the
+PCG matrix and one ``P^-1`` each.
 
 PCG is preconditioned by ``P^-1`` for ``P = s W + sum_a c_a C_a``, with ``C_a``
 the axis-``a`` part of ``C`` at ``a = 1``, ``c_a`` the mean of ``a`` over the
@@ -226,6 +228,9 @@ def _check_horizon(horizon: float, dt: float) -> int:
 
 # most levels the Newton start extrapolates through
 _START_LEVELS = 4
+
+# PCG stop over newton_tol min W: 10x below the Newton test, so it costs no Newton iteration
+_PCG_FRACTION = 0.1
 
 
 def _newton_start(table):
@@ -539,7 +544,7 @@ def _march(
     pts_known = grid.points().reshape(-1, grid.dim)[known]
     boundary = getattr(config.boundary_values, "eval", config.boundary_values)
     op = _BetaOperator(faces, rows, flux, config.dt)
-    W, atol = op.W, 0.01 * config.newton_tol * op.W.min()
+    W, atol = op.W, _PCG_FRACTION * config.newton_tol * op.W.min()
 
     times = np.linspace(initial.time, initial.time + horizon, nsteps + 1)
     levels = np.empty((nsteps + 1,) + grid.shape)

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logdiff
 from logdiff import BarenblattFD, Grid, Lump2D, QuasilinearFlux, SolverConfig, read_slab, write_slab
 from logdiff import SpaceTimeSlab, solve_porous_medium, solve_quasilinear
 from logdiff.cli import VERIFY_KINDS, load_config, main
@@ -63,6 +68,17 @@ def test_solve_outputs_and_manifest(run_dir):
     assert "manifest.json" in manifest["files"]
     assert manifest["config"]["solver"]["dt"] == 0.0625
     assert len(manifest["run_id"]) == 12
+
+
+def test_solve_prints_its_solver_totals(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE_CONFIG.split("[verify]")[0])
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"solve: wrote {out / 'slab.slab'} (5 levels; 8 Newton, 42 PCG iterations, "
+        "0 linear cap hits)\n"
+    )
 
 
 def test_verify_l1_rows(run_dir):
@@ -329,6 +345,33 @@ def test_exit_codes(tmp_path, run_dir, capsys):
     assert main(["verify", "l1", "--config", str(cfg3), "--out", str(tmp_path / "f")]) == 4
     err = capsys.readouterr().err
     assert f"has {len(full) - 100} bytes" in err and f"needs {len(full)}" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "msweep", "oracle-check"])
+def test_an_output_that_cannot_be_written_is_an_io_error(tmp_path, run_dir, command):
+    """Run as its own process, so the exit code is the one a shell sees."""
+    solver = BASE_CONFIG.split("[verify]")[0]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text({
+        "solve": solver,
+        "verify": f"[verify]\nslab = {run_dir / 'solve' / 'slab.slab'}\n",
+        "msweep": solver + "[msweep]\nm_values = 0.4 0.2\n",
+        "oracle-check": "",
+    }[command])
+    argv = {
+        "verify": ["verify", "l1"],
+        "oracle-check": ["oracle-check", "lump2d", "--meshes", "8", "16"],
+    }.get(command, [command])
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    done = subprocess.run(
+        [sys.executable, "-m", "logdiff.cli", *argv, "--config", str(cfg), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(logdiff.__file__).parents[1])},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("I/O error:") and str(out) in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

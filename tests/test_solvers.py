@@ -278,7 +278,7 @@ def test_slab_meta_records_run(lump_slab_32):
     assert lump_slab_32.dt == pytest.approx(16.0 / 32**2)
     # deterministic counters, so reruns stay byte-identical
     assert meta["newton_iters"] == 34
-    assert meta["linear_iters"] == 164
+    assert meta["linear_iters"] == 133
     assert meta["linear_cap_hits"] == 0
     # steps started from 1, 2, 3 and 4 levels; step 0 has only u_0, step 1 no ∇^2
     assert meta["start_levels"] == [1, 2, 1, 28]
@@ -843,11 +843,38 @@ def test_krylov_solves_match_direct_reference(name, monkeypatch):
     assert gap <= 1e-11
 
 
-@pytest.mark.parametrize("name, counts", [("flux-D", (27, 103, 0)), ("flux-N", (18, 63, 0))])
+@pytest.mark.parametrize("name, counts", [("flux-D", (27, 91, 0)), ("flux-N", (18, 56, 0))])
 def test_flux_reference_solves_keep_their_newton_and_krylov_counts(name, counts):
     flux, initial, config, horizon = _reference_case(name)
     meta = solve_quasilinear(initial, flux, config, horizon).meta
     assert (meta["newton_iters"], meta["linear_iters"], meta["linear_cap_hits"]) == counts
+
+
+_PCG_SOLVE = _BetaOperator.solve
+
+
+def _hundredth_stop_solve(self, u, r, atol, theta):
+    """The Newton correction with PCG stopped at ``0.01 newton_tol min W``, the
+    stop before the current ``0.1 newton_tol min W``."""
+    return _PCG_SOLVE(self, u, r, atol / 10, theta)
+
+
+@pytest.mark.parametrize("name", ["lump-16", "pme-D", "flux-D", "flux-N", "wavy-N"])
+def test_pcg_stop_costs_no_newton_iteration(name, monkeypatch):
+    flux, initial, config, horizon = _reference_case(name)
+    loose = solve_quasilinear(initial, flux, config, horizon)
+    with monkeypatch.context() as patch:
+        patch.setattr(_BetaOperator, "solve", _hundredth_stop_solve)
+        tight = solve_quasilinear(initial, flux, config, horizon)
+    assert loose.meta["newton_iters"] == tight.meta["newton_iters"]
+    assert loose.meta["linear_iters"] <= tight.meta["linear_iters"]
+    gap = np.abs(loose.values - tight.values).max() / np.abs(tight.values).max()
+    assert gap <= 1e-11
+
+
+def test_lump_64_solve_keeps_its_newton_and_krylov_counts(lump_slab_64):
+    meta = lump_slab_64.meta
+    assert (meta["newton_iters"], meta["linear_iters"], meta["linear_cap_hits"]) == (99, 203, 0)
 
 
 def test_no_module_uses_a_direct_sparse_solver():

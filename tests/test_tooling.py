@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import logdiff
 from logdiff.reporting import Row
 
 PACKAGE = Path(logdiff.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -60,3 +62,9 @@ def test_tracer_finds_every_name_it_binds():
         tracer.install()  # raises RuntimeError when a required binding is gone
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("record", sorted(p.name for p in ROOT.glob("BENCH_*.json")))
+def test_every_bench_record_parses(record):
+    """A committed benchmark record is JSON with a ``label``."""
+    assert "label" in json.loads((ROOT / record).read_text())
