@@ -24,7 +24,7 @@ a config error.
 Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range, and
 ``--meshes`` below 2 cells or repeated, among them), 3 solver failure (stderr
 names the failing step and its Newton residual max-norms), 4 I/O error (a slab
-that cannot be read, an output that cannot be written).
+that cannot be read; an output that cannot be written, caught before any work).
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import errno
 import hashlib
+import os
 import sys
 from collections import Counter
 from dataclasses import fields as dc_fields
@@ -485,6 +487,11 @@ def main(argv=None) -> int:
         print(f"{args.command}: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        # before any work: --out, or else its nearest existing ancestor, is a writable directory
+        there = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+        if not (there.is_dir() and os.access(there, os.W_OK | os.X_OK)):
+            code = errno.EACCES if there.is_dir() else errno.ENOTDIR
+            raise OSError(code, "output is not a writable directory", str(there))
         return handlers[args.command](args)
     except (ConfigProblem, ParameterError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

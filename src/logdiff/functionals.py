@@ -12,10 +12,10 @@ Conventions shared by every function here:
 Every quantity over a cube and a window is read by one kernel,
 :func:`_cube_chunks`, as ``(ks, u)``: a slice of slab levels and a view of the
 cube's nodes there holding at most ``_CHUNK_DOUBLES`` values (or one level, if
-that is larger), so temporaries stay cache-sized however long the window is.
-Each chunk is reduced per level by the trapezoid rule of :mod:`logdiff.grid`;
-sups, infs and time integrals are numpy reductions too, so a NaN sample in the
-cube and window makes the result NaN instead of being skipped.
+that is larger), so work buffers stay cache-sized however long the window is.
+Integrands are written in place into one buffer per call and integrated per
+level in one product with flattened trapezoid weights; sups, infs and time
+integrals are numpy reductions too, so a NaN sample makes the result NaN.
 
 Probe-local rule: the work of one probe scales with its own cylinder.  No
 function here evaluates anything on a whole level and slices it afterwards:
@@ -26,12 +26,10 @@ integrals only), and node coordinates are built only for the cube, only when
 a flux coefficient needs them.
 
 The checkers' per-probe statistics come from :func:`_probe_stats`, which
-walks the chunks of ``K_2rho x window`` twice.  The first pass,
-:func:`_probe_sup`, takes the max and min of the views (the sup ``M`` and
-the positivity check).  The second evaluates the oscillation integrand once
-per chunk and integrates it, its square, u, and u on the nested
-``K_(1+sigma)rho`` (a slice of the same chunk, since both cubes snap around
-one center), so one probe reads its cylinder twice instead of six times.
+reads each chunk of ``K_2rho x window`` once: u, the oscillation integrand at
+the chunk's own max and its square go into one buffer and are integrated over
+``K_2rho`` and the nested ``K_(1+sigma)rho`` in one product, and an exact
+identity moves the sums to the cylinder's sup ``M``.
 
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
@@ -46,6 +44,7 @@ Both integrands come from :func:`_osc_integrand`, which :func:`oscillation`
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +57,7 @@ from .grid import (
     Field,
     SpaceTimeSlab,
     _block_volume,
+    _flat_trapezoid_weights,
     _point_str,
     _trapezoid,
     cube_volume,
@@ -86,17 +86,19 @@ def _cube_chunks(slab: SpaceTimeSlab, nodes, levels):
         yield ks, slab.values[(ks,) + nodes]
 
 
-def _level_integrals(slab: SpaceTimeSlab, cube: Cube, window, integrand) -> np.ndarray:
-    """Trapezoid integral over the cube of ``integrand(ks, u)`` per level of the
-    window ``(t_start, t_end)``, for the chunks :func:`_cube_chunks` yields; the
-    integrand is shaped like ``u``."""
-    nodes, levels = slab.grid.cube_slices(cube), slab.window_indices(*window)
-    return np.concatenate(
-        [
-            _trapezoid(integrand(ks, u), slab.grid.spacing, lead=1)
-            for ks, u in _cube_chunks(slab, nodes, levels)
-        ]
-    )
+def _level_integrals(slab: SpaceTimeSlab, cube: Cube, window, integrand, weights=1.0):
+    """Trapezoid integral over the cube of ``weights * integrand(ks, u, out)`` per level
+    of the window ``(t_start, t_end)``, for the chunks :func:`_cube_chunks` yields;
+    ``weights`` is flat over the cube's nodes, and ``out``, shaped like ``u``, views
+    one work buffer per call, which the integrand may overwrite and return."""
+    grid = slab.grid
+    nodes, levels = grid.cube_slices(cube), slab.window_indices(*window)
+    w = _flat_trapezoid_weights(tuple(s.stop - s.start for s in nodes)) * weights
+    buf, vals = None, []
+    for ks, u in _cube_chunks(slab, nodes, levels):
+        buf = np.empty(u.size) if buf is None else buf  # the first chunk is the largest
+        vals.append(integrand(ks, u, buf[: u.size].reshape(u.shape)).reshape(len(u), -1) @ w)
+    return np.concatenate(vals) * grid.spacing**grid.dim
 
 
 def _window(window) -> tuple[float, float]:
@@ -118,27 +120,32 @@ def _check_m(m: float) -> None:
         raise ParameterError(f"m must lie in [0, 1), got {m:.6g}")
 
 
-def _osc_integrand(M: float, m: float):
-    """``|ln(u/M)|`` at ``m = 0`` and ``(1 - (u/M)^m)/m`` otherwise, as a function of u."""
-    if m == 0.0:
-        return lambda u: np.abs(np.log(u / M))
-    return lambda u: (1.0 - (u / M) ** m) / m
+def _osc_integrand(u, M: float, e: float, out) -> np.ndarray:
+    """``g_M(u)``, written into ``out``: ``|ln u - ln M|`` at ``e = 0``, else
+    ``(1 - (u/M)^e)/e`` as ``-expm1(e (ln u - ln M))/e``; nonnegative for ``u <= M``."""
+    np.subtract(np.log(u, out=out), math.log(M), out=out)
+    if e == 0.0:
+        return np.abs(out, out=out)
+    out *= e
+    return np.divide(np.expm1(out, out=out), -e, out=out)
 
 
 def oscillation(
     slab: SpaceTimeSlab, cube: Cube, window, M: float, p: float, m: float = 0.0, normalized=True
 ) -> float:
-    """Sup over levels of the p-root of the cube mean of ``_osc_integrand(M, m)(u)^p``:
-    ``|ln(u/M)|`` at ``m = 0``, ``(1 - (u/M)^m)/m`` for ``0 < m < 1``.  ``normalized=False``
-    takes the plain cube integral, the form the energy and flux bounds consume."""
+    """Sup over levels of the p-root of the cube mean of ``g^p``, ``g`` the
+    :func:`_osc_integrand`: ``|ln(u/M)|`` at ``m = 0``, ``(1 - (u/M)^m)/m`` for ``0 < m < 1``.
+    ``normalized=False`` takes the plain cube integral, the form the energy and flux
+    bounds consume."""
     window = _window(window)
     _check_m(m)
     if M <= 0:
         raise ParameterError("M must be positive")
     if p < 1:
         raise ParameterError("p must be >= 1")
-    f = _osc_integrand(M, m)
-    vals = _level_integrals(slab, cube, window, lambda ks, u: f(u) ** p)
+    vals = _level_integrals(
+        slab, cube, window, lambda ks, u, out: np.power(_osc_integrand(u, M, m, out), p, out=out)
+    )
     scale = cube_volume(slab.grid, cube) if normalized else 1.0
     return float(np.max((vals / scale) ** (1.0 / p)))
 
@@ -211,7 +218,7 @@ def moment_scaling_exponent(N: int, m: float, r: float) -> float:
 
 def _cube_masses(slab: SpaceTimeSlab, center, edge: float, window) -> np.ndarray:
     """``int_{K_edge} u dx`` at every window level."""
-    return _level_integrals(slab, Cube(tuple(center), edge), window, lambda ks, u: u)
+    return _level_integrals(slab, Cube(tuple(center), edge), window, lambda ks, u, out: u)
 
 
 def sup_mass(
@@ -229,18 +236,25 @@ def inf_mass(slab: SpaceTimeSlab, center, edge: float, window) -> float:
 
 
 def _space_time_integral(
-    slab: SpaceTimeSlab, cube: Cube, window, integrand, what: str
+    slab: SpaceTimeSlab, cube: Cube, window, integrand, what: str, weights=1.0, a=None
 ) -> float:
-    """Trapezoid in time of the cube integrals of ``integrand(ks, u, grads)``, with
-    ``grads`` the gradient of each chunk on the cube's nodes (one array per axis)."""
+    """Trapezoid in time of the cube integrals (:func:`_level_integrals`) of
+    ``integrand(u, sq, out)``, with ``sq = sum_d (a_d du/dx_d)^2`` of each chunk on
+    the cube's nodes and ``a_d = a(d, ks)`` on the chunk's levels (1 if ``a`` is None)."""
     if slab.window_indices(*window).size < 2:
         raise ParameterError(f"{what} window needs at least two levels")
     grid, nodes = slab.grid, slab.grid.cube_slices(cube)
-    vals = _level_integrals(
-        slab, cube, window,
-        lambda ks, u: integrand(ks, u, gradient_at(slab.values[ks], grid, nodes)),
-    )
-    return float(_trapezoid(vals, slab.dt))
+
+    def chunk(ks, u, out):
+        grads = gradient_at(slab.values[ks], grid, nodes)  # fresh: squared and summed in place
+        for d, g in enumerate(grads):
+            np.square(g if a is None else np.multiply(g, a(d, ks), out=g), out=g)
+        sq, *rest = grads
+        for g in rest:
+            sq += g
+        return integrand(u, sq, out)
+
+    return float(_trapezoid(_level_integrals(slab, cube, window, chunk, weights), slab.dt))
 
 
 def gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float = 0.0) -> float:
@@ -252,9 +266,11 @@ def gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float = 0.0)
     power = 2.0 - m / 2.0
     cube = cutoff.support_cube()
     zeta_sq = cutoff.block(slab.grid, slab.grid.cube_slices(cube)) ** 2
-    return _space_time_integral(
-        slab, cube, window, lambda ks, u, g: zeta_sq * sum(x**2 for x in g) / u**power, "energy"
-    )
+
+    def density(u, sq, out):  # |Du|^2 / u^power; zeta^2 goes into the node weights
+        return np.divide(sq, np.power(u, power, out=out), out=out)
+
+    return _space_time_integral(slab, cube, window, density, "energy", zeta_sq.ravel())
 
 
 def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
@@ -287,77 +303,83 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
             for t in slab.times[ks]
         ])
 
-    def magnitude(ks, u, grads):
-        # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
-        return beta_prime(u) * np.sqrt(
-            sum((coefficient(axis, ks) * g) ** 2 for axis, g in enumerate(grads))
-        )
+    def magnitude(u, sq, out):  # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
+        return np.multiply(np.sqrt(sq, out=out), beta_prime(u), out=out)
 
-    return _space_time_integral(slab, cube, window, magnitude, "flux") / rho
+    return _space_time_integral(slab, cube, window, magnitude, "flux", a=coefficient) / rho
 
 
-def _probe_sup(slab: SpaceTimeSlab, center, edge: float, window):
-    """The first pass of a probe: ``(nodes, chunks, M)`` over ``K_edge x window``.
-
-    ``nodes`` are the cube's slices, ``chunks`` the listed :func:`_cube_chunks`
-    of the cylinder and ``M`` the sup of u there.  Raises ParameterError
-    unless u is finite and positive on the cylinder.
-    """
-    nodes = slab.grid.cube_slices(Cube(tuple(center), edge))
-    chunks = list(_cube_chunks(slab, nodes, slab.window_indices(*window)))
-    M = float(np.max([u.max() for _, u in chunks]))
-    if not (math.isfinite(M) and min(u.min() for _, u in chunks) > 0.0):
+def _positive_max(u, center, edge: float) -> float:
+    """``u.max()``; ParameterError unless u is finite and positive."""
+    t = float(u.max())
+    if not (math.isfinite(t) and u.min() > 0.0):
         raise ParameterError(
-            f"u must be finite and positive on the cube of edge {edge:.6g} "
-            f"at {_point_str(center)}"
+            f"u must be finite and positive on the cube of edge {edge:.6g} at {_point_str(center)}"
         )
-    return nodes, chunks, M
+    return t
 
 
-def _probe_stats(
-    slab: SpaceTimeSlab,
-    center,
-    rho: float,
-    sigma: float,
-    window,
-    m: float = 0.0,
-) -> tuple[float, float, float, float, float]:
+def _probe_sup(slab: SpaceTimeSlab, center, edge: float, window) -> float:
+    """The sup of u over ``K_edge x window``, checked by :func:`_positive_max`."""
+    nodes = slab.grid.cube_slices(Cube(tuple(center), edge))
+    chunks = _cube_chunks(slab, nodes, slab.window_indices(*window))
+    return max(_positive_max(u, center, edge) for _, u in chunks)
+
+
+@functools.lru_cache(maxsize=64)
+def _probe_weights(spans: tuple) -> np.ndarray:
+    """``(n, 2)``: the flattened trapezoid weights of a block and of its sub-block, zero
+    outside it; ``spans`` holds ``(nodes, start, stop)`` per axis.  Read-only."""
+    size = tuple(b - a for _, a, b in spans)
+    sub = _flat_trapezoid_weights(size).reshape(size)
+    sub = np.pad(sub, [(a, n - b) for n, a, b in spans]).ravel()
+    W = np.stack([_flat_trapezoid_weights(tuple(n for n, _, _ in spans)), sub], axis=1)
+    W.setflags(write=False)
+    return W
+
+
+def _probe_stats(slab: SpaceTimeSlab, center, rho: float, sigma: float, window, m: float = 0.0):
     """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
 
-    ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_1``,
-    ``Lambda_2`` the log oscillation means there at ``m = 0``, else the
-    plain-integral power ones with exponent ``m/2``; ``S_sigma`` is the sup
-    over the window of the mass on ``K_(1+sigma)rho``.  Equal to the composed
-    :func:`ess_sup`, :func:`oscillation`, :func:`sup_mass` and
-    :func:`inf_mass`, but the cylinder is read in two
-    passes: :func:`_probe_sup` for ``M`` (and the positivity check), then one
-    that evaluates the oscillation integrand once per node.  Raises
-    ParameterError unless u is finite and positive on ``K_2rho x window``.
+    ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_1``, ``Lambda_2`` the
+    log oscillation means there at ``m = 0``, else the plain-integral power ones with
+    exponent ``e = m/2``; ``S_sigma`` is the sup over the window of the mass on
+    ``K_(1+sigma)rho``.  Equal to the composed :func:`ess_sup`, :func:`oscillation`,
+    :func:`sup_mass` and :func:`inf_mass`, but each chunk is read once, into one buffer
+    of u, ``g_t`` and ``g_t^2`` (:func:`_osc_integrand` at the chunk's max ``t``).  The
+    sums move to ``M`` exactly: ``g_M = c + a g_t`` with ``c = g_M(t) >= 0`` and
+    ``a = 1 - e c`` in ``(0, 1]``, so no term cancels.  Raises ParameterError unless u
+    is finite and positive on ``K_2rho x window``.
     """
     if not 0.0 <= sigma < 1.0:
         raise ParameterError("sigma must lie in [0, 1)")
-    grid = slab.grid
-    h = grid.spacing
-    outer, chunks, M = _probe_sup(slab, center, 2.0 * rho, window)
+    grid, e = slab.grid, m / 2.0
+    outer = grid.cube_slices(Cube(tuple(center), 2.0 * rho))
     # K_(1+sigma)rho inside the chunks: both cubes snap around one center
     inner = grid.cube_slices(Cube(tuple(center), (1.0 + sigma) * rho))
-    sub = (slice(None),) + tuple(
-        slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer)
-    )
-    integrand = _osc_integrand(M, m / 2.0)
-    scale = _block_volume(outer, h) if m == 0.0 else 1.0
-    sums = []
-    for _, u in chunks:
-        a = integrand(u)
-        sums.append([_trapezoid(x, h, lead=1) for x in (a, a * a, u[sub], u)])
-    osc1, osc2, inner_mass, mass = np.concatenate(sums, axis=1)
-    return (
-        M,
-        float(np.max(osc1 / scale)),
-        float(np.max((osc2 / scale) ** 0.5)),
-        float(np.max(inner_mass)),
-        float(np.min(mass)),
-    )
+    W = _probe_weights(tuple((o.stop - o.start, i.start - o.start, i.stop - o.start)
+                             for i, o in zip(inner, outer)))
+    buf, tops, sums = None, [], []
+    for _, u in _cube_chunks(slab, outer, slab.window_indices(*window)):
+        buf = np.empty(3 * u.size) if buf is None else buf  # the first chunk is the largest
+        b = buf[: 3 * u.size].reshape((3,) + u.shape)
+        np.copyto(b[0], u)
+        t = _positive_max(b[0], center, 2.0 * rho)
+        np.square(_osc_integrand(b[0], t, e, b[1]), out=b[2])
+        tops += [t] * len(u)
+        sums.append((b.reshape(3 * len(u), -1) @ W).T.reshape(2, 3, len(u)))
+    M, t = max(tops), np.array(tops)
+    c = _osc_integrand(t, M, e, t)  # 0 on the chunk holding M
+    a = 1.0 - e * c
+    (mass, g1, g2), (inner_mass, _, _) = np.concatenate(sums, axis=2) * grid.spacing**grid.dim
+    V = _block_volume(outer, grid.spacing)
+    scale = V if m == 0.0 else 1.0
+    a_g1 = a * g1
+    osc1 = c * V + a_g1
+    osc2 = c * (osc1 + a_g1) + a * a * g2  # c^2 V + 2 a c g1 + a^2 g2
+    # x -> x / scale and sqrt are monotone in floating point, so they commute with max
+    return (M, float(osc1.max()) / scale, math.sqrt(float(osc2.max()) / scale),
+            float(inner_mass.max()), float(mass.min()))
 
 
 @dataclass

@@ -339,6 +339,15 @@ def _trapezoid(values: np.ndarray, spacing: float, lead: int = 0) -> np.ndarray:
     return out * spacing ** (values.ndim - lead)
 
 
+@functools.lru_cache(maxsize=64)
+def _flat_trapezoid_weights(shape: tuple) -> np.ndarray:
+    """Trapezoid weights of a node block of ``shape``, flattened: ``values.reshape(k, -1)
+    @ w * spacing ** len(shape)`` is :func:`_trapezoid`, in one product.  Read-only."""
+    w = functools.reduce(np.multiply.outer, map(_trapezoid_weights, shape), np.ones(())).ravel()
+    w.setflags(write=False)
+    return w
+
+
 def integrate(values: np.ndarray, grid: Grid, cube: Cube) -> float:
     """Composite-trapezoid integral of ``values`` (sampled on ``grid``) over
     ``cube`` (snapped to nodes).  Exact for affine integrands up to roundoff.

@@ -465,7 +465,7 @@ def check_pointwise_harnack(
         raise GeometryError(
             f"intrinsic window depth {depth:.6g} reaches below the slab start"
         ) from None
-    M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))[2]
+    M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))
     lam_p = _oscillation(slab, Cube(x_o, 8.0 * rho), (t_lo, t_o), M, p)
     eta = degeneracy_ratio(slab.level(k_o), x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cube(x_o, 2.0 * rho), (t_o - theta * rho**2, t_o))

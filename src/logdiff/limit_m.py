@@ -185,8 +185,8 @@ def _l1_distance(a: SpaceTimeSlab, b: SpaceTimeSlab, cube: Cube, window) -> floa
     shift = int(idx_b[0] - idx_a[0])
     sl = b.grid.cube_slices(cube)
 
-    def distance(ks, u):
-        return np.abs(u - b.values[(slice(ks.start + shift, ks.stop + shift),) + sl])
+    def distance(ks, u, out):
+        return np.abs(u - b.values[(slice(ks.start + shift, ks.stop + shift),) + sl], out=out)
 
     return float(_trapezoid(_level_integrals(a, cube, window, distance), a.dt))
 
@@ -196,7 +196,7 @@ def _uniform_norms(slab: SpaceTimeSlab, cube: Cube, m: float, r: float, p: float
     window = (slab.times[0], slab.times[-1])
     norms = []
     for power, f in ((r, lambda u: u), (p, _beta(m)[0])):
-        vals = _level_integrals(slab, cube, window, lambda ks, u: np.abs(f(u)) ** power)
+        vals = _level_integrals(slab, cube, window, lambda ks, u, out: np.abs(f(u)) ** power)
         norms.append(float(np.max(vals ** (1.0 / power))))
     return tuple(norms)
 

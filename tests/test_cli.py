@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, manifests, determinism."""
 
 import csv
+import errno
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import logdiff
+import logdiff.cli
 from logdiff import BarenblattFD, Grid, Lump2D, QuasilinearFlux, SolverConfig, read_slab, write_slab
 from logdiff import SpaceTimeSlab, solve_porous_medium, solve_quasilinear
 from logdiff.cli import VERIFY_KINDS, load_config, main
@@ -372,6 +374,19 @@ def test_an_output_that_cannot_be_written_is_an_io_error(tmp_path, run_dir, comm
     assert done.returncode == 4, done.stderr
     assert done.stderr.startswith("I/O error:") and str(out) in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_an_unwritable_output_is_found_before_the_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(logdiff.cli, "solve_quasilinear", lambda *a: calls.append(a))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE_CONFIG.split("[verify]")[0])
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    for target in (out, out / "below"):
+        assert main(["solve", "--config", str(cfg), "--out", str(target)]) == 4
+        assert capsys.readouterr().err.startswith(f"I/O error: [Errno {errno.ENOTDIR}]")
+    assert calls == [] and out.read_text() == "a file, not a directory"
 
 
 @pytest.mark.parametrize(

@@ -301,14 +301,33 @@ def test_probe_stats_match_composed_functionals(dim, data):
                     assert got == pytest.approx(want, rel=REL), (budget, m, sigma)
 
 
+@pytest.mark.parametrize("m", [0.0, 0.2])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_probe_stats_shift_identity_across_chunks(m, sigma):
+    """Per-level chunks move their sums from each level's own max to the
+    cylinder's through ``g_M = c + a g_t``; the result is the one-chunk one."""
+    slab = _slab(2, 16, 9, seed=11)
+    # levels scaled by 1e-3 ... 1e5, so c is large on every chunk but the last
+    values = slab.values * np.logspace(-3.0, 5.0, 9)[:, None, None]
+    slab = SpaceTimeSlab(slab.grid, slab.times, values)
+    one = functionals._probe_stats(slab, (0.0, 0.0), 0.25, sigma, (0.0, 1.0), m=m)
+    with mock.patch.object(functionals, "_CHUNK_DOUBLES", 1):
+        per_level = functionals._probe_stats(slab, (0.0, 0.0), 0.25, sigma, (0.0, 1.0), m=m)
+    assert per_level == pytest.approx(one, rel=1e-12)
+    assert one[0] == values[:, 4:13, 4:13].max()
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_probe_stats_reject_bad_values(bad):
     slab = _slab(2, 16, 5, seed=7)
     values = slab.values.copy()
     values[3, 9, 7] = bad  # inside K_2rho x window for the probe below
     slab = SpaceTimeSlab(slab.grid, slab.times, values)
-    with pytest.raises(functionals.ParameterError, match="finite and positive"):
-        functionals._probe_stats(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))
+    # at budget 1 every level is a chunk, so level 3 is not the first one
+    for budget in (functionals._CHUNK_DOUBLES, 1):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
+            with pytest.raises(functionals.ParameterError, match="finite and positive"):
+                functionals._probe_stats(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))
     with pytest.raises(functionals.ParameterError, match="sigma"):
         functionals._probe_stats(_slab(2, 16, 5, seed=7), (0.0, 0.0), 0.25, 1.0, (0.0, 1.0))
 

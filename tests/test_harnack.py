@@ -194,9 +194,9 @@ def test_energy_log_row_keeps_its_floats():
     assert row == {
         "kind": "energy-log", "center": "0.0;0.0", "rho": 0.09375, "sigma": 0.5,
         "t_start": 0.125, "t_end": 0.375, "lhs": 5.4443177710386344e-05,
-        "rhs_mass_term": 0.14666481220505856, "rhs_time_term": 0.24337307879237588,
-        "ratio": 0.00013958433005357537, "sup_u": 7.0, "lambda_1": 0.34878674450316305,
-        "lambda_2": 0.348885204116284, "s_sigma": 0.10873832561209204,
+        "rhs_mass_term": 0.14666481220505856, "rhs_time_term": 0.24337307879237585,
+        "ratio": 0.0001395843300535754, "sup_u": 7.0, "lambda_1": 0.34878674450316305,
+        "lambda_2": 0.34888520411628393, "s_sigma": 0.10873832561209204,
     }
 
 

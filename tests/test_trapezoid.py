@@ -1,6 +1,7 @@
-"""The trapezoid rule: exactness for affine integrands, and the separable
+"""The trapezoid rule: exactness for affine integrands, the separable
 contraction of ``grid._trapezoid`` against the outer-product weight tensor it
-replaced (kept here as the reference)."""
+replaced (kept here as the reference), and the flattened weights that the
+cube kernel contracts in one product against ``_trapezoid``."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logdiff import Cube, Grid, integrate
-from logdiff.grid import _trapezoid, _trapezoid_weights
+from logdiff.grid import _flat_trapezoid_weights, _trapezoid, _trapezoid_weights
 
 
 def outer_product_trapezoid(values, spacing, lead=0):
@@ -74,6 +75,23 @@ def test_separable_trapezoid_matches_outer_product(shape, lead, seed, strided):
     assert np.shape(got) == np.shape(want) == tuple(shape[:lead])
     scale = 0.125 ** (len(shape) - lead) * np.abs(values).sum()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(scale, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    levels=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@example(shape=[5, 1, 3], levels=2, seed=0)
+def test_flat_weights_product_matches_trapezoid(shape, levels, seed):
+    # a single-node axis weighs 0, so its block integrates to 0 either way
+    values = np.random.default_rng(seed).uniform(0.5, 2.0, [levels, *shape])
+    w = _flat_trapezoid_weights(tuple(shape))
+    got = values.reshape(levels, -1) @ w * 0.125 ** len(shape)
+    want = _trapezoid(values, 0.125, lead=1)
+    assert got.tolist() == pytest.approx(want.tolist(), rel=1e-14, abs=0.0)
+    assert (got == 0.0).all() == (1 in shape)
 
 
 def test_trapezoid_propagates_nan():
