@@ -62,6 +62,16 @@ def _stencils(a_max: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _multi_indices(a_max: int, dim: int) -> np.ndarray:
+    """``(K, dim)``: the multi-indices ``alpha`` with ``1 <= |alpha| <= a_max``, in
+    ``itertools.product`` order.  Cached, so read-only."""
+    every = itertools.product(range(a_max + 1), repeat=dim)
+    out = np.array([alpha for alpha in every if 1 <= sum(alpha) <= a_max])
+    out.setflags(write=False)
+    return out
+
+
 @dataclass
 class DerivativeTable:
     """Point values of spatial and time derivatives at one vertex.
@@ -120,15 +130,13 @@ def derivative_table(
         cols = stencils[:, lo - i + reach : hi - i + reach]
         block = np.tensordot(block, cols, axes=([0], [1]))
     # an order-d stencil fits iff its half-width ceil(d/2) <= the node's margin
-    max_order = [2 * min(i, grid.npts - 1 - i) for i in idx]
-    for alpha in itertools.product(range(a_max + 1), repeat=grid.dim):
-        total = sum(alpha)
-        if total == 0 or total > a_max:
-            continue
-        if any(d > top for d, top in zip(alpha, max_order)):
-            table.capped = True
-            continue
-        table.spatial[alpha] = float(block[alpha]) / grid.spacing**total
+    alphas = _multi_indices(a_max, grid.dim)
+    fits = (alphas <= [2 * min(i, grid.npts - 1 - i) for i in idx]).all(axis=1)
+    table.capped = not fits.all()
+    kept = alphas[fits]
+    scale = np.array([grid.spacing**d for d in range(a_max + 1)])[kept.sum(axis=1)]
+    vals = block[tuple(kept.T)] / scale
+    table.spatial = dict(zip(map(tuple, kept.tolist()), vals.tolist()))
     series = slab.values[(slice(None),) + idx]
     for k in range(1, k_max + 1):
         w = (k + 1) // 2
@@ -239,11 +247,9 @@ def intrinsic_rescale(slab: SpaceTimeSlab, x_o, t_o: float, rho: float) -> Space
     k_lo = int(window[0]) - n_padded
     if k_lo < 0:
         raise GeometryError("slab holds too few levels below the vertex time")
-    levels = list(range(k_lo, k_hi + 1))
     tau_scale = u_c * rho**2
-    times = (slab.times[levels] - t_o) / tau_scale
-    vals = slab.values[np.ix_(levels, *[range(s.start, s.stop) for s in slices])]
-    vals /= u_c  # the gather is a new array, rescaled in place and handed over
+    times = (slab.times[k_lo : k_hi + 1] - t_o) / tau_scale
+    vals = slab.values[(slice(k_lo, k_hi + 1),) + slices] / u_c
     vals.setflags(write=False)
     vgrid = Grid.regular(grid.dim, 2.0, grid.spacing / rho)
     meta = {

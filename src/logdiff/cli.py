@@ -34,6 +34,7 @@ import configparser
 import datetime
 import errno
 import hashlib
+import math
 import os
 import sys
 from collections import Counter
@@ -209,11 +210,20 @@ def _build_solver_config(cfg: Cfg, fixture) -> SolverConfig:
     )
 
 
+def _finite_float(raw: str) -> float:
+    """A float that is neither NaN nor infinite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw.strip()}")
+    return value
+
+
 def _probe_constants(cfg: Cfg, section: str, dim: int) -> dict:
     """The probe constants that [verify] and [msweep] both read, with their one default;
-    ``p`` defaults to ``max(5, N + 3)``, as the pointwise bound needs ``p > N + 2``."""
+    each must be finite, and ``p`` defaults to ``max(5, N + 3)``, as the pointwise bound
+    needs ``p > N + 2``."""
     defaults = {"sigma": 0.5, "q": 2.0, "p": max(5.0, dim + 3.0), "r": 2.0, "eps": 0.1}
-    return {k: cfg.get(section, k, v, float) for k, v in defaults.items()}
+    return {k: cfg.get(section, k, v, _finite_float) for k, v in defaults.items()}
 
 
 def _solver_m(cfg: Cfg, required=False) -> float:

@@ -16,6 +16,9 @@ that is larger), so work buffers stay cache-sized however long the window is.
 Integrands are written in place into one buffer per call and integrated per
 level in one product with flattened trapezoid weights; sups, infs and time
 integrals are numpy reductions too, so a NaN sample makes the result NaN.
+``_CHUNK_DOUBLES`` is ``1 << 15`` so that the largest work buffer, the three
+rows of :func:`_probe_stats`, is 768 KiB and fits a 2 MiB per-core L2.  A
+chunk split can move a per-level sum by an ulp: BLAS groups matrix rows.
 
 Probe-local rule: the work of one probe scales with its own cylinder.  No
 function here evaluates anything on a whole level and slices it afterwards:
@@ -25,11 +28,17 @@ side (:func:`logdiff.grid.gradient_at`, per chunk, in the energy and flux
 integrals only), and node coordinates are built only for the cube, only when
 a flux coefficient needs them.
 
-The checkers' per-probe statistics come from :func:`_probe_stats`, which
-reads each chunk of ``K_2rho x window`` once: u, the oscillation integrand at
-the chunk's own max and its square go into one buffer and are integrated over
-``K_2rho`` and the nested ``K_(1+sigma)rho`` in one product, and an exact
-identity moves the sums to the cylinder's sup ``M``.
+The checkers' per-probe statistics come from two one-read kernels.
+:func:`_probe_stats` reads each chunk of ``K_2rho x window`` once: u, the
+oscillation integrand at the chunk's own max and its square go into one
+buffer and are integrated over ``K_2rho`` and the nested ``K_(1+sigma)rho``
+in one product, and an exact identity moves the sums to the cylinder's sup
+``M``.  :func:`_power_oscillation` gives the pointwise check ``M`` and
+``lambda_p`` over ``K_8rho x window`` the same way: ``M`` from the chunk's
+copy (or a read-only pre-pass over several chunks), then ``ln M - ln u``,
+which needs no ``abs``, and its p-th power in one buffer.  A whole ``p`` up
+to 64 is taken by repeated squaring (:func:`_power_into`; Knuth, TAOCP vol.
+2, 4.6.3), any other by ``np.power``.
 
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
@@ -37,9 +46,9 @@ time levels of the p-mean over a cube of ``|ln(u/M)|`` at ``m = 0`` and of
 ``(1 - (u/M)^m)/m`` for ``0 < m < 1``, which increases to ``ln(M/u)`` as
 ``m`` decreases to zero.  ``normalized=False`` takes the plain space
 integral instead of the mean, the form the energy and flux bounds consume.
-Both integrands come from :func:`_osc_integrand`, which :func:`oscillation`
-(and so the pointwise ``lambda_p``) and :func:`_probe_stats` share.
-:func:`gradient_energy` and the scale functions take ``m`` alike.
+It runs the pointwise pass with a given ``M``, so the pointwise ``lambda_p``
+equals it bit for bit.  :func:`gradient_energy` and the scale functions take
+``m`` alike.  A probe constant that is not finite raises ParameterError.
 """
 
 from __future__ import annotations
@@ -60,14 +69,13 @@ from .grid import (
     _flat_trapezoid_weights,
     _point_str,
     _trapezoid,
-    cube_volume,
     gradient_at,
 )
 from .reporting import Row
 
-# Values per level chunk (512 KiB of doubles): large enough that the Python
-# overhead per chunk is small, small enough that temporaries stay in cache.
-_CHUNK_DOUBLES = 1 << 16
+# Values per level chunk (256 KiB of doubles): large enough that the Python
+# overhead per chunk is small, small enough that work buffers stay in L2.
+_CHUNK_DOUBLES = 1 << 15
 
 
 def _cube_chunks(slab: SpaceTimeSlab, nodes, levels):
@@ -120,14 +128,85 @@ def _check_m(m: float) -> None:
         raise ParameterError(f"m must lie in [0, 1), got {m:.6g}")
 
 
+def _check_finite(**values) -> None:
+    """ParameterError naming the first of ``values`` that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value:.6g}")
+
+
+def _positive_max(u, center, edge: float) -> float:
+    """``u.max()``; ParameterError unless u is finite and positive."""
+    t = float(u.max())
+    if not (math.isfinite(t) and u.min() > 0.0):
+        raise ParameterError(
+            f"u must be finite and positive on the cube of edge {edge:.6g} at {_point_str(center)}"
+        )
+    return t
+
+
 def _osc_integrand(u, M: float, e: float, out) -> np.ndarray:
-    """``g_M(u)``, written into ``out``: ``|ln u - ln M|`` at ``e = 0``, else
-    ``(1 - (u/M)^e)/e`` as ``-expm1(e (ln u - ln M))/e``; nonnegative for ``u <= M``."""
-    np.subtract(np.log(u, out=out), math.log(M), out=out)
+    """``g_M(u)``, written into ``out``: ``ln M - ln u`` at ``e = 0``, else
+    ``(1 - (u/M)^e)/e`` as ``-expm1(-e (ln M - ln u))/e``; nonnegative for ``u <= M``."""
+    np.subtract(math.log(M), np.log(u, out=out), out=out)
     if e == 0.0:
-        return np.abs(out, out=out)
-    out *= e
+        return out
+    out *= -e
     return np.divide(np.expm1(out, out=out), -e, out=out)
+
+
+# the largest whole exponent _power_into takes by squaring
+_SQUARING_MAX = 64
+
+
+def _power_into(g, p: float, out) -> np.ndarray:
+    """``g^p``: for a whole ``p`` in ``[1, _SQUARING_MAX]`` by left-to-right binary
+    powering (square ``out``, times ``g`` at each one bit after the leading one), else
+    by ``np.power``; the result is in ``out``, or is ``g`` itself at ``p = 1``."""
+    n = int(p)
+    if n != p or not 1 <= n <= _SQUARING_MAX:
+        return np.power(g, p, out=out)
+    acc = g
+    for bit in bin(n)[3:]:
+        acc = np.square(acc, out=out)
+        if bit == "1":
+            acc *= g
+    return acc
+
+
+def _power_oscillation(
+    slab: SpaceTimeSlab, cube: Cube, window, M, p: float, e: float = 0.0, normalized=True
+):
+    """``(M, osc)``: ``osc`` the sup over the window's levels of the p-root of the cube
+    mean (``normalized``) or integral of ``g_M(u)^p`` (:func:`_osc_integrand`, its
+    ``abs`` at ``e = 0``).
+
+    Each chunk is copied into the first half of one work buffer per call, ``g_M`` is
+    written over the copy and its power (:func:`_power_into`) into the second half.
+    ``M=None`` takes the sup of u over ``cube x window``, where ``g_M >= 0``, checked
+    by :func:`_positive_max` on the one chunk's copy, or in a read-only pre-pass when
+    the cylinder spans several chunks.
+    """
+    grid = slab.grid
+    nodes = grid.cube_slices(cube)
+    chunks = list(_cube_chunks(slab, nodes, slab.window_indices(*window)))
+    sup = M is None
+    if sup and len(chunks) > 1:
+        M = max(_positive_max(u, cube.center, cube.edge) for _, u in chunks)
+    w = _flat_trapezoid_weights(tuple(s.stop - s.start for s in nodes))
+    buf, vals = np.empty(2 * chunks[0][1].size), []  # the first chunk is the largest
+    for _, u in chunks:
+        g, out = buf[: 2 * u.size].reshape((2,) + u.shape)
+        np.copyto(g, u)
+        if M is None:
+            M = _positive_max(g, cube.center, cube.edge)
+        _osc_integrand(g, M, e, g)
+        if e == 0.0 and not sup:  # a given M need not bound u
+            np.abs(g, out=g)
+        vals.append(_power_into(g, p, out).reshape(len(u), -1) @ w)
+    vals = np.concatenate(vals) * grid.spacing**grid.dim
+    scale = _block_volume(nodes, grid.spacing) if normalized else 1.0
+    return M, float(np.max((vals / scale) ** (1.0 / p)))
 
 
 def oscillation(
@@ -139,15 +218,12 @@ def oscillation(
     bounds consume."""
     window = _window(window)
     _check_m(m)
+    _check_finite(p=p)
     if M <= 0:
         raise ParameterError("M must be positive")
     if p < 1:
         raise ParameterError("p must be >= 1")
-    vals = _level_integrals(
-        slab, cube, window, lambda ks, u, out: np.power(_osc_integrand(u, M, m, out), p, out=out)
-    )
-    scale = cube_volume(slab.grid, cube) if normalized else 1.0
-    return float(np.max((vals / scale) ** (1.0 / p)))
+    return _power_oscillation(slab, cube, window, M, p, m, normalized)[1]
 
 
 def _cube_mean(field: Field, center, edge: float, f) -> float:
@@ -164,6 +240,7 @@ def intrinsic_scale(
     ``m = 0`` is the logarithmic case, ``0 < m < 1`` the power-flux one.
     """
     _check_m(m)
+    _check_finite(q=q, eps=eps)
     if q <= 0 or eps <= 0:
         raise ParameterError("q and eps must be positive")
     return eps * _cube_mean(field, center, edge, lambda u: u**q) ** ((1.0 - m) / q)
@@ -210,6 +287,7 @@ def time_scaling_exponent(N: int, m: float = 0.0) -> float:
 
 def moment_scaling_exponent(N: int, m: float, r: float) -> float:
     """``N(m - 1) + 2r``; must be positive for the ratio exponents to make sense."""
+    _check_finite(r=r)
     val = N * (m - 1.0) + 2.0 * r
     if val <= 0:
         raise ParameterError(f"need N(m-1) + 2r > 0, got {val:.6g}")
@@ -307,23 +385,6 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
         return np.multiply(np.sqrt(sq, out=out), beta_prime(u), out=out)
 
     return _space_time_integral(slab, cube, window, magnitude, "flux", a=coefficient) / rho
-
-
-def _positive_max(u, center, edge: float) -> float:
-    """``u.max()``; ParameterError unless u is finite and positive."""
-    t = float(u.max())
-    if not (math.isfinite(t) and u.min() > 0.0):
-        raise ParameterError(
-            f"u must be finite and positive on the cube of edge {edge:.6g} at {_point_str(center)}"
-        )
-    return t
-
-
-def _probe_sup(slab: SpaceTimeSlab, center, edge: float, window) -> float:
-    """The sup of u over ``K_edge x window``, checked by :func:`_positive_max`."""
-    nodes = slab.grid.cube_slices(Cube(tuple(center), edge))
-    chunks = _cube_chunks(slab, nodes, slab.window_indices(*window))
-    return max(_positive_max(u, center, edge) for _, u in chunks)
 
 
 @functools.lru_cache(maxsize=64)

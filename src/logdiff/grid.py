@@ -253,12 +253,14 @@ class SpaceTimeSlab:
         holds it, and ``(t, t]`` holds the level at ``t``.  GeometryError if the
         window holds none."""
         tol = 1e-9 * max(1.0, abs(self.times[-1]))
-        idx = np.nonzero((self.times >= t_start - tol) & (self.times <= t_end + tol))[0]
-        if idx.size == 0:
+        # times increase, so the window's levels are one run of indices
+        lo = int(np.searchsorted(self.times, t_start - tol, "left"))
+        hi = int(np.searchsorted(self.times, t_end + tol, "right"))
+        if hi <= lo or math.isnan(t_end):  # a NaN end sorts past every level
             raise GeometryError(
                 f"window ({t_start:.6g}, {t_end:.6g}] contains no stored levels"
             )
-        return idx
+        return np.arange(lo, hi)
 
 
 class Cutoff:

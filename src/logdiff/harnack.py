@@ -35,12 +35,12 @@ from .grid import (
 )
 # private bindings: the benchmark tracer wraps only public ones, so these probes add no span
 from .functionals import gradient_energy as _gradient_energy
-from .functionals import oscillation as _oscillation
 from .functionals import (
+    _check_finite,
     _check_m,
     _intrinsic_window,
+    _power_oscillation,
     _probe_stats,
-    _probe_sup,
     _window,
     ess_sup,
     flux_l1,
@@ -435,14 +435,17 @@ def check_pointwise_harnack(
 
     The intrinsic height ``theta`` comes from the q-mean of u over ``K_rho``
     at the vertex time; the backward cylinder ``K_8rho x (t_o - 64 theta
-    rho^2, t_o]`` must fit inside the slab.  Requires ``p > N + 2``; raises
-    ParameterError unless u is finite and positive on that cylinder, which
-    holds every sampled node.  The inf is taken over at most
+    rho^2, t_o]`` must fit inside the slab.  Requires finite ``q, eps, p, r``
+    and ``p > N + 2``; raises ParameterError unless u is finite and positive
+    on that cylinder, which holds every sampled node.  ``sup_u`` and
+    ``lambda_p`` come from one read of each chunk of that cylinder
+    (``functionals._power_oscillation``).  The inf is taken over at most
     ``_POINTWISE_PROBES`` evenly spread levels of the intrinsic window
     ``(t_o - theta rho^2/16, t_o]``, which holds the vertex level
     (``functionals._intrinsic_window``).
     """
     grid = slab.grid
+    _check_finite(q=q, eps=eps, p=p, r=r)
     if p <= grid.dim + 2:
         raise ParameterError(f"need p > N + 2 = {grid.dim + 2}, got {p}")
     x_o = tuple(float(c) for c in x_o)
@@ -465,8 +468,7 @@ def check_pointwise_harnack(
         raise GeometryError(
             f"intrinsic window depth {depth:.6g} reaches below the slab start"
         ) from None
-    M = _probe_sup(slab, x_o, 8.0 * rho, (t_lo, t_o))
-    lam_p = _oscillation(slab, Cube(x_o, 8.0 * rho), (t_lo, t_o), M, p)
+    M, lam_p = _power_oscillation(slab, Cube(x_o, 8.0 * rho), (t_lo, t_o), None, p)
     eta = degeneracy_ratio(slab.level(k_o), x_o, rho, q, M, r)
     sup_val = ess_sup(slab, Cube(x_o, 2.0 * rho), (t_o - theta * rho**2, t_o))
     if probes.size > _POINTWISE_PROBES:

@@ -10,12 +10,18 @@ nothing time- or host-dependent is emitted.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
 from dataclasses import fields
 from pathlib import Path
 
 from .errors import ParameterError
+
+
+@functools.lru_cache(maxsize=None)
+def _row_names(cls) -> tuple:
+    """The names of the row fields of the dataclass ``cls``, in order."""
+    return tuple(f.name for f in fields(cls) if f.metadata.get("row", True))
 
 
 class Row:
@@ -27,25 +33,18 @@ class Row:
 
     def to_row(self) -> dict:
         row = {}
-        for f in fields(self):
-            if f.metadata.get("row", True):
-                value = getattr(self, f.name)
-                row[f.name] = (
-                    ";".join(repr(v) for v in value) if isinstance(value, tuple) else value
-                )
+        for name in _row_names(type(self)):
+            value = getattr(self, name)
+            row[name] = ";".join(repr(v) for v in value) if isinstance(value, tuple) else value
         return row
 
 
 def format_cell(value) -> str:
-    """Canonical text for one CSV cell."""
+    """Canonical text for one CSV cell; ``repr`` of a float writes ``nan`` and ``inf``."""
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, (int,)):
         return str(value)
     if value is None:

@@ -651,6 +651,34 @@ def test_list_of_the_wrong_length_or_too_few_cells_is_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["verify", "pointwise"], "p = nan"),
+        (["verify", "l1"], "q = inf"),
+        (["verify", "energy"], "r = -inf"),
+        (["msweep"], "eps = nan"),
+        (["msweep"], "p = inf"),
+    ],
+    ids=["verify-p-nan", "verify-q-inf", "verify-r-minus-inf", "msweep-eps-nan", "msweep-p-inf"],
+)
+def test_probe_constants_that_are_not_finite_are_config_errors(
+    run_dir, tmp_path, capsys, command, text
+):
+    # each ran and exited 0, with NaN cells or a quiet wrong lambda_p
+    section = command[0]
+    base = BASE_CONFIG if section == "verify" else _MSWEEP_CONFIG
+    cfg = run_dir / f"{tmp_path.name}.ini"
+    cfg.write_text(base.replace(f"[{section}]\n", f"[{section}]\n{text}\n"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    key, value = (part.strip() for part in text.split("="))
+    err = capsys.readouterr().err
+    assert f"config error: bad value for [{section}] {key}: must be finite, got {value}" in err
+    assert not out.exists()
+
+
 def test_msweep_rejects_m_values_that_do_not_decrease(tmp_path, capsys):
     cfg = tmp_path / "ms.ini"
     cfg.write_text(_MSWEEP_CONFIG.replace("m_values = 0.4 0.2", "m_values = 0.2 0.4"))

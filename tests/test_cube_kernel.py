@@ -243,8 +243,8 @@ def test_kernel_matches_per_level_loops(dim, data):
 
 
 def test_kernel_window_spanning_several_chunks():
-    # 65^2 nodes per level: the real budget holds 15 levels, so 40 levels
-    # make three chunks, the gradient blocks included
+    # 65^2 nodes per level: the real budget holds 7 levels, so 40 levels
+    # make six chunks, the gradient blocks included
     slab = _slab(2, 64, 40, seed=3)
     other = _slab(2, 64, 40, seed=4)
     per_level = 65**2
@@ -471,6 +471,50 @@ def test_pointwise_lambda_p_matches_pow(p):
         best = max(best, average(a, grid, cube) ** (1.0 / p))
     assert rep.lambda_p == pytest.approx(best, rel=1e-15, abs=0.0)
     assert rep.lambda_p == oscillation(slab, cube, window, rep.sup_u, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_pointwise_kernel_matches_ess_sup_and_pow(dim, data):
+    """The one-read pointwise pass: ``M`` is the sup, ``lambda_p`` the p-mean of
+    ``|ln(u/M)|`` with numpy's pow, whole ``p`` by squaring or not, in any chunking."""
+    cells = data.draw(st.integers(2, {1: 40, 2: 14, 3: 6}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 9), label="levels")
+    slab = _slab(dim, cells, nlevels, data.draw(st.integers(0, 2**16), label="seed"))
+    half = data.draw(st.integers(1, cells // 2), label="half")
+    center = tuple(
+        float(slab.grid.axis(d)[data.draw(st.integers(half, cells - half), label=f"center{d}")])
+        for d in range(dim)
+    )
+    k0 = data.draw(st.integers(0, nlevels - 1), label="k0")
+    k1 = data.draw(st.integers(k0, nlevels - 1), label="k1")
+    cube = Cube(center, 2 * half * slab.grid.spacing)
+    window = (float(slab.times[k0]) - 1e-3, float(slab.times[k1]))
+    for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
+            for p in (5.0, 6.0, 7.0, 5.5):
+                M, lam = functionals._power_oscillation(slab, cube, window, None, p)
+                assert M == ess_sup(slab, cube, window)
+                want = ref_log_oscillation(slab, cube, window, M, p)
+                assert lam == pytest.approx(want, rel=1e-14), (budget, p)
+
+
+def test_pointwise_reads_a_one_chunk_cylinder_once(monkeypatch):
+    grid = Grid.regular(2, 1.0, 1.0 / 32)
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, np.linspace(0.0, 0.5, 65))
+    x_o, t_o, rho = (0.0, 0.0), 0.5, 1.0 / 16
+    nodes = slab.grid.cube_slices(Cube(x_o, 8.0 * rho))
+    reads, chunks = [], functionals._cube_chunks
+
+    def counted(slab, nodes, levels):
+        reads.append((nodes, levels.size))
+        return chunks(slab, nodes, levels)
+
+    monkeypatch.setattr(functionals, "_cube_chunks", counted)
+    rep = check_pointwise_harnack(slab, x_o, t_o, rho)
+    assert not rep.degenerate
+    (size,) = [n for seen, n in reads if seen == nodes]  # the sup and lambda_p read it once
+    assert 1 < size and 17**2 * size <= functionals._CHUNK_DOUBLES
 
 
 def _raise(*args, **kwargs):

@@ -119,6 +119,28 @@ def test_power_oscillation_plain_vs_normalized():
     assert plain == pytest.approx(mean * 0.25**0.5, rel=1e-12)
 
 
+def _finite_checks(bad):
+    g = Grid.regular(2, 1.0, 1.0 / 16)
+    slab = LUMP.sample_slab(g, [0.0, 0.1])
+    cube, center, field = Cube((0.0, 0.0), 0.5), (0.0, 0.0), slab.level(0)
+    return {
+        "oscillation-p": lambda: oscillation(slab, cube, (0.0, 0.1), M=8.0, p=bad),
+        "intrinsic_scale-q": lambda: intrinsic_scale(field, center, 0.5, q=bad, eps=0.1),
+        "intrinsic_scale-eps": lambda: intrinsic_scale(field, center, 0.5, q=2.0, eps=bad),
+        "moment_scaling_exponent-r": lambda: moment_scaling_exponent(2, 0.0, bad),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", list(_finite_checks(0.0)))
+def test_probe_constants_must_be_finite(case, bad):
+    # p = nan and p = inf passed p < 1; q = nan made theta NaN, which the pointwise
+    # check blamed on the data; r = nan gave a NaN exponent
+    name = case.split("-")[1]
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        _finite_checks(bad)[case]()
+
+
 def test_exponent_identities():
     for N in (1, 2, 3):
         assert time_scaling_exponent(N) == 2.0 - N

@@ -27,6 +27,7 @@ from logdiff import (
     sample_cylinders,
     solve_quasilinear,
 )
+from logdiff import functionals
 from logdiff.functionals import flux_l1
 from logdiff.grid import Field, SpaceTimeSlab
 from logdiff.solvers import SolverConfig
@@ -329,6 +330,15 @@ def test_pointwise_harnack_guards(lump_slab_32):
         check_pointwise_harnack(lump_slab_32, (0.0, 0.0), 0.5, 0.25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["q", "eps", "p", "r"])
+def test_pointwise_harnack_rejects_constants_that_are_not_finite(lump_slab_32, name, bad):
+    # p = nan gave lambda_p = nan and p = inf gave 1.0; a bad q or eps was blamed
+    # on the data, and a bad r made eta NaN
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        check_pointwise_harnack(lump_slab_32, (0.0, 0.0), 0.5, 1.0 / 16, **{name: bad})
+
+
 def test_pointwise_harnack_spreads_its_probe_levels():
     # 1D, u = 1 + x/4 at every level, rho = 2h: theta = 0.1, and 16384 steps
     # over the intrinsic depth 64 theta rho^2 put ~16 levels in its top
@@ -344,16 +354,19 @@ def test_pointwise_harnack_spreads_its_probe_levels():
     assert 0.0 < rep.f_star <= 1.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf])
 @pytest.mark.parametrize("t_bad", [0.496, 0.5])
-def test_pointwise_harnack_rejects_bad_nodes(lump_slab_64, t_bad, bad):
+def test_pointwise_harnack_rejects_bad_nodes(lump_slab_64, monkeypatch, t_bad, bad):
     # a node next to the vertex (0, 0): at t_o it is probed; at t = 0.496 it
-    # lies only in the backward cylinder K_8rho that gives sup_u and lambda_p
+    # lies only in the backward cylinder K_8rho that gives sup_u and lambda_p,
+    # and at a budget of one level per chunk in a chunk after the first
     values = lump_slab_64.values.copy()
     values[lump_slab_64.level_index(t_bad), 33, 32] = bad
     slab = SpaceTimeSlab(lump_slab_64.grid, lump_slab_64.times, values)
-    with pytest.raises(ParameterError, match="finite and positive"):
-        check_pointwise_harnack(slab, (0.0, 0.0), 0.5, 1.0 / 16)
+    for budget in (functionals._CHUNK_DOUBLES, 1):
+        monkeypatch.setattr(functionals, "_CHUNK_DOUBLES", budget)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            check_pointwise_harnack(slab, (0.0, 0.0), 0.5, 1.0 / 16)
 
 
 def test_fit_pointwise_constants(lump_slab_64):
