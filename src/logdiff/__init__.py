@@ -51,11 +51,9 @@ from .functionals import (
     flux_l1,
     functional_set,
     gradient_energy,
-    inf_mass,
     intrinsic_scale,
     moment_scaling_exponent,
     oscillation,
-    sup_mass,
     time_scaling_exponent,
 )
 from .harnack import (

@@ -20,6 +20,12 @@ integrals are numpy reductions too, so a NaN sample makes the result NaN.
 rows of :func:`_probe_stats`, is 768 KiB and fits a 2 MiB per-core L2.  A
 chunk split can move a per-level sum by an ulp: BLAS groups matrix rows.
 
+Resolve-once rule: the private kernels take resolved blocks, a cube's snapped
+slices ``nodes`` (:meth:`Grid.cube_slices`) and a window's level indices
+``levels`` (:meth:`SpaceTimeSlab.window_indices`), and resolve none
+themselves; the public entry points and the checkers resolve each cube and
+window of a probe once and pass the same blocks to every kernel that reads it.
+
 Probe-local rule: the work of one probe scales with its own cylinder.  No
 function here evaluates anything on a whole level and slices it afterwards:
 powers, logarithms and cutoff weights are applied to the cube's nodes only,
@@ -35,10 +41,10 @@ buffer and are integrated over ``K_2rho`` and the nested ``K_(1+sigma)rho``
 in one product, and an exact identity moves the sums to the cylinder's sup
 ``M``.  :func:`_power_oscillation` gives the pointwise check ``M`` and
 ``lambda_p`` over ``K_8rho x window`` the same way: ``M`` from the chunk's
-copy (or a read-only pre-pass over several chunks), then ``ln M - ln u``,
-which needs no ``abs``, and its p-th power in one buffer.  A whole ``p`` up
-to 64 is taken by repeated squaring (:func:`_power_into`; Knuth, TAOCP vol.
-2, 4.6.3), any other by ``np.power``.
+copy (or a read-only pre-pass over several chunks), then ``|ln M - ln u|``
+and its p-th power in one buffer.  A whole ``p`` up to 64 is taken by
+repeated squaring (:func:`_power_into`; Knuth, TAOCP vol. 2, 4.6.3), any
+other by ``np.power``.
 
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
@@ -79,14 +85,10 @@ _CHUNK_DOUBLES = 1 << 15
 
 
 def _cube_chunks(slab: SpaceTimeSlab, nodes, levels):
-    """Yield ``(ks, u)`` over level chunks of the block ``nodes x levels``.
-
-    ``nodes`` are the slices of a snapped cube (:meth:`Grid.cube_slices`) and
-    ``levels`` the window's level indices.  ``ks`` slices the slab levels of
-    the chunk and ``u`` is a view shaped ``(levels, *cube)``; a reader that
-    needs gradients takes them from ``slab.values[ks]`` by
-    :func:`logdiff.grid.gradient_at`.
-    """
+    """Yield ``(ks, u)`` over level chunks of the block ``nodes x levels``: ``ks``
+    slices the slab levels of the chunk and ``u`` is a view shaped ``(levels, *cube)``;
+    a reader that needs gradients takes them from ``slab.values[ks]`` by
+    :func:`logdiff.grid.gradient_at`."""
     first, stop = int(levels[0]), int(levels[-1]) + 1
     step = max(1, _CHUNK_DOUBLES // math.prod(s.stop - s.start for s in nodes))
     for k in range(first, stop, step):
@@ -94,19 +96,17 @@ def _cube_chunks(slab: SpaceTimeSlab, nodes, levels):
         yield ks, slab.values[(ks,) + nodes]
 
 
-def _level_integrals(slab: SpaceTimeSlab, cube: Cube, window, integrand, weights=1.0):
-    """Trapezoid integral over the cube of ``weights * integrand(ks, u, out)`` per level
-    of the window ``(t_start, t_end)``, for the chunks :func:`_cube_chunks` yields;
-    ``weights`` is flat over the cube's nodes, and ``out``, shaped like ``u``, views
-    one work buffer per call, which the integrand may overwrite and return."""
-    grid = slab.grid
-    nodes, levels = grid.cube_slices(cube), slab.window_indices(*window)
+def _level_integrals(slab: SpaceTimeSlab, nodes, levels, integrand, weights=1.0):
+    """Trapezoid integral over the block ``nodes`` of ``weights * integrand(ks, u, out)``
+    at each of ``levels``, for the chunks :func:`_cube_chunks` yields; ``weights`` is
+    flat over the block's nodes, and ``out``, shaped like ``u``, views one work buffer
+    per call, which the integrand may overwrite and return."""
     w = _flat_trapezoid_weights(tuple(s.stop - s.start for s in nodes)) * weights
     buf, vals = None, []
     for ks, u in _cube_chunks(slab, nodes, levels):
         buf = np.empty(u.size) if buf is None else buf  # the first chunk is the largest
         vals.append(integrand(ks, u, buf[: u.size].reshape(u.shape)).reshape(len(u), -1) @ w)
-    return np.concatenate(vals) * grid.spacing**grid.dim
+    return np.concatenate(vals) * slab.grid.spacing**slab.grid.dim
 
 
 def _window(window) -> tuple[float, float]:
@@ -175,23 +175,21 @@ def _power_into(g, p: float, out) -> np.ndarray:
 
 
 def _power_oscillation(
-    slab: SpaceTimeSlab, cube: Cube, window, M, p: float, e: float = 0.0, normalized=True
+    slab: SpaceTimeSlab, cube: Cube, nodes, levels, M, p: float, e: float = 0.0, normalized=True
 ):
-    """``(M, osc)``: ``osc`` the sup over the window's levels of the p-root of the cube
-    mean (``normalized``) or integral of ``g_M(u)^p`` (:func:`_osc_integrand`, its
-    ``abs`` at ``e = 0``).
+    """``(M, osc)``: ``osc`` the sup over ``levels`` of the p-root of the mean
+    (``normalized``) or integral over ``nodes``, ``cube`` snapped, of ``g_M(u)^p``
+    (:func:`_osc_integrand`, its ``abs`` at ``e = 0``).
 
     Each chunk is copied into the first half of one work buffer per call, ``g_M`` is
     written over the copy and its power (:func:`_power_into`) into the second half.
-    ``M=None`` takes the sup of u over ``cube x window``, where ``g_M >= 0``, checked
-    by :func:`_positive_max` on the one chunk's copy, or in a read-only pre-pass when
-    the cylinder spans several chunks.
+    ``M=None`` takes the sup of u over ``nodes x levels``, checked by
+    :func:`_positive_max` on the one chunk's copy, or in a read-only pre-pass when the
+    cylinder spans several chunks.
     """
     grid = slab.grid
-    nodes = grid.cube_slices(cube)
-    chunks = list(_cube_chunks(slab, nodes, slab.window_indices(*window)))
-    sup = M is None
-    if sup and len(chunks) > 1:
+    chunks = list(_cube_chunks(slab, nodes, levels))
+    if M is None and len(chunks) > 1:
         M = max(_positive_max(u, cube.center, cube.edge) for _, u in chunks)
     w = _flat_trapezoid_weights(tuple(s.stop - s.start for s in nodes))
     buf, vals = np.empty(2 * chunks[0][1].size), []  # the first chunk is the largest
@@ -201,7 +199,7 @@ def _power_oscillation(
         if M is None:
             M = _positive_max(g, cube.center, cube.edge)
         _osc_integrand(g, M, e, g)
-        if e == 0.0 and not sup:  # a given M need not bound u
+        if e == 0.0:  # a given M need not bound u, and math.log(M) can pass np.log(M)
             np.abs(g, out=g)
         vals.append(_power_into(g, p, out).reshape(len(u), -1) @ w)
     vals = np.concatenate(vals) * grid.spacing**grid.dim
@@ -218,12 +216,13 @@ def oscillation(
     bounds consume."""
     window = _window(window)
     _check_m(m)
-    _check_finite(p=p)
+    _check_finite(M=M, p=p)
     if M <= 0:
         raise ParameterError("M must be positive")
     if p < 1:
         raise ParameterError("p must be >= 1")
-    return _power_oscillation(slab, cube, window, M, p, m, normalized)[1]
+    nodes, levels = slab.grid.cube_slices(cube), slab.window_indices(*window)
+    return _power_oscillation(slab, cube, nodes, levels, M, p, m, normalized)[1]
 
 
 def _cube_mean(field: Field, center, edge: float, f) -> float:
@@ -273,6 +272,7 @@ def degeneracy_ratio(
     ``m = 0`` gives the logarithmic exponent ``2/(2r - N)``.
     """
     _check_m(m)
+    _check_finite(q=q, M=M)
     if M <= 0 or q <= 0:
         raise ParameterError("M and q must be positive")
     lam_r = moment_scaling_exponent(field.grid.dim, m, r)
@@ -294,37 +294,17 @@ def moment_scaling_exponent(N: int, m: float, r: float) -> float:
     return val
 
 
-def _cube_masses(slab: SpaceTimeSlab, center, edge: float, window) -> np.ndarray:
-    """``int_{K_edge} u dx`` at every window level."""
-    return _level_integrals(slab, Cube(tuple(center), edge), window, lambda ks, u, out: u)
-
-
-def sup_mass(
-    slab: SpaceTimeSlab, center, rho: float, sigma: float, window
-) -> float:
-    """Sup over window levels of ``int_{K_(1+sigma)rho} u dx``."""
-    if not 0.0 <= sigma < 1.0:
-        raise ParameterError("sigma must lie in [0, 1)")
-    return float(np.max(_cube_masses(slab, center, (1.0 + sigma) * rho, window)))
-
-
-def inf_mass(slab: SpaceTimeSlab, center, edge: float, window) -> float:
-    """Inf over window levels of ``int_{K_edge} u dx``."""
-    return float(np.min(_cube_masses(slab, center, edge, window)))
-
-
 def _space_time_integral(
-    slab: SpaceTimeSlab, cube: Cube, window, integrand, what: str, weights=1.0, a=None
+    slab: SpaceTimeSlab, nodes, levels, integrand, what: str, weights=1.0, a=None
 ) -> float:
-    """Trapezoid in time of the cube integrals (:func:`_level_integrals`) of
-    ``integrand(u, sq, out)``, with ``sq = sum_d (a_d du/dx_d)^2`` of each chunk on
-    the cube's nodes and ``a_d = a(d, ks)`` on the chunk's levels (1 if ``a`` is None)."""
-    if slab.window_indices(*window).size < 2:
+    """Trapezoid in time of the integrals over ``nodes`` (:func:`_level_integrals`) of
+    ``integrand(u, sq, out)``, with ``sq = sum_d (a_d du/dx_d)^2`` of each chunk there
+    and ``a_d = a(d, ks)`` on the chunk's levels (1 if ``a`` is None)."""
+    if levels.size < 2:
         raise ParameterError(f"{what} window needs at least two levels")
-    grid, nodes = slab.grid, slab.grid.cube_slices(cube)
 
     def chunk(ks, u, out):
-        grads = gradient_at(slab.values[ks], grid, nodes)  # fresh: squared and summed in place
+        grads = gradient_at(slab.values[ks], slab.grid, nodes)  # fresh: squared and summed in place
         for d, g in enumerate(grads):
             np.square(g if a is None else np.multiply(g, a(d, ks), out=g), out=g)
         sq, *rest = grads
@@ -332,7 +312,7 @@ def _space_time_integral(
             sq += g
         return integrand(u, sq, out)
 
-    return float(_trapezoid(_level_integrals(slab, cube, window, chunk, weights), slab.dt))
+    return float(_trapezoid(_level_integrals(slab, nodes, levels, chunk, weights), slab.dt))
 
 
 def gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float = 0.0) -> float:
@@ -341,14 +321,18 @@ def gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float = 0.0)
     central gradient in space.  The weight vanishes outside the support cube, so
     integrating over that cube captures the whole quantity."""
     _check_m(m)
-    power = 2.0 - m / 2.0
-    cube = cutoff.support_cube()
-    zeta_sq = cutoff.block(slab.grid, slab.grid.cube_slices(cube)) ** 2
+    levels = slab.window_indices(*_window(window))
+    return _gradient_energy(slab, cutoff, slab.grid.cube_slices(cutoff.support_cube()), levels, m)
 
-    def density(u, sq, out):  # |Du|^2 / u^power; zeta^2 goes into the node weights
-        return np.divide(sq, np.power(u, power, out=out), out=out)
 
-    return _space_time_integral(slab, cube, window, density, "energy", zeta_sq.ravel())
+def _gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, nodes, levels, m: float) -> float:
+    """:func:`gradient_energy` on the support cube's snapped ``nodes`` at ``levels``."""
+    zeta_sq = cutoff.block(slab.grid, nodes) ** 2
+
+    def density(u, sq, out):  # |Du|^2 / u^(2 - m/2); zeta^2 goes into the node weights
+        return np.divide(sq, np.power(u, 2.0 - m / 2.0, out=out), out=out)
+
+    return _space_time_integral(slab, nodes, levels, density, "energy", zeta_sq.ravel())
 
 
 def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
@@ -356,9 +340,13 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     du/dx_d`` of ``flux`` (``a = 1`` for the model kinds).  ParameterError if
     some ``a_d`` leaves the structure interval ``[c_o, c_1]``, as in the
     solvers."""
+    levels = slab.window_indices(*_window(window))
+    return _flux_integral(slab, flux, slab.grid.cube_slices(Cube(tuple(center), rho)), levels) / rho
+
+
+def _flux_integral(slab: SpaceTimeSlab, flux, nodes, levels) -> float:
+    """``int int |A| dx dtau`` of :func:`flux_l1` over the snapped ``nodes`` at ``levels``."""
     grid = slab.grid
-    cube = Cube(tuple(center), rho)
-    nodes = grid.cube_slices(cube)
     shape = tuple(s.stop - s.start for s in nodes)
     # constant a_d are checked once, callable ones at every level they are sampled
     a = [
@@ -384,7 +372,7 @@ def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     def magnitude(u, sq, out):  # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
         return np.multiply(np.sqrt(sq, out=out), beta_prime(u), out=out)
 
-    return _space_time_integral(slab, cube, window, magnitude, "flux", a=coefficient) / rho
+    return _space_time_integral(slab, nodes, levels, magnitude, "flux", a=coefficient)
 
 
 @functools.lru_cache(maxsize=64)
@@ -399,29 +387,33 @@ def _probe_weights(spans: tuple) -> np.ndarray:
     return W
 
 
-def _probe_stats(slab: SpaceTimeSlab, center, rho: float, sigma: float, window, m: float = 0.0):
-    """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
-
-    ``M`` is the sup of u over ``K_2rho x window`` and ``Lambda_1``, ``Lambda_2`` the
-    log oscillation means there at ``m = 0``, else the plain-integral power ones with
-    exponent ``e = m/2``; ``S_sigma`` is the sup over the window of the mass on
-    ``K_(1+sigma)rho``.  Equal to the composed :func:`ess_sup`, :func:`oscillation`,
-    :func:`sup_mass` and :func:`inf_mass`, but each chunk is read once, into one buffer
-    of u, ``g_t`` and ``g_t^2`` (:func:`_osc_integrand` at the chunk's max ``t``).  The
-    sums move to ``M`` exactly: ``g_M = c + a g_t`` with ``c = g_M(t) >= 0`` and
-    ``a = 1 - e c`` in ``(0, 1]``, so no term cancels.  Raises ParameterError unless u
-    is finite and positive on ``K_2rho x window``.
-    """
+def _probe_nodes(grid, center, rho: float, sigma: float):
+    """``(outer, inner)``: the snapped ``K_2rho`` and ``K_(1+sigma)rho`` of a probe, the
+    blocks :func:`_probe_stats` reads.  ParameterError unless ``0 <= sigma < 1``."""
     if not 0.0 <= sigma < 1.0:
         raise ParameterError("sigma must lie in [0, 1)")
+    return tuple(grid.cube_slices(Cube(tuple(center), k * rho)) for k in (2.0, 1.0 + sigma))
+
+
+def _probe_stats(slab: SpaceTimeSlab, center, rho: float, outer, inner, levels, m: float = 0.0):
+    """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
+
+    ``M`` is the sup of u over ``outer x levels`` (``K_2rho``, :func:`_probe_nodes`)
+    and ``Lambda_1``, ``Lambda_2`` the log oscillation means there at ``m = 0``, else
+    the plain-integral power ones with exponent ``e = m/2``; ``S_sigma`` is the sup over
+    the levels of the mass on ``inner`` (``K_(1+sigma)rho``).  Equal to the composed
+    :func:`ess_sup`, :func:`oscillation` and the level masses' max and min, but each
+    chunk is read once, into one buffer of u, ``g_t`` and ``g_t^2`` (:func:`_osc_integrand`
+    at the chunk's max ``t``).  The sums move to ``M`` exactly: ``g_M = c + a g_t`` with
+    ``c = g_M(t) >= 0`` and ``a = 1 - e c`` in ``(0, 1]``, so no term cancels.  Raises
+    ParameterError unless u is finite and positive on ``K_2rho x window``.
+    """
     grid, e = slab.grid, m / 2.0
-    outer = grid.cube_slices(Cube(tuple(center), 2.0 * rho))
     # K_(1+sigma)rho inside the chunks: both cubes snap around one center
-    inner = grid.cube_slices(Cube(tuple(center), (1.0 + sigma) * rho))
     W = _probe_weights(tuple((o.stop - o.start, i.start - o.start, i.stop - o.start)
                              for i, o in zip(inner, outer)))
     buf, tops, sums = None, [], []
-    for _, u in _cube_chunks(slab, outer, slab.window_indices(*window)):
+    for _, u in _cube_chunks(slab, outer, levels):
         buf = np.empty(3 * u.size) if buf is None else buf  # the first chunk is the largest
         b = buf[: 3 * u.size].reshape((3,) + u.shape)
         np.copyto(b[0], u)
@@ -493,16 +485,22 @@ def functional_set(
     """Evaluate the full probe family on one cylinder, the power entries at ``0 < m < 1``."""
     if not 0 < m < 1:
         raise ParameterError("m must be in (0, 1)")
-    window = _window(window)
-    cube2 = Cube(tuple(center), 2.0 * rho)
-    M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, sigma, window)
-    last = slab.level(int(slab.window_indices(*window)[-1]))
-    osc_p = oscillation(slab, cube2, window, M, p)
+    _check_finite(p=p)
+    if p < 1:  # as in oscillation(), which the osc entries below equal
+        raise ParameterError("p must be >= 1")
+    levels = slab.window_indices(*_window(window))
+    outer, inner = _probe_nodes(slab.grid, center, rho, sigma)
+    M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, outer, inner, levels)
+    cube2, last = Cube(tuple(center), 2.0 * rho), slab.level(int(levels[-1]))
+
+    def osc(p, e=0.0, normalized=True):  # oscillation() on the resolved K_2rho x window
+        return _power_oscillation(slab, cube2, outer, levels, M, p, e, normalized)[1]
+
     return FunctionalSet(
         center=tuple(center),
         rho=rho,
-        t_start=window[0],
-        t_end=window[1],
+        t_start=float(window[0]),
+        t_end=float(window[1]),
         q=q,
         p=p,
         r=r,
@@ -512,10 +510,10 @@ def functional_set(
         sup_u=M,
         osc_p1=osc_p1,
         osc_p2=osc_p2,
-        osc_p=osc_p,
-        osc_pow_p1=oscillation(slab, cube2, window, M, 1.0, m, normalized=False),
-        osc_pow_p2=oscillation(slab, cube2, window, M, 2.0, m, normalized=False),
-        osc_pow_p=oscillation(slab, cube2, window, M, p, m, normalized=False),
+        osc_p=osc(p),
+        osc_pow_p1=osc(1.0, m, normalized=False),
+        osc_pow_p2=osc(2.0, m, normalized=False),
+        osc_pow_p=osc(p, m, normalized=False),
         time_scale=intrinsic_scale(last, center, rho, q, eps),
         time_scale_pow=intrinsic_scale(last, center, rho, q, eps, m),
         mass_ratio=degeneracy_ratio(last, center, rho, q, M, r),

@@ -104,7 +104,7 @@ class Grid:
         for d in range(self.dim):
             lo = self.center[d] - self.edge / 2
             j = (point[d] - lo) / self.spacing
-            jr = int(round(j))
+            jr = int(round(j)) if math.isfinite(j) else -1  # a NaN or infinite point is off
             if jr < 0 or jr >= self.npts or abs(j - jr) > 1e-6:
                 raise GeometryError(f"point {_point_str(point)} is not a grid node")
             idx.append(jr)
@@ -127,15 +127,13 @@ class Grid:
             hi = cube.center[d] + cube.edge / 2
             a0 = self.center[d] - self.edge / 2
             a1 = self.center[d] + self.edge / 2
-            if lo < a0 - tol or hi > a1 + tol:
+            if not (lo >= a0 - tol and hi <= a1 + tol):  # a NaN center fails too
                 raise GeometryError(
                     f"cube edge {cube.edge:.6g} at {_point_str(cube.center)} "
                     f"exceeds grid bounds on axis {d}"
                 )
-            i0 = int(round((lo - a0) / self.spacing))
-            i1 = int(round((hi - a0) / self.spacing))
-            i0 = max(i0, 0)
-            i1 = min(i1, self.npts - 1)
+            i0 = max(int(round((lo - a0) / self.spacing)), 0)
+            i1 = min(int(round((hi - a0) / self.spacing)), self.npts - 1)
             if i1 <= i0:
                 raise GeometryError("cube is smaller than one mesh cell")
             out.append(slice(i0, i1 + 1))
@@ -240,7 +238,8 @@ class SpaceTimeSlab:
 
     def level_index(self, t: float) -> int:
         """Index of the stored level nearest to ``t`` (must be within dt/2)."""
-        k = int(round((t - self.times[0]) / self.dt))
+        k = (t - self.times[0]) / self.dt
+        k = int(round(k)) if math.isfinite(k) else -1  # a NaN or infinite t is outside
         if k < 0 or k >= self.nlevels:
             raise GeometryError(f"time {t:.6g} outside slab range")
         if abs(self.times[k] - t) > 0.51 * self.dt:

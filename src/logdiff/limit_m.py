@@ -176,11 +176,8 @@ def _require(record: dict, keys, where: str) -> None:
 
 def _l1_distance(a: SpaceTimeSlab, b: SpaceTimeSlab, cube: Cube, window) -> float:
     """Space-time L1 distance over ``cube x window`` (shared levels)."""
-    idx_a = a.window_indices(window[0], window[1])
-    idx_b = b.window_indices(window[0], window[1])
-    if idx_a.size != idx_b.size or not np.allclose(
-        a.times[idx_a], b.times[idx_b], atol=1e-12
-    ):
+    idx_a, idx_b = a.window_indices(*window), b.window_indices(*window)
+    if idx_a.size != idx_b.size or not np.allclose(a.times[idx_a], b.times[idx_b], atol=1e-12):
         raise ParameterError("slabs do not share time levels on the window")
     shift = int(idx_b[0] - idx_a[0])
     sl = b.grid.cube_slices(cube)
@@ -188,15 +185,15 @@ def _l1_distance(a: SpaceTimeSlab, b: SpaceTimeSlab, cube: Cube, window) -> floa
     def distance(ks, u, out):
         return np.abs(u - b.values[(slice(ks.start + shift, ks.stop + shift),) + sl], out=out)
 
-    return float(_trapezoid(_level_integrals(a, cube, window, distance), a.dt))
+    return float(_trapezoid(_level_integrals(a, sl, idx_a, distance), a.dt))
 
 
 def _uniform_norms(slab: SpaceTimeSlab, cube: Cube, m: float, r: float, p: float):
     """Sup over all levels of the cube ``L^r`` norm of u and ``L^p`` norm of ``(u^m-1)/m``."""
-    window = (slab.times[0], slab.times[-1])
+    nodes, levels = slab.grid.cube_slices(cube), np.arange(slab.nlevels)
     norms = []
     for power, f in ((r, lambda u: u), (p, _beta(m)[0])):
-        vals = _level_integrals(slab, cube, window, lambda ks, u, out: np.abs(f(u)) ** power)
+        vals = _level_integrals(slab, nodes, levels, lambda ks, u, out: np.abs(f(u)) ** power)
         norms.append(float(np.max(vals ** (1.0 / power))))
     return tuple(norms)
 

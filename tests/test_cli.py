@@ -190,22 +190,29 @@ def test_verify_error_cells_round_floats_to_six_digits(run_dir):
         assert len(mantissa) <= 6, f
 
 
-@pytest.mark.parametrize("rho", ["0", "nan"])
+@pytest.mark.parametrize(
+    "rho",
+    ["0", "nan", pytest.param("center", id="nan-center"), pytest.param("window", id="nan-end")],
+)
 @pytest.mark.parametrize("dim", [1, 3])
 def test_verify_records_a_rho_that_is_not_positive(tmp_path, dim, rho):
     # rho = 0 reached the l1 time term rho^lam and raised ZeroDivisionError, and
-    # rho = nan passed the cube's edge check and raised ValueError (exit 1)
+    # rho = nan passed the cube's edge check and raised ValueError (exit 1); a NaN
+    # center coordinate and, for pointwise, a NaN window end did the same
     grid = Grid.regular(dim, 1.0, 0.25)
     write_slab(SpaceTimeSlab(grid, [0.0, 0.5], np.ones((2,) + grid.shape)), tmp_path / "s.slab")
     cfg = tmp_path / "v.ini"
+    setting = {
+        "center": "center = nan" + " 0" * (dim - 1), "window": "window = 0 nan"
+    }.get(rho, f"rho = {rho}")
     # m = 0.5 keeps N(m-1)+2 > 0 in 3D, so l1-pme reaches the time term too
-    cfg.write_text(f"[verify]\nslab = s.slab\ncount = 1\nrho = {rho}\nm = 0.5\n")
+    cfg.write_text(f"[verify]\nslab = s.slab\ncount = 1\n{setting}\nm = 0.5\n")
     for kind in VERIFY_KINDS:
         out = tmp_path / kind
         assert main(["verify", kind, "--config", str(cfg), "--out", str(out)]) == 0
         (row,) = read_rows(out / "report.csv")
-        assert row["error"]
-        if kind in ("l1", "l1-pme"):
+        assert row["error"] or (rho == "window" and kind == "distributional")  # no window
+        if kind in ("l1", "l1-pme") and rho in ("0", "nan"):
             assert row["error"] == f"rho must be finite and positive, got {rho}"
 
 

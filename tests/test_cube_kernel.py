@@ -26,9 +26,7 @@ from logdiff import (
     ess_sup,
     flux_l1,
     gradient_energy,
-    inf_mass,
     oscillation,
-    sup_mass,
 )
 from logdiff import functionals
 from logdiff.cli import _VERIFY
@@ -188,13 +186,6 @@ def _compare_all(slab, other, center_idx, half, k0, k1):
             assert oscillation(slab, cube, span, M, p, 0.3, normalized) == pytest.approx(
                 ref_power_oscillation(slab, cube, span, M, 0.3, p, normalized), rel=REL
             )
-    rho = edge / 1.5  # (1 + sigma) rho is the cube for sigma = 0.5
-    assert sup_mass(slab, center, rho, 0.5, window) == pytest.approx(
-        max(ref_masses(slab, center, edge, window)), rel=REL
-    )
-    assert inf_mass(slab, center, edge, window) == pytest.approx(
-        min(ref_masses(slab, center, edge, window)), rel=REL
-    )
     comparison = Cube(center, edge)
     assert _l1_distance(slab, other, comparison, window) == pytest.approx(
         ref_l1_distance(slab, other, comparison, window), rel=REL
@@ -206,7 +197,7 @@ def _compare_all(slab, other, center_idx, half, k0, k1):
     )
     if k1 == k0:
         return
-    cutoff = Cutoff(center, rho, 0.5)
+    cutoff = Cutoff(center, edge / 1.5, 0.5)  # the support is the cube
     assert gradient_energy(slab, cutoff, window) == pytest.approx(
         ref_gradient_energy(slab, cutoff, window, 2), rel=REL
     )
@@ -256,6 +247,12 @@ def test_kernel_window_spanning_several_chunks():
 # --- the fused probe kernel against the composed public functionals ---------
 
 
+def probe_stats(slab, center, rho, sigma, window, m=0.0):
+    """The kernel on the probe's snapped cubes and the window's levels."""
+    outer, inner = functionals._probe_nodes(slab.grid, center, rho, sigma)
+    return functionals._probe_stats(slab, center, rho, outer, inner, _levels(slab, window), m)
+
+
 def composed_probe_stats(slab, center, rho, sigma, window, m):
     cube2 = Cube(center, 2.0 * rho)
     M = ess_sup(slab, cube2, window)
@@ -268,8 +265,8 @@ def composed_probe_stats(slab, center, rho, sigma, window, m):
         M,
         l1,
         l2,
-        sup_mass(slab, center, rho, sigma, window),
-        inf_mass(slab, center, 2.0 * rho, window),
+        max(ref_masses(slab, center, (1.0 + sigma) * rho, window)),
+        min(ref_masses(slab, center, 2.0 * rho, window)),
     )
 
 
@@ -296,7 +293,7 @@ def test_probe_stats_match_composed_functionals(dim, data):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
             for m in (0.0, 0.2):
                 for sigma in (0.0, 0.5):
-                    got = functionals._probe_stats(slab, center, rho, sigma, window, m=m)
+                    got = probe_stats(slab, center, rho, sigma, window, m)
                     want = composed_probe_stats(slab, center, rho, sigma, window, m)
                     assert got == pytest.approx(want, rel=REL), (budget, m, sigma)
 
@@ -310,9 +307,9 @@ def test_probe_stats_shift_identity_across_chunks(m, sigma):
     # levels scaled by 1e-3 ... 1e5, so c is large on every chunk but the last
     values = slab.values * np.logspace(-3.0, 5.0, 9)[:, None, None]
     slab = SpaceTimeSlab(slab.grid, slab.times, values)
-    one = functionals._probe_stats(slab, (0.0, 0.0), 0.25, sigma, (0.0, 1.0), m=m)
+    one = probe_stats(slab, (0.0, 0.0), 0.25, sigma, (0.0, 1.0), m)
     with mock.patch.object(functionals, "_CHUNK_DOUBLES", 1):
-        per_level = functionals._probe_stats(slab, (0.0, 0.0), 0.25, sigma, (0.0, 1.0), m=m)
+        per_level = probe_stats(slab, (0.0, 0.0), 0.25, sigma, (0.0, 1.0), m)
     assert per_level == pytest.approx(one, rel=1e-12)
     assert one[0] == values[:, 4:13, 4:13].max()
 
@@ -327,9 +324,9 @@ def test_probe_stats_reject_bad_values(bad):
     for budget in (functionals._CHUNK_DOUBLES, 1):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
             with pytest.raises(functionals.ParameterError, match="finite and positive"):
-                functionals._probe_stats(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))
+                probe_stats(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))
     with pytest.raises(functionals.ParameterError, match="sigma"):
-        functionals._probe_stats(_slab(2, 16, 5, seed=7), (0.0, 0.0), 0.25, 1.0, (0.0, 1.0))
+        probe_stats(_slab(2, 16, 5, seed=7), (0.0, 0.0), 0.25, 1.0, (0.0, 1.0))
 
 
 # --- probe-local checkers: cube-only work, equal bit for bit ----------------
@@ -493,10 +490,56 @@ def test_pointwise_kernel_matches_ess_sup_and_pow(dim, data):
     for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
             for p in (5.0, 6.0, 7.0, 5.5):
-                M, lam = functionals._power_oscillation(slab, cube, window, None, p)
+                M, lam = functionals._power_oscillation(
+                    slab, cube, slab.grid.cube_slices(cube), _levels(slab, window), None, p
+                )
                 assert M == ess_sup(slab, cube, window)
                 want = ref_log_oscillation(slab, cube, window, M, p)
                 assert lam == pytest.approx(want, rel=1e-14), (budget, p)
+
+
+def test_pointwise_kernel_sup_node_is_no_nan_at_a_fractional_p():
+    # on this 1D slab math.log(M) falls an ulp below np.log(M), so ln M - ln u at the
+    # sup node was a tiny negative number and its 5.5th power NaN
+    slab = _slab(1, 2, 6, 8)
+    cube, window = Cube((0.0,), 1.0), (float(slab.times[5]) - 1e-3, float(slab.times[5]))
+    nodes, levels = slab.grid.cube_slices(cube), _levels(slab, window)
+    M, lam = functionals._power_oscillation(slab, cube, nodes, levels, None, 5.5)
+    assert lam == pytest.approx(ref_log_oscillation(slab, cube, window, M, 5.5), rel=1e-14)
+
+
+# (Grid.cube_slices, SpaceTimeSlab.window_indices) calls per probe of each verify kind:
+# a kernel that resolves a cube or a window itself again raises a count here
+RESOLVES_PER_PROBE = {
+    "l1": (2, 1),
+    "l1-pme": (2, 1),
+    "energy": (3, 1),
+    "energy-pme": (3, 1),
+    "flux": (3, 1),
+    "distributional": (1, 0),
+    "pointwise": (5, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(RESOLVES_PER_PROBE))
+def test_each_checker_resolves_its_probe_geometry_once(kind, monkeypatch):
+    grid = Grid.regular(2, 1.0, 1.0 / 32)
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, np.linspace(0.0, 0.5, 65))
+    opts = SimpleNamespace(
+        m=0.3, sigma=0.5, q=2.0, eps=0.1, p=5.0, r=2.0, flux=QuasilinearFlux("log-diffusion")
+    )
+    calls = dict.fromkeys(("cube_slices", "window_indices"), 0)
+    for owner, name in ((Grid, "cube_slices"), (SpaceTimeSlab, "window_indices")):
+
+        def counted(*args, method=getattr(owner, name), name=name):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    rho = 1.0 / 16 if kind == "pointwise" else 1.0 / 8  # K_8rho, K_4rho fit the grid
+    rep = _VERIFY[kind][2](slab, (0.0, 0.0), rho, (0.25, 0.5), opts)
+    assert not getattr(rep, "degenerate", False)
+    assert (calls["cube_slices"], calls["window_indices"]) == RESOLVES_PER_PROBE[kind]
 
 
 def test_pointwise_reads_a_one_chunk_cylinder_once(monkeypatch):

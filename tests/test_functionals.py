@@ -23,11 +23,9 @@ from logdiff import (
     flux_l1,
     functional_set,
     gradient_energy,
-    inf_mass,
     intrinsic_scale,
     moment_scaling_exponent,
     oscillation,
-    sup_mass,
     time_scaling_exponent,
 )
 from logdiff import functionals
@@ -125,6 +123,9 @@ def _finite_checks(bad):
     cube, center, field = Cube((0.0, 0.0), 0.5), (0.0, 0.0), slab.level(0)
     return {
         "oscillation-p": lambda: oscillation(slab, cube, (0.0, 0.1), M=8.0, p=bad),
+        "oscillation-M": lambda: oscillation(slab, cube, (0.0, 0.1), M=bad, p=2.0),
+        "degeneracy_ratio-M": lambda: degeneracy_ratio(field, center, 0.5, 2.0, bad, 2.0),
+        "degeneracy_ratio-q": lambda: degeneracy_ratio(field, center, 0.5, bad, 8.0, 2.0),
         "intrinsic_scale-q": lambda: intrinsic_scale(field, center, 0.5, q=bad, eps=0.1),
         "intrinsic_scale-eps": lambda: intrinsic_scale(field, center, 0.5, q=2.0, eps=bad),
         "moment_scaling_exponent-r": lambda: moment_scaling_exponent(2, 0.0, bad),
@@ -135,7 +136,8 @@ def _finite_checks(bad):
 @pytest.mark.parametrize("case", list(_finite_checks(0.0)))
 def test_probe_constants_must_be_finite(case, bad):
     # p = nan and p = inf passed p < 1; q = nan made theta NaN, which the pointwise
-    # check blamed on the data; r = nan gave a NaN exponent
+    # check blamed on the data; r = nan gave a NaN exponent; M = nan or inf gave a
+    # NaN or inf oscillation, and the degeneracy ratio read 0 at M = inf, 1 at q = inf
     name = case.split("-")[1]
     with pytest.raises(ParameterError, match=f"^{name} must be finite"):
         _finite_checks(bad)[case]()
@@ -173,6 +175,8 @@ def test_readers_reject_a_window_that_does_not_end_after_it_starts(window, monke
         lambda: ess_sup(slab, cube, window),
         lambda: oscillation(slab, cube, window, M=8.0, p=2.0),
         lambda: functional_set(slab, (0.0, 0.0), 0.25, window, m=0.2),
+        lambda: gradient_energy(slab, Cutoff((0.0, 0.0), 0.25, 0.5), window),
+        lambda: flux_l1(slab, QuasilinearFlux(kind="log-diffusion"), (0.0, 0.0), 0.25, window),
     ):
         with pytest.raises(ParameterError, match="t_start < t_end"):
             read()
@@ -182,12 +186,11 @@ def test_mass_functionals_exact_on_constants():
     g = Grid.regular(2, 1.0, 1.0 / 16)
     values = np.full((2,) + g.shape, 3.0)
     slab = SpaceTimeSlab(g, np.array([0.0, 0.1]), values, meta={})
-    got = sup_mass(slab, (0.0, 0.0), 0.5, 0.5, (0.0, 0.1))
-    assert got == pytest.approx(3.0 * 0.75**2, rel=1e-13)
-    got_inf = inf_mass(slab, (0.0, 0.0), 1.0, (0.0, 0.1))
-    assert got_inf == pytest.approx(3.0, rel=1e-13)
-    with pytest.raises(ParameterError):
-        sup_mass(slab, (0.0, 0.0), 0.5, 1.0, (0.0, 0.1))
+    fs = functional_set(slab, (0.0, 0.0), 0.5, (0.0, 0.1), m=0.2, sigma=0.5)
+    assert fs.sup_mass_sigma == pytest.approx(3.0 * 0.75**2, rel=1e-13)
+    assert fs.inf_mass_2rho == pytest.approx(3.0, rel=1e-13)
+    with pytest.raises(ParameterError, match="sigma"):
+        functional_set(slab, (0.0, 0.0), 0.5, (0.0, 0.1), m=0.2, sigma=1.0)
 
 
 def test_nan_sample_propagates():
@@ -199,8 +202,9 @@ def test_nan_sample_propagates():
     cube, window = Cube((0.0, 0.0), 0.5), (0.0, 0.2)
     assert np.isnan(ess_sup(slab, cube, window))
     assert np.isnan(oscillation(slab, cube, window, M=2.0, p=1.0))
-    assert np.isnan(sup_mass(slab, (0.0, 0.0), 0.5, 0.0, (0.0, 0.2)))
-    assert np.isnan(inf_mass(slab, (0.0, 0.0), 0.5, (0.0, 0.2)))
+    # the probe kernel, which takes the masses, refuses the NaN instead
+    with pytest.raises(ParameterError, match="finite and positive"):
+        functional_set(slab, (0.0, 0.0), 0.25, window, m=0.2)
 
 
 def test_degeneracy_ratio_properties():

@@ -59,6 +59,26 @@ def test_cube_slices_snap_and_reject():
         g.cube_slices(Cube((10.0, 0.0), 0.25))
 
 
+def _geometry_at(method, x):
+    grid = Grid.regular(2, 1.0, 1.0 / 8)
+    if method == "cube_slices":
+        return grid.cube_slices(Cube((x, 0.0), 0.25))
+    if method == "index_of":
+        return grid.index_of((0.0, x))
+    slab = SpaceTimeSlab(grid, [0.0, 0.1], np.ones((2,) + grid.shape))
+    return slab.level_index(x)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["cube_slices", "index_of", "level_index"])
+def test_geometry_rejects_a_coordinate_that_is_not_finite(method, x):
+    # int(round(nan)) raised ValueError and round(inf) OverflowError, so a NaN probe
+    # centre or time escaped the CLI's per-probe GeometryError handling
+    _geometry_at(method, 0.0)
+    with pytest.raises(GeometryError):
+        _geometry_at(method, x)
+
+
 def test_integrate_exact_on_constants_and_linears():
     g = Grid.regular(2, 1.0, 1.0 / 16)
     ones = np.ones(g.shape)
