@@ -49,7 +49,7 @@ other by ``np.power``.
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
 time levels of the p-mean over a cube of ``|ln(u/M)|`` at ``m = 0`` and of
-``(1 - (u/M)^m)/m`` for ``0 < m < 1``, which increases to ``ln(M/u)`` as
+``|1 - (u/M)^m|/m`` for ``0 < m < 1``, which increases to ``|ln(M/u)|`` as
 ``m`` decreases to zero.  ``normalized=False`` takes the plain space
 integral instead of the mean, the form the energy and flux bounds consume.
 It runs the pointwise pass with a given ``M``, so the pointwise ``lambda_p``
@@ -178,8 +178,8 @@ def _power_oscillation(
     slab: SpaceTimeSlab, cube: Cube, nodes, levels, M, p: float, e: float = 0.0, normalized=True
 ):
     """``(M, osc)``: ``osc`` the sup over ``levels`` of the p-root of the mean
-    (``normalized``) or integral over ``nodes``, ``cube`` snapped, of ``g_M(u)^p``
-    (:func:`_osc_integrand`, its ``abs`` at ``e = 0``).
+    (``normalized``) or integral over ``nodes``, ``cube`` snapped, of ``|g_M(u)|^p``
+    (:func:`_osc_integrand`), at every ``e``.
 
     Each chunk is copied into the first half of one work buffer per call, ``g_M`` is
     written over the copy and its power (:func:`_power_into`) into the second half.
@@ -198,9 +198,8 @@ def _power_oscillation(
         np.copyto(g, u)
         if M is None:
             M = _positive_max(g, cube.center, cube.edge)
-        _osc_integrand(g, M, e, g)
-        if e == 0.0:  # a given M need not bound u, and math.log(M) can pass np.log(M)
-            np.abs(g, out=g)
+        # |g|: a given M need not bound u, and math.log(M) can pass np.log(M)
+        np.abs(_osc_integrand(g, M, e, g), out=g)
         vals.append(_power_into(g, p, out).reshape(len(u), -1) @ w)
     vals = np.concatenate(vals) * grid.spacing**grid.dim
     scale = _block_volume(nodes, grid.spacing) if normalized else 1.0
@@ -210,10 +209,10 @@ def _power_oscillation(
 def oscillation(
     slab: SpaceTimeSlab, cube: Cube, window, M: float, p: float, m: float = 0.0, normalized=True
 ) -> float:
-    """Sup over levels of the p-root of the cube mean of ``g^p``, ``g`` the
-    :func:`_osc_integrand`: ``|ln(u/M)|`` at ``m = 0``, ``(1 - (u/M)^m)/m`` for ``0 < m < 1``.
-    ``normalized=False`` takes the plain cube integral, the form the energy and flux
-    bounds consume."""
+    """Sup over levels of the p-root of the cube mean of ``|g|^p``, an L^p mean also where
+    ``M`` is below u, ``g`` the :func:`_osc_integrand`: ``ln(M/u)`` at ``m = 0``,
+    ``(1 - (u/M)^m)/m`` for ``0 < m < 1``.  ``normalized=False`` takes the plain cube
+    integral, the form the energy and flux bounds consume."""
     window = _window(window)
     _check_m(m)
     _check_finite(M=M, p=p)

@@ -22,11 +22,9 @@ because a probe whose cube reaches a face reads it there
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
-import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -450,47 +448,33 @@ def _pack_grid(grid: Grid) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_grid(buf, off, path):
-    """The grid of a file header, checked like :meth:`Grid.regular`; raises
-    ``struct.error`` if the buffer ends inside the header."""
-    dim, npts = struct.unpack_from("<Bi", buf, off)
-    off += struct.calcsize("<Bi")
-    (spacing,) = struct.unpack_from("<d", buf, off)
-    off += 8
-    center = struct.unpack_from(f"<{dim}d", buf, off)
-    off += 8 * dim
-    (edge,) = struct.unpack_from("<d", buf, off)
-    off += 8
+def _unpack(fh, fmt: str, path, size: int) -> tuple:
+    """The fields ``fmt`` at the file position; ParameterError if the file ends first."""
+    at, n = fh.tell(), struct.calcsize(fmt)
+    data = fh.read(n)
+    if len(data) != n:
+        raise ParameterError(f"slab file {path} has {size} bytes; its header needs at least {at+n}")
+    return struct.unpack(fmt, data)
+
+
+def _unpack_grid(fh, path, size: int) -> Grid:
+    """The grid of the header at the file position, checked like :meth:`Grid.regular`."""
+    dim, npts, spacing = _unpack(fh, "<Bid", path, size)
+    *center, edge = _unpack(fh, f"<{dim + 1}d", path, size)
     try:
         grid = Grid.regular(dim, edge, spacing, center)
+        if grid.npts != npts:
+            raise ParameterError(
+                f"{npts} nodes per axis, but edge {edge} and spacing {spacing} give {grid.npts}"
+            )
     except ParameterError as exc:
         raise ParameterError(f"{path} has a corrupted grid header: {exc}") from None
-    if grid.npts != npts:
-        raise ParameterError(
-            f"{path} has a corrupted grid header: {npts} nodes per axis, but edge "
-            f"{edge} and spacing {spacing} give {grid.npts}"
-        )
-    return grid, off
-
-
-@contextlib.contextmanager
-def _mapped(path):
-    """``(fh, head, size)``: the open file, its bytes mapped read-only and its
-    length.  ``head`` is a window onto the file, not a copy, so parsing a
-    header allocates nothing however large the file is."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size == 0:  # an empty file cannot be mapped
-            yield fh, b"", 0
-            return
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as head:
-            yield fh, head, size
+    return grid
 
 
 def _read_values(fh, off: int, shape, path) -> np.ndarray:
-    """The ``<f8`` block of ``shape`` at byte ``off``, read straight from the
-    file into one new array, which is returned read-only (the slab takes it
-    over)."""
+    """The ``<f8`` block of ``shape`` at byte ``off``, read straight from the file into
+    one new array, which is returned read-only (the slab takes it over)."""
     values = np.empty(shape, dtype="<f8")
     fh.seek(off)
     if fh.readinto(memoryview(values).cast("B")) != values.nbytes:
@@ -517,36 +501,34 @@ def write_slab(slab: SpaceTimeSlab, path) -> None:
 
 
 def read_slab(path) -> SpaceTimeSlab:
-    """Read a slab written by :func:`write_slab`.
+    """Read a slab written by :func:`write_slab`, front to back through one file object.
 
-    The header is checked against the file length: a truncated or padded
-    file raises ParameterError naming the expected and actual byte counts.
-    Only then are the values read, straight into the array the slab keeps.
+    The header is checked against the file length before any array is
+    allocated: a truncated or padded file raises ParameterError naming its
+    byte count and the count its header needs.  Only then are the times and
+    the values read, straight into the arrays the slab keeps.
     """
-    with _mapped(path) as (fh, buf, size):
-        if buf[:4] != _SLAB_MAGIC:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != _SLAB_MAGIC:
             raise ParameterError(f"{path} is not a slab file")
-        try:
-            grid, off = _unpack_grid(buf, 4, path)
-            (nlevels,) = struct.unpack_from("<i", buf, off)
-            times_at = off + 4
-            off = times_at + 8 * max(nlevels, 0)
-            (mlen,) = struct.unpack_from("<i", buf, off)
-        except struct.error as exc:
-            raise ParameterError(
-                f"slab file {path} has {size} bytes, too few for its header: {exc}"
-            )
-        off += 4
-        expected = off + mlen + 8 * nlevels * grid.npts**grid.dim
+        grid = _unpack_grid(fh, path, size)
+        (nlevels,) = _unpack(fh, "<i", path, size)
+        times_at = fh.tell()
+        fh.seek(times_at + 8 * max(nlevels, 0))
+        (mlen,) = _unpack(fh, "<i", path, size)
+        meta_at = fh.tell()
+        expected = meta_at + mlen + 8 * nlevels * grid.npts**grid.dim
         if nlevels < 2 or mlen < 0 or size != expected:
             raise ParameterError(
                 f"slab file {path} has {size} bytes, but its header ({nlevels} "
                 f"levels on a {grid.shape} grid, {mlen} metadata bytes) needs {expected}"
             )
+        times = _read_values(fh, times_at, (nlevels,), path)
+        fh.seek(meta_at)
         try:
-            meta = json.loads(buf[off : off + mlen].decode())
+            meta = json.loads(fh.read(mlen).decode())
         except ValueError as exc:
             raise ParameterError(f"slab file {path} has unreadable metadata: {exc}")
-        times = np.frombuffer(buf[times_at : times_at + 8 * nlevels], dtype="<f8")
-        values = _read_values(fh, off + mlen, (nlevels,) + grid.shape, path)
+        values = _read_values(fh, meta_at + mlen, (nlevels,) + grid.shape, path)
     return SpaceTimeSlab(grid, times, values, meta=meta)

@@ -27,14 +27,14 @@ from .grid import (
     read_slab,
     write_slab,
 )
-from .functionals import FunctionalSet, _level_integrals, functional_set
+from .functionals import FunctionalSet, _level_integrals, _power_oscillation, functional_set
 from .harnack import (
     check_energy_lemma,
     check_energy_lemma_pme,
     check_l1_harnack,
     check_l1_harnack_pme,
 )
-from .solvers import SolverConfig, _beta, solve_log_diffusion, solve_porous_medium
+from .solvers import SolverConfig, solve_log_diffusion, solve_porous_medium
 from .reporting import Row, write_csv, write_json, read_json
 
 
@@ -189,13 +189,12 @@ def _l1_distance(a: SpaceTimeSlab, b: SpaceTimeSlab, cube: Cube, window) -> floa
 
 
 def _uniform_norms(slab: SpaceTimeSlab, cube: Cube, m: float, r: float, p: float):
-    """Sup over all levels of the cube ``L^r`` norm of u and ``L^p`` norm of ``(u^m-1)/m``."""
+    """Sup over all levels of the cube ``L^r`` norm of u and ``L^p`` norm of ``w = (u^m-1)/m``;
+    ``|w|`` is the oscillation integrand at ``M = 1``, so ``w`` goes through that pass."""
     nodes, levels = slab.grid.cube_slices(cube), np.arange(slab.nlevels)
-    norms = []
-    for power, f in ((r, lambda u: u), (p, _beta(m)[0])):
-        vals = _level_integrals(slab, nodes, levels, lambda ks, u, out: np.abs(f(u)) ** power)
-        norms.append(float(np.max(vals ** (1.0 / power))))
-    return tuple(norms)
+    u_vals = _level_integrals(slab, nodes, levels, lambda ks, u, out: np.abs(u) ** r)
+    w_norm = _power_oscillation(slab, cube, nodes, levels, 1.0, p, m, normalized=False)[1]
+    return float(np.max(u_vals ** (1.0 / r))), w_norm
 
 
 def run_m_sweep(

@@ -16,7 +16,8 @@ import pytest
 import logdiff
 import logdiff.cli
 from logdiff import BarenblattFD, Grid, Lump2D, QuasilinearFlux, SolverConfig, read_slab, write_slab
-from logdiff import SpaceTimeSlab, solve_porous_medium, solve_quasilinear
+from logdiff import Cube, MSweepResult, SpaceTimeSlab, integrate
+from logdiff import solve_porous_medium, solve_quasilinear
 from logdiff.cli import VERIFY_KINDS, load_config, main
 
 from conftest import lump_grid
@@ -280,6 +281,33 @@ def test_msweep_cli(tmp_path):
     assert (out / "msweep" / "pme_0.slab").is_file()
     manifest = json.loads((out / "manifest.json").read_text())
     assert any(f.startswith("msweep/") for f in manifest["files"])
+
+
+def test_solve_starts_at_the_configured_t0(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE_CONFIG.split("[verify]")[0].replace("T = 1.0\n", "T = 1.0\nt0 = 0.25\n"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
+    slab = read_slab(tmp_path / "solve" / "slab.slab")
+    assert slab.times[0] == 0.25
+    expected = Lump2D(c=1.0, T=1.0).sample(slab.grid, 0.25).values
+    assert np.array_equal(slab.values[0], expected)
+
+
+def test_msweep_measures_the_mass_floor_on_the_configured_e_o_edge(tmp_path):
+    cfg = tmp_path / "ms.ini"
+    cfg.write_text(
+        BASE_CONFIG.split("[verify]")[0] + "[msweep]\nm_values = 0.4 0.2\ne_o_edge = 0.5\n"
+    )
+    out = tmp_path / "ms"
+    assert main(["msweep", "--config", str(cfg), "--out", str(out)]) == 0
+    result = MSweepResult.load(out / "msweep")
+    cube = Cube(result.center, 0.5)
+    assert result.e_o_edge == 0.5 and len(result.entries) == 2
+    for entry in result.entries:
+        slab = result.pme_slabs[entry.m]
+        assert entry.mass_floor == integrate(slab.values[-1], slab.grid, cube)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["msweep"]["e_o_edge"] == 0.5
 
 
 def test_oracle_check_cli(tmp_path):

@@ -117,6 +117,17 @@ def test_power_oscillation_plain_vs_normalized():
     assert plain == pytest.approx(mean * 0.25**0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [0.0, 0.3])
+def test_oscillation_below_the_data_is_an_lp_mean_at_every_p(m):
+    # M = 2 lies below the lump's peak, so g_M(u) < 0 on part of the cube; the
+    # power case gave a number at p = 2 and NaN at p = 2.5 and 3 (parity of p)
+    g = Grid.regular(2, 1.0, 1.0 / 16)
+    slab = LUMP.sample_slab(g, [0.0, 0.1])
+    vals = [oscillation(slab, Cube((0.0, 0.0), 0.5), (0.0, 0.1), M=2.0, p=p, m=m)
+            for p in (2.0, 2.5, 3.0)]
+    assert np.all(np.isfinite(vals)) and vals == sorted(vals)
+
+
 def _finite_checks(bad):
     g = Grid.regular(2, 1.0, 1.0 / 16)
     slab = LUMP.sample_slab(g, [0.0, 0.1])

@@ -309,6 +309,22 @@ def test_read_slab_rejects_truncated_files(tmp_path):
         assert f"needs {expected}" in msg if expected else "at least" in msg
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_read_slab_rejects_a_file_cut_anywhere_in_its_header(tmp_path, dim):
+    g = Grid.regular(dim, 0.5, 1.0 / 4)
+    slab = SpaceTimeSlab(g, np.linspace(0.0, 0.3, 4), np.ones((4,) + g.shape), meta={"k": 1})
+    path = tmp_path / "s.slab"
+    write_slab(slab, path)
+    full = path.read_bytes()
+    # every cut from the empty file up to the header alone, times and metadata included
+    for n in range(len(full) - slab.values.nbytes + 1):
+        path.write_bytes(full[:n])
+        with pytest.raises(ParameterError) as err:  # no struct.error or OSError escapes
+            read_slab(path)
+        assert type(err.value) is ParameterError
+        assert ("is not a slab file" if n < 4 else f"has {n} bytes") in str(err.value)
+
+
 # Header fields written after the 4-byte magic: dim (B), nodes per axis (i),
 # spacing (d), center (dim x d), edge (d).  Offsets below are for dim = 2.
 _HEADER = {"nodes": (5, "<i"), "spacing": (9, "<d"), "center": (17, "<d"), "edge": (33, "<d")}
