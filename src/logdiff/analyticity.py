@@ -241,7 +241,8 @@ def intrinsic_rescale(slab: SpaceTimeSlab, x_o, t_o: float, rho: float) -> Space
     u_c = float(slab.values[k_hi][idx])
     if u_c <= 0:
         raise ParameterError("u at the vertex must be positive")
-    theta, window = _intrinsic_window(slab, x_o, k_hi, rho, _Q, _EPS)
+    base = grid.cube_slices(Cube(tuple(float(c) for c in x_o), rho))
+    theta, window = _intrinsic_window(slab, base, x_o, k_hi, rho, _Q, _EPS)
     slices = grid.cube_slices(Cube(tuple(float(c) for c in x_o), 2.0 * rho))
     n_padded = max(0, 3 - window.size)
     k_lo = int(window[0]) - n_padded

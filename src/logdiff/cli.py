@@ -54,13 +54,15 @@ from .harnack import (
     FluxReport,
     HarnackReport,
     PointwiseHarnackReport,
-    check_energy_lemma,
-    check_energy_lemma_pme,
+    _attempt,
     check_flux_corollary,
-    check_l1_harnack,
-    check_l1_harnack_pme,
     check_pointwise_harnack,
     distributional_identity_check,
+    energy_lemma_batch,
+    energy_lemma_pme_batch,
+    flux_corollary_batch,
+    l1_harnack_batch,
+    l1_harnack_pme_batch,
     sample_cylinders,
 )
 from .limit_m import run_m_sweep
@@ -288,40 +290,48 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# verify kind -> (report class, radius scale for sampled probes, check).  A
-# check takes (slab, center, rho, window, opts), opts holding the [verify]
-# values.  Sampled radii shrink where the check needs room around the probe
-# (8x cube for pointwise, 4x for energy), keeping every cube mesh-aligned.
+def _each(check):
+    """A batch that runs ``check(slab, center, rho, window, opts)`` probe by probe."""
+    return lambda s, probes, o: [_attempt(check, s, *probe, o) for probe in probes]
+
+
+# verify kind -> (report class, radius scale for sampled probes, batch).  A batch
+# takes (slab, probes, opts), probes a list of (center, rho, window) and opts the
+# [verify] values, and returns per probe its report or the GeometryError or
+# ParameterError it raised.  The l1, energy and flux kinds read their statistics
+# in one sweep per batch.  Sampled radii shrink where the check needs room around
+# the probe (8x cube for pointwise, 4x for energy), keeping every cube mesh-aligned.
 _VERIFY = {
-    "l1": (HarnackReport, 1.0, lambda s, c, rho, w, o: check_l1_harnack(s, c, rho, w)),
-    "l1-pme": (
-        HarnackReport, 1.0, lambda s, c, rho, w, o: check_l1_harnack_pme(s, o.m, c, rho, w)
-    ),
+    "l1": (HarnackReport, 1.0, lambda s, probes, o: l1_harnack_batch(s, probes)),
+    "l1-pme": (HarnackReport, 1.0, lambda s, probes, o: l1_harnack_pme_batch(s, o.m, probes)),
     "pointwise": (
         PointwiseHarnackReport, 0.25,
-        lambda s, c, rho, w, o: check_pointwise_harnack(
+        _each(lambda s, c, rho, w, o: check_pointwise_harnack(
             s, c, w[1], rho, q=o.q, eps=o.eps, p=o.p, r=o.r
-        ),
+        )),
     ),
     "energy": (
-        EnergyReport, 0.5, lambda s, c, rho, w, o: check_energy_lemma(s, c, rho, o.sigma, w)
+        EnergyReport, 0.5, lambda s, probes, o: energy_lemma_batch(s, probes, o.sigma)
     ),
     "energy-pme": (
         EnergyReport, 0.5,
-        lambda s, c, rho, w, o: check_energy_lemma_pme(s, o.m, c, rho, o.sigma, w),
+        lambda s, probes, o: energy_lemma_pme_batch(s, o.m, probes, o.sigma),
     ),
     "flux": (
         FluxReport, 1.0,
-        lambda s, c, rho, w, o: check_flux_corollary(s, o.flux, rho, o.sigma, w, center=c),
+        lambda s, probes, o: flux_corollary_batch(s, o.flux, probes, o.sigma),
     ),
     "distributional": (
         DistributionalCheck, 1.0,
-        lambda s, c, rho, w, o: distributional_identity_check(
+        _each(lambda s, c, rho, w, o: distributional_identity_check(
             Cutoff(c, rho, o.sigma), s.grid, v_field=s.values[-1]
-        ),
+        )),
     ),
 }
 VERIFY_KINDS = tuple(_VERIFY)
+# benchmarks/tracing.py times the checks under the names cli binds; the flux kind runs
+# as its batch, so its single-probe check is bound here for the tracer only
+_TRACED_NAMES = (check_flux_corollary,)
 
 
 def _verify_probes(cfg: Cfg, slab, kind: str, seed: int):
@@ -362,20 +372,20 @@ def cmd_verify(args) -> int:
         m=cfg.get("verify", "m", _solver_m(cfg), float),
         flux=_build_flux(cfg, slab.grid) if kind == "flux" else None,
     )
-    report_cls, _, check = _VERIFY[kind]
+    report_cls, _, batch = _VERIFY[kind]
     probes = _verify_probes(cfg, slab, kind, args.seed)
     columns = [f.name for f in dc_fields(report_cls)] + ["probe", "error"]
     rows = []
     errors = Counter()
-    for index, (center, rho, t0, t1) in enumerate(probes):
+    results = batch(slab, [(center, rho, (t0, t1)) for center, rho, t0, t1 in probes], opts)
+    for index, got in enumerate(results):
         row = dict.fromkeys(columns)
         row.update(probe=index, error="")
-        try:
-            got = check(slab, center, rho, (t0, t1), opts).to_row()
-            row.update((k, v) for k, v in got.items() if k in row)
-        except (GeometryError, ParameterError) as exc:
-            row["error"] = str(exc)
-            errors[type(exc).__name__] += 1
+        if isinstance(got, Exception):
+            row["error"] = str(got)
+            errors[type(got).__name__] += 1
+        else:
+            row.update((k, v) for k, v in got.to_row().items() if k in row)
         rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

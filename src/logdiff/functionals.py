@@ -9,42 +9,51 @@ Conventions shared by every function here:
 * time windows select stored levels (closed window, roundoff tolerant);
 * the discrete essential sup/inf over a region is the max/min of its samples.
 
-Every quantity over a cube and a window is read by one kernel,
+Every per-probe quantity over a cube and a window is read by one kernel,
 :func:`_cube_chunks`, as ``(ks, u)``: a slice of slab levels and a view of the
 cube's nodes there holding at most ``_CHUNK_DOUBLES`` values (or one level, if
 that is larger), so work buffers stay cache-sized however long the window is.
 Integrands are written in place into one buffer per call and integrated per
 level in one product with flattened trapezoid weights; sups, infs and time
 integrals are numpy reductions too, so a NaN sample makes the result NaN.
-``_CHUNK_DOUBLES`` is ``1 << 15`` so that the largest work buffer, the three
-rows of :func:`_probe_stats`, is 768 KiB and fits a 2 MiB per-core L2.  A
-chunk split can move a per-level sum by an ulp: BLAS groups matrix rows.
+``_CHUNK_DOUBLES = 1 << 15`` also sizes the level chunk of the statistics
+sweep (:func:`_probe_stats`), which reads a batch's bounding block half as
+many levels at a time, since it holds two buffers of three planes: at most
+768 KiB in all, which fits a 2 MiB per-core L2.  A chunk split can move a
+per-level sum by an ulp: BLAS groups matrix rows.
 
 Resolve-once rule: the private kernels take resolved blocks, a cube's snapped
 slices ``nodes`` (:meth:`Grid.cube_slices`) and a window's level indices
 ``levels`` (:meth:`SpaceTimeSlab.window_indices`), and resolve none
 themselves; the public entry points and the checkers resolve each cube and
 window of a probe once and pass the same blocks to every kernel that reads it.
+A batch of probes is resolved probe by probe before its one sweep.
 
-Probe-local rule: the work of one probe scales with its own cylinder.  No
-function here evaluates anything on a whole level and slices it afterwards:
-powers, logarithms and cutoff weights are applied to the cube's nodes only,
-gradients are differenced at the cube's nodes from one neighbour on each
-side (:func:`logdiff.grid.gradient_at`, per chunk, in the energy and flux
+Probe-local rule: the work of one probe scales with its own cylinder, and the
+work of a batch with its bounding block.  No function here evaluates
+anything on a whole level and slices it afterwards: powers, logarithms and
+cutoff weights are applied to the cube's nodes only, gradients are
+differenced at the cube's nodes from one neighbour on each side
+(:func:`logdiff.grid.gradient_at`, per chunk, in the energy and flux
 integrals only), and node coordinates are built only for the cube, only when
-a flux coefficient needs them.
+a flux coefficient needs them.  The statistics sweep reads the block that
+bounds a batch's ``K_2rho`` cubes once over the batch's levels, plus O(1)
+per probe and level; a batch of one reads its own ``K_2rho`` only.
 
-The checkers' per-probe statistics come from two one-read kernels.
-:func:`_probe_stats` reads each chunk of ``K_2rho x window`` once: u, the
-oscillation integrand at the chunk's own max and its square go into one
-buffer and are integrated over ``K_2rho`` and the nested ``K_(1+sigma)rho``
-in one product, and an exact identity moves the sums to the cylinder's sup
-``M``.  :func:`_power_oscillation` gives the pointwise check ``M`` and
-``lambda_p`` over ``K_8rho x window`` the same way: ``M`` from the chunk's
-copy (or a read-only pre-pass over several chunks), then ``|ln M - ln u|``
-and its p-th power in one buffer.  A whole ``p`` up to 64 is taken by
-repeated squaring (:func:`_power_into`; Knuth, TAOCP vol. 2, 4.6.3), any
-other by ``np.power``.
+The checkers' per-probe statistics come from two kernels.  :func:`_probe_stats`
+serves a batch of probes in one level sweep (summed-area tables; F. C. Crow,
+SIGGRAPH 1984): per chunk of levels it writes u, the oscillation integrand
+``g_t`` at each level's max ``t`` over the bounding block and its square into
+one buffer, takes their running trapezoid sums along every axis at the
+probes' cube corners only, and reads each probe's ``K_2rho`` and
+``K_(1+sigma)rho`` integrals by 2^d-term inclusion-exclusion.  An exact
+identity moves those to the probe's sup ``M``, one read-only max over its own
+cylinder, into running per-probe maxima and minima.  :func:`_power_oscillation`
+gives the pointwise check ``M`` and ``lambda_p`` over ``K_8rho x window``:
+``M`` from the chunk's copy (or a read-only pre-pass over several chunks),
+then ``|ln M - ln u|`` and its p-th power in one buffer.  A whole ``p`` up to
+64 is taken by repeated squaring (:func:`_power_into`; Knuth, TAOCP vol. 2,
+4.6.3), any other by ``np.power``.
 
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
@@ -135,20 +144,27 @@ def _check_finite(**values) -> None:
             raise ParameterError(f"{name} must be finite, got {value:.6g}")
 
 
+def _not_positive(center, edge: float) -> ParameterError:
+    """The error of a probe whose cube of edge ``edge`` holds a node that is not
+    finite and positive."""
+    return ParameterError(
+        f"u must be finite and positive on the cube of edge {edge:.6g} at {_point_str(center)}"
+    )
+
+
 def _positive_max(u, center, edge: float) -> float:
     """``u.max()``; ParameterError unless u is finite and positive."""
     t = float(u.max())
     if not (math.isfinite(t) and u.min() > 0.0):
-        raise ParameterError(
-            f"u must be finite and positive on the cube of edge {edge:.6g} at {_point_str(center)}"
-        )
+        raise _not_positive(center, edge)
     return t
 
 
-def _osc_integrand(u, M: float, e: float, out) -> np.ndarray:
-    """``g_M(u)``, written into ``out``: ``ln M - ln u`` at ``e = 0``, else
-    ``(1 - (u/M)^e)/e`` as ``-expm1(-e (ln M - ln u))/e``; nonnegative for ``u <= M``."""
-    np.subtract(math.log(M), np.log(u, out=out), out=out)
+def _osc_integrand(u, ln_M, e: float, out) -> np.ndarray:
+    """``g_M(u)``, written into ``out``, from ``ln_M = ln M`` (broadcast against u):
+    ``ln M - ln u`` at ``e = 0``, else ``(1 - (u/M)^e)/e`` as ``-expm1(-e (ln M - ln u))/e``;
+    nonnegative for ``u <= M``."""
+    np.subtract(ln_M, np.log(u, out=out), out=out)
     if e == 0.0:
         return out
     out *= -e
@@ -199,7 +215,7 @@ def _power_oscillation(
         if M is None:
             M = _positive_max(g, cube.center, cube.edge)
         # |g|: a given M need not bound u, and math.log(M) can pass np.log(M)
-        np.abs(_osc_integrand(g, M, e, g), out=g)
+        np.abs(_osc_integrand(g, math.log(M), e, g), out=g)
         vals.append(_power_into(g, p, out).reshape(len(u), -1) @ w)
     vals = np.concatenate(vals) * grid.spacing**grid.dim
     scale = _block_volume(nodes, grid.spacing) if normalized else 1.0
@@ -224,9 +240,10 @@ def oscillation(
     return _power_oscillation(slab, cube, nodes, levels, M, p, m, normalized)[1]
 
 
-def _cube_mean(field: Field, center, edge: float, f) -> float:
-    """Trapezoid mean of ``f(u)`` over the snapped cube, ``f`` applied on its nodes only."""
-    nodes, h = field.grid.cube_slices(Cube(tuple(center), edge)), field.grid.spacing
+def _cube_mean(field: Field, nodes, f) -> float:
+    """Trapezoid mean of ``f(u)`` over the snapped cube ``nodes``, ``f`` applied on its
+    nodes only."""
+    h = field.grid.spacing
     return float(_trapezoid(f(field.values[nodes]), h)) / _block_volume(nodes, h)
 
 
@@ -237,23 +254,30 @@ def intrinsic_scale(
 
     ``m = 0`` is the logarithmic case, ``0 < m < 1`` the power-flux one.
     """
+    return _intrinsic_scale(field, field.grid.cube_slices(Cube(tuple(center), edge)), q, eps, m)
+
+
+def _intrinsic_scale(field: Field, nodes, q: float, eps: float, m: float = 0.0) -> float:
+    """:func:`intrinsic_scale` over the snapped cube ``nodes``."""
     _check_m(m)
     _check_finite(q=q, eps=eps)
     if q <= 0 or eps <= 0:
         raise ParameterError("q and eps must be positive")
-    return eps * _cube_mean(field, center, edge, lambda u: u**q) ** ((1.0 - m) / q)
+    return eps * _cube_mean(field, nodes, lambda u: u**q) ** ((1.0 - m) / q)
 
 
-def _intrinsic_window(slab: SpaceTimeSlab, x_o, k_o: int, rho: float, q: float, eps: float):
+def _intrinsic_window(
+    slab: SpaceTimeSlab, nodes, x_o, k_o: int, rho: float, q: float, eps: float
+):
     """``(theta, levels)`` of the vertex ``x_o`` at the stored level ``k_o``, time ``t_o``.
 
-    ``theta`` is :func:`intrinsic_scale` over ``K_rho`` at ``t_o``, and
-    ``levels`` are the stored levels of ``(t_o - theta rho^2/16, t_o]`` by
-    :meth:`SpaceTimeSlab.window_indices`, so they end on ``k_o``.  Raises
+    ``theta`` is :func:`intrinsic_scale` over ``K_rho``, snapped to ``nodes``, at
+    ``t_o``, and ``levels`` are the stored levels of ``(t_o - theta rho^2/16, t_o]``
+    by :meth:`SpaceTimeSlab.window_indices`, so they end on ``k_o``.  Raises
     ParameterError, before the window is formed, if theta is not finite.
     """
     t_o = float(slab.times[k_o])
-    theta = intrinsic_scale(slab.level(k_o), x_o, rho, q, eps)
+    theta = _intrinsic_scale(slab.level(k_o), nodes, q, eps)
     if not math.isfinite(theta):
         raise ParameterError(
             f"u must be finite and positive near the vertex {_point_str(x_o)}, "
@@ -270,12 +294,18 @@ def degeneracy_ratio(
     ``(mean (u/M)^q)^((1/q) * 2/(N(m-1) + 2r))`` with ``N(m-1) + 2r > 0``;
     ``m = 0`` gives the logarithmic exponent ``2/(2r - N)``.
     """
+    nodes = field.grid.cube_slices(Cube(tuple(center), edge))
+    return _degeneracy_ratio(field, nodes, q, M, r, m)
+
+
+def _degeneracy_ratio(field: Field, nodes, q: float, M: float, r: float, m: float = 0.0):
+    """:func:`degeneracy_ratio` over the snapped cube ``nodes``."""
     _check_m(m)
     _check_finite(q=q, M=M)
     if M <= 0 or q <= 0:
         raise ParameterError("M and q must be positive")
     lam_r = moment_scaling_exponent(field.grid.dim, m, r)
-    mean = _cube_mean(field, center, edge, lambda u: (u / M) ** q)
+    mean = _cube_mean(field, nodes, lambda u: (u / M) ** q)
     return mean ** ((1.0 / q) * (2.0 / lam_r))
 
 
@@ -374,18 +404,6 @@ def _flux_integral(slab: SpaceTimeSlab, flux, nodes, levels) -> float:
     return _space_time_integral(slab, nodes, levels, magnitude, "flux", a=coefficient)
 
 
-@functools.lru_cache(maxsize=64)
-def _probe_weights(spans: tuple) -> np.ndarray:
-    """``(n, 2)``: the flattened trapezoid weights of a block and of its sub-block, zero
-    outside it; ``spans`` holds ``(nodes, start, stop)`` per axis.  Read-only."""
-    size = tuple(b - a for _, a, b in spans)
-    sub = _flat_trapezoid_weights(size).reshape(size)
-    sub = np.pad(sub, [(a, n - b) for n, a, b in spans]).ravel()
-    W = np.stack([_flat_trapezoid_weights(tuple(n for n, _, _ in spans)), sub], axis=1)
-    W.setflags(write=False)
-    return W
-
-
 def _probe_nodes(grid, center, rho: float, sigma: float):
     """``(outer, inner)``: the snapped ``K_2rho`` and ``K_(1+sigma)rho`` of a probe, the
     blocks :func:`_probe_stats` reads.  ParameterError unless ``0 <= sigma < 1``."""
@@ -394,44 +412,137 @@ def _probe_nodes(grid, center, rho: float, sigma: float):
     return tuple(grid.cube_slices(Cube(tuple(center), k * rho)) for k in (2.0, 1.0 + sigma))
 
 
-def _probe_stats(slab: SpaceTimeSlab, center, rho: float, outer, inner, levels, m: float = 0.0):
-    """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of one probe.
+@functools.lru_cache(maxsize=16)
+def _running_weights(n: int, at: tuple) -> np.ndarray:
+    """``(n, len(at))``: column j holds the signed trapezoid weights of the nodes between
+    the middle node ``o = (n - 1) // 2`` of an axis of ``n`` nodes and ``at[j]``, so a
+    product with it gives the running trapezoid sums from o at ``at``, and nodes ``a .. b``
+    integrate to the sum at b minus that at a.  Running from the middle halves, along
+    every axis, the sums whose difference is a box's integral, and so their rounding.
+    Read-only: a probe's checks, and msweep's at every m, ask for the same columns."""
+    i, o, at = np.arange(n)[:, None], (n - 1) // 2, np.array(at)
+    lo, hi = np.minimum(at, o), np.maximum(at, o)
+    W = np.sign(at - o) * (((i >= lo) & (i <= hi)) - 0.5 * (i == lo) - 0.5 * (i == hi))
+    W.setflags(write=False)
+    return W
 
-    ``M`` is the sup of u over ``outer x levels`` (``K_2rho``, :func:`_probe_nodes`)
-    and ``Lambda_1``, ``Lambda_2`` the log oscillation means there at ``m = 0``, else
-    the plain-integral power ones with exponent ``e = m/2``; ``S_sigma`` is the sup over
-    the levels of the mass on ``inner`` (``K_(1+sigma)rho``).  Equal to the composed
-    :func:`ess_sup`, :func:`oscillation` and the level masses' max and min, but each
-    chunk is read once, into one buffer of u, ``g_t`` and ``g_t^2`` (:func:`_osc_integrand`
-    at the chunk's max ``t``).  The sums move to ``M`` exactly: ``g_M = c + a g_t`` with
-    ``c = g_M(t) >= 0`` and ``a = 1 - e c`` in ``(0, 1]``, so no term cancels.  Raises
-    ParameterError unless u is finite and positive on ``K_2rho x window``.
+
+def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
+    """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of each probe
+    ``(center, rho, outer, inner, levels)``, or the ParameterError of a probe whose
+    ``K_2rho x levels`` holds a node that is not finite and positive.
+
+    ``M`` is the sup of u over ``outer x levels`` (``K_2rho``, :func:`_probe_nodes`) and
+    ``Lambda_1``, ``Lambda_2`` the log oscillation means there at ``m = 0``, else the
+    plain-integral power ones with exponent ``e = m/2``; ``S_sigma`` is the sup over the
+    levels of the mass on ``inner`` (``K_(1+sigma)rho``).  Equal to the composed
+    :func:`ess_sup`, :func:`oscillation` and the level masses' max and min, to a rounding
+    that grows with the ratio of the batch's bounding block to the probe's cube.
+
+    One sweep serves the batch: each chunk of its levels is read once over the block
+    that bounds the probes' ``outer``, into one buffer of u, ``g_t`` and ``g_t^2``
+    (:func:`_osc_integrand` at each level's max ``t`` there), a bad node's three terms
+    zeroed.  A product with :func:`_running_weights` per axis takes their running sums
+    at the probes' corners only, and 2^d of them give each box's integrals.  Those move
+    to the probe's ``M`` exactly, ``g_M = c + a g_t`` with ``c = g_M(t)`` and
+    ``a = 1 - e c > 0``, into running maxima and minima: no probes x levels table.
     """
-    grid, e = slab.grid, m / 2.0
-    # K_(1+sigma)rho inside the chunks: both cubes snap around one center
-    W = _probe_weights(tuple((o.stop - o.start, i.start - o.start, i.stop - o.start)
-                             for i, o in zip(inner, outer)))
-    buf, tops, sums = None, [], []
-    for _, u in _cube_chunks(slab, outer, levels):
-        buf = np.empty(3 * u.size) if buf is None else buf  # the first chunk is the largest
-        b = buf[: 3 * u.size].reshape((3,) + u.shape)
-        np.copyto(b[0], u)
-        t = _positive_max(b[0], center, 2.0 * rho)
-        np.square(_osc_integrand(b[0], t, e, b[1]), out=b[2])
-        tops += [t] * len(u)
-        sums.append((b.reshape(3 * len(u), -1) @ W).T.reshape(2, 3, len(u)))
-    M, t = max(tops), np.array(tops)
-    c = _osc_integrand(t, M, e, t)  # 0 on the chunk holding M
-    a = 1.0 - e * c
-    (mass, g1, g2), (inner_mass, _, _) = np.concatenate(sums, axis=2) * grid.spacing**grid.dim
-    V = _block_volume(outer, grid.spacing)
-    scale = V if m == 0.0 else 1.0
-    a_g1 = a * g1
-    osc1 = c * V + a_g1
-    osc2 = c * (osc1 + a_g1) + a * a * g2  # c^2 V + 2 a c g1 + a^2 g2
+    if not probes:
+        return []
+    grid, e, dim, n = slab.grid, m / 2.0, slab.grid.dim, len(probes)
+    first = np.array([p[4][0] for p in probes])
+    last = np.array([p[4][-1] for p in probes])
+    # M: one read-only max over each probe's own cylinder; a bad one fails in the sweep
+    M = np.array([slab.values[(slice(a, b + 1),) + p[2]].max() for a, b, p in zip(first, last, probes)])
+    ln_M = np.log(np.where((M > 0.0) & (M < math.inf), M, 1.0))
+    # each box's first and last node per axis, K_2rho then K_(1+sigma)rho: (probes, dim, 4)
+    ends = np.array([[(o.start, o.stop - 1, i.start, i.stop - 1) for o, i in zip(p[2], p[3])]
+                     for p in probes])
+    origin = ends[:, :, 0].min(axis=0)
+    box = tuple(slice(a, b + 1) for a, b in zip(origin, ends[:, :, 1].max(axis=0)))
+    shape = tuple(s.stop - s.start for s in box)
+    ends -= origin[:, None]
+    outer_rel = [tuple(slice(a, b + 1) for a, b in row[:, :2]) for row in ends]
+    at = [tuple(sorted(set(ends[:, d].ravel().tolist()))) for d in range(dim)]
+    weights = [_running_weights(k, a) for k, a in zip(shape, at)]
+    # the 2^d corners of both boxes as flat indices into the running sums, the last axis
+    # fastest, and their signs: - at a box's first node on an axis, + at its last
+    flat, sign = np.zeros((n, 2, 1), dtype=np.intp), np.ones(1)
+    for d, a in enumerate(at):
+        pos = np.searchsorted(a, ends[:, d]).reshape(n, 2, 1, 2)  # (probe, box, 1, end)
+        flat = (flat[..., None] * len(a) + pos).reshape(n, 2, -1)
+        sign = np.multiply.outer(sign, (-1.0, 1.0)).ravel()
+    corners = flat.swapaxes(0, 1).ravel()
+
+    h_d = grid.spacing**dim
+    V = np.array([_block_volume(p[2], grid.spacing) for p in probes])
+    osc1, osc2 = np.zeros(n), np.zeros(n)  # the true values are >= 0
+    s_sigma, inf_mass = np.full(n, -math.inf), np.full(n, math.inf)
+    failed = np.zeros(n, dtype=bool)
+    size, space = math.prod(shape), tuple(range(1, dim + 1))
+    k0, k1 = int(first.min()), int(last.max()) + 1
+    # two buffers of a chunk's three planes, the second for the running sums, hold at
+    # most 3 _CHUNK_DOUBLES values, as one buffer of _level_integrals' callers does
+    step = max(1, _CHUNK_DOUBLES // (2 * size))
+    pair = np.empty((2, 3 * min(step, k1 - k0) * size))
+    for k in range(k0, k1, step):
+        u = slab.values[(slice(k, min(k + step, k1)),) + box]
+        q = pair[0, : 3 * u.size].reshape((3,) + u.shape)
+        np.copyto(q[0], u)
+        t, src = q[0].max(axis=space), q[0]
+        if not (np.isfinite(t).all() and q[0].min() > 0.0):
+            # zero a bad node's terms; only the probes whose cylinders hold it fail
+            bad = ~((q[0] > 0.0) & (q[0] < math.inf))
+            for j in np.flatnonzero((first < k + len(u)) & (last >= k) & ~failed):
+                span = slice(max(first[j] - k, 0), last[j] + 1 - k)
+                failed[j] = bad[(span,) + outer_rel[j]].any()
+            q[0][bad] = 0.0
+            t = q[0].max(axis=space)
+            t[t == 0.0] = 1.0  # a level with no good node
+            src = q[1]  # u with t at a bad node, so g_t = 0 there
+            np.copyto(src, q[0])
+            np.copyto(src, t.reshape((-1,) + (1,) * dim), where=bad)
+        _osc_integrand(src, np.log(t).reshape((-1,) + (1,) * dim), e, q[1])
+        np.square(q[1], out=q[2])
+        # running sums along the last axis, then along each axis before it, each stage
+        # written into the buffer the one before it read
+        rows, tail = q.reshape(-1, shape[-1]), len(at[-1])
+        x = np.matmul(rows, weights[-1], out=pair[1, : len(rows) * tail].reshape(len(rows), tail))
+        for j, (w, n_d) in enumerate(zip(weights[-2::-1], shape[-2::-1])):
+            x = x.reshape(-1, n_d, tail)
+            into = pair[j % 2, : len(x) * w.shape[1] * tail].reshape(len(x), w.shape[1], tail)
+            x, tail = np.matmul(w.T, x, out=into), tail * w.shape[1]
+        sums = np.take(x.reshape(3 * len(u), -1), corners, axis=1)
+        sums = sums.reshape(3, len(u), 2, n, -1) @ sign * h_d  # (3, levels, 2, probes)
+        (mass, inner), (g1, _), (g2, _) = sums.swapaxes(1, 2)
+        c = _osc_integrand(t[:, None], ln_M, e, np.empty((len(u), n)))  # g_M(t)
+        a = 1.0 - e * c
+        a_g1 = a * g1
+        o1 = c * V + a_g1
+        o2 = c * (o1 + a_g1) + a * a * g2  # c^2 V + 2 a c g1 + a^2 g2
+        lvl = np.arange(k, k + len(u))[:, None]
+        on = (lvl >= first) & (lvl <= last)
+        np.maximum(osc1, o1.max(axis=0, where=on, initial=0.0), out=osc1)
+        np.maximum(osc2, o2.max(axis=0, where=on, initial=0.0), out=osc2)
+        np.maximum(s_sigma, inner.max(axis=0, where=on, initial=-math.inf), out=s_sigma)
+        np.minimum(inf_mass, mass.min(axis=0, where=on, initial=math.inf), out=inf_mass)
+    scale = V.tolist() if m == 0.0 else [1.0] * n
     # x -> x / scale and sqrt are monotone in floating point, so they commute with max
-    return (M, float(osc1.max()) / scale, math.sqrt(float(osc2.max()) / scale),
-            float(inner_mass.max()), float(mass.min()))
+    return [
+        _not_positive(p[0], 2.0 * p[1]) if failed[j] else (
+            float(M[j]), float(osc1[j]) / scale[j], math.sqrt(float(osc2[j]) / scale[j]),
+            float(s_sigma[j]), float(inf_mass[j]),
+        )
+        for j, p in enumerate(probes)
+    ]
+
+
+def _only(results):
+    """The one result of a batch of one; raises it if it is an error."""
+    (got,) = results
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 @dataclass
@@ -489,8 +600,10 @@ def functional_set(
         raise ParameterError("p must be >= 1")
     levels = slab.window_indices(*_window(window))
     outer, inner = _probe_nodes(slab.grid, center, rho, sigma)
-    M, osc_p1, osc_p2, s_sig, inf_2rho = _probe_stats(slab, center, rho, outer, inner, levels)
+    stats = _only(_probe_stats(slab, [(center, rho, outer, inner, levels)]))
+    M, osc_p1, osc_p2, s_sig, inf_2rho = stats
     cube2, last = Cube(tuple(center), 2.0 * rho), slab.level(int(levels[-1]))
+    base = slab.grid.cube_slices(Cube(tuple(center), rho))  # K_rho, read by the last four
 
     def osc(p, e=0.0, normalized=True):  # oscillation() on the resolved K_2rho x window
         return _power_oscillation(slab, cube2, outer, levels, M, p, e, normalized)[1]
@@ -513,10 +626,10 @@ def functional_set(
         osc_pow_p1=osc(1.0, m, normalized=False),
         osc_pow_p2=osc(2.0, m, normalized=False),
         osc_pow_p=osc(p, m, normalized=False),
-        time_scale=intrinsic_scale(last, center, rho, q, eps),
-        time_scale_pow=intrinsic_scale(last, center, rho, q, eps, m),
-        mass_ratio=degeneracy_ratio(last, center, rho, q, M, r),
-        mass_ratio_pow=degeneracy_ratio(last, center, rho, q, M, r, m),
+        time_scale=_intrinsic_scale(last, base, q, eps),
+        time_scale_pow=_intrinsic_scale(last, base, q, eps, m),
+        mass_ratio=_degeneracy_ratio(last, base, q, M, r),
+        mass_ratio_pow=_degeneracy_ratio(last, base, q, M, r, m),
         sup_mass_sigma=s_sig,
         inf_mass_2rho=inf_2rho,
     )

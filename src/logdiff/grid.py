@@ -506,7 +506,8 @@ def read_slab(path) -> SpaceTimeSlab:
     The header is checked against the file length before any array is
     allocated: a truncated or padded file raises ParameterError naming its
     byte count and the count its header needs.  Only then are the times and
-    the values read, straight into the arrays the slab keeps.
+    the values read, straight into the arrays the slab keeps.  Metadata that
+    is not a JSON object raises ParameterError too.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -530,5 +531,9 @@ def read_slab(path) -> SpaceTimeSlab:
             meta = json.loads(fh.read(mlen).decode())
         except ValueError as exc:
             raise ParameterError(f"slab file {path} has unreadable metadata: {exc}")
+        if not isinstance(meta, dict):
+            raise ParameterError(
+                f"slab file {path} has metadata that is not a JSON object: {type(meta).__name__}"
+            )
         values = _read_values(fh, meta_at + mlen, (nlevels,) + grid.shape, path)
     return SpaceTimeSlab(grid, times, values, meta=meta)

@@ -11,6 +11,13 @@ m-parameterised body serves both equations (:func:`check_l1_harnack`,
 :func:`check_energy_lemma`, :func:`check_flux_corollary`), and the ``_pme``
 names only validate ``m > 0`` and call it.
 
+The l1, energy and flux checks run on batches of probes ``(center, rho,
+window)``: each probe is resolved, one sweep of
+``functionals._probe_stats`` reads the statistics of all of them, and each is
+finished into its report.  A batch returns, per probe, the report or the
+GeometryError or ParameterError that probe raises, so one bad probe does not
+end its batch; the single-probe checks are the batch of one and raise it.
+
 Report objects are flat dataclasses subclassing :class:`logdiff.reporting.Row`,
 whose ``to_row()`` serializes batches to deterministic CSV rows.  Unused
 entries (for instance power-law fields on a logarithmic check) are NaN rather
@@ -36,15 +43,16 @@ from .grid import (
 from .functionals import (
     _check_finite,
     _check_m,
+    _degeneracy_ratio,
     _flux_integral,
     _gradient_energy,
     _intrinsic_window,
+    _only,
     _power_oscillation,
     _probe_nodes,
     _probe_stats,
     _window,
     ess_sup,
-    degeneracy_ratio,
     time_scaling_exponent,
 )
 from .reporting import Row
@@ -69,6 +77,40 @@ def _time_exponent(N: int, m: float) -> float:
     if m > 0.0 and lam <= 0:
         raise ParameterError(f"need N(m-1)+2 > 0, got {lam:.6g}")
     return lam
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or a copy of the GeometryError or ParameterError it raises.  The
+    copy has no traceback: one kept with a batch's results would tie the frames that
+    raised it, and the slab they hold, into a cycle only the garbage collector frees."""
+    try:
+        return fn(*args)
+    except (GeometryError, ParameterError) as exc:
+        return type(exc)(*exc.args)
+
+
+def _batch(slab: SpaceTimeSlab, probes, resolve, m: float) -> list:
+    """``resolve(center, rho, window)`` of each probe gives its ``_probe_stats`` block
+    and a ``finish`` of its statistics; the blocks of the probes that resolve share one
+    sweep at exponent ``m`` (0: the log means), and each result is a report or the
+    error its probe raised first."""
+    resolved = [_attempt(resolve, *probe) for probe in probes]
+    ok = [r for r in resolved if not isinstance(r, Exception)]
+    stats = iter(_probe_stats(slab, [block for block, _ in ok], m))
+    out = []
+    for r in resolved:
+        if not isinstance(r, Exception):
+            got = next(stats)
+            r = got if isinstance(got, Exception) else _attempt(r[1], *got)
+        out.append(r)
+    return out
+
+
+def _power_m(m: float, top: float, what: str) -> float:
+    """``m``; ParameterError naming ``what`` unless ``0 < m < top``."""
+    if not 0 < m < top:
+        raise ParameterError(what)
+    return m
 
 
 @dataclass
@@ -109,30 +151,43 @@ def check_l1_harnack(
     and ``lambda_2`` are measured over ``K_2rho x window``; they parameterize
     the constant, not the inequality itself.
     """
+    return _only(l1_harnack_batch(slab, [(center, rho, window)], m))
+
+
+def l1_harnack_batch(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
+    """:func:`check_l1_harnack` of each ``(center, rho, window)`` of ``probes`` in one
+    statistics sweep: its report, or the error it raises."""
+    return _batch(slab, probes, lambda *probe: _l1_probe(slab, m, *probe), 0.0)
+
+
+def _l1_probe(slab: SpaceTimeSlab, m: float, center, rho: float, window):
+    """The resolve step of :func:`check_l1_harnack`: ``(block, finish)``."""
     _check_m(m)
     if not 0.0 < rho < math.inf:
         raise ParameterError(f"rho must be finite and positive, got {rho:.6g}")
     t0, t1, levels = _check_window(slab, window)
     lam = _time_exponent(slab.grid.dim, m)
     rhs_time = ((t1 - t0) / rho**lam) ** (1.0 / (1.0 - m))
-    nodes = _probe_nodes(slab.grid, center, rho, 0.0)
-    M, l1, l2, lhs, rhs_mass = _probe_stats(slab, center, rho, *nodes, levels)
-    denom = rhs_mass + rhs_time
-    return HarnackReport(
-        kind="l1-pme" if m > 0.0 else "l1-log",
-        center=tuple(center),
-        rho=rho,
-        t_start=t0,
-        t_end=t1,
-        m=m if m > 0.0 else float("nan"),
-        lhs=lhs,
-        rhs_mass=rhs_mass,
-        rhs_time=rhs_time,
-        gamma_star=lhs / denom if denom > 0 else math.inf,
-        sup_u=M,
-        lambda_1=l1,
-        lambda_2=l2,
-    )
+
+    def finish(M, l1, l2, lhs, rhs_mass):
+        denom = rhs_mass + rhs_time
+        return HarnackReport(
+            kind="l1-pme" if m > 0.0 else "l1-log",
+            center=tuple(center),
+            rho=rho,
+            t_start=t0,
+            t_end=t1,
+            m=m if m > 0.0 else float("nan"),
+            lhs=lhs,
+            rhs_mass=rhs_mass,
+            rhs_time=rhs_time,
+            gamma_star=lhs / denom if denom > 0 else math.inf,
+            sup_u=M,
+            lambda_1=l1,
+            lambda_2=l2,
+        )
+
+    return (center, rho, *_probe_nodes(slab.grid, center, rho, 0.0), levels), finish
 
 
 def check_l1_harnack_pme(
@@ -140,9 +195,13 @@ def check_l1_harnack_pme(
 ) -> HarnackReport:
     """The power-diffusion case ``0 < m < 1`` of :func:`check_l1_harnack`;
     its components converge to the logarithmic report's as m -> 0."""
-    if not 0 < m < 1:
-        raise ParameterError("m must be in (0, 1)")
-    return check_l1_harnack(slab, center, rho, window, m=m)
+    return _only(l1_harnack_pme_batch(slab, m, [(center, rho, window)]))
+
+
+def l1_harnack_pme_batch(slab: SpaceTimeSlab, m: float, probes) -> list:
+    """:func:`check_l1_harnack_pme` of each probe, as :func:`l1_harnack_batch`."""
+    what = "m must be in (0, 1)"
+    return _batch(slab, probes, lambda *probe: _l1_probe(slab, _power_m(m, 1.0, what), *probe), 0.0)
 
 
 @dataclass
@@ -191,6 +250,17 @@ def check_energy_lemma(
     (plain integrals, not means).  The sup of u is taken over ``K_2rho x
     window`` too.
     """
+    return _only(energy_lemma_batch(slab, [(center, rho, window)], sigma, m))
+
+
+def energy_lemma_batch(slab: SpaceTimeSlab, probes, sigma: float, m: float = 0.0) -> list:
+    """:func:`check_energy_lemma` of each ``(center, rho, window)`` of ``probes`` in one
+    statistics sweep: its report, or the error it raises."""
+    return _batch(slab, probes, lambda *probe: _energy_probe(slab, m, sigma, *probe), m)
+
+
+def _energy_probe(slab: SpaceTimeSlab, m: float, sigma: float, center, rho: float, window):
+    """The resolve step of :func:`check_energy_lemma`: ``(block, finish)``."""
     if not 0.0 <= m < 2.0 / 3.0:
         raise ParameterError(f"the energy bound needs 0 <= m < 2/3, got {m:.6g}")
     if not 0.0 < sigma < 1.0:
@@ -199,41 +269,52 @@ def check_energy_lemma(
     slab.grid.cube_slices(Cube(tuple(center), 4.0 * rho))  # GeometryError unless K_4rho fits
     N = slab.grid.dim
     outer, inner = _probe_nodes(slab.grid, center, rho, sigma)  # inner: the cutoff's support
-    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, outer, inner, levels, m)
-    lhs = _gradient_energy(slab, Cutoff(tuple(center), rho, sigma), inner, levels, m)
-    mass_term = (1.0 + l1) * rho ** (N * m / 2.0) * s_sig ** (1.0 - m / 2.0)
-    time_term = (
-        (l1**2 + l2**2)
-        * s_sig ** (m / 2.0)
-        * (t1 - t0)
-        / (sigma**2 * rho ** time_scaling_exponent(N, m / 2.0))
-    )
-    return EnergyReport(
-        kind="energy-pme" if m > 0.0 else "energy-log",
-        center=tuple(center),
-        rho=rho,
-        sigma=sigma,
-        t_start=t0,
-        t_end=t1,
-        m=m if m > 0.0 else float("nan"),
-        lhs=lhs,
-        rhs_mass_term=mass_term,
-        rhs_time_term=time_term,
-        ratio=_ratio(lhs, mass_term + time_term),
-        sup_u=M,
-        lambda_1=l1,
-        lambda_2=l2,
-        s_sigma=s_sig,
-    )
+
+    def finish(M, l1, l2, s_sig, _):
+        lhs = _gradient_energy(slab, Cutoff(tuple(center), rho, sigma), inner, levels, m)
+        mass_term = (1.0 + l1) * rho ** (N * m / 2.0) * s_sig ** (1.0 - m / 2.0)
+        time_term = (
+            (l1**2 + l2**2)
+            * s_sig ** (m / 2.0)
+            * (t1 - t0)
+            / (sigma**2 * rho ** time_scaling_exponent(N, m / 2.0))
+        )
+        return EnergyReport(
+            kind="energy-pme" if m > 0.0 else "energy-log",
+            center=tuple(center),
+            rho=rho,
+            sigma=sigma,
+            t_start=t0,
+            t_end=t1,
+            m=m if m > 0.0 else float("nan"),
+            lhs=lhs,
+            rhs_mass_term=mass_term,
+            rhs_time_term=time_term,
+            ratio=_ratio(lhs, mass_term + time_term),
+            sup_u=M,
+            lambda_1=l1,
+            lambda_2=l2,
+            s_sigma=s_sig,
+        )
+
+    return (center, rho, outer, inner, levels), finish
 
 
 def check_energy_lemma_pme(
     slab: SpaceTimeSlab, m: float, center, rho: float, sigma: float, window
 ) -> EnergyReport:
     """The power-diffusion case ``0 < m < 2/3`` of :func:`check_energy_lemma`."""
-    if not 0 < m < 2.0 / 3.0:
-        raise ParameterError("power energy bound needs 0 < m < 2/3")
-    return check_energy_lemma(slab, center, rho, sigma, window, m=m)
+    return _only(energy_lemma_pme_batch(slab, m, [(center, rho, window)], sigma))
+
+
+def energy_lemma_pme_batch(slab: SpaceTimeSlab, m: float, probes, sigma: float) -> list:
+    """:func:`check_energy_lemma_pme` of each probe, as :func:`energy_lemma_batch`."""
+    what = "power energy bound needs 0 < m < 2/3"
+
+    def resolve(*probe):
+        return _energy_probe(slab, _power_m(m, 2.0 / 3.0, what), sigma, *probe)
+
+    return _batch(slab, probes, resolve, m)
 
 
 @dataclass
@@ -273,42 +354,56 @@ def check_flux_corollary(
 
     with ``T = (t-s)/rho^(N(m-1)+2)`` and plain-integral oscillations.
     """
+    center = slab.grid.center if center is None else center
+    return _only(flux_corollary_batch(slab, flux, [(center, rho, window)], sigma))
+
+
+def flux_corollary_batch(slab: SpaceTimeSlab, flux, probes, sigma: float) -> list:
+    """:func:`check_flux_corollary` of each ``(center, rho, window)`` of ``probes`` in one
+    statistics sweep: its report, or the error it raises."""
+    m = float(flux.m)
+    return _batch(slab, probes, lambda *probe: _flux_probe(slab, flux, m, sigma, *probe), m)
+
+
+def _flux_probe(slab: SpaceTimeSlab, flux, m: float, sigma: float, center, rho: float, window):
+    """The resolve step of :func:`check_flux_corollary`: ``(block, finish)``."""
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1) for the flux bound")
     grid = slab.grid
-    if center is None:
-        center = grid.center
     t0, t1, levels = _check_window(slab, window)
-    m = float(flux.m)
-    nodes = _probe_nodes(grid, center, rho, sigma)
-    M, l1, l2, s_sig, _ = _probe_stats(slab, center, rho, *nodes, levels, m)
-    lhs = _flux_integral(slab, flux, grid.cube_slices(Cube(tuple(center), rho)), levels) / rho
-    T = (t1 - t0) / rho ** _time_exponent(grid.dim, m)
-    if m == 0.0:
-        osc = max(math.sqrt(1.0 + l1), math.sqrt(l1**2 + l2**2))
-        rhs = osc * math.sqrt(s_sig + T / sigma**2) * math.sqrt(T)
-    else:
-        rhs = (
-            math.sqrt(l1**2 + l2**2) * T * s_sig**m / sigma
-            + math.sqrt(1.0 + l1) * math.sqrt(T) * s_sig ** ((m + 1.0) / 2.0)
+    outer, inner = _probe_nodes(grid, center, rho, sigma)
+    base = grid.cube_slices(Cube(tuple(center), rho))
+
+    def finish(M, l1, l2, s_sig, _):
+        lhs = _flux_integral(slab, flux, base, levels) / rho
+        T = (t1 - t0) / rho ** _time_exponent(grid.dim, m)
+        if m == 0.0:
+            osc = max(math.sqrt(1.0 + l1), math.sqrt(l1**2 + l2**2))
+            rhs = osc * math.sqrt(s_sig + T / sigma**2) * math.sqrt(T)
+        else:
+            rhs = (
+                math.sqrt(l1**2 + l2**2) * T * s_sig**m / sigma
+                + math.sqrt(1.0 + l1) * math.sqrt(T) * s_sig ** ((m + 1.0) / 2.0)
+            )
+        return FluxReport(
+            kind={"log-diffusion": "flux-log", "pme": "flux-pme"}.get(flux.kind, "flux-quasilinear"),
+            center=tuple(center),
+            rho=rho,
+            sigma=sigma,
+            t_start=t0,
+            t_end=t1,
+            m=m if m != 0.0 else float("nan"),
+            lhs=lhs,
+            rhs=rhs,
+            ratio=_ratio(lhs, rhs),
+            sup_u=M,
+            lambda_1=l1,
+            lambda_2=l2,
+            s_sigma=s_sig,
+            time_ratio=T,
         )
-    return FluxReport(
-        kind={"log-diffusion": "flux-log", "pme": "flux-pme"}.get(flux.kind, "flux-quasilinear"),
-        center=tuple(center),
-        rho=rho,
-        sigma=sigma,
-        t_start=t0,
-        t_end=t1,
-        m=m if m != 0.0 else float("nan"),
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        sup_u=M,
-        lambda_1=l1,
-        lambda_2=l2,
-        s_sigma=s_sig,
-        time_ratio=T,
-    )
+
+    return (center, rho, outer, inner, levels), finish
 
 
 @dataclass
@@ -340,7 +435,7 @@ def jensen_check(
     t0, t1, levels = _check_window(slab, window)
     N = slab.grid.dim
     nodes = _probe_nodes(slab.grid, center, rho, sigma)
-    M, l1, _, s_sig, _ = _probe_stats(slab, center, rho, *nodes, levels)
+    M, l1, _, s_sig, _ = _only(_probe_stats(slab, [(center, rho, *nodes, levels)]))
     norm_mass = s_sig / rho**N
     lhs = math.log(M / norm_mass)
     rhs = 2.0**N * l1
@@ -457,7 +552,8 @@ def check_pointwise_harnack(
     x_o = tuple(float(c) for c in x_o)
     k_o = slab.level_index(t_o)
     t_o = float(slab.times[k_o])
-    theta, probes = _intrinsic_window(slab, x_o, k_o, rho, q, eps)
+    base = grid.cube_slices(Cube(x_o, rho))  # K_rho: theta and eta
+    theta, probes = _intrinsic_window(slab, base, x_o, k_o, rho, q, eps)
     if theta <= 0.0:
         return PointwiseHarnackReport(
             x_o=x_o, t_o=t_o, rho=rho, q=q, eps=eps, p=p, r=r,
@@ -476,7 +572,7 @@ def check_pointwise_harnack(
         ) from None
     cube = Cube(x_o, 8.0 * rho)
     M, lam_p = _power_oscillation(slab, cube, grid.cube_slices(cube), levels, None, p)
-    eta = degeneracy_ratio(slab.level(k_o), x_o, rho, q, M, r)
+    eta = _degeneracy_ratio(slab.level(k_o), base, q, M, r)
     sup_val = ess_sup(slab, Cube(x_o, 2.0 * rho), (t_o - theta * rho**2, t_o))
     if probes.size > _POINTWISE_PROBES:
         pick = np.round(np.linspace(0, probes.size - 1, _POINTWISE_PROBES)).astype(int)

@@ -98,13 +98,14 @@ def test_verify_l1_rows(run_dir):
     assert [r["probe"] for r in rows] == [str(i) for i in range(5)]
 
 
-def test_verify_deterministic_across_runs_and_threads(run_dir):
+@pytest.mark.parametrize("kind", VERIFY_KINDS)
+def test_verify_deterministic_across_runs_and_threads(run_dir, kind):
     cfg = str(run_dir / "run.ini")
     outs = []
     for name, threads in (("det1", "1"), ("det2", "4"), ("det3", "4")):
-        out = run_dir / name
+        out = run_dir / f"{name}-{kind}"
         code = main([
-            "verify", "energy", "--config", cfg, "--out", str(out),
+            "verify", kind, "--config", cfg, "--out", str(out),
             "--seed", "3", "--threads", threads,
         ])
         assert code == 0
@@ -444,6 +445,22 @@ def test_verify_rejects_corrupted_grid_header(tmp_path, run_dir, capsys, offset,
     assert main(["verify", "l1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert f"{bad} has a corrupted grid header" in err
+
+
+@pytest.mark.parametrize("blob", [b"[1, 2]", b"12", b"[]"])
+def test_verify_rejects_slab_metadata_that_is_not_an_object(tmp_path, run_dir, capsys, blob):
+    full = (run_dir / "solve" / "slab.slab").read_bytes()
+    meta = read_slab(run_dir / "solve" / "slab.slab").meta
+    old = json.dumps(meta, sort_keys=True, default=str).encode()
+    at = full.index(old)
+    bad = tmp_path / "bad.slab"
+    bad.write_bytes(full[: at - 4] + struct.pack("<i", len(blob)) + blob + full[at + len(old) :])
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[verify]\nslab = {bad}\n")
+    capsys.readouterr()
+    assert main(["verify", "l1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"cannot read slab {bad}" in err and "not a JSON object" in err
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

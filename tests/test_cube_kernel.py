@@ -37,8 +37,11 @@ from logdiff.harnack import (
     DistributionalCheck,
     check_pointwise_harnack,
     distributional_identity_check,
+    sample_cylinders,
 )
 from logdiff.limit_m import _l1_distance, _uniform_norms
+
+from conftest import peak_bytes
 
 REL = 1e-12
 
@@ -247,10 +250,16 @@ def test_kernel_window_spanning_several_chunks():
 # --- the fused probe kernel against the composed public functionals ---------
 
 
-def probe_stats(slab, center, rho, sigma, window, m=0.0):
-    """The kernel on the probe's snapped cubes and the window's levels."""
+def probe_block(slab, center, rho, sigma, window):
+    """A probe's ``_probe_stats`` block: its snapped cubes and the window's levels."""
     outer, inner = functionals._probe_nodes(slab.grid, center, rho, sigma)
-    return functionals._probe_stats(slab, center, rho, outer, inner, _levels(slab, window), m)
+    return (center, rho, outer, inner, _levels(slab, window))
+
+
+def probe_stats(slab, center, rho, sigma, window, m=0.0):
+    """The kernel on a batch of one probe."""
+    block = probe_block(slab, center, rho, sigma, window)
+    return functionals._only(functionals._probe_stats(slab, [block], m))
 
 
 def composed_probe_stats(slab, center, rho, sigma, window, m):
@@ -314,17 +323,84 @@ def test_probe_stats_shift_identity_across_chunks(m, sigma):
     assert one[0] == values[:, 4:13, 4:13].max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_probe_batch_equals_its_batches_of_one(dim, data):
+    """One sweep over a batch's bounding block gives each probe its own statistics:
+    probes may overlap, put K_2rho on a grid face or hold one level."""
+    cells = data.draw(st.integers(4, {1: 40, 2: 14, 3: 6}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 9), label="levels")
+    slab = _slab(dim, cells, nlevels, data.draw(st.integers(0, 2**16), label="seed"))
+    grid = slab.grid
+    m = data.draw(st.sampled_from((0.0, 0.2)), label="m")
+    probes = []
+    for j in range(data.draw(st.integers(1, 12), label="probes")):
+        # rho an even number of cells, so K_rho snaps exactly; K_2rho may reach a face
+        cells_rho = 2 * data.draw(st.integers(1, cells // 4), label=f"rho/2 {j}")
+        center = tuple(
+            float(grid.axis(d)[data.draw(st.integers(cells_rho, cells - cells_rho), label=f"c{d} {j}")])
+            for d in range(dim)
+        )
+        k0 = data.draw(st.integers(0, nlevels - 1), label=f"k0 {j}")
+        k1 = data.draw(st.integers(k0, nlevels - 1), label=f"k1 {j}")
+        window = (float(slab.times[k0]) - 1e-3, float(slab.times[k1]))
+        sigma = data.draw(st.sampled_from((0.0, 0.5)), label=f"sigma {j}")
+        probes.append((center, cells_rho * grid.spacing, sigma, window))
+    blocks = [probe_block(slab, *probe) for probe in probes]
+    for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
+            got = functionals._probe_stats(slab, blocks, m)
+            for stats, block, probe in zip(got, blocks, probes):
+                one = functionals._only(functionals._probe_stats(slab, [block], m))
+                assert stats == pytest.approx(one, rel=1e-12), (budget, probe)
+                want = composed_probe_stats(slab, *probe, m)
+                assert stats == pytest.approx(want, rel=REL), (budget, probe)
+
+
+def test_sweep_memory_is_one_chunk_budget_however_many_levels():
+    """The benchmark's batch, 300 probes on a 64^2 lump: the sweep holds its two chunk
+    buffers (768 KiB in all) and O(probes) more, far below the slab, and holds no more
+    at four times the levels, as a probes x levels table would."""
+    grid = Grid.regular(2, 1.0, 1.0 / 64)
+    small = _slab(2, 4, 2, seed=0)  # a first sweep, so one-time allocations are not counted
+    functionals._probe_stats(small, [probe_block(small, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))])
+    peaks = []
+    for nlevels in (129, 513):
+        times = np.linspace(0.0, 0.5, nlevels)
+        slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, times)
+        probes = sample_cylinders(grid, times, np.random.default_rng(0), 300)
+        blocks = [probe_block(slab, c, rho, 0.5, (t0, t1)) for c, rho, t0, t1 in probes]
+        for m in (0.0, 0.2):
+            _, peak = peak_bytes(functionals._probe_stats, slab, blocks, m)
+            assert peak < 2 * 3 * 8 * functionals._CHUNK_DOUBLES < slab.values.nbytes
+            peaks.append(peak)
+    assert max(peaks[2:]) <= min(peaks[:2]) + (1 << 16)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_probe_stats_reject_bad_values(bad):
-    slab = _slab(2, 16, 5, seed=7)
-    values = slab.values.copy()
+    clean = _slab(2, 16, 5, seed=7)
+    values = clean.values.copy()
     values[3, 9, 7] = bad  # inside K_2rho x window for the probe below
-    slab = SpaceTimeSlab(slab.grid, slab.times, values)
+    slab = SpaceTimeSlab(clean.grid, clean.times, values)
     # at budget 1 every level is a chunk, so level 3 is not the first one
     for budget in (functionals._CHUNK_DOUBLES, 1):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
             with pytest.raises(functionals.ParameterError, match="finite and positive"):
                 probe_stats(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0))
+            # a neighbour whose K_2rho (nodes 10..14 on axis 0) misses the node shares the
+            # batch's bounding block and sweep, but neither its error nor a NaN
+            batch = [
+                probe_block(slab, (0.0, 0.0), 0.25, 0.5, (0.0, 1.0)),
+                probe_block(slab, (0.25, 0.0), 0.125, 0.5, (0.0, 1.0)),
+            ]
+            got = functionals._probe_stats(slab, batch, 0.2)
+            want = functionals._probe_stats(clean, batch, 0.2)
+            assert isinstance(got[0], functionals.ParameterError)
+            assert "edge 0.5 at (0, 0)" in str(got[0])
+            assert np.all(np.isfinite(got[1]))
+            assert got[1] == pytest.approx(want[1], rel=1e-12)
+            assert got[1] == pytest.approx(probe_stats(clean, (0.25, 0.0), 0.125, 0.5, (0.0, 1.0), 0.2), rel=1e-12)
     with pytest.raises(functionals.ParameterError, match="sigma"):
         probe_stats(_slab(2, 16, 5, seed=7), (0.0, 0.0), 0.25, 1.0, (0.0, 1.0))
 
@@ -517,7 +593,7 @@ RESOLVES_PER_PROBE = {
     "energy-pme": (3, 1),
     "flux": (3, 1),
     "distributional": (1, 0),
-    "pointwise": (5, 3),
+    "pointwise": (4, 3),
 }
 
 
@@ -537,9 +613,19 @@ def test_each_checker_resolves_its_probe_geometry_once(kind, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     rho = 1.0 / 16 if kind == "pointwise" else 1.0 / 8  # K_8rho, K_4rho fit the grid
-    rep = _VERIFY[kind][2](slab, (0.0, 0.0), rho, (0.25, 0.5), opts)
+    (rep,) = _VERIFY[kind][2](slab, [((0.0, 0.0), rho, (0.25, 0.5))], opts)
     assert not getattr(rep, "degenerate", False)
     assert (calls["cube_slices"], calls["window_indices"]) == RESOLVES_PER_PROBE[kind]
+
+
+def test_functional_set_resolves_each_cube_once(monkeypatch):
+    # K_2rho, K_(1+sigma)rho and K_rho, which the two scales and two ratios share
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(Grid.regular(2, 1.0, 1.0 / 32), np.linspace(0.0, 0.5, 65))
+    calls = []
+    cube_slices = Grid.cube_slices
+    monkeypatch.setattr(Grid, "cube_slices", lambda grid, cube: calls.append(cube) or cube_slices(grid, cube))
+    functionals.functional_set(slab, (0.0, 0.0), 0.125, (0.25, 0.5), m=0.3)
+    assert sorted(cube.edge for cube in calls) == [0.125, 0.1875, 0.25]
 
 
 def test_pointwise_reads_a_one_chunk_cylinder_once(monkeypatch):
@@ -581,6 +667,6 @@ def test_verify_probes_never_touch_the_whole_grid(monkeypatch):
     for kind, (cls, scale, check) in _VERIFY.items():
         for flux in fluxes if kind == "flux" else (None,):
             opts = SimpleNamespace(sigma=0.5, m=0.2, q=2.0, p=5.0, r=2.0, eps=0.1, flux=flux)
-            rep = check(slab, center, 0.25 * scale, window, opts)
+            (rep,) = check(slab, [(center, 0.25 * scale, window)], opts)
             assert isinstance(rep, cls), kind
             assert not getattr(rep, "degenerate", False), kind

@@ -309,6 +309,26 @@ def test_read_slab_rejects_truncated_files(tmp_path):
         assert f"needs {expected}" in msg if expected else "at least" in msg
 
 
+def write_slab_with_metadata(path, blob: bytes) -> None:
+    """A valid slab file whose metadata bytes are ``blob``."""
+    g = Grid.regular(2, 0.5, 1.0 / 4)
+    write_slab(SpaceTimeSlab(g, np.linspace(0.0, 0.3, 4), np.ones((4,) + g.shape), meta={"k": 1}), path)
+    full, old = path.read_bytes(), b'{"k": 1}'
+    at = full.index(old)
+    path.write_bytes(full[: at - 4] + struct.pack("<i", len(blob)) + blob + full[at + len(old) :])
+
+
+@pytest.mark.parametrize("blob", [b"[1, 2]", b"12", b"[]", b'"run"', b"null"])
+def test_read_slab_rejects_metadata_that_is_not_an_object(tmp_path, blob):
+    # [1, 2] and 12 raised TypeError from dict(); [] was read as {}
+    path = tmp_path / "s.slab"
+    write_slab_with_metadata(path, blob)
+    with pytest.raises(ParameterError, match="metadata that is not a JSON object"):
+        read_slab(path)
+    write_slab_with_metadata(path, b'{"k": [1, 2]}')
+    assert read_slab(path).meta == {"k": [1, 2]}
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_read_slab_rejects_a_file_cut_anywhere_in_its_header(tmp_path, dim):
     g = Grid.regular(dim, 0.5, 1.0 / 4)

@@ -30,6 +30,13 @@ from logdiff import (
 from logdiff import functionals
 from logdiff.functionals import flux_l1
 from logdiff.grid import Field, SpaceTimeSlab
+from logdiff.harnack import (
+    energy_lemma_batch,
+    energy_lemma_pme_batch,
+    flux_corollary_batch,
+    l1_harnack_batch,
+    l1_harnack_pme_batch,
+)
 from logdiff.solvers import SolverConfig
 
 # independently computed divergence defects of the smoothstep cutoff
@@ -195,10 +202,61 @@ def test_energy_log_row_keeps_its_floats():
     assert row == {
         "kind": "energy-log", "center": "0.0;0.0", "rho": 0.09375, "sigma": 0.5,
         "t_start": 0.125, "t_end": 0.375, "lhs": 5.4443177710386344e-05,
-        "rhs_mass_term": 0.14666481220505856, "rhs_time_term": 0.24337307879237585,
-        "ratio": 0.0001395843300535754, "sup_u": 7.0, "lambda_1": 0.34878674450316305,
-        "lambda_2": 0.34888520411628393, "s_sigma": 0.10873832561209204,
+        "rhs_mass_term": 0.1466648122050585, "rhs_time_term": 0.2433730787923758,
+        "ratio": 0.00013958433005357542, "sup_u": 7.0, "lambda_1": 0.348786744503163,
+        "lambda_2": 0.34888520411628393, "s_sigma": 0.10873832561209203,
     }
+
+
+def test_batches_report_each_probe_as_its_single_check(lump_slab_32):
+    """One sweep per batch: every probe gets the single check's report, or its error
+    in place, whatever the other probes of the batch are."""
+    slab, flux = lump_slab_32, QuasilinearFlux(kind="pme", m=0.4, a=(1.0, 1.0))
+    probes = [
+        ((0.0, 0.0), 0.25, (0.25, 0.5)),
+        ((0.0, 0.0), 0.25, (0.25, 9.0)),  # leaves the slab
+        ((0.125, -0.125), 0.125, (0.1, 0.3)),
+        ((0.0, 0.0), -1.0, (0.25, 0.5)),
+        ((0.25, 0.0), 0.125, (0.24, 0.25)),  # one level: no energy or flux integral
+        ((0.375, 0.375), 0.125, (0.0, 0.5)),  # K_2rho on two faces
+    ]
+    cases = {
+        "l1": (l1_harnack_batch(slab, probes), lambda c, r, w: check_l1_harnack(slab, c, r, w)),
+        "l1-pme": (
+            l1_harnack_pme_batch(slab, 0.3, probes),
+            lambda c, r, w: check_l1_harnack_pme(slab, 0.3, c, r, w),
+        ),
+        "energy": (
+            energy_lemma_batch(slab, probes, 0.5),
+            lambda c, r, w: check_energy_lemma(slab, c, r, 0.5, w),
+        ),
+        "energy-pme": (
+            energy_lemma_pme_batch(slab, 0.3, probes, 0.5),
+            lambda c, r, w: check_energy_lemma_pme(slab, 0.3, c, r, 0.5, w),
+        ),
+        "flux": (
+            flux_corollary_batch(slab, flux, probes, 0.5),
+            lambda c, r, w: check_flux_corollary(slab, flux, r, 0.5, w, center=c),
+        ),
+    }
+    for kind, (got, check) in cases.items():
+        assert len(got) == len(probes)
+        kinds = set()
+        for rep, probe in zip(got, probes):
+            try:
+                want = check(*probe)
+            except (GeometryError, ParameterError) as exc:
+                assert type(rep) is type(exc) and str(rep) == str(exc), (kind, probe)
+                kinds.add(type(exc))
+                continue
+            assert type(rep) is type(want), (kind, probe)
+            for name, value in vars(want).items():
+                if isinstance(value, float):
+                    assert getattr(rep, name) == pytest.approx(value, rel=1e-12, nan_ok=True)
+                else:
+                    assert getattr(rep, name) == value
+        assert GeometryError in kinds and ParameterError in kinds, kind
+    assert "at least two levels" in str(cases["energy"][0][4])
 
 
 def test_flux_corollary_kinds(lump_slab_32):
