@@ -21,10 +21,11 @@ a config error.
 ``[solver] m`` defaults to 0.2 wherever it is read: by ``quasilinear`` and, unless
 ``[verify] m`` is set, by the pme verify kinds.
 
-Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range, and
-``--meshes`` below 2 cells or repeated, among them), 3 solver failure (stderr
-names the failing step and its Newton residual max-norms), 4 I/O error (a slab
-that cannot be read; an output that cannot be written, caught before any work).
+Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range, a
+``[verify] m`` outside a power kind's range, and ``--meshes`` below 2 cells or
+repeated, among them), 3 solver failure (stderr names the failing step and its
+Newton residual max-norms), 4 I/O error (a slab that cannot be read; an output
+that cannot be written, caught before any work).
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ from .harnack import (
     HarnackReport,
     PointwiseHarnackReport,
     _attempt,
+    _energy_power_m,
+    _l1_power_m,
     check_flux_corollary,
     check_pointwise_harnack,
     distributional_identity_check,
     energy_lemma_batch,
-    energy_lemma_pme_batch,
     flux_corollary_batch,
     l1_harnack_batch,
-    l1_harnack_pme_batch,
     sample_cylinders,
 )
 from .limit_m import run_m_sweep
@@ -303,7 +304,9 @@ def _each(check):
 # the probe (8x cube for pointwise, 4x for energy), keeping every cube mesh-aligned.
 _VERIFY = {
     "l1": (HarnackReport, 1.0, lambda s, probes, o: l1_harnack_batch(s, probes)),
-    "l1-pme": (HarnackReport, 1.0, lambda s, probes, o: l1_harnack_pme_batch(s, o.m, probes)),
+    "l1-pme": (
+        HarnackReport, 1.0, lambda s, probes, o: l1_harnack_batch(s, probes, _l1_power_m(o.m))
+    ),
     "pointwise": (
         PointwiseHarnackReport, 0.25,
         _each(lambda s, c, rho, w, o: check_pointwise_harnack(
@@ -315,7 +318,7 @@ _VERIFY = {
     ),
     "energy-pme": (
         EnergyReport, 0.5,
-        lambda s, probes, o: energy_lemma_pme_batch(s, o.m, probes, o.sigma),
+        lambda s, probes, o: energy_lemma_batch(s, probes, o.sigma, _energy_power_m(o.m)),
     ),
     "flux": (
         FluxReport, 1.0,

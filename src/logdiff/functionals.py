@@ -48,7 +48,9 @@ one buffer, takes their running trapezoid sums along every axis at the
 probes' cube corners only, and reads each probe's ``K_2rho`` and
 ``K_(1+sigma)rho`` integrals by 2^d-term inclusion-exclusion.  An exact
 identity moves those to the probe's sup ``M``, one read-only max over its own
-cylinder, into running per-probe maxima and minima.  :func:`_power_oscillation`
+cylinder, into running per-probe maxima and minima.  A block that holds a node
+that is not finite and positive falls back to each probe's batch of one, which
+fails exactly when its own cylinder holds the node.  :func:`_power_oscillation`
 gives the pointwise check ``M`` and ``lambda_p`` over ``K_8rho x window``:
 ``M`` from the chunk's copy (or a read-only pre-pass over several chunks),
 then ``|ln M - ln u|`` and its p-th power in one buffer.  A whole ``p`` up to
@@ -441,18 +443,20 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
 
     One sweep serves the batch: each chunk of its levels is read once over the block
     that bounds the probes' ``outer``, into one buffer of u, ``g_t`` and ``g_t^2``
-    (:func:`_osc_integrand` at each level's max ``t`` there), a bad node's three terms
-    zeroed.  A product with :func:`_running_weights` per axis takes their running sums
-    at the probes' corners only, and 2^d of them give each box's integrals.  Those move
-    to the probe's ``M`` exactly, ``g_M = c + a g_t`` with ``c = g_M(t)`` and
-    ``a = 1 - e c > 0``, into running maxima and minima: no probes x levels table.
+    (:func:`_osc_integrand` at each level's max ``t`` there).  A product with
+    :func:`_running_weights` per axis takes their running sums at the probes' corners
+    only, and 2^d of them give each box's integrals.  Those move to the probe's ``M``
+    exactly, ``g_M = c + a g_t`` with ``c = g_M(t)`` and ``a = 1 - e c > 0``, into
+    running maxima and minima: no probes x levels table.  A chunk with a node that is
+    not finite and positive ends the sweep: a batch of one, whose block is its own
+    ``K_2rho x levels``, returns its error, a larger batch each probe's batch of one.
     """
     if not probes:
         return []
     grid, e, dim, n = slab.grid, m / 2.0, slab.grid.dim, len(probes)
     first = np.array([p[4][0] for p in probes])
     last = np.array([p[4][-1] for p in probes])
-    # M: one read-only max over each probe's own cylinder; a bad one fails in the sweep
+    # M: one read-only max over each probe's own cylinder; a bad one ends the sweep
     M = np.array([slab.values[(slice(a, b + 1),) + p[2]].max() for a, b, p in zip(first, last, probes)])
     ln_M = np.log(np.where((M > 0.0) & (M < math.inf), M, 1.0))
     # each box's first and last node per axis, K_2rho then K_(1+sigma)rho: (probes, dim, 4)
@@ -462,7 +466,6 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     box = tuple(slice(a, b + 1) for a, b in zip(origin, ends[:, :, 1].max(axis=0)))
     shape = tuple(s.stop - s.start for s in box)
     ends -= origin[:, None]
-    outer_rel = [tuple(slice(a, b + 1) for a, b in row[:, :2]) for row in ends]
     at = [tuple(sorted(set(ends[:, d].ravel().tolist()))) for d in range(dim)]
     weights = [_running_weights(k, a) for k, a in zip(shape, at)]
     # the 2^d corners of both boxes as flat indices into the running sums, the last axis
@@ -478,7 +481,6 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     V = np.array([_block_volume(p[2], grid.spacing) for p in probes])
     osc1, osc2 = np.zeros(n), np.zeros(n)  # the true values are >= 0
     s_sigma, inf_mass = np.full(n, -math.inf), np.full(n, math.inf)
-    failed = np.zeros(n, dtype=bool)
     size, space = math.prod(shape), tuple(range(1, dim + 1))
     k0, k1 = int(first.min()), int(last.max()) + 1
     # two buffers of a chunk's three planes, the second for the running sums, hold at
@@ -489,20 +491,13 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
         u = slab.values[(slice(k, min(k + step, k1)),) + box]
         q = pair[0, : 3 * u.size].reshape((3,) + u.shape)
         np.copyto(q[0], u)
-        t, src = q[0].max(axis=space), q[0]
+        t = q[0].max(axis=space)
         if not (np.isfinite(t).all() and q[0].min() > 0.0):
-            # zero a bad node's terms; only the probes whose cylinders hold it fail
-            bad = ~((q[0] > 0.0) & (q[0] < math.inf))
-            for j in np.flatnonzero((first < k + len(u)) & (last >= k) & ~failed):
-                span = slice(max(first[j] - k, 0), last[j] + 1 - k)
-                failed[j] = bad[(span,) + outer_rel[j]].any()
-            q[0][bad] = 0.0
-            t = q[0].max(axis=space)
-            t[t == 0.0] = 1.0  # a level with no good node
-            src = q[1]  # u with t at a bad node, so g_t = 0 there
-            np.copyto(src, q[0])
-            np.copyto(src, t.reshape((-1,) + (1,) * dim), where=bad)
-        _osc_integrand(src, np.log(t).reshape((-1,) + (1,) * dim), e, q[1])
+            # a bad node: a batch of one fails, a larger one is read probe by probe
+            if n == 1:
+                return [_not_positive(probes[0][0], 2.0 * probes[0][1])]
+            return [_probe_stats(slab, [p], m)[0] for p in probes]
+        _osc_integrand(q[0], np.log(t).reshape((-1,) + (1,) * dim), e, q[1])
         np.square(q[1], out=q[2])
         # running sums along the last axis, then along each axis before it, each stage
         # written into the buffer the one before it read
@@ -526,15 +521,10 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
         np.maximum(osc2, o2.max(axis=0, where=on, initial=0.0), out=osc2)
         np.maximum(s_sigma, inner.max(axis=0, where=on, initial=-math.inf), out=s_sigma)
         np.minimum(inf_mass, mass.min(axis=0, where=on, initial=math.inf), out=inf_mass)
-    scale = V.tolist() if m == 0.0 else [1.0] * n
+    scale = V if m == 0.0 else 1.0
     # x -> x / scale and sqrt are monotone in floating point, so they commute with max
-    return [
-        _not_positive(p[0], 2.0 * p[1]) if failed[j] else (
-            float(M[j]), float(osc1[j]) / scale[j], math.sqrt(float(osc2[j]) / scale[j]),
-            float(s_sigma[j]), float(inf_mass[j]),
-        )
-        for j, p in enumerate(probes)
-    ]
+    stats = (M, osc1 / scale, np.sqrt(osc2 / scale), s_sigma, inf_mass)
+    return list(zip(*(x.tolist() for x in stats)))
 
 
 def _only(results):

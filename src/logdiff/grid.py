@@ -208,6 +208,8 @@ class SpaceTimeSlab:
         values = _owned(values)
         if times.ndim != 1 or times.size < 2:
             raise ParameterError("slab needs at least two time levels")
+        if not np.isfinite(times).all():  # an inf or NaN time passes both checks below
+            raise ParameterError("slab times must be finite")
         steps = np.diff(times)
         if steps.min() <= 0:
             raise ParameterError("slab times must increase")

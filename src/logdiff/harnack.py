@@ -7,9 +7,10 @@ ratio should stay bounded under mesh refinement, under shrinking of the
 diffusion exponent m, and across probe locations.
 
 ``m = 0`` is the logarithmic case of each power-type checker: one
-m-parameterised body serves both equations (:func:`check_l1_harnack`,
-:func:`check_energy_lemma`, :func:`check_flux_corollary`), and the ``_pme``
-names only validate ``m > 0`` and call it.
+m-parameterised body and batch serve both equations (:func:`check_l1_harnack`,
+:func:`check_energy_lemma`, :func:`check_flux_corollary`).  One helper per
+bound checks its power range, once per ``verify`` run; the ``_pme`` names are
+that check and the one checker, kept only as the names msweep's tracer times.
 
 The l1, energy and flux checks run on batches of probes ``(center, rho,
 window)``: each probe is resolved, one sweep of
@@ -106,10 +107,17 @@ def _batch(slab: SpaceTimeSlab, probes, resolve, m: float) -> list:
     return out
 
 
-def _power_m(m: float, top: float, what: str) -> float:
-    """``m``; ParameterError naming ``what`` unless ``0 < m < top``."""
-    if not 0 < m < top:
-        raise ParameterError(what)
+def _l1_power_m(m: float) -> float:
+    """``m``; ParameterError unless ``0 < m < 1``, the l1 bound's power range."""
+    if not 0 < m < 1:
+        raise ParameterError("m must be in (0, 1)")
+    return m
+
+
+def _energy_power_m(m: float) -> float:
+    """``m``; ParameterError unless ``0 < m < 2/3``, the energy bound's power range."""
+    if not 0 < m < 2.0 / 3.0:
+        raise ParameterError("power energy bound needs 0 < m < 2/3")
     return m
 
 
@@ -190,18 +198,13 @@ def _l1_probe(slab: SpaceTimeSlab, m: float, center, rho: float, window):
     return (center, rho, *_probe_nodes(slab.grid, center, rho, 0.0), levels), finish
 
 
+# the _pme guards stay only because limit_m binds them, which benchmarks/tracing.py needs
 def check_l1_harnack_pme(
     slab: SpaceTimeSlab, m: float, center, rho: float, window
 ) -> HarnackReport:
     """The power-diffusion case ``0 < m < 1`` of :func:`check_l1_harnack`;
     its components converge to the logarithmic report's as m -> 0."""
-    return _only(l1_harnack_pme_batch(slab, m, [(center, rho, window)]))
-
-
-def l1_harnack_pme_batch(slab: SpaceTimeSlab, m: float, probes) -> list:
-    """:func:`check_l1_harnack_pme` of each probe, as :func:`l1_harnack_batch`."""
-    what = "m must be in (0, 1)"
-    return _batch(slab, probes, lambda *probe: _l1_probe(slab, _power_m(m, 1.0, what), *probe), 0.0)
+    return check_l1_harnack(slab, center, rho, window, _l1_power_m(m))
 
 
 @dataclass
@@ -304,17 +307,7 @@ def check_energy_lemma_pme(
     slab: SpaceTimeSlab, m: float, center, rho: float, sigma: float, window
 ) -> EnergyReport:
     """The power-diffusion case ``0 < m < 2/3`` of :func:`check_energy_lemma`."""
-    return _only(energy_lemma_pme_batch(slab, m, [(center, rho, window)], sigma))
-
-
-def energy_lemma_pme_batch(slab: SpaceTimeSlab, m: float, probes, sigma: float) -> list:
-    """:func:`check_energy_lemma_pme` of each probe, as :func:`energy_lemma_batch`."""
-    what = "power energy bound needs 0 < m < 2/3"
-
-    def resolve(*probe):
-        return _energy_probe(slab, _power_m(m, 2.0 / 3.0, what), sigma, *probe)
-
-    return _batch(slab, probes, resolve, m)
+    return check_energy_lemma(slab, center, rho, sigma, window, _energy_power_m(m))
 
 
 @dataclass
@@ -575,8 +568,8 @@ def check_pointwise_harnack(
     eta = _degeneracy_ratio(slab.level(k_o), base, q, M, r)
     sup_val = ess_sup(slab, Cube(x_o, 2.0 * rho), (t_o - theta * rho**2, t_o))
     if probes.size > _POINTWISE_PROBES:
-        pick = np.round(np.linspace(0, probes.size - 1, _POINTWISE_PROBES)).astype(int)
-        probes = probes[np.unique(pick)]
+        # a step (size - 1)/7 >= 8/7 above one: the rounded picks strictly increase
+        probes = probes[np.round(np.linspace(0, probes.size - 1, _POINTWISE_PROBES)).astype(int)]
     inf_val = float(slab.values[(probes,) + grid.cube_slices(Cube(x_o, 4.0 * rho))].min())
     return PointwiseHarnackReport(
         x_o=x_o,

@@ -349,6 +349,25 @@ def test_oracle_check_reads_fixture_parameters_from_config(tmp_path):
     assert runs["default"][1]["run_id"] == "no-config"
 
 
+@pytest.mark.parametrize(
+    "fixture, text",
+    [("lump2d", "c = nan"), ("lump2d", "T = inf"), ("exp_steady", "scale = inf"),
+     ("exp_steady", "a = 1.0, nan"), ("barenblatt_fd", "C = nan")],
+)
+def test_oracle_check_rejects_fixture_parameters_that_are_not_finite(
+    tmp_path, capsys, fixture, text
+):
+    # each exited 0 with nan residuals and order, after a RuntimeWarning
+    (tmp_path / "bad.ini").write_text(f"[initial]\n{text}\n")
+    out = tmp_path / "oc"
+    capsys.readouterr()
+    argv = ["oracle-check", fixture, "--config", str(tmp_path / "bad.ini"), "--out", str(out)]
+    assert main(argv + ["--meshes", "8", "16"]) == 2
+    key = text.split("=")[0].strip()
+    assert f"config error: {fixture} needs a finite {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_check_exp_exact(tmp_path):
     out = tmp_path / "oce"
     code = main(["oracle-check", "exp_steady", "--out", str(out), "--meshes", "16", "32"])
@@ -461,6 +480,25 @@ def test_verify_rejects_slab_metadata_that_is_not_an_object(tmp_path, run_dir, c
     assert main(["verify", "l1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert f"cannot read slab {bad}" in err and "not a JSON object" in err
+
+
+@pytest.mark.parametrize("at, value", [(16, float("inf")), (5, float("nan"))])
+def test_verify_rejects_slab_times_that_are_not_finite(tmp_path, capsys, at, value):
+    # each slab was read and verified: exit 0 with every row computed
+    slab = Lump2D(c=1.0, T=1.0).sample_slab(lump_grid(16), np.linspace(0.0, 0.5, 17))
+    good = tmp_path / "good.slab"
+    write_slab(slab, good)
+    full = good.read_bytes()
+    offset = full.index(slab.times.tobytes()) + 8 * at
+    bad = tmp_path / "bad.slab"
+    bad.write_bytes(full[:offset] + struct.pack("<d", value) + full[offset + 8 :])
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[verify]\nslab = {bad}\ncount = 20\n")
+    capsys.readouterr()
+    assert main(["verify", "l1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"cannot read slab {bad}" in err and "slab times must be finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
@@ -728,6 +766,26 @@ def test_probe_constants_that_are_not_finite_are_config_errors(
     key, value = (part.strip() for part in text.split("="))
     err = capsys.readouterr().err
     assert f"config error: bad value for [{section}] {key}: must be finite, got {value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, m, message",
+    [
+        ("l1-pme", "0", "m must be in (0, 1)"),
+        ("l1-pme", "1", "m must be in (0, 1)"),
+        ("energy-pme", "0.7", "power energy bound needs 0 < m < 2/3"),
+    ],
+    ids=["l1-pme-m0", "l1-pme-m1", "energy-pme-m0.7"],
+)
+def test_power_kind_m_out_of_range_is_config_error(run_dir, tmp_path, capsys, kind, m, message):
+    # each wrote one identical error row per probe and exited 0
+    cfg = run_dir / f"{tmp_path.name}.ini"
+    cfg.write_text(BASE_CONFIG.replace("[verify]\n", f"[verify]\nm = {m}\n"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["verify", kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ real chunk budget and for budgets small enough that every window spans
 several chunks.
 """
 
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -355,6 +356,62 @@ def test_probe_batch_equals_its_batches_of_one(dim, data):
                 assert stats == pytest.approx(one, rel=1e-12), (budget, probe)
                 want = composed_probe_stats(slab, *probe, m)
                 assert stats == pytest.approx(want, rel=REL), (budget, probe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_a_batch_with_bad_nodes_gives_each_probe_its_batch_of_one(dim, data):
+    """Nodes that are not finite and positive anywhere in a batch's bounding block: each
+    probe gets its batch of one, the error exactly where its ``K_2rho x window`` holds
+    one of them, and no RuntimeWarning is raised."""
+    cells = data.draw(st.integers(4, {1: 40, 2: 14, 3: 6}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 9), label="levels")
+    clean = _slab(dim, cells, nlevels, data.draw(st.integers(0, 2**16), label="seed"))
+    grid = clean.grid
+    m = data.draw(st.sampled_from((0.0, 0.2)), label="m")
+    probes = []
+    for j in range(data.draw(st.integers(1, 8), label="probes")):
+        cells_rho = 2 * data.draw(st.integers(1, cells // 4), label=f"rho/2 {j}")
+        center = tuple(
+            float(grid.axis(d)[data.draw(st.integers(cells_rho, cells - cells_rho), label=f"c{d} {j}")])
+            for d in range(dim)
+        )
+        k0 = data.draw(st.integers(0, nlevels - 1), label=f"k0 {j}")
+        k1 = data.draw(st.integers(k0, nlevels - 1), label=f"k1 {j}")
+        window = (float(clean.times[k0]) - 1e-3, float(clean.times[k1]))
+        sigma = data.draw(st.sampled_from((0.0, 0.5)), label=f"sigma {j}")
+        probes.append((center, cells_rho * grid.spacing, sigma, window))
+    blocks = [probe_block(clean, *probe) for probe in probes]
+    # the bounding block of the probes' K_2rho x levels, as (first, last) per slab axis
+    spans = [(min(b[4][0] for b in blocks), max(b[4][-1] for b in blocks))] + [
+        (min(b[2][d].start for b in blocks), max(b[2][d].stop - 1 for b in blocks))
+        for d in range(dim)
+    ]
+    values = clean.values.copy()
+    bad = []
+    for i in range(data.draw(st.integers(1, 3), label="bad nodes")):
+        node = tuple(
+            data.draw(st.integers(a, b), label=f"node {i} axis {d}") for d, (a, b) in enumerate(spans)
+        )
+        values[node] = data.draw(st.sampled_from((np.nan, np.inf, 0.0, -1.0)), label=f"value {i}")
+        bad.append(node)
+    slab = SpaceTimeSlab(grid, clean.times, values)
+    for budget in (functionals._CHUNK_DOUBLES, 1):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = functionals._probe_stats(slab, blocks, m)
+            for stats, block in zip(got, blocks):
+                (one,) = functionals._probe_stats(slab, [block], m)
+                holds = any(
+                    block[4][0] <= k <= block[4][-1]
+                    and all(s.start <= i < s.stop for s, i in zip(block[2], rest))
+                    for k, *rest in bad
+                )
+                assert isinstance(one, functionals.ParameterError) is holds, (budget, block)
+                if holds:
+                    assert type(stats) is type(one) and str(stats) == str(one), (budget, block)
+                else:
+                    assert stats == pytest.approx(one, rel=1e-12), (budget, block)
 
 
 def test_sweep_memory_is_one_chunk_budget_however_many_levels():

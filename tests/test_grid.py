@@ -213,6 +213,18 @@ def test_slab_times_follow_the_same_rule():
     assert not np.shares_memory(SpaceTimeSlab(g, writable, slab.values).times, writable)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_slab_rejects_times_that_are_not_finite(at, bad):
+    # [0, 0.1, inf] passed the uniform-step check, as inf > inf is False; a NaN passed
+    # both the increase and the uniform-step checks
+    g = Grid.regular(2, 1.0, 0.25)
+    times = np.linspace(0.0, 0.4, 5)
+    times[at] = bad
+    with pytest.raises(ParameterError, match="slab times must be finite"):
+        SpaceTimeSlab(g, times, np.ones((5,) + g.shape))
+
+
 def test_slab_io_roundtrip(tmp_path):
     g = Grid.regular(2, 0.5, 1.0 / 16)
     rng = np.random.default_rng(1)

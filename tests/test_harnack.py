@@ -32,10 +32,8 @@ from logdiff.functionals import flux_l1
 from logdiff.grid import Field, SpaceTimeSlab
 from logdiff.harnack import (
     energy_lemma_batch,
-    energy_lemma_pme_batch,
     flux_corollary_batch,
     l1_harnack_batch,
-    l1_harnack_pme_batch,
 )
 from logdiff.solvers import SolverConfig
 
@@ -223,7 +221,7 @@ def test_batches_report_each_probe_as_its_single_check(lump_slab_32):
     cases = {
         "l1": (l1_harnack_batch(slab, probes), lambda c, r, w: check_l1_harnack(slab, c, r, w)),
         "l1-pme": (
-            l1_harnack_pme_batch(slab, 0.3, probes),
+            l1_harnack_batch(slab, probes, 0.3),
             lambda c, r, w: check_l1_harnack_pme(slab, 0.3, c, r, w),
         ),
         "energy": (
@@ -231,7 +229,7 @@ def test_batches_report_each_probe_as_its_single_check(lump_slab_32):
             lambda c, r, w: check_energy_lemma(slab, c, r, 0.5, w),
         ),
         "energy-pme": (
-            energy_lemma_pme_batch(slab, 0.3, probes, 0.5),
+            energy_lemma_batch(slab, probes, 0.5, 0.3),
             lambda c, r, w: check_energy_lemma_pme(slab, 0.3, c, r, 0.5, w),
         ),
         "flux": (

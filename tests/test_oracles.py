@@ -1,5 +1,7 @@
 """Exact solution fixtures and the residual order gate."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,19 @@ def test_fixture_registry():
         build_fixture("nope")
     with pytest.raises(ParameterError):
         build_fixture("lump2d", bogus=1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, f) for name, cls in FIXTURES.items() for f in fields(cls)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_every_fixture_rejects_a_parameter_that_is_not_finite(name, field, bad):
+    # a NaN passed every check of the form c <= 0, and inf the ones of the form c > 0
+    value = (1.0, bad) if isinstance(field.default, tuple) else bad
+    with pytest.raises(ParameterError, match=f"{name} needs a finite {field.name}"):
+        build_fixture(name, **{field.name: value})
 
 
 def test_lump_formula_and_domain():

@@ -777,7 +777,8 @@ def test_extrapolated_start_costs_few_newton_steps_on_a_coarse_grid(c):
 @pytest.mark.parametrize("entry", ["import", "verify", "oracle-check"])
 def test_the_cli_loads_no_scipy_until_it_solves(entry, tmp_path):
     # the checkers import solvers for QuasilinearFlux and _beta; scipy.sparse
-    # loads only where an operator is built
+    # loads only where an operator is built.  numpy.ma, which np.unique imports on
+    # first use, is not loaded either
     grid = Grid.regular(2, 1.0, 1.0 / 8)
     slab = Lump2D(c=1.0, T=1.0).sample_slab(grid, np.linspace(0.0, 0.25, 9))
     write_slab(slab, tmp_path / "lump.slab")
@@ -789,13 +790,13 @@ def test_the_cli_loads_no_scipy_until_it_solves(entry, tmp_path):
         "oracle-check": ["oracle-check", "lump2d", "--meshes", "8", "16", *out],
     }[entry]
     run = "" if argv is None else f"assert logdiff.cli.main({argv!r}) == 0; "
-    code = f"import sys, logdiff.cli; {run}print('scipy' in sys.modules)"
+    code = f"import sys, logdiff.cli; {run}print('scipy' in sys.modules, 'numpy.ma' in sys.modules)"
     src = str(Path(solvers.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip().splitlines()[-1] == "False"
+    assert done.stdout.strip().splitlines()[-1] == "False False"
 
 
 def _direct_solve(self, u, r, atol, theta):
