@@ -22,10 +22,11 @@ a config error.
 ``[verify] m`` is set, by the pme verify kinds.
 
 Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range, a
-``[verify] m`` outside a power kind's range, and ``--meshes`` below 2 cells or
-repeated, among them), 3 solver failure (stderr names the failing step and its
-Newton residual max-norms), 4 I/O error (a slab that cannot be read; an output
-that cannot be written, caught before any work).
+``[verify] m``, ``sigma``, ``q``, ``eps``, ``p`` or ``r`` outside the range its
+kind takes, and ``--meshes`` below 2 cells or repeated, among them), 3 solver
+failure (stderr names the failing step and its Newton residual max-norms), 4 I/O
+error (a slab that cannot be read; an output that cannot be written, caught
+before any work).
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .harnack import (
     _attempt,
     _energy_power_m,
     _l1_power_m,
+    _pointwise_constants,
     check_flux_corollary,
     check_pointwise_harnack,
     distributional_identity_check,
@@ -291,17 +293,26 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _each(check):
-    """A batch that runs ``check(slab, center, rho, window, opts)`` probe by probe."""
-    return lambda s, probes, o: [_attempt(check, s, *probe, o) for probe in probes]
+def _each(check, constants):
+    """A batch that checks the run's constants once, ``constants(slab, opts)``, then runs
+    ``check(slab, center, rho, window, opts)`` probe by probe."""
+
+    def batch(s, probes, o):
+        constants(s, o)
+        return [_attempt(check, s, *probe, o) for probe in probes]
+
+    return batch
 
 
 # verify kind -> (report class, radius scale for sampled probes, batch).  A batch
 # takes (slab, probes, opts), probes a list of (center, rho, window) and opts the
 # [verify] values, and returns per probe its report or the GeometryError or
-# ParameterError it raised.  The l1, energy and flux kinds read their statistics
-# in one sweep per batch.  Sampled radii shrink where the check needs room around
-# the probe (8x cube for pointwise, 4x for energy), keeping every cube mesh-aligned.
+# ParameterError it raised; it checks the constants all its probes share (m, sigma,
+# q, eps, p, r, as the kind reads them) once and raises their ParameterError, a
+# config error.  The l1, energy and flux kinds read their statistics in one sweep
+# per batch, and the flux kind its left-hand side in a second one.  Sampled radii
+# shrink where the check needs room around the probe (8x cube for pointwise, 4x for
+# energy), keeping every cube mesh-aligned.
 _VERIFY = {
     "l1": (HarnackReport, 1.0, lambda s, probes, o: l1_harnack_batch(s, probes)),
     "l1-pme": (
@@ -309,9 +320,12 @@ _VERIFY = {
     ),
     "pointwise": (
         PointwiseHarnackReport, 0.25,
-        _each(lambda s, c, rho, w, o: check_pointwise_harnack(
-            s, c, w[1], rho, q=o.q, eps=o.eps, p=o.p, r=o.r
-        )),
+        _each(
+            lambda s, c, rho, w, o: check_pointwise_harnack(
+                s, c, w[1], rho, q=o.q, eps=o.eps, p=o.p, r=o.r
+            ),
+            lambda s, o: _pointwise_constants(s.grid.dim, o.q, o.eps, o.p, o.r),
+        ),
     ),
     "energy": (
         EnergyReport, 0.5, lambda s, probes, o: energy_lemma_batch(s, probes, o.sigma)
@@ -326,9 +340,12 @@ _VERIFY = {
     ),
     "distributional": (
         DistributionalCheck, 1.0,
-        _each(lambda s, c, rho, w, o: distributional_identity_check(
-            Cutoff(c, rho, o.sigma), s.grid, v_field=s.values[-1]
-        )),
+        _each(
+            lambda s, c, rho, w, o: distributional_identity_check(
+                Cutoff(c, rho, o.sigma), s.grid, v_field=s.values[-1]
+            ),
+            lambda s, o: Cutoff(s.grid.center, 1.0, o.sigma),  # refuses a sigma no cutoff takes
+        ),
     ),
 }
 VERIFY_KINDS = tuple(_VERIFY)

@@ -16,11 +16,12 @@ that is larger), so work buffers stay cache-sized however long the window is.
 Integrands are written in place into one buffer per call and integrated per
 level in one product with flattened trapezoid weights; sups, infs and time
 integrals are numpy reductions too, so a NaN sample makes the result NaN.
-``_CHUNK_DOUBLES = 1 << 15`` also sizes the level chunk of the statistics
-sweep (:func:`_probe_stats`), which reads a batch's bounding block half as
-many levels at a time, since it holds two buffers of three planes: at most
-768 KiB in all, which fits a 2 MiB per-core L2.  A chunk split can move a
-per-level sum by an ulp: BLAS groups matrix rows.
+``_CHUNK_DOUBLES = 1 << 15`` also sizes the level chunk of the two batch sweeps
+(:func:`_probe_stats`, :func:`_flux_integrals`), which read a batch's bounding
+block half as many levels at a time, since each holds two buffers, of three
+planes in the statistics sweep (at most 768 KiB in all, which fits a 2 MiB
+per-core L2) and of one in the flux sweep.  A chunk split can move a per-level
+sum by an ulp: BLAS groups matrix rows.
 
 Resolve-once rule: the private kernels take resolved blocks, a cube's snapped
 slices ``nodes`` (:meth:`Grid.cube_slices`) and a window's level indices
@@ -35,27 +36,34 @@ anything on a whole level and slices it afterwards: powers, logarithms and
 cutoff weights are applied to the cube's nodes only, gradients are
 differenced at the cube's nodes from one neighbour on each side
 (:func:`logdiff.grid.gradient_at`, per chunk, in the energy and flux
-integrals only), and node coordinates are built only for the cube, only when
-a flux coefficient needs them.  The statistics sweep reads the block that
-bounds a batch's ``K_2rho`` cubes once over the batch's levels, plus O(1)
-per probe and level; a batch of one reads its own ``K_2rho`` only.
+integrals only), and node coordinates are built only for the block a callable
+flux coefficient is sampled on.  The statistics sweep reads the block that
+bounds a batch's ``K_2rho`` cubes once over the batch's levels, the flux
+sweep the block that bounds its ``K_rho`` cubes and one node around it, plus
+O(1) per probe and level; a batch of one reads its own cubes only.
 
-The checkers' per-probe statistics come from two kernels.  :func:`_probe_stats`
+The checkers' per-probe statistics come from three kernels.  :func:`_probe_stats`
 serves a batch of probes in one level sweep (summed-area tables; F. C. Crow,
 SIGGRAPH 1984): per chunk of levels it writes u, the oscillation integrand
 ``g_t`` at each level's max ``t`` over the bounding block and its square into
 one buffer, takes their running trapezoid sums along every axis at the
 probes' cube corners only, and reads each probe's ``K_2rho`` and
-``K_(1+sigma)rho`` integrals by 2^d-term inclusion-exclusion.  An exact
-identity moves those to the probe's sup ``M``, one read-only max over its own
-cylinder, into running per-probe maxima and minima.  A block that holds a node
-that is not finite and positive falls back to each probe's batch of one, which
-fails exactly when its own cylinder holds the node.  :func:`_power_oscillation`
-gives the pointwise check ``M`` and ``lambda_p`` over ``K_8rho x window``:
-``M`` from the chunk's copy (or a read-only pre-pass over several chunks),
-then ``|ln M - ln u|`` and its p-th power in one buffer.  A whole ``p`` up to
-64 is taken by repeated squaring (:func:`_power_into`; Knuth, TAOCP vol. 2,
-4.6.3), any other by ``np.power``.
+``K_(1+sigma)rho`` integrals by 2^d-term inclusion-exclusion
+(:func:`_box_integrals`).  An exact identity moves those to the probe's sup
+``M``, one read-only max over its own cylinder, into running per-probe maxima
+and minima.  :func:`_flux_integrals` reads the flux corollary's left-hand
+side the same way: per chunk ``beta'(u) |a Du|`` on the block that bounds the
+batch's ``K_rho``, each probe's cube integral from the same corner sums, and
+a time trapezoid per probe over its own levels; the energy left-hand side
+stays per probe.  A block that holds a node that is not finite and positive
+(or, in the flux sweep, a callable ``a_d`` outside its structure interval)
+falls back to each probe's batch of one, which fails exactly when its own
+cylinder holds the node.  :func:`_power_oscillation` gives the pointwise check
+``M`` and ``lambda_p`` over ``K_8rho x window``: ``M`` from the chunk's copy
+(or a read-only pre-pass over several chunks), then ``|ln M - ln u|`` and its
+p-th power in one buffer.  A whole ``p`` up to 64 is taken by repeated
+squaring (:func:`_power_into`; Knuth, TAOCP vol. 2, 4.6.3), any other by
+``np.power``.
 
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
@@ -146,11 +154,12 @@ def _check_finite(**values) -> None:
             raise ParameterError(f"{name} must be finite, got {value:.6g}")
 
 
-def _not_positive(center, edge: float) -> ParameterError:
+def _not_positive(center, edge: float, where: str = "") -> ParameterError:
     """The error of a probe whose cube of edge ``edge`` holds a node that is not
-    finite and positive."""
+    finite and positive; ``where`` names other nodes the probe reads."""
     return ParameterError(
         f"u must be finite and positive on the cube of edge {edge:.6g} at {_point_str(center)}"
+        + where
     )
 
 
@@ -325,27 +334,6 @@ def moment_scaling_exponent(N: int, m: float, r: float) -> float:
     return val
 
 
-def _space_time_integral(
-    slab: SpaceTimeSlab, nodes, levels, integrand, what: str, weights=1.0, a=None
-) -> float:
-    """Trapezoid in time of the integrals over ``nodes`` (:func:`_level_integrals`) of
-    ``integrand(u, sq, out)``, with ``sq = sum_d (a_d du/dx_d)^2`` of each chunk there
-    and ``a_d = a(d, ks)`` on the chunk's levels (1 if ``a`` is None)."""
-    if levels.size < 2:
-        raise ParameterError(f"{what} window needs at least two levels")
-
-    def chunk(ks, u, out):
-        grads = gradient_at(slab.values[ks], slab.grid, nodes)  # fresh: squared and summed in place
-        for d, g in enumerate(grads):
-            np.square(g if a is None else np.multiply(g, a(d, ks), out=g), out=g)
-        sq, *rest = grads
-        for g in rest:
-            sq += g
-        return integrand(u, sq, out)
-
-    return float(_trapezoid(_level_integrals(slab, nodes, levels, chunk, weights), slab.dt))
-
-
 def gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float = 0.0) -> float:
     """Space-time integral of ``zeta^2 |Du|^2 / u^(2 - m/2)`` over the cutoff support
     (``|Du|^2 / u^2`` at ``m = 0``): trapezoid in time over the window levels, discrete
@@ -358,52 +346,29 @@ def gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, window, m: float = 0.0)
 
 def _gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, nodes, levels, m: float) -> float:
     """:func:`gradient_energy` on the support cube's snapped ``nodes`` at ``levels``."""
+    if levels.size < 2:
+        raise ParameterError("energy window needs at least two levels")
     zeta_sq = cutoff.block(slab.grid, nodes) ** 2
 
-    def density(u, sq, out):  # |Du|^2 / u^(2 - m/2); zeta^2 goes into the node weights
+    def density(ks, u, out):  # |Du|^2 / u^(2 - m/2); zeta^2 goes into the node weights
+        # fresh gradients, squared and summed in place
+        sq, *rest = (np.square(g, out=g) for g in gradient_at(slab.values[ks], slab.grid, nodes))
+        for g in rest:
+            sq += g
         return np.divide(sq, np.power(u, 2.0 - m / 2.0, out=out), out=out)
 
-    return _space_time_integral(slab, nodes, levels, density, "energy", zeta_sq.ravel())
+    vals = _level_integrals(slab, nodes, levels, density, zeta_sq.ravel())
+    return float(_trapezoid(vals, slab.dt))
 
 
 def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
     """``(1/rho) * int int_{K_rho} |A| dx dtau`` for the flux ``A_d = a_d beta'(u)
     du/dx_d`` of ``flux`` (``a = 1`` for the model kinds).  ParameterError if
     some ``a_d`` leaves the structure interval ``[c_o, c_1]``, as in the
-    solvers."""
+    solvers, or u is not finite and positive where the integral reads it."""
     levels = slab.window_indices(*_window(window))
-    return _flux_integral(slab, flux, slab.grid.cube_slices(Cube(tuple(center), rho)), levels) / rho
-
-
-def _flux_integral(slab: SpaceTimeSlab, flux, nodes, levels) -> float:
-    """``int int |A| dx dtau`` of :func:`flux_l1` over the snapped ``nodes`` at ``levels``."""
-    grid = slab.grid
-    shape = tuple(s.stop - s.start for s in nodes)
-    # constant a_d are checked once, callable ones at every level they are sampled
-    a = [
-        a_d if callable(a_d) else float(flux.checked(axis, a_d))
-        for axis, a_d in enumerate(flux.coefficients(grid.dim))
-    ]
-    beta_prime = flux.beta()[1]
-    if any(callable(a_d) for a_d in a):
-        coords = np.broadcast_arrays(*grid.block_axes(nodes))
-        flat = np.stack(coords, axis=-1).reshape(-1, grid.dim)
-
-    def coefficient(axis, ks):
-        a_d = a[axis]
-        if not callable(a_d):
-            return a_d
-        # one value for all points broadcasts, as in the solvers
-        return np.stack([
-            np.broadcast_to(flux.checked(axis, a_d(flat, float(t)), float(t)), len(flat))
-            .reshape(shape)
-            for t in slab.times[ks]
-        ])
-
-    def magnitude(u, sq, out):  # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
-        return np.multiply(np.sqrt(sq, out=out), beta_prime(u), out=out)
-
-    return _space_time_integral(slab, nodes, levels, magnitude, "flux", a=coefficient)
+    nodes = slab.grid.cube_slices(Cube(tuple(center), rho))
+    return _only(_flux_integrals(slab, flux, [(center, rho, nodes, levels)])) / rho
 
 
 def _probe_nodes(grid, center, rho: float, sigma: float):
@@ -429,6 +394,50 @@ def _running_weights(n: int, at: tuple) -> np.ndarray:
     return W
 
 
+def _box_integrals(ends):
+    """``(box, integrals)`` for the node boxes ``ends`` of a batch, shaped ``(probes, boxes,
+    dim, 2)``: each box's first and last node per axis.  ``box`` slices the block that
+    bounds them all, and ``integrals(q, pair)`` gives the trapezoid integrals, without the
+    ``h^d``, of each plane of ``q``, shaped ``(..., *block)``, over every box, shaped
+    ``(..., boxes, probes)``.
+
+    A product with :func:`_running_weights` per axis takes the running sums of ``q`` at the
+    boxes' corners only, and 2^d of them, signed ``-`` at a box's first node on an axis and
+    ``+`` at its last, give each box's integral (summed-area tables; F. C. Crow, SIGGRAPH
+    1984).  ``q`` is the first row of ``pair``, two buffers of ``q``'s size: each stage of
+    the products is written into the row the one before it read, so ``q`` is overwritten.
+    """
+    n, k, dim = ends.shape[:3]
+    origin = ends[..., 0].min(axis=(0, 1))
+    box = tuple(slice(a, b + 1) for a, b in zip(origin, ends[..., 1].max(axis=(0, 1))))
+    shape = tuple(s.stop - s.start for s in box)
+    ends = ends - origin[:, None]
+    at = [tuple(sorted(set(ends[:, :, d].ravel().tolist()))) for d in range(dim)]
+    weights = [_running_weights(size, a) for size, a in zip(shape, at)]
+    # the 2^d corners of each box as flat indices into the running sums, the last axis
+    # fastest, and their signs
+    flat, sign = np.zeros((n, k, 1), dtype=np.intp), np.ones(1)
+    for d, a in enumerate(at):
+        pos = np.searchsorted(a, ends[:, :, d]).reshape(n, k, 1, 2)  # (probe, box, 1, end)
+        flat = (flat[..., None] * len(a) + pos).reshape(n, k, -1)
+        sign = np.multiply.outer(sign, (-1.0, 1.0)).ravel()
+    corners = flat.swapaxes(0, 1).ravel()
+
+    def integrals(q, pair):
+        lead = q.shape[: q.ndim - dim]
+        # running sums along the last axis, then along each axis before it
+        rows, tail = q.reshape(-1, shape[-1]), len(at[-1])
+        x = np.matmul(rows, weights[-1], out=pair[1, : len(rows) * tail].reshape(len(rows), tail))
+        for j, (w, n_d) in enumerate(zip(weights[-2::-1], shape[-2::-1])):
+            x = x.reshape(-1, n_d, tail)
+            into = pair[j % 2, : len(x) * w.shape[1] * tail].reshape(len(x), w.shape[1], tail)
+            x, tail = np.matmul(w.T, x, out=into), tail * w.shape[1]
+        sums = np.take(x.reshape(math.prod(lead), -1), corners, axis=1)
+        return sums.reshape(*lead, k, n, -1) @ sign
+
+    return box, integrals
+
+
 def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of each probe
     ``(center, rho, outer, inner, levels)``, or the ParameterError of a probe whose
@@ -443,9 +452,8 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
 
     One sweep serves the batch: each chunk of its levels is read once over the block
     that bounds the probes' ``outer``, into one buffer of u, ``g_t`` and ``g_t^2``
-    (:func:`_osc_integrand` at each level's max ``t`` there).  A product with
-    :func:`_running_weights` per axis takes their running sums at the probes' corners
-    only, and 2^d of them give each box's integrals.  Those move to the probe's ``M``
+    (:func:`_osc_integrand` at each level's max ``t`` there), whose integrals over each
+    probe's two boxes :func:`_box_integrals` reads.  Those move to the probe's ``M``
     exactly, ``g_M = c + a g_t`` with ``c = g_M(t)`` and ``a = 1 - e c > 0``, into
     running maxima and minima: no probes x levels table.  A chunk with a node that is
     not finite and positive ends the sweep: a batch of one, whose block is its own
@@ -459,23 +467,11 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     # M: one read-only max over each probe's own cylinder; a bad one ends the sweep
     M = np.array([slab.values[(slice(a, b + 1),) + p[2]].max() for a, b, p in zip(first, last, probes)])
     ln_M = np.log(np.where((M > 0.0) & (M < math.inf), M, 1.0))
-    # each box's first and last node per axis, K_2rho then K_(1+sigma)rho: (probes, dim, 4)
-    ends = np.array([[(o.start, o.stop - 1, i.start, i.stop - 1) for o, i in zip(p[2], p[3])]
-                     for p in probes])
-    origin = ends[:, :, 0].min(axis=0)
-    box = tuple(slice(a, b + 1) for a, b in zip(origin, ends[:, :, 1].max(axis=0)))
+    # K_2rho, then K_(1+sigma)rho
+    box, integrals = _box_integrals(
+        np.array([[[(s.start, s.stop - 1) for s in nodes] for nodes in p[2:4]] for p in probes])
+    )
     shape = tuple(s.stop - s.start for s in box)
-    ends -= origin[:, None]
-    at = [tuple(sorted(set(ends[:, d].ravel().tolist()))) for d in range(dim)]
-    weights = [_running_weights(k, a) for k, a in zip(shape, at)]
-    # the 2^d corners of both boxes as flat indices into the running sums, the last axis
-    # fastest, and their signs: - at a box's first node on an axis, + at its last
-    flat, sign = np.zeros((n, 2, 1), dtype=np.intp), np.ones(1)
-    for d, a in enumerate(at):
-        pos = np.searchsorted(a, ends[:, d]).reshape(n, 2, 1, 2)  # (probe, box, 1, end)
-        flat = (flat[..., None] * len(a) + pos).reshape(n, 2, -1)
-        sign = np.multiply.outer(sign, (-1.0, 1.0)).ravel()
-    corners = flat.swapaxes(0, 1).ravel()
 
     h_d = grid.spacing**dim
     V = np.array([_block_volume(p[2], grid.spacing) for p in probes])
@@ -499,16 +495,7 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
             return [_probe_stats(slab, [p], m)[0] for p in probes]
         _osc_integrand(q[0], np.log(t).reshape((-1,) + (1,) * dim), e, q[1])
         np.square(q[1], out=q[2])
-        # running sums along the last axis, then along each axis before it, each stage
-        # written into the buffer the one before it read
-        rows, tail = q.reshape(-1, shape[-1]), len(at[-1])
-        x = np.matmul(rows, weights[-1], out=pair[1, : len(rows) * tail].reshape(len(rows), tail))
-        for j, (w, n_d) in enumerate(zip(weights[-2::-1], shape[-2::-1])):
-            x = x.reshape(-1, n_d, tail)
-            into = pair[j % 2, : len(x) * w.shape[1] * tail].reshape(len(x), w.shape[1], tail)
-            x, tail = np.matmul(w.T, x, out=into), tail * w.shape[1]
-        sums = np.take(x.reshape(3 * len(u), -1), corners, axis=1)
-        sums = sums.reshape(3, len(u), 2, n, -1) @ sign * h_d  # (3, levels, 2, probes)
+        sums = integrals(q, pair) * h_d  # (3, levels, 2, probes)
         (mass, inner), (g1, _), (g2, _) = sums.swapaxes(1, 2)
         c = _osc_integrand(t[:, None], ln_M, e, np.empty((len(u), n)))  # g_M(t)
         a = 1.0 - e * c
@@ -525,6 +512,91 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     # x -> x / scale and sqrt are monotone in floating point, so they commute with max
     stats = (M, osc1 / scale, np.sqrt(osc2 / scale), s_sigma, inf_mass)
     return list(zip(*(x.tolist() for x in stats)))
+
+
+def _flux_integrals(slab: SpaceTimeSlab, flux, blocks) -> list:
+    """``int int |A| dx dtau`` of :func:`flux_l1` over each probe ``(center, rho, nodes,
+    levels)`` of ``blocks``, ``nodes`` its snapped ``K_rho``, or the ParameterError it
+    raises: fewer than two levels, a callable ``a_d`` outside the structure interval on
+    its levels, or a node that is not finite and positive in ``nodes`` or next to them,
+    where the gradient reads.  A constant ``a_d`` outside it raises.
+
+    One sweep serves the batch: each chunk of its levels is read once over the block that
+    bounds the probes' ``nodes``, whose gradient :func:`logdiff.grid.gradient_at` takes as
+    on the whole level; ``beta'(u) |a Du|`` goes into one buffer, whose integral over each
+    probe's cube :func:`_box_integrals` reads at each level, and each probe sums its own
+    levels by the trapezoid rule.  A callable ``a_d`` is sampled on the block's nodes at
+    each level, one value broadcasting as in the solvers.  A refused ``a_d`` or a bad
+    node ends the sweep: a batch of one, whose block is its own ``K_rho``, returns its
+    error, a larger batch each probe's batch of one.
+    """
+    grid = slab.grid
+    # a constant a_d is checked once and raises, as every probe shares it; a callable one
+    # is checked at every level it is sampled
+    a = [
+        a_d if callable(a_d) else float(flux.checked(axis, a_d))
+        for axis, a_d in enumerate(flux.coefficients(grid.dim))
+    ]
+    short = [b[3].size < 2 for b in blocks]
+    if any(short):
+        rest = iter(_flux_integrals(slab, flux, [b for b, s in zip(blocks, short) if not s]))
+        return [
+            ParameterError("flux window needs at least two levels") if s else next(rest)
+            for s in short
+        ]
+    if not blocks:
+        return []
+    n, beta_prime = len(blocks), flux.beta()[1]
+    first = np.array([b[3][0] for b in blocks])
+    last = np.array([b[3][-1] for b in blocks])
+    ends = [[[(s.start, s.stop - 1) for s in b[2]]] for b in blocks]
+    box, integrals = _box_integrals(np.array(ends))
+    shape = tuple(s.stop - s.start for s in box)
+    size = math.prod(shape)
+    # the nodes the gradient reads: the block and one more on each side, inside the grid
+    near = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, grid.npts)) for s in box)
+    if any(callable(a_d) for a_d in a):
+        points = np.stack(np.broadcast_arrays(*grid.block_axes(box)), axis=-1)
+        points = points.reshape(-1, grid.dim)
+    total = np.zeros(n)
+    k0, k1 = int(first.min()), int(last.max()) + 1
+    # two buffers of a chunk's plane, the second for the running sums, hold at most
+    # _CHUNK_DOUBLES values, and so do the gradients and beta'(u) in 2D
+    step = max(1, _CHUNK_DOUBLES // (2 * size))
+    pair = np.empty((2, min(step, k1 - k0) * size))
+    for k in range(k0, k1, step):
+        ks = slice(k, min(k + step, k1))
+        try:
+            read = slab.values[(ks,) + near]
+            if not (read.min() > 0.0 and read.max() < math.inf):
+                raise _not_positive(blocks[0][0], blocks[0][1], " or next to it")
+            coefficients = [
+                a_d if not callable(a_d) else np.stack([
+                    np.broadcast_to(flux.checked(axis, a_d(points, float(t)), float(t)), size)
+                    .reshape(shape)
+                    for t in slab.times[ks]
+                ])
+                for axis, a_d in enumerate(a)
+            ]
+        except ParameterError as exc:
+            # a batch of one fails, a larger one is read probe by probe
+            if n == 1:
+                return [ParameterError(*exc.args)]
+            return [_flux_integrals(slab, flux, [b])[0] for b in blocks]
+        # fresh gradients: weighted, squared and summed in place
+        grads = gradient_at(slab.values[ks], grid, box)
+        for g, a_d in zip(grads, coefficients):
+            np.square(np.multiply(g, a_d, out=g), out=g)
+        sq, *rest = grads
+        for g in rest:
+            sq += g
+        # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
+        q = pair[0, : sq.size].reshape(sq.shape)
+        np.multiply(np.sqrt(sq, out=sq), beta_prime(slab.values[(ks,) + box]), out=q)
+        lvl = np.arange(k, ks.stop)[:, None]
+        w = ((lvl >= first) & (lvl <= last)) - 0.5 * (lvl == first) - 0.5 * (lvl == last)
+        total += (integrals(q, pair)[:, 0] * w).sum(axis=0)
+    return (total * (grid.spacing**grid.dim * slab.dt)).tolist()
 
 
 def _only(results):

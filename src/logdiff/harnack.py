@@ -14,10 +14,16 @@ that check and the one checker, kept only as the names msweep's tracer times.
 
 The l1, energy and flux checks run on batches of probes ``(center, rho,
 window)``: each probe is resolved, one sweep of
-``functionals._probe_stats`` reads the statistics of all of them, and each is
-finished into its report.  A batch returns, per probe, the report or the
-GeometryError or ParameterError that probe raises, so one bad probe does not
-end its batch; the single-probe checks are the batch of one and raise it.
+``functionals._probe_stats`` reads the statistics of all of them, the flux
+check's second sweep, ``functionals._flux_integrals``, the left-hand sides of
+those still standing, and each is finished into its report.  A batch checks
+the constants its probes share (``m``, ``sigma``, the time exponent
+``N(m-1) + 2`` and a flux's constant coefficients) once and raises their
+ParameterError; per probe it returns the report or the GeometryError or
+ParameterError that probe raises, so one bad probe does not end its batch.
+The single-probe checks are the batch of one and raise it.
+:func:`_pointwise_constants` is the pointwise check's run-wide check, which
+``verify`` makes once too.
 
 Report objects are flat dataclasses subclassing :class:`logdiff.reporting.Row`,
 whose ``to_row()`` serializes batches to deterministic CSV rows.  Unused
@@ -45,7 +51,7 @@ from .functionals import (
     _check_finite,
     _check_m,
     _degeneracy_ratio,
-    _flux_integral,
+    _flux_integrals,
     _gradient_energy,
     _intrinsic_window,
     _only,
@@ -54,6 +60,7 @@ from .functionals import (
     _probe_stats,
     _window,
     ess_sup,
+    moment_scaling_exponent,
     time_scaling_exponent,
 )
 from .reporting import Row
@@ -90,21 +97,25 @@ def _attempt(fn, *args):
         return type(exc)(*exc.args)
 
 
-def _batch(slab: SpaceTimeSlab, probes, resolve, m: float) -> list:
-    """``resolve(center, rho, window)`` of each probe gives its ``_probe_stats`` block
-    and a ``finish`` of its statistics; the blocks of the probes that resolve share one
-    sweep at exponent ``m`` (0: the log means), and each result is a report or the
-    error its probe raised first."""
+def _batch(slab: SpaceTimeSlab, probes, resolve, m: float, *sweeps) -> list:
+    """``resolve(center, rho, window)`` of each probe gives its blocks, one for the
+    ``_probe_stats`` sweep at exponent ``m`` (0: the log means) and one for each of
+    ``sweeps``, and a ``finish`` of its statistics and then of one value per sweep.  Each
+    sweep reads the blocks of the probes still standing at once, and each result is a
+    report or the error its probe raised first."""
     resolved = [_attempt(resolve, *probe) for probe in probes]
-    ok = [r for r in resolved if not isinstance(r, Exception)]
-    stats = iter(_probe_stats(slab, [block for block, _ in ok], m))
-    out = []
-    for r in resolved:
-        if not isinstance(r, Exception):
-            got = next(stats)
-            r = got if isinstance(got, Exception) else _attempt(r[1], *got)
-        out.append(r)
-    return out
+    got = [[] for _ in probes]
+    for j, sweep in enumerate((lambda blocks: _probe_stats(slab, blocks, m), *sweeps)):
+        live = [i for i, r in enumerate(resolved) if not isinstance(r, Exception)]
+        for i, value in zip(live, sweep([resolved[i][0][j] for i in live])):
+            if isinstance(value, Exception):
+                resolved[i] = value
+            else:
+                got[i].append(value)
+    return [
+        r if isinstance(r, Exception) else _attempt(r[1], *values[0], *values[1:])
+        for r, values in zip(resolved, got)
+    ]
 
 
 def _l1_power_m(m: float) -> float:
@@ -165,16 +176,16 @@ def check_l1_harnack(
 def l1_harnack_batch(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     """:func:`check_l1_harnack` of each ``(center, rho, window)`` of ``probes`` in one
     statistics sweep: its report, or the error it raises."""
-    return _batch(slab, probes, lambda *probe: _l1_probe(slab, m, *probe), 0.0)
-
-
-def _l1_probe(slab: SpaceTimeSlab, m: float, center, rho: float, window):
-    """The resolve step of :func:`check_l1_harnack`: ``(block, finish)``."""
     _check_m(m)
+    lam = _time_exponent(slab.grid.dim, m)
+    return _batch(slab, probes, lambda *probe: _l1_probe(slab, m, lam, *probe), 0.0)
+
+
+def _l1_probe(slab: SpaceTimeSlab, m: float, lam: float, center, rho: float, window):
+    """The resolve step of :func:`check_l1_harnack`: ``(blocks, finish)``."""
     if not 0.0 < rho < math.inf:
         raise ParameterError(f"rho must be finite and positive, got {rho:.6g}")
     t0, t1, levels = _check_window(slab, window)
-    lam = _time_exponent(slab.grid.dim, m)
     rhs_time = ((t1 - t0) / rho**lam) ** (1.0 / (1.0 - m))
 
     def finish(M, l1, l2, lhs, rhs_mass):
@@ -195,7 +206,7 @@ def _l1_probe(slab: SpaceTimeSlab, m: float, center, rho: float, window):
             lambda_2=l2,
         )
 
-    return (center, rho, *_probe_nodes(slab.grid, center, rho, 0.0), levels), finish
+    return ((center, rho, *_probe_nodes(slab.grid, center, rho, 0.0), levels),), finish
 
 
 # the _pme guards stay only because limit_m binds them, which benchmarks/tracing.py needs
@@ -259,15 +270,15 @@ def check_energy_lemma(
 def energy_lemma_batch(slab: SpaceTimeSlab, probes, sigma: float, m: float = 0.0) -> list:
     """:func:`check_energy_lemma` of each ``(center, rho, window)`` of ``probes`` in one
     statistics sweep: its report, or the error it raises."""
-    return _batch(slab, probes, lambda *probe: _energy_probe(slab, m, sigma, *probe), m)
-
-
-def _energy_probe(slab: SpaceTimeSlab, m: float, sigma: float, center, rho: float, window):
-    """The resolve step of :func:`check_energy_lemma`: ``(block, finish)``."""
     if not 0.0 <= m < 2.0 / 3.0:
         raise ParameterError(f"the energy bound needs 0 <= m < 2/3, got {m:.6g}")
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1) for the energy bound")
+    return _batch(slab, probes, lambda *probe: _energy_probe(slab, m, sigma, *probe), m)
+
+
+def _energy_probe(slab: SpaceTimeSlab, m: float, sigma: float, center, rho: float, window):
+    """The resolve step of :func:`check_energy_lemma`: ``(blocks, finish)``."""
     t0, t1, levels = _check_window(slab, window)
     slab.grid.cube_slices(Cube(tuple(center), 4.0 * rho))  # GeometryError unless K_4rho fits
     N = slab.grid.dim
@@ -300,7 +311,7 @@ def _energy_probe(slab: SpaceTimeSlab, m: float, sigma: float, center, rho: floa
             s_sigma=s_sig,
         )
 
-    return (center, rho, outer, inner, levels), finish
+    return ((center, rho, outer, inner, levels),), finish
 
 
 def check_energy_lemma_pme(
@@ -353,23 +364,27 @@ def check_flux_corollary(
 
 def flux_corollary_batch(slab: SpaceTimeSlab, flux, probes, sigma: float) -> list:
     """:func:`check_flux_corollary` of each ``(center, rho, window)`` of ``probes`` in one
-    statistics sweep: its report, or the error it raises."""
-    m = float(flux.m)
-    return _batch(slab, probes, lambda *probe: _flux_probe(slab, flux, m, sigma, *probe), m)
-
-
-def _flux_probe(slab: SpaceTimeSlab, flux, m: float, sigma: float, center, rho: float, window):
-    """The resolve step of :func:`check_flux_corollary`: ``(block, finish)``."""
+    statistics sweep and one flux sweep: its report, or the error it raises."""
     if not 0.0 < sigma < 1.0:
         raise ParameterError("sigma must lie in (0, 1) for the flux bound")
-    grid = slab.grid
+    m = float(flux.m)
+    lam = _time_exponent(slab.grid.dim, m)
+    return _batch(
+        slab, probes, lambda *probe: _flux_probe(slab, flux, lam, sigma, *probe), m,
+        lambda blocks: _flux_integrals(slab, flux, blocks),
+    )
+
+
+def _flux_probe(slab: SpaceTimeSlab, flux, lam: float, sigma: float, center, rho: float, window):
+    """The resolve step of :func:`check_flux_corollary`: ``(blocks, finish)``."""
+    grid, m = slab.grid, float(flux.m)
     t0, t1, levels = _check_window(slab, window)
     outer, inner = _probe_nodes(grid, center, rho, sigma)
     base = grid.cube_slices(Cube(tuple(center), rho))
 
-    def finish(M, l1, l2, s_sig, _):
-        lhs = _flux_integral(slab, flux, base, levels) / rho
-        T = (t1 - t0) / rho ** _time_exponent(grid.dim, m)
+    def finish(M, l1, l2, s_sig, _, integral):
+        lhs = integral / rho
+        T = (t1 - t0) / rho**lam
         if m == 0.0:
             osc = max(math.sqrt(1.0 + l1), math.sqrt(l1**2 + l2**2))
             rhs = osc * math.sqrt(s_sig + T / sigma**2) * math.sqrt(T)
@@ -396,7 +411,7 @@ def _flux_probe(slab: SpaceTimeSlab, flux, m: float, sigma: float, center, rho: 
             time_ratio=T,
         )
 
-    return (center, rho, outer, inner, levels), finish
+    return ((center, rho, outer, inner, levels), (center, rho, base, levels)), finish
 
 
 @dataclass
@@ -515,6 +530,17 @@ class PointwiseHarnackReport(Row):
     fitted_c2: float = float("nan")
 
 
+def _pointwise_constants(N: int, q: float, eps: float, p: float, r: float) -> None:
+    """ParameterError unless ``q, eps, p, r`` are finite, ``q`` and ``eps`` positive,
+    ``p > N + 2`` and ``2r > N``: the constants every pointwise probe of a run shares."""
+    _check_finite(q=q, eps=eps, p=p, r=r)
+    if p <= N + 2:
+        raise ParameterError(f"need p > N + 2 = {N + 2}, got {p}")
+    if q <= 0 or eps <= 0:
+        raise ParameterError("q and eps must be positive")
+    moment_scaling_exponent(N, 0.0, r)
+
+
 def check_pointwise_harnack(
     slab: SpaceTimeSlab,
     x_o,
@@ -539,9 +565,7 @@ def check_pointwise_harnack(
     (``functionals._intrinsic_window``).
     """
     grid = slab.grid
-    _check_finite(q=q, eps=eps, p=p, r=r)
-    if p <= grid.dim + 2:
-        raise ParameterError(f"need p > N + 2 = {grid.dim + 2}, got {p}")
+    _pointwise_constants(grid.dim, q, eps, p, r)
     x_o = tuple(float(c) for c in x_o)
     k_o = slab.level_index(t_o)
     t_o = float(slab.times[k_o])

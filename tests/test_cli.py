@@ -789,6 +789,31 @@ def test_power_kind_m_out_of_range_is_config_error(run_dir, tmp_path, capsys, ki
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("energy", "sigma = 1.5", "sigma must lie in (0, 1) for the energy bound"),
+        ("energy-pme", "sigma = 0", "sigma must lie in (0, 1) for the energy bound"),
+        ("flux", "sigma = 1.5", "sigma must lie in (0, 1) for the flux bound"),
+        ("distributional", "sigma = 1.5", "cutoff sigma must lie in [0, 1)"),
+        ("pointwise", "p = 3", "need p > N + 2 = 4, got 3.0"),
+        ("pointwise", "eps = -0.1", "q and eps must be positive"),
+        ("pointwise", "r = 0.5", "need N(m-1) + 2r > 0, got -1"),
+    ],
+    ids=["energy-sigma", "energy-pme-sigma", "flux-sigma", "distributional-sigma",
+         "pointwise-p", "pointwise-eps", "pointwise-r"],
+)
+def test_probe_constant_out_of_range_is_config_error(run_dir, tmp_path, capsys, kind, text, message):
+    # each wrote one identical error row per probe and exited 0
+    cfg = run_dir / f"{tmp_path.name}.ini"
+    cfg.write_text(BASE_CONFIG.replace("sigma = 0.5\n", "") + f"{text}\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["verify", kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_msweep_rejects_m_values_that_do_not_decrease(tmp_path, capsys):
     cfg = tmp_path / "ms.ini"
     cfg.write_text(_MSWEEP_CONFIG.replace("m_values = 0.4 0.2", "m_values = 0.2 0.4"))

@@ -159,6 +159,8 @@ FLUXES = (
         c_1=3.0,
     ),
 )
+# the diagonal-perturbed flux with constant coefficients only
+DIAGONAL = QuasilinearFlux(kind="diagonal-perturbed", m=0.0, a=(1.5, 0.75, 1.25), c_o=0.5, c_1=2.0)
 
 
 def _slab(dim, cells, nlevels, seed, t_start=0.0):
@@ -412,6 +414,73 @@ def test_a_batch_with_bad_nodes_gives_each_probe_its_batch_of_one(dim, data):
                     assert type(stats) is type(one) and str(stats) == str(one), (budget, block)
                 else:
                     assert stats == pytest.approx(one, rel=1e-12), (budget, block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_flux_batch_equals_its_batches_of_one(dim, data):
+    """One flux sweep over the block that bounds a batch's K_rho gives each probe its own
+    integral, within 1e-12 of its batch of one and within ``REL`` of the whole-grid
+    loop; nodes that are not finite and positive in that block or next to it give each
+    probe its batch of one, which fails exactly where the probe's gradient reads one of
+    them, and no RuntimeWarning is raised."""
+    cells = data.draw(st.integers(4, {1: 40, 2: 14, 3: 6}[dim]), label="cells")
+    nlevels = data.draw(st.integers(2, 9), label="levels")
+    clean = _slab(dim, cells, nlevels, data.draw(st.integers(0, 2**16), label="seed"))
+    grid = clean.grid
+    flux = data.draw(st.sampled_from(FLUXES + (DIAGONAL,)), label="flux")
+    flux = QuasilinearFlux(kind=flux.kind, m=flux.m, a=flux.a[:dim], c_o=flux.c_o, c_1=flux.c_1)
+    probes = []
+    for j in range(data.draw(st.integers(1, 8), label="probes")):
+        # rho an even number of cells, so K_rho snaps exactly; it may reach a face
+        half = data.draw(st.integers(1, cells // 4), label=f"rho/2 {j}")
+        center = tuple(
+            float(grid.axis(d)[data.draw(st.integers(half, cells - half), label=f"c{d} {j}")])
+            for d in range(dim)
+        )
+        k0 = data.draw(st.integers(0, nlevels - 1), label=f"k0 {j}")
+        k1 = data.draw(st.integers(k0, nlevels - 1), label=f"k1 {j}")  # k1 = k0: an error
+        window = (float(clean.times[k0]) - 1e-3, float(clean.times[k1]))
+        probes.append((center, 2 * half * grid.spacing, window))
+    blocks = [
+        (center, rho, grid.cube_slices(Cube(center, rho)), _levels(clean, window))
+        for center, rho, window in probes
+    ]
+
+    def near(nodes):  # the nodes the gradient on ``nodes`` reads, as (first, last) per axis
+        return [(max(s.start - 1, 0), min(s.stop, cells)) for s in nodes]
+
+    # the bounding block of the probes' K_rho x levels and its halo, per slab axis
+    spans = [(min(b[3][0] for b in blocks), max(b[3][-1] for b in blocks))] + [
+        (min(lo for lo, _ in axis), max(hi for _, hi in axis))
+        for axis in zip(*(near(b[2]) for b in blocks))
+    ]
+    values, bad = clean.values.copy(), []
+    for i in range(data.draw(st.integers(0, 3), label="bad nodes")):
+        node = tuple(
+            data.draw(st.integers(a, b), label=f"node {i} axis {d}") for d, (a, b) in enumerate(spans)
+        )
+        values[node] = data.draw(st.sampled_from((np.nan, np.inf, 0.0, -1.0)), label=f"value {i}")
+        bad.append(node)
+    slab = SpaceTimeSlab(grid, clean.times, values)
+    for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
+        with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = functionals._flux_integrals(slab, flux, blocks)
+            for value, block, (center, rho, window) in zip(got, blocks, probes):
+                (one,) = functionals._flux_integrals(slab, flux, [block])
+                holds = block[3].size < 2 or any(
+                    block[3][0] <= k <= block[3][-1]
+                    and all(lo <= i <= hi for (lo, hi), i in zip(near(block[2]), rest))
+                    for k, *rest in bad
+                )
+                assert isinstance(one, functionals.ParameterError) is holds, (budget, block)
+                if holds:
+                    assert type(value) is type(one) and str(value) == str(one), (budget, block)
+                    continue
+                assert value == pytest.approx(one, rel=1e-12), (budget, block)
+                want = ref_flux_l1(clean, flux, center, rho, window)
+                assert value / rho == pytest.approx(want, rel=REL), (budget, block)
 
 
 def test_sweep_memory_is_one_chunk_budget_however_many_levels():

@@ -296,6 +296,29 @@ def test_flux_outside_the_structure_interval_is_rejected_by_solver_and_checker(l
     assert check_flux_corollary(lump_slab_32, inside, 0.25, 0.5, (0.25, 0.5)).ratio > 0
 
 
+def test_a_flux_batch_fails_only_the_probe_whose_window_leaves_the_structure_interval(
+    lump_slab_32,
+):
+    # a_0 = 1 + 4t leaves [1, 1.5] past t = 1/8: the batch's sweep samples it there, on
+    # the block that bounds both probes, and so reads each probe as its batch of one
+    slab = lump_slab_32
+    drifting = QuasilinearFlux(
+        "diagonal-perturbed", a=(lambda x, t: np.full(len(x), 1.0 + 4.0 * t), 1.0),
+        c_o=1.0, c_1=1.5,
+    )
+    probes = [((0.125, 0.0), 0.125, (0.0, 0.25)), ((0.0, 0.0), 0.25, (0.0, 0.125))]
+    outside, inside = flux_corollary_batch(slab, drifting, probes, 0.5)
+    assert isinstance(outside, ParameterError) and "a_0 leaves" in str(outside)
+    center, rho, window = probes[1]
+    assert inside.lhs == flux_l1(slab, drifting, center, rho, window)
+    want = check_flux_corollary(slab, drifting, rho, 0.5, window, center=center)
+    for name, value in vars(want).items():
+        if isinstance(value, float):
+            assert getattr(inside, name) == pytest.approx(value, rel=1e-12, nan_ok=True), name
+        else:
+            assert getattr(inside, name) == value, name
+
+
 def test_flux_checker_broadcasts_a_callable_that_returns_one_value(lump_slab_32):
     # the solvers broadcast a_d(x, t) = 2 to every face; the checker does too
     constant = QuasilinearFlux("diagonal-perturbed", a=(2.0, 2.0), c_o=1.0, c_1=3.0)
