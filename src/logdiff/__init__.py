@@ -15,9 +15,6 @@ from .grid import (
     Field,
     Grid,
     SpaceTimeSlab,
-    average,
-    cube_volume,
-    gradient,
     integrate,
     interior_slices,
     laplacian,
@@ -46,12 +43,9 @@ from .solvers import (
 )
 from .functionals import (
     FunctionalSet,
-    degeneracy_ratio,
     ess_sup,
-    flux_l1,
     functional_set,
     gradient_energy,
-    intrinsic_scale,
     moment_scaling_exponent,
     oscillation,
     time_scaling_exponent,

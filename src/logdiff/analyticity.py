@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .grid import Cube, Grid, SpaceTimeSlab, gradient_at, interior_slices, laplacian
+from .grid import Cube, Grid, SpaceTimeSlab, interior_slices, laplacian, squared_gradient_at
 from .functionals import _intrinsic_window
 from .reporting import Row
 
@@ -278,13 +278,13 @@ def rescale_residual(v_slab: SpaceTimeSlab) -> float:
     mismatch (O(h^2)) the residual carries an O(dt) time-difference term.
     It is not the solver's own defect (``solvers.residual_norm``).  Every
     term is formed at the interior nodes only (the gradient by
-    :func:`logdiff.grid.gradient_at`).  A NaN node makes it NaN.
+    :func:`logdiff.grid.squared_gradient_at`).  A NaN node makes it NaN.
     """
     g, inner = v_slab.grid, interior_slices(v_slab.grid)
     later = v_slab.values[1:]
     v = later[(slice(None),) + inner]
     vt = np.diff(v_slab.values[(slice(None),) + inner], axis=0) / v_slab.dt
-    gsq = sum(gr**2 for gr in gradient_at(later, g, inner))
+    gsq = squared_gradient_at(later, g, inner)
     return float(np.abs(vt - laplacian(later, g) / v + gsq / v**2).max())
 
 
@@ -314,7 +314,7 @@ def rescaled_sup_bounds(v_slab: SpaceTimeSlab, sigma: float) -> SupBoundsReport:
     sub-window's levels come from :meth:`SpaceTimeSlab.window_indices`.
     Time derivatives use second-order differences along stored levels.  Both
     derivatives are computed on the box's nodes only
-    (:func:`logdiff.grid.gradient_at` in space), from the levels their
+    (:func:`logdiff.grid.squared_gradient_at` in space), from the levels their
     differences read.  The sups are numpy reductions over the stacked levels,
     so a NaN node makes them NaN.
     """
@@ -332,7 +332,7 @@ def rescaled_sup_bounds(v_slab: SpaceTimeSlab, sigma: float) -> SupBoundsReport:
     later = v_slab.values[(slice(first, None),) + sl]
     vt = np.gradient(later, v_slab.dt, axis=0, edge_order=2 if v_slab.nlevels >= 3 else 1)
     v = v_slab.values[levels[0] : levels[-1] + 1]
-    sup_dv = float(np.sqrt(sum(gr**2 for gr in gradient_at(v, g, sl))).max())
+    sup_dv = float(np.sqrt(squared_gradient_at(v, g, sl)).max())
     sup_vt = float(np.abs(vt[levels - first]).max())
     v_min = float(v[box].min())
     v_max = float(v[box].max())

@@ -23,10 +23,10 @@ a config error.
 
 Exit codes: 0 success, 2 config error (a ``[solver]`` control out of range, a
 ``[verify] m``, ``sigma``, ``q``, ``eps``, ``p`` or ``r`` outside the range its
-kind takes, and ``--meshes`` below 2 cells or repeated, among them), 3 solver
-failure (stderr names the failing step and its Newton residual max-norms), 4 I/O
-error (a slab that cannot be read; an output that cannot be written, caught
-before any work).
+kind takes, a negative ``--seed``, and ``--meshes`` below 2 cells or repeated,
+among them), 3 solver failure (stderr names the failing step and its Newton
+residual max-norms), 4 I/O error (a slab that cannot be read; an output that
+cannot be written, caught before any work).
 """
 
 from __future__ import annotations
@@ -527,6 +527,8 @@ def main(argv=None) -> int:
         print(f"{args.command}: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigProblem(f"--seed must be >= 0, got {args.seed}")
         # before any work: --out, or else its nearest existing ancestor, is a writable directory
         there = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
         if not (there.is_dir() and os.access(there, os.W_OK | os.X_OK)):

@@ -9,19 +9,18 @@ Conventions shared by every function here:
 * time windows select stored levels (closed window, roundoff tolerant);
 * the discrete essential sup/inf over a region is the max/min of its samples.
 
-Every per-probe quantity over a cube and a window is read by one kernel,
-:func:`_cube_chunks`, as ``(ks, u)``: a slice of slab levels and a view of the
-cube's nodes there holding at most ``_CHUNK_DOUBLES`` values (or one level, if
-that is larger), so work buffers stay cache-sized however long the window is.
-Integrands are written in place into one buffer per call and integrated per
-level in one product with flattened trapezoid weights; sups, infs and time
-integrals are numpy reductions too, so a NaN sample makes the result NaN.
-``_CHUNK_DOUBLES = 1 << 15`` also sizes the level chunk of the two batch sweeps
-(:func:`_probe_stats`, :func:`_flux_integrals`), which read a batch's bounding
-block half as many levels at a time, since each holds two buffers, of three
-planes in the statistics sweep (at most 768 KiB in all, which fits a 2 MiB
-per-core L2) and of one in the flux sweep.  A chunk split can move a per-level
-sum by an ulp: BLAS groups matrix rows.
+Every quantity over a cube, or a batch's bounding block, and a window is read
+by one kernel, :func:`_cube_chunks`, as ``(ks, u, work)``: a slice of slab
+levels, a view of the block's nodes there and a view of the one work buffer it
+allocates per call.  A chunk holds ``_CHUNK_DOUBLES = 1 << 15`` values (or one
+level, if that is larger), and half as many in the two batch sweeps
+(:func:`_probe_stats`, :func:`_flux_integrals`), whose ``pair`` of buffers
+holds their running sums too, of three planes in the statistics sweep (at most
+768 KiB in all, which fits a 2 MiB per-core L2) and of one in the flux sweep.
+Integrands are written in place and integrated per level in one product with
+flattened trapezoid weights; sups, infs and time integrals are numpy
+reductions too, so a NaN sample makes the result NaN.  A chunk split can move
+a per-level sum by an ulp: BLAS groups matrix rows.
 
 Resolve-once rule: the private kernels take resolved blocks, a cube's snapped
 slices ``nodes`` (:meth:`Grid.cube_slices`) and a window's level indices
@@ -35,7 +34,7 @@ work of a batch with its bounding block.  No function here evaluates
 anything on a whole level and slices it afterwards: powers, logarithms and
 cutoff weights are applied to the cube's nodes only, gradients are
 differenced at the cube's nodes from one neighbour on each side
-(:func:`logdiff.grid.gradient_at`, per chunk, in the energy and flux
+(:func:`logdiff.grid.squared_gradient_at`, per chunk, in the energy and flux
 integrals only), and node coordinates are built only for the block a callable
 flux coefficient is sampled on.  The statistics sweep reads the block that
 bounds a batch's ``K_2rho`` cubes once over the batch's levels, the flux
@@ -55,15 +54,15 @@ and minima.  :func:`_flux_integrals` reads the flux corollary's left-hand
 side the same way: per chunk ``beta'(u) |a Du|`` on the block that bounds the
 batch's ``K_rho``, each probe's cube integral from the same corner sums, and
 a time trapezoid per probe over its own levels; the energy left-hand side
-stays per probe.  A block that holds a node that is not finite and positive
-(or, in the flux sweep, a callable ``a_d`` outside its structure interval)
-falls back to each probe's batch of one, which fails exactly when its own
-cylinder holds the node.  :func:`_power_oscillation` gives the pointwise check
-``M`` and ``lambda_p`` over ``K_8rho x window``: ``M`` from the chunk's copy
-(or a read-only pre-pass over several chunks), then ``|ln M - ln u|`` and its
-p-th power in one buffer.  A whole ``p`` up to 64 is taken by repeated
-squaring (:func:`_power_into`; Knuth, TAOCP vol. 2, 4.6.3), any other by
-``np.power``.
+stays per probe.  One rule refuses a bad block in both sweeps
+(:func:`_per_probe_on_refusal`): a node that is not finite and positive (or,
+in the flux sweep, a callable ``a_d`` outside its structure interval) fails a
+batch of one and reads a larger batch probe by probe.
+:func:`_power_oscillation` gives the pointwise check ``M`` and ``lambda_p``
+over ``K_8rho x window``: ``M`` from the chunk's copy (or a read-only pre-pass
+over several chunks), then ``|ln M - ln u|`` and its p-th power in one buffer.
+A whole ``p`` up to 64 is taken by repeated squaring (:func:`_power_into`;
+Knuth, TAOCP vol. 2, 4.6.3), any other by ``np.power``.
 
 One oscillation functional serves both equations, with ``m = 0`` as the
 logarithmic case, as in the checkers: :func:`oscillation` is the sup over
@@ -72,7 +71,7 @@ time levels of the p-mean over a cube of ``|ln(u/M)|`` at ``m = 0`` and of
 ``m`` decreases to zero.  ``normalized=False`` takes the plain space
 integral instead of the mean, the form the energy and flux bounds consume.
 It runs the pointwise pass with a given ``M``, so the pointwise ``lambda_p``
-equals it bit for bit.  :func:`gradient_energy` and the scale functions take
+equals it bit for bit.  :func:`gradient_energy` and the scale kernels take
 ``m`` alike.  A probe constant that is not finite raises ParameterError.
 """
 
@@ -94,7 +93,7 @@ from .grid import (
     _flat_trapezoid_weights,
     _point_str,
     _trapezoid,
-    gradient_at,
+    squared_gradient_at,
 )
 from .reporting import Row
 
@@ -103,28 +102,33 @@ from .reporting import Row
 _CHUNK_DOUBLES = 1 << 15
 
 
-def _cube_chunks(slab: SpaceTimeSlab, nodes, levels):
-    """Yield ``(ks, u)`` over level chunks of the block ``nodes x levels``: ``ks``
-    slices the slab levels of the chunk and ``u`` is a view shaped ``(levels, *cube)``;
-    a reader that needs gradients takes them from ``slab.values[ks]`` by
-    :func:`logdiff.grid.gradient_at`."""
+def _cube_chunks(slab: SpaceTimeSlab, nodes, levels, planes: int = 0, pair: bool = False):
+    """Yield ``(ks, u, work)`` over level chunks of the block ``nodes x levels``: ``ks``
+    slices the slab levels of the chunk, ``u`` is a view shaped ``(levels, *cube)`` and
+    ``work`` views one buffer per call, shaped ``(1 + pair, planes, *u.shape)`` (the first
+    chunk is the largest).  A chunk holds ``_CHUNK_DOUBLES`` values, half as many for a
+    ``pair`` of buffers, or one level if that is larger; a reader that needs gradients
+    takes them from ``slab.values[ks]`` by :func:`logdiff.grid.gradient_at`."""
     first, stop = int(levels[0]), int(levels[-1]) + 1
-    step = max(1, _CHUNK_DOUBLES // math.prod(s.stop - s.start for s in nodes))
+    size = math.prod(s.stop - s.start for s in nodes)
+    step = max(1, _CHUNK_DOUBLES // ((1 + pair) * size))
+    buf = np.empty((1 + pair, planes * min(step, stop - first) * size))
     for k in range(first, stop, step):
         ks = slice(k, min(k + step, stop))
-        yield ks, slab.values[(ks,) + nodes]
+        u = slab.values[(ks,) + nodes]
+        yield ks, u, buf[:, : planes * u.size].reshape((1 + pair, planes) + u.shape)
 
 
 def _level_integrals(slab: SpaceTimeSlab, nodes, levels, integrand, weights=1.0):
     """Trapezoid integral over the block ``nodes`` of ``weights * integrand(ks, u, out)``
     at each of ``levels``, for the chunks :func:`_cube_chunks` yields; ``weights`` is
-    flat over the block's nodes, and ``out``, shaped like ``u``, views one work buffer
-    per call, which the integrand may overwrite and return."""
+    flat over the block's nodes, and ``out``, shaped like ``u``, views its one work
+    buffer, which the integrand may overwrite and return."""
     w = _flat_trapezoid_weights(tuple(s.stop - s.start for s in nodes)) * weights
-    buf, vals = None, []
-    for ks, u in _cube_chunks(slab, nodes, levels):
-        buf = np.empty(u.size) if buf is None else buf  # the first chunk is the largest
-        vals.append(integrand(ks, u, buf[: u.size].reshape(u.shape)).reshape(len(u), -1) @ w)
+    vals = [
+        integrand(ks, u, work[0, 0]).reshape(len(u), -1) @ w
+        for ks, u, work in _cube_chunks(slab, nodes, levels, 1)
+    ]
     return np.concatenate(vals) * slab.grid.spacing**slab.grid.dim
 
 
@@ -139,7 +143,7 @@ def _window(window) -> tuple[float, float]:
 def ess_sup(slab: SpaceTimeSlab, cube: Cube, window) -> float:
     """Max of the samples over ``cube x window`` (discrete essential sup)."""
     nodes, levels = slab.grid.cube_slices(cube), slab.window_indices(*_window(window))
-    return float(np.max([u.max() for _, u in _cube_chunks(slab, nodes, levels)]))
+    return float(np.max([u.max() for _, u, _ in _cube_chunks(slab, nodes, levels)]))
 
 
 def _check_m(m: float) -> None:
@@ -215,13 +219,13 @@ def _power_oscillation(
     cylinder spans several chunks.
     """
     grid = slab.grid
-    chunks = list(_cube_chunks(slab, nodes, levels))
+    chunks = list(_cube_chunks(slab, nodes, levels, 2))
     if M is None and len(chunks) > 1:
-        M = max(_positive_max(u, cube.center, cube.edge) for _, u in chunks)
+        M = max(_positive_max(u, cube.center, cube.edge) for _, u, _ in chunks)
     w = _flat_trapezoid_weights(tuple(s.stop - s.start for s in nodes))
-    buf, vals = np.empty(2 * chunks[0][1].size), []  # the first chunk is the largest
-    for _, u in chunks:
-        g, out = buf[: 2 * u.size].reshape((2,) + u.shape)
+    vals = []
+    for _, u, work in chunks:
+        g, out = work[0]
         np.copyto(g, u)
         if M is None:
             M = _positive_max(g, cube.center, cube.edge)
@@ -258,18 +262,9 @@ def _cube_mean(field: Field, nodes, f) -> float:
     return float(_trapezoid(f(field.values[nodes]), h)) / _block_volume(nodes, h)
 
 
-def intrinsic_scale(
-    field: Field, center, edge: float, q: float, eps: float, m: float = 0.0
-) -> float:
-    """``eps * (mean over the cube of u^q)^((1 - m)/q)``: the time-scaling factor.
-
-    ``m = 0`` is the logarithmic case, ``0 < m < 1`` the power-flux one.
-    """
-    return _intrinsic_scale(field, field.grid.cube_slices(Cube(tuple(center), edge)), q, eps, m)
-
-
 def _intrinsic_scale(field: Field, nodes, q: float, eps: float, m: float = 0.0) -> float:
-    """:func:`intrinsic_scale` over the snapped cube ``nodes``."""
+    """``eps * (mean over the snapped cube nodes of u^q)^((1 - m)/q)``: the time-scaling
+    factor, ``m = 0`` the logarithmic case and ``0 < m < 1`` the power-flux one."""
     _check_m(m)
     _check_finite(q=q, eps=eps)
     if q <= 0 or eps <= 0:
@@ -282,7 +277,7 @@ def _intrinsic_window(
 ):
     """``(theta, levels)`` of the vertex ``x_o`` at the stored level ``k_o``, time ``t_o``.
 
-    ``theta`` is :func:`intrinsic_scale` over ``K_rho``, snapped to ``nodes``, at
+    ``theta`` is :func:`_intrinsic_scale` over ``K_rho``, snapped to ``nodes``, at
     ``t_o``, and ``levels`` are the stored levels of ``(t_o - theta rho^2/16, t_o]``
     by :meth:`SpaceTimeSlab.window_indices`, so they end on ``k_o``.  Raises
     ParameterError, before the window is formed, if theta is not finite.
@@ -297,20 +292,10 @@ def _intrinsic_window(
     return theta, slab.window_indices(t_o - theta * rho**2 / 16.0, t_o)
 
 
-def degeneracy_ratio(
-    field: Field, center, edge: float, q: float, M: float, r: float, m: float = 0.0
-) -> float:
-    """Normalized mass indicator in (0, 1]; equals 1 iff ``u == M`` on the cube.
-
-    ``(mean (u/M)^q)^((1/q) * 2/(N(m-1) + 2r))`` with ``N(m-1) + 2r > 0``;
-    ``m = 0`` gives the logarithmic exponent ``2/(2r - N)``.
-    """
-    nodes = field.grid.cube_slices(Cube(tuple(center), edge))
-    return _degeneracy_ratio(field, nodes, q, M, r, m)
-
-
 def _degeneracy_ratio(field: Field, nodes, q: float, M: float, r: float, m: float = 0.0):
-    """:func:`degeneracy_ratio` over the snapped cube ``nodes``."""
+    """Normalized mass indicator in (0, 1] over the snapped cube ``nodes``, 1 iff
+    ``u == M`` there: ``(mean (u/M)^q)^((1/q) * 2/(N(m-1) + 2r))`` with ``N(m-1) + 2r >
+    0``; ``m = 0`` gives the logarithmic exponent ``2/(2r - N)``."""
     _check_m(m)
     _check_finite(q=q, M=M)
     if M <= 0 or q <= 0:
@@ -351,24 +336,11 @@ def _gradient_energy(slab: SpaceTimeSlab, cutoff: Cutoff, nodes, levels, m: floa
     zeta_sq = cutoff.block(slab.grid, nodes) ** 2
 
     def density(ks, u, out):  # |Du|^2 / u^(2 - m/2); zeta^2 goes into the node weights
-        # fresh gradients, squared and summed in place
-        sq, *rest = (np.square(g, out=g) for g in gradient_at(slab.values[ks], slab.grid, nodes))
-        for g in rest:
-            sq += g
+        sq = squared_gradient_at(slab.values[ks], slab.grid, nodes)
         return np.divide(sq, np.power(u, 2.0 - m / 2.0, out=out), out=out)
 
     vals = _level_integrals(slab, nodes, levels, density, zeta_sq.ravel())
     return float(_trapezoid(vals, slab.dt))
-
-
-def flux_l1(slab: SpaceTimeSlab, flux, center, rho: float, window) -> float:
-    """``(1/rho) * int int_{K_rho} |A| dx dtau`` for the flux ``A_d = a_d beta'(u)
-    du/dx_d`` of ``flux`` (``a = 1`` for the model kinds).  ParameterError if
-    some ``a_d`` leaves the structure interval ``[c_o, c_1]``, as in the
-    solvers, or u is not finite and positive where the integral reads it."""
-    levels = slab.window_indices(*_window(window))
-    nodes = slab.grid.cube_slices(Cube(tuple(center), rho))
-    return _only(_flux_integrals(slab, flux, [(center, rho, nodes, levels)])) / rho
 
 
 def _probe_nodes(grid, center, rho: float, sigma: float):
@@ -404,8 +376,9 @@ def _box_integrals(ends):
     A product with :func:`_running_weights` per axis takes the running sums of ``q`` at the
     boxes' corners only, and 2^d of them, signed ``-`` at a box's first node on an axis and
     ``+`` at its last, give each box's integral (summed-area tables; F. C. Crow, SIGGRAPH
-    1984).  ``q`` is the first row of ``pair``, two buffers of ``q``'s size: each stage of
-    the products is written into the row the one before it read, so ``q`` is overwritten.
+    1984).  ``q`` is the first of ``pair``, two buffers of ``q``'s size (a ``pair`` of
+    :func:`_cube_chunks`): each stage of the products is written into the buffer the one
+    before it read, so ``q`` is overwritten.
     """
     n, k, dim = ends.shape[:3]
     origin = ends[..., 0].min(axis=(0, 1))
@@ -424,7 +397,7 @@ def _box_integrals(ends):
     corners = flat.swapaxes(0, 1).ravel()
 
     def integrals(q, pair):
-        lead = q.shape[: q.ndim - dim]
+        lead, pair = q.shape[: q.ndim - dim], pair.reshape(2, -1)
         # running sums along the last axis, then along each axis before it
         rows, tail = q.reshape(-1, shape[-1]), len(at[-1])
         x = np.matmul(rows, weights[-1], out=pair[1, : len(rows) * tail].reshape(len(rows), tail))
@@ -438,6 +411,27 @@ def _box_integrals(ends):
     return box, integrals
 
 
+def _per_probe_on_refusal(sweep):
+    """The one refusal rule of the batch sweeps ``sweep(slab, blocks, *args)``: a
+    ParameterError ends the sweep, and then a batch of one returns it and a larger
+    batch each block's batch of one, which fails exactly when its own block holds what
+    was refused."""
+
+    @functools.wraps(sweep)
+    def run(slab: SpaceTimeSlab, blocks, *args) -> list:
+        if not blocks:
+            return []
+        try:
+            return sweep(slab, blocks, *args)
+        except ParameterError as exc:
+            if len(blocks) == 1:
+                return [ParameterError(*exc.args)]  # no traceback, which holds the slab
+            return [run(slab, [block], *args)[0] for block in blocks]
+
+    return run
+
+
+@_per_probe_on_refusal
 def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     """``M, Lambda_1, Lambda_2, S_sigma`` and the inf of the ``K_2rho`` mass of each probe
     ``(center, rho, outer, inner, levels)``, or the ParameterError of a probe whose
@@ -450,17 +444,15 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     :func:`ess_sup`, :func:`oscillation` and the level masses' max and min, to a rounding
     that grows with the ratio of the batch's bounding block to the probe's cube.
 
-    One sweep serves the batch: each chunk of its levels is read once over the block
-    that bounds the probes' ``outer``, into one buffer of u, ``g_t`` and ``g_t^2``
-    (:func:`_osc_integrand` at each level's max ``t`` there), whose integrals over each
-    probe's two boxes :func:`_box_integrals` reads.  Those move to the probe's ``M``
-    exactly, ``g_M = c + a g_t`` with ``c = g_M(t)`` and ``a = 1 - e c > 0``, into
-    running maxima and minima: no probes x levels table.  A chunk with a node that is
-    not finite and positive ends the sweep: a batch of one, whose block is its own
-    ``K_2rho x levels``, returns its error, a larger batch each probe's batch of one.
+    One sweep serves the batch: each :func:`_cube_chunks` chunk of its levels is read
+    once over the block that bounds the probes' ``outer``, into a buffer of u, ``g_t``
+    and ``g_t^2`` (:func:`_osc_integrand` at each level's max ``t`` there), whose
+    integrals over each probe's two boxes :func:`_box_integrals` reads.  Those move to
+    the probe's ``M`` exactly, ``g_M = c + a g_t`` with ``c = g_M(t)`` and ``a = 1 - e c
+    > 0``, into running maxima and minima: no probes x levels table.  A chunk with a
+    node that is not finite and positive is refused (:func:`_per_probe_on_refusal`);
+    a batch of one's block is its own ``K_2rho x levels``.
     """
-    if not probes:
-        return []
     grid, e, dim, n = slab.grid, m / 2.0, slab.grid.dim, len(probes)
     first = np.array([p[4][0] for p in probes])
     last = np.array([p[4][-1] for p in probes])
@@ -471,38 +463,28 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     box, integrals = _box_integrals(
         np.array([[[(s.start, s.stop - 1) for s in nodes] for nodes in p[2:4]] for p in probes])
     )
-    shape = tuple(s.stop - s.start for s in box)
-
     h_d = grid.spacing**dim
     V = np.array([_block_volume(p[2], grid.spacing) for p in probes])
     osc1, osc2 = np.zeros(n), np.zeros(n)  # the true values are >= 0
     s_sigma, inf_mass = np.full(n, -math.inf), np.full(n, math.inf)
-    size, space = math.prod(shape), tuple(range(1, dim + 1))
-    k0, k1 = int(first.min()), int(last.max()) + 1
-    # two buffers of a chunk's three planes, the second for the running sums, hold at
-    # most 3 _CHUNK_DOUBLES values, as one buffer of _level_integrals' callers does
-    step = max(1, _CHUNK_DOUBLES // (2 * size))
-    pair = np.empty((2, 3 * min(step, k1 - k0) * size))
-    for k in range(k0, k1, step):
-        u = slab.values[(slice(k, min(k + step, k1)),) + box]
-        q = pair[0, : 3 * u.size].reshape((3,) + u.shape)
+    space = tuple(range(1, dim + 1))
+    # a pair of buffers of three planes, the second for the running sums
+    for ks, u, work in _cube_chunks(slab, box, (first.min(), last.max()), 3, pair=True):
+        q = work[0]
         np.copyto(q[0], u)
         t = q[0].max(axis=space)
         if not (np.isfinite(t).all() and q[0].min() > 0.0):
-            # a bad node: a batch of one fails, a larger one is read probe by probe
-            if n == 1:
-                return [_not_positive(probes[0][0], 2.0 * probes[0][1])]
-            return [_probe_stats(slab, [p], m)[0] for p in probes]
+            raise _not_positive(probes[0][0], 2.0 * probes[0][1])
         _osc_integrand(q[0], np.log(t).reshape((-1,) + (1,) * dim), e, q[1])
         np.square(q[1], out=q[2])
-        sums = integrals(q, pair) * h_d  # (3, levels, 2, probes)
+        sums = integrals(q, work) * h_d  # (3, levels, 2, probes)
         (mass, inner), (g1, _), (g2, _) = sums.swapaxes(1, 2)
         c = _osc_integrand(t[:, None], ln_M, e, np.empty((len(u), n)))  # g_M(t)
         a = 1.0 - e * c
         a_g1 = a * g1
         o1 = c * V + a_g1
         o2 = c * (o1 + a_g1) + a * a * g2  # c^2 V + 2 a c g1 + a^2 g2
-        lvl = np.arange(k, k + len(u))[:, None]
+        lvl = np.arange(ks.start, ks.stop)[:, None]
         on = (lvl >= first) & (lvl <= last)
         np.maximum(osc1, o1.max(axis=0, where=on, initial=0.0), out=osc1)
         np.maximum(osc2, o2.max(axis=0, where=on, initial=0.0), out=osc2)
@@ -514,88 +496,55 @@ def _probe_stats(slab: SpaceTimeSlab, probes, m: float = 0.0) -> list:
     return list(zip(*(x.tolist() for x in stats)))
 
 
-def _flux_integrals(slab: SpaceTimeSlab, flux, blocks) -> list:
-    """``int int |A| dx dtau`` of :func:`flux_l1` over each probe ``(center, rho, nodes,
-    levels)`` of ``blocks``, ``nodes`` its snapped ``K_rho``, or the ParameterError it
-    raises: fewer than two levels, a callable ``a_d`` outside the structure interval on
-    its levels, or a node that is not finite and positive in ``nodes`` or next to them,
-    where the gradient reads.  A constant ``a_d`` outside it raises.
+@_per_probe_on_refusal
+def _flux_integrals(slab: SpaceTimeSlab, blocks, flux) -> list:
+    """``int int |A| dx dtau`` over each probe ``(center, rho, nodes, levels)`` of
+    ``blocks``, ``nodes`` its snapped ``K_rho``, for the flux ``A_d = a_d beta'(u)
+    du/dx_d`` of ``flux`` (``a = 1`` for the model kinds), or the ParameterError of a
+    probe whose levels take a callable ``a_d`` outside the structure interval, or whose
+    ``nodes`` or a node next to them, where the gradient reads, is not finite and
+    positive.  Its caller checks the constant ``a_d`` and that each probe has two levels.
 
-    One sweep serves the batch: each chunk of its levels is read once over the block that
-    bounds the probes' ``nodes``, whose gradient :func:`logdiff.grid.gradient_at` takes as
-    on the whole level; ``beta'(u) |a Du|`` goes into one buffer, whose integral over each
-    probe's cube :func:`_box_integrals` reads at each level, and each probe sums its own
-    levels by the trapezoid rule.  A callable ``a_d`` is sampled on the block's nodes at
-    each level, one value broadcasting as in the solvers.  A refused ``a_d`` or a bad
-    node ends the sweep: a batch of one, whose block is its own ``K_rho``, returns its
-    error, a larger batch each probe's batch of one.
+    One sweep serves the batch: each :func:`_cube_chunks` chunk of its levels is read
+    once over the block that bounds the probes' ``nodes``, whose gradient
+    :func:`logdiff.grid.squared_gradient_at` takes as on the whole level; ``beta'(u)
+    |a Du|`` goes into one buffer, whose integral over each probe's cube
+    :func:`_box_integrals` reads at each level, and each probe sums its own levels by
+    the trapezoid rule.  A callable ``a_d`` is sampled on the block's nodes at each
+    level, one value broadcasting as in the solvers.  A refused ``a_d`` or a bad node
+    ends the sweep (:func:`_per_probe_on_refusal`); a batch of one's block is its own
+    ``K_rho``.
     """
-    grid = slab.grid
-    # a constant a_d is checked once and raises, as every probe shares it; a callable one
-    # is checked at every level it is sampled
-    a = [
-        a_d if callable(a_d) else float(flux.checked(axis, a_d))
-        for axis, a_d in enumerate(flux.coefficients(grid.dim))
-    ]
-    short = [b[3].size < 2 for b in blocks]
-    if any(short):
-        rest = iter(_flux_integrals(slab, flux, [b for b, s in zip(blocks, short) if not s]))
-        return [
-            ParameterError("flux window needs at least two levels") if s else next(rest)
-            for s in short
-        ]
-    if not blocks:
-        return []
-    n, beta_prime = len(blocks), flux.beta()[1]
+    grid, a, beta_prime = slab.grid, flux.coefficients(slab.grid.dim), flux.beta()[1]
     first = np.array([b[3][0] for b in blocks])
     last = np.array([b[3][-1] for b in blocks])
     ends = [[[(s.start, s.stop - 1) for s in b[2]]] for b in blocks]
     box, integrals = _box_integrals(np.array(ends))
     shape = tuple(s.stop - s.start for s in box)
-    size = math.prod(shape)
     # the nodes the gradient reads: the block and one more on each side, inside the grid
     near = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, grid.npts)) for s in box)
     if any(callable(a_d) for a_d in a):
-        points = np.stack(np.broadcast_arrays(*grid.block_axes(box)), axis=-1)
-        points = points.reshape(-1, grid.dim)
-    total = np.zeros(n)
-    k0, k1 = int(first.min()), int(last.max()) + 1
-    # two buffers of a chunk's plane, the second for the running sums, hold at most
-    # _CHUNK_DOUBLES values, and so do the gradients and beta'(u) in 2D
-    step = max(1, _CHUNK_DOUBLES // (2 * size))
-    pair = np.empty((2, min(step, k1 - k0) * size))
-    for k in range(k0, k1, step):
-        ks = slice(k, min(k + step, k1))
-        try:
-            read = slab.values[(ks,) + near]
-            if not (read.min() > 0.0 and read.max() < math.inf):
-                raise _not_positive(blocks[0][0], blocks[0][1], " or next to it")
-            coefficients = [
-                a_d if not callable(a_d) else np.stack([
-                    np.broadcast_to(flux.checked(axis, a_d(points, float(t)), float(t)), size)
-                    .reshape(shape)
-                    for t in slab.times[ks]
-                ])
-                for axis, a_d in enumerate(a)
-            ]
-        except ParameterError as exc:
-            # a batch of one fails, a larger one is read probe by probe
-            if n == 1:
-                return [ParameterError(*exc.args)]
-            return [_flux_integrals(slab, flux, [b])[0] for b in blocks]
-        # fresh gradients: weighted, squared and summed in place
-        grads = gradient_at(slab.values[ks], grid, box)
-        for g, a_d in zip(grads, coefficients):
-            np.square(np.multiply(g, a_d, out=g), out=g)
-        sq, *rest = grads
-        for g in rest:
-            sq += g
+        points = np.stack(np.broadcast_arrays(*grid.block_axes(box)), axis=-1).reshape(-1, grid.dim)
+    total = np.zeros(len(blocks))
+    # a pair of buffers of one plane, the second for the running sums
+    for ks, u, work in _cube_chunks(slab, box, (first.min(), last.max()), 1, pair=True):
+        read = slab.values[(ks,) + near]
+        if not (read.min() > 0.0 and read.max() < math.inf):
+            raise _not_positive(blocks[0][0], blocks[0][1], " or next to it")
+        coefficients = [
+            float(a_d) if not callable(a_d) else np.stack([
+                np.broadcast_to(flux.checked(axis, a_d(points, float(t)), float(t)), u[0].size)
+                .reshape(shape)
+                for t in slab.times[ks]
+            ])
+            for axis, a_d in enumerate(a)
+        ]
+        sq = squared_gradient_at(slab.values[ks], grid, box, coefficients)
         # beta' > 0, so |a beta'(u) Du| = beta'(u) |a Du|
-        q = pair[0, : sq.size].reshape(sq.shape)
-        np.multiply(np.sqrt(sq, out=sq), beta_prime(slab.values[(ks,) + box]), out=q)
-        lvl = np.arange(k, ks.stop)[:, None]
+        q = np.multiply(np.sqrt(sq, out=sq), beta_prime(u), out=work[0, 0])
+        lvl = np.arange(ks.start, ks.stop)[:, None]
         w = ((lvl >= first) & (lvl <= last)) - 0.5 * (lvl == first) - 0.5 * (lvl == last)
-        total += (integrals(q, pair)[:, 0] * w).sum(axis=0)
+        total += (integrals(q, work)[:, 0] * w).sum(axis=0)
     return (total * (grid.spacing**grid.dim * slab.dt)).tolist()
 
 

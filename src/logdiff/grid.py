@@ -362,35 +362,16 @@ def _block_volume(nodes, spacing: float) -> float:
     return math.prod((s.stop - 1 - s.start) * spacing for s in nodes)
 
 
-def cube_volume(grid: Grid, cube: Cube) -> float:
-    """Volume of the snapped cube (consistent with :func:`integrate`)."""
-    return _block_volume(grid.cube_slices(cube), grid.spacing)
-
-
-def average(values: np.ndarray, grid: Grid, cube: Cube) -> float:
-    """Mean value of ``values`` (sampled on ``grid``) over the snapped cube."""
-    return integrate(values, grid, cube) / cube_volume(grid, cube)
-
-
-def gradient(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
-    """Central-difference gradient (second order interior, one-sided boundary).
-
-    Differentiates ``values`` along the last ``grid.dim`` axes, so stacked
-    levels of shape ``(levels, *grid.shape)`` are differentiated level by
-    level.  This is :func:`gradient_at` on the whole grid.
-    """
-    values = np.asarray(values, dtype=float)
-    return gradient_at(values, grid, (slice(0, grid.npts),) * grid.dim)
-
-
 def gradient_at(values: np.ndarray, grid: Grid, nodes) -> tuple[np.ndarray, ...]:
-    """:func:`gradient` of ``values`` at the block ``nodes`` only.
+    """Central-difference gradient of ``values`` at the block ``nodes`` only, one
+    fresh array per axis.
 
-    ``nodes`` slices the last ``grid.dim`` axes.  Along each axis the block's
-    differences read one node beyond it where the grid has one, and at a grid
-    face use the one-sided second-order formula, each written as
-    ``numpy.gradient(..., edge_order=2)`` writes it, so the result equals
-    numpy's gradient of the whole level at the block bit for bit.
+    ``nodes`` slices the last ``grid.dim`` axes, so stacked levels of shape
+    ``(levels, *grid.shape)`` are differentiated level by level.  Along each
+    axis the block's differences read one node beyond it where the grid has
+    one, and at a grid face use the one-sided second-order formula, each
+    written as ``numpy.gradient(..., edge_order=2)`` writes it, so the result
+    equals numpy's gradient of the whole level at the block bit for bit.
     """
     h, n = grid.spacing, grid.npts
     grads = []
@@ -409,6 +390,20 @@ def gradient_at(values: np.ndarray, grid: Grid, nodes) -> tuple[np.ndarray, ...]
         axis = values.ndim - grid.dim + d
         grads.append(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis))
     return tuple(grads)
+
+
+def squared_gradient_at(values: np.ndarray, grid: Grid, nodes, a=None) -> np.ndarray:
+    """``sum_d (a_d D_d values)^2`` at the block ``nodes``, ``a = 1`` if None: the fresh
+    :func:`gradient_at` arrays are weighted by ``a[d]`` (a number, or an array that
+    broadcasts against them), squared and summed in place, left to right, into the first."""
+    sq, *_ = grads = gradient_at(values, grid, nodes)
+    for d, g in enumerate(grads):
+        if a is not None:
+            g *= a[d]
+        np.square(g, out=g)
+        if d:
+            sq += g
+    return sq
 
 
 def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:

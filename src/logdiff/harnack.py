@@ -18,9 +18,11 @@ window)``: each probe is resolved, one sweep of
 check's second sweep, ``functionals._flux_integrals``, the left-hand sides of
 those still standing, and each is finished into its report.  A batch checks
 the constants its probes share (``m``, ``sigma``, the time exponent
-``N(m-1) + 2`` and a flux's constant coefficients) once and raises their
-ParameterError; per probe it returns the report or the GeometryError or
-ParameterError that probe raises, so one bad probe does not end its batch.
+``N(m-1) + 2`` and a flux's constant coefficients ``a_d``) once, before any
+level is read, and raises their ParameterError; per probe it returns the
+report or the GeometryError or ParameterError that probe raises (the flux
+window's two levels are checked as the probe is resolved), so one bad probe
+does not end its batch.
 The single-probe checks are the batch of one and raise it.
 :func:`_pointwise_constants` is the pointwise check's run-wide check, which
 ``verify`` makes once too.
@@ -369,9 +371,13 @@ def flux_corollary_batch(slab: SpaceTimeSlab, flux, probes, sigma: float) -> lis
         raise ParameterError("sigma must lie in (0, 1) for the flux bound")
     m = float(flux.m)
     lam = _time_exponent(slab.grid.dim, m)
+    # a constant a_d is every probe's: checked once, before any level is read
+    for axis, a_d in enumerate(flux.coefficients(slab.grid.dim)):
+        if not callable(a_d):
+            flux.checked(axis, a_d)
     return _batch(
         slab, probes, lambda *probe: _flux_probe(slab, flux, lam, sigma, *probe), m,
-        lambda blocks: _flux_integrals(slab, flux, blocks),
+        lambda blocks: _flux_integrals(slab, blocks, flux),
     )
 
 
@@ -381,6 +387,8 @@ def _flux_probe(slab: SpaceTimeSlab, flux, lam: float, sigma: float, center, rho
     t0, t1, levels = _check_window(slab, window)
     outer, inner = _probe_nodes(grid, center, rho, sigma)
     base = grid.cube_slices(Cube(tuple(center), rho))
+    if levels.size < 2:
+        raise ParameterError("flux window needs at least two levels")
 
     def finish(M, l1, l2, s_sig, _, integral):
         lhs = integral / rho

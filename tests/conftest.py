@@ -17,8 +17,11 @@ from logdiff import (
     Grid,
     Lump2D,
     SolverConfig,
+    check_flux_corollary,
+    integrate,
     solve_log_diffusion,
 )
+from logdiff.grid import _block_volume, gradient_at
 
 HORIZON = 0.5
 
@@ -43,6 +46,22 @@ def solve_lump(cells: int):
     slab = solve_log_diffusion(sol.sample(grid, 0.0), config, HORIZON)
     SOLVE_TIMES[cells] = time.monotonic() - start
     return slab
+
+
+def average(values, grid, cube) -> float:
+    """Trapezoid mean of ``values`` (sampled on ``grid``) over the snapped ``cube``, as
+    the functionals take cube means."""
+    return integrate(values, grid, cube) / _block_volume(grid.cube_slices(cube), grid.spacing)
+
+
+def gradient(values, grid):
+    """The central-difference gradient of ``values`` on the whole grid."""
+    return gradient_at(np.asarray(values, dtype=float), grid, (slice(0, grid.npts),) * grid.dim)
+
+
+def flux_l1(slab, flux, center, rho, window) -> float:
+    """``(1/rho) iint_{K_rho} |A|``: the left-hand side of the flux check."""
+    return check_flux_corollary(slab, flux, rho, 0.5, window, center).lhs
 
 
 def peak_bytes(fn, *args):

@@ -376,6 +376,22 @@ def test_oracle_check_exp_exact(tmp_path):
     assert all(float(r["residual"]) <= 1e-10 for r in rows)
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "msweep", "oracle-check"])
+def test_negative_seed_is_a_config_error_before_any_work(run_dir, tmp_path, capsys, command):
+    # verify with count > 1 died in numpy's default_rng with a traceback and exit 1
+    args = {
+        "solve": ["solve", "--config", str(run_dir / "run.ini")],
+        "verify": ["verify", "l1", "--config", str(run_dir / "run.ini")],
+        "msweep": ["msweep", "--config", str(run_dir / "run.ini")],
+        "oracle-check": ["oracle-check", "lump2d", "--meshes", "8", "16"],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(args + ["--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, run_dir, capsys):
     # unknown fixture -> config error
     assert main(["oracle-check", "nope", "--out", str(tmp_path / "a")]) == 2

@@ -25,15 +25,12 @@ from logdiff import (
     Lump2D,
     QuasilinearFlux,
     ess_sup,
-    flux_l1,
     gradient_energy,
     oscillation,
 )
 from logdiff import functionals
 from logdiff.cli import _VERIFY
-from logdiff.grid import (
-    SpaceTimeSlab, average, gradient, gradient_at, integrate, laplacian
-)
+from logdiff.grid import SpaceTimeSlab, gradient_at, integrate, laplacian
 from logdiff.harnack import (
     DistributionalCheck,
     check_pointwise_harnack,
@@ -42,7 +39,7 @@ from logdiff.harnack import (
 )
 from logdiff.limit_m import _l1_distance, _uniform_norms
 
-from conftest import peak_bytes
+from conftest import average, gradient, peak_bytes
 
 REL = 1e-12
 
@@ -128,6 +125,12 @@ def ref_flux_l1(slab, flux, center, rho, window):
             mag = np.sqrt(sum(comps))
         total += w * integrate(mag, grid, Cube(center, rho))
     return total / rho
+
+
+def flux_l1(slab, flux, center, rho, window):
+    """``(1/rho) iint_{K_rho} |A|`` from the flux sweep's batch of one."""
+    block = (center, rho, slab.grid.cube_slices(Cube(center, rho)), _levels(slab, window))
+    return functionals._only(functionals._flux_integrals(slab, [block], flux)) / rho
 
 
 def ref_l1_distance(a, b, cube, window):
@@ -439,7 +442,7 @@ def test_flux_batch_equals_its_batches_of_one(dim, data):
             for d in range(dim)
         )
         k0 = data.draw(st.integers(0, nlevels - 1), label=f"k0 {j}")
-        k1 = data.draw(st.integers(k0, nlevels - 1), label=f"k1 {j}")  # k1 = k0: an error
+        k1 = data.draw(st.integers(k0, nlevels - 1), label=f"k1 {j}")  # k1 = k0: integral 0
         window = (float(clean.times[k0]) - 1e-3, float(clean.times[k1]))
         probes.append((center, 2 * half * grid.spacing, window))
     blocks = [
@@ -466,10 +469,10 @@ def test_flux_batch_equals_its_batches_of_one(dim, data):
     for budget in (functionals._CHUNK_DOUBLES, 1, 3 ** (dim + 1)):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = functionals._flux_integrals(slab, flux, blocks)
+            got = functionals._flux_integrals(slab, blocks, flux)
             for value, block, (center, rho, window) in zip(got, blocks, probes):
-                (one,) = functionals._flux_integrals(slab, flux, [block])
-                holds = block[3].size < 2 or any(
+                (one,) = functionals._flux_integrals(slab, [block], flux)
+                holds = any(
                     block[3][0] <= k <= block[3][-1]
                     and all(lo <= i <= hi for (lo, hi), i in zip(near(block[2]), rest))
                     for k, *rest in bad
@@ -567,7 +570,7 @@ def test_cube_gradients_equal_whole_level_gradient(dim, data):
         assert np.array_equal(w, ref)
     for budget in (functionals._CHUNK_DOUBLES, 1):
         with mock.patch.object(functionals, "_CHUNK_DOUBLES", budget):
-            for ks, u in functionals._cube_chunks(slab, nodes, levels):
+            for ks, u, _ in functionals._cube_chunks(slab, nodes, levels):
                 assert np.array_equal(u, slab.values[(ks,) + nodes])
                 whole = numpy_gradient(slab.values[ks])
                 grads = gradient_at(slab.values[ks], slab.grid, nodes)
@@ -761,9 +764,9 @@ def test_pointwise_reads_a_one_chunk_cylinder_once(monkeypatch):
     nodes = slab.grid.cube_slices(Cube(x_o, 8.0 * rho))
     reads, chunks = [], functionals._cube_chunks
 
-    def counted(slab, nodes, levels):
+    def counted(slab, nodes, levels, *work):
         reads.append((nodes, levels.size))
-        return chunks(slab, nodes, levels)
+        return chunks(slab, nodes, levels, *work)
 
     monkeypatch.setattr(functionals, "_cube_chunks", counted)
     rep = check_pointwise_harnack(slab, x_o, t_o, rho)

@@ -17,19 +17,30 @@ from logdiff import (
     Lump2D,
     ParameterError,
     QuasilinearFlux,
-    average,
-    degeneracy_ratio,
     ess_sup,
-    flux_l1,
     functional_set,
     gradient_energy,
-    intrinsic_scale,
     moment_scaling_exponent,
     oscillation,
     time_scaling_exponent,
 )
 from logdiff import functionals
 from logdiff.grid import SpaceTimeSlab
+
+from conftest import average, flux_l1
+
+
+def intrinsic_scale(field, center, edge, q, eps, m=0.0):
+    """The time-scaling factor over the snapped cube of edge ``edge`` at ``center``."""
+    nodes = field.grid.cube_slices(Cube(center, edge))
+    return functionals._intrinsic_scale(field, nodes, q, eps, m)
+
+
+def degeneracy_ratio(field, center, edge, q, M, r, m=0.0):
+    """The degeneracy ratio over the snapped cube of edge ``edge`` at ``center``."""
+    nodes = field.grid.cube_slices(Cube(center, edge))
+    return functionals._degeneracy_ratio(field, nodes, q, M, r, m)
+
 
 LUMP = Lump2D(c=1.0, T=1.0)
 

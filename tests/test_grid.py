@@ -12,17 +12,14 @@ from logdiff import (
     GeometryError,
     Grid,
     ParameterError,
-    average,
-    cube_volume,
-    gradient,
     integrate,
     laplacian,
     read_slab,
     write_slab,
 )
-from logdiff.grid import SpaceTimeSlab
+from logdiff.grid import SpaceTimeSlab, _block_volume, gradient_at, squared_gradient_at
 
-from conftest import peak_bytes
+from conftest import average, gradient, peak_bytes
 
 
 def test_regular_grid_basics():
@@ -85,7 +82,7 @@ def test_integrate_exact_on_constants_and_linears():
     for edge in (0.25, 0.5, 1.0):
         cube = Cube((0.0, 0.0), edge)
         assert integrate(ones, g, cube) == pytest.approx(edge**2, rel=1e-14)
-        assert cube_volume(g, cube) == pytest.approx(edge**2, rel=1e-14)
+        assert _block_volume(g.cube_slices(cube), g.spacing) == pytest.approx(edge**2, rel=1e-14)
         assert average(ones, g, cube) == pytest.approx(1.0, rel=1e-14)
     # trapezoid weights integrate affine functions exactly
     X, Y = g.meshgrid()
@@ -99,6 +96,19 @@ def test_gradient_exact_on_affine():
     gx, gy = gradient(2.0 * X - 0.5 * Y, g)
     assert np.allclose(gx, 2.0, atol=1e-12)
     assert np.allclose(gy, -0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_squared_gradient_is_the_sum_of_weighted_squares_bit_for_bit(dim):
+    grid = Grid.regular(dim, 1.0, 1.0 / 6)
+    rng = np.random.default_rng(dim)
+    values = rng.uniform(0.5, 2.0, (3,) + grid.shape)
+    nodes = (slice(0, 4),) + (slice(2, 7),) * (dim - 1)  # one face, then the other
+    grads = gradient_at(values, grid, nodes)
+    assert np.array_equal(squared_gradient_at(values, grid, nodes), sum(g**2 for g in grads))
+    a = [1.5, rng.uniform(0.5, 2.0, grads[0].shape), 0.75][:dim]
+    want = sum((g * a_d) ** 2 for g, a_d in zip(grads, a))
+    assert np.array_equal(squared_gradient_at(values, grid, nodes, a), want)
 
 
 def test_laplacian_exact_on_quadratic_interior():

@@ -28,7 +28,6 @@ from logdiff import (
     solve_quasilinear,
 )
 from logdiff import functionals
-from logdiff.functionals import flux_l1
 from logdiff.grid import Field, SpaceTimeSlab
 from logdiff.harnack import (
     energy_lemma_batch,
@@ -36,6 +35,8 @@ from logdiff.harnack import (
     l1_harnack_batch,
 )
 from logdiff.solvers import SolverConfig
+
+from conftest import flux_l1
 
 # independently computed divergence defects of the smoothstep cutoff
 # (rho = 1, sigma = 0.5, edge-2 grid), decaying at first order
@@ -317,6 +318,36 @@ def test_a_flux_batch_fails_only_the_probe_whose_window_leaves_the_structure_int
             assert getattr(inside, name) == pytest.approx(value, rel=1e-12, nan_ok=True), name
         else:
             assert getattr(inside, name) == value, name
+
+
+def _no_read(*args):
+    raise AssertionError("a level was read")
+
+
+def test_a_one_level_flux_window_is_refused_when_its_probe_is_resolved(lump_slab_32, monkeypatch):
+    # a NaN at the probe centre on the window's one level: the two-level rule belongs to
+    # the resolve step, so it is the error, and the statistics sweep never reads the NaN
+    slab, k = lump_slab_32, 16
+    values = slab.values.copy()
+    values[k, 16, 16] = np.nan
+    bad = SpaceTimeSlab(slab.grid, slab.times, values)
+    flux, t = QuasilinearFlux("log-diffusion"), float(slab.times[k])
+    (two,) = flux_corollary_batch(bad, flux, [((0.0, 0.0), 0.25, (t - slab.dt, t))], 0.5)
+    assert isinstance(two, ParameterError) and "finite and positive" in str(two)
+    monkeypatch.setattr(functionals, "_cube_chunks", _no_read)
+    (one,) = flux_corollary_batch(bad, flux, [((0.0, 0.0), 0.25, (t - 0.4 * slab.dt, t))], 0.5)
+    assert isinstance(one, ParameterError)
+    assert str(one) == "flux window needs at least two levels"
+
+
+def test_a_constant_flux_coefficient_outside_its_interval_raises_before_any_read(
+    lump_slab_32, monkeypatch
+):
+    monkeypatch.setattr(functionals, "_cube_chunks", _no_read)
+    outside = QuasilinearFlux("diagonal-perturbed", m=0.2, a=(1.0, 3.0))
+    probes = [((0.0, 0.0), 0.25, (0.25, 0.5)), ((0.125, 0.0), 0.125, (0.0, 0.25))]
+    with pytest.raises(ParameterError, match=re.escape("a_1 leaves the structure interval")):
+        flux_corollary_batch(lump_slab_32, outside, probes, 0.5)
 
 
 def test_flux_checker_broadcasts_a_callable_that_returns_one_value(lump_slab_32):

@@ -37,6 +37,29 @@ def test_every_import_is_used(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
 
 
+def _names_read(path: Path) -> set[str]:
+    """The names and attribute names a source file reads."""
+    tree = ast.parse(path.read_text())
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_exported_function_is_used_outside_its_module():
+    """A function ``logdiff`` exports is read by another module, a demo or the benchmark,
+    not by tests alone."""
+    outside = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    unused = []
+    for name, value in sorted(vars(logdiff).items()):
+        if not inspect.isfunction(value):
+            continue
+        home = Path(inspect.getfile(value))
+        readers = [p for p in PACKAGE.glob("*.py") if p not in (home, PACKAGE / "__init__.py")]
+        if not any(name in _names_read(p) for p in readers + outside):
+            unused.append(name)
+    assert unused == []
+
+
 def test_every_report_row_comes_from_the_row_rule():
     """A class defining ``to_row`` subclasses ``Row``; an override extends its row."""
     reports = set()
